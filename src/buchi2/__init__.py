@@ -27,6 +27,7 @@ from .formulas import (
 from .nonstandard import (
     C,
     Element,
+    Model,
     NegativeResultError,
     NonstandardModel,
     NotDivisibleError,
@@ -71,7 +72,7 @@ __all__ = [
     "AxiomSpec", "Report", "build_axioms", "check_axiom", "run_suite",
     "Formula", "Term", "eval_qf", "eval_term", "format_formula",
     "format_term", "parse_formula", "parse_term",
-    "C", "Element", "NegativeResultError", "NonstandardModel",
+    "C", "Element", "Model", "NegativeResultError", "NonstandardModel",
     "NotDivisibleError", "ONE", "Ordering", "ParseError", "ZERO", "add",
     "compare", "density_witnesses", "divide", "format_element",
     "is_hypernumber", "is_power_of_two", "is_standard",

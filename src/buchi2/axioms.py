@@ -21,14 +21,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Optional
 
-from .formulas import Formula, eval_qf, parse_formula
+from .formulas import (
+    And, CongMod, Eq, Formula, Implies, Numeral, Or, Sum, Variable, eval_qf, nsum, parse_formula,
+)
 from .nonstandard import (
+    Model,
     NegativeResultError,
     NotDivisibleError,
     Ordering,
+    ParseError,
 )
 
 PASS = "PASS"
@@ -46,14 +50,14 @@ SCHEMA = "SCHEMA"
 # exists the functions return a dummy (zero) that leaves the matrix's
 # guarding antecedent false.
 
-def _w_difference(model, env, param=None):
+def _w_difference(model: Model, env, param=None):
     x, y = env["x"], env["y"]
     if model.compare(x, y) is Ordering.LESS:
         return model.sub(y, x)
     return model.numeral(0)
 
 
-def _w_predecessor(model, env, param=None):
+def _w_predecessor(model: Model, env, param=None):
     x = env["x"]
     zero = model.numeral(0)
     if model.compare(x, zero) is Ordering.EQUAL:
@@ -61,7 +65,7 @@ def _w_predecessor(model, env, param=None):
     return model.sub(x, model.numeral(1))
 
 
-def _w_congruence_quotient(model, env, param):
+def _w_congruence_quotient(model: Model, env, param):
     x, y = env["x"], env["y"]
     if model.residue_mod(x, param) != model.residue_mod(y, param):
         return model.numeral(0)
@@ -70,18 +74,18 @@ def _w_congruence_quotient(model, env, param):
     return model.divide(model.sub(x, y), param)
 
 
-def _w_halve(model, env, param=None):
+def _w_halve(model: Model, env, param=None):
     x = env["x"]
     if model.residue_mod(x, 2) != 0:
         return model.numeral(0)
     return model.divide(x, 2)
 
 
-def _w_next_power_of_two(model, env, param=None):
+def _w_next_power_of_two(model: Model, env, param=None):
     return model.next_power_of_two(env["x"])
 
 
-def _w_power_gap_probe(model, env, param=None):
+def _w_power_gap_probe(model: Model, env, param=None):
     # A point in the open interval (x, 2x) when x is a power of two > 1;
     # otherwise just x, which leaves the interval guard false.
     x = env["x"]
@@ -142,29 +146,33 @@ class Report:
     error: str = ""
 
 
-def _qf(text: str) -> Formula:
-    return parse_formula(text)
-
+# The residue-cases and congruence matrices grow with the schema bound, so
+# they are built from nodes: as text they would nest deeper than the
+# parser's MAX_DEPTH allows once the bound reaches a few dozen.
 
 @lru_cache(maxsize=None)
 def _residue_cases_matrix(n: int) -> Formula:
-    return _qf(" | ".join(f"x == {j} mod {n}" for j in range(n)))
+    # x == 0 mod n | x == 1 mod n | ... | x == n-1 mod n
+    return reduce(Or, (CongMod(n, Variable("x"), Numeral(j)) for j in range(n)))
 
 
 @lru_cache(maxsize=None)
 def _odd_indivisibility_matrix(n: int) -> Formula:
-    return _qf(f"(V2(x) = x & ~ x = 0) -> ~ x == 0 mod {n}")
+    return parse_formula(f"(V2(x) = x & ~ x = 0) -> ~ x == 0 mod {n}")
 
 
 def _congruence_matrix(schema_max: int) -> Formula:
+    # (x == y mod n -> (x = wn + ... + wn + y | y = wn + ... + wn + x))
+    # & (u + ... + u + y == y mod n), n summands each, for n = 2..schema_max
+    x, y, u = Variable("x"), Variable("y"), Variable("u")
     parts = []
     for n in range(2, schema_max + 1):
-        w = " + ".join([f"w{n}"] * n)
-        u = " + ".join(["u"] * n)
-        parts.append(
-            f"(x == y mod {n} -> (x = {w} + y | y = {w} + x)) & ({u} + y == y mod {n})"
-        )
-    return _qf(" & ".join(f"({p})" for p in parts))
+        w = nsum(Variable(f"w{n}"), n)
+        parts.append(And(
+            Implies(CongMod(n, x, y), Or(Eq(x, Sum(w, y)), Eq(y, Sum(w, x)))),
+            CongMod(n, Sum(nsum(u, n), y), y),
+        ))
+    return reduce(And, parts)
 
 
 def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
@@ -177,7 +185,7 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
         text="forall x. ((V2(x) = 0 -> x = 0) & (x = 0 -> V2(x) = 0))",
         strategy=UNIVERSAL_SAMPLED,
         sampled=("x",),
-        matrix=_qf("(V2(x) = 0 -> x = 0) & (x = 0 -> V2(x) = 0)"),
+        matrix=parse_formula("(V2(x) = 0 -> x = 0) & (x = 0 -> V2(x) = 0)"),
         needs_v2=True,
     )
     # "is odd" is decided by the mod-2 residue rather than a search for the
@@ -186,7 +194,7 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
         text="forall x. (~ (exists t. t + t = x) -> V2(x) = 1)",
         strategy=UNIVERSAL_SAMPLED,
         sampled=("x",),
-        matrix=_qf("~ x == 0 mod 2 -> V2(x) = 1"),
+        matrix=parse_formula("~ x == 0 mod 2 -> V2(x) = 1"),
         needs_v2=True,
     )
     a14 = dict(
@@ -194,7 +202,7 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
         strategy=EXISTENTIAL_WITNESSED,
         sampled=("x",),
         derived=(("h", "halve", None),),
-        matrix=_qf("h + h = x -> V2(x) = V2(h) + V2(h)"),
+        matrix=parse_formula("h + h = x -> V2(x) = V2(h) + V2(h)"),
         needs_v2=True,
     )
 
@@ -204,7 +212,7 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
             text="forall x. ((x = 0 -> forall y. x + y = y) & ((forall y. x + y = y) -> x = 0))",
             strategy=UNIVERSAL_SAMPLED,
             sampled=("x", "y"),
-            matrix=_qf("(x = 0 -> x + y = y) & (x + y = y -> x = 0)"),
+            matrix=parse_formula("(x = 0 -> x + y = y) & (x + y = y -> x = 0)"),
         ),
         AxiomSpec(
             id="A2",
@@ -215,7 +223,7 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
             strategy=EXISTENTIAL_WITNESSED,
             sampled=("x", "y", "u"),
             derived=(("z", "difference", None),),
-            matrix=_qf("(x < y -> (x + z = y & ~ z = 0)) & (~ u = 0 -> x < x + u)"),
+            matrix=parse_formula("(x < y -> (x + z = y & ~ z = 0)) & (~ u = 0 -> x < x + u)"),
         ),
         AxiomSpec(
             id="A3",
@@ -225,7 +233,7 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
             ),
             strategy=UNIVERSAL_SAMPLED,
             sampled=("x", "z"),
-            matrix=_qf("(x = 1 -> (0 < x & ~ (0 < z & z < x))) & ((0 < x & ~ x = 1) -> (0 < 1 & 1 < x))"),
+            matrix=parse_formula("(x = 1 -> (0 < x & ~ (0 < z & z < x))) & ((0 < x & ~ x = 1) -> (0 < 1 & 1 < x))"),
         ),
         AxiomSpec(
             id="A4",
@@ -243,21 +251,21 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
             text="forall x. ~ x + 1 = 0",
             strategy=UNIVERSAL_SAMPLED,
             sampled=("x",),
-            matrix=_qf("~ x + 1 = 0"),
+            matrix=parse_formula("~ x + 1 = 0"),
         ),
         AxiomSpec(
             id="A6",
             text="forall x. forall y. forall z. (x + z = y + z -> x = y)",
             strategy=UNIVERSAL_SAMPLED,
             sampled=("x", "y", "z"),
-            matrix=_qf("x + z = y + z -> x = y"),
+            matrix=parse_formula("x + z = y + z -> x = y"),
         ),
         AxiomSpec(
             id="A7",
             text="forall x. forall y. forall z. (x + y) + z = x + (y + z)",
             strategy=UNIVERSAL_SAMPLED,
             sampled=("x", "y", "z"),
-            matrix=_qf("(x + y) + z = x + (y + z)"),
+            matrix=parse_formula("(x + y) + z = x + (y + z)"),
         ),
         AxiomSpec(
             id="A8",
@@ -265,21 +273,21 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
             strategy=EXISTENTIAL_WITNESSED,
             sampled=("x",),
             derived=(("p", "predecessor", None),),
-            matrix=_qf("x = 0 | x = p + 1"),
+            matrix=parse_formula("x = 0 | x = p + 1"),
         ),
         AxiomSpec(
             id="A9",
             text="forall x. forall y. x + y = y + x",
             strategy=UNIVERSAL_SAMPLED,
             sampled=("x", "y"),
-            matrix=_qf("x + y = y + x"),
+            matrix=parse_formula("x + y = y + x"),
         ),
         AxiomSpec(
             id="A10",
             text="forall x. forall y. (x < y | x = y | y < x)",
             strategy=UNIVERSAL_SAMPLED,
             sampled=("x", "y"),
-            matrix=_qf("x < y | x = y | y < x"),
+            matrix=parse_formula("x < y | x = y | y < x"),
         ),
         AxiomSpec(
             id="A11",
@@ -298,7 +306,7 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
             strategy=EXISTENTIAL_WITNESSED,
             sampled=("x",),
             derived=(("w", "next_power_of_two", None),),
-            matrix=_qf("x < w & V2(w) = w"),
+            matrix=parse_formula("x < w & V2(w) = w"),
             needs_v2=True,
         ),
         AxiomSpec(
@@ -307,7 +315,7 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
             strategy=UNIVERSAL_SAMPLED,
             sampled=("x", "y"),
             derived=(("m", "power_gap_probe", None),),
-            matrix=_qf(
+            matrix=parse_formula(
                 "((V2(x) = x & ~ x = 0) & x < y & y < x + x -> V2(y) < y)"
                 " & ((V2(x) = x & ~ x = 0) & x < m & m < x + x -> V2(m) < m)"
             ),
@@ -329,11 +337,7 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
     return tuple(specs)
 
 
-def axiom_ids(schema_max: int = 12) -> tuple[str, ...]:
-    return tuple(spec.id for spec in build_axioms(schema_max))
-
-
-def _sample_env(axiom: AxiomSpec, model, rng, corners, case_index: int) -> dict:
+def _sample_env(axiom: AxiomSpec, model: Model, rng, corners, case_index: int) -> dict:
     if case_index < len(corners):
         return {
             var: corners[(case_index + j) % len(corners)]
@@ -342,11 +346,11 @@ def _sample_env(axiom: AxiomSpec, model, rng, corners, case_index: int) -> dict:
     return {var: model.sample(rng) for var in axiom.sampled}
 
 
-def _format_env(model, env: dict) -> tuple[tuple[str, str], ...]:
+def _format_env(model: Model, env: dict) -> tuple[tuple[str, str], ...]:
     return tuple((name, model.format(value)) for name, value in sorted(env.items()))
 
 
-def check_axiom(axiom: AxiomSpec, model, *, cases: int = 1000, seed: int = 0) -> Report:
+def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int = 0) -> Report:
     """Check one axiom against one model; deterministic for a fixed seed."""
     if axiom.needs_v2 and not model.has_v2:
         return Report(axiom.id, SKIPPED, 0, seed)
@@ -377,19 +381,22 @@ def check_axiom(axiom: AxiomSpec, model, *, cases: int = 1000, seed: int = 0) ->
 
 
 def run_suite(
-    model,
+    model: Model,
     *,
     seed: int = 0,
     cases: int = 1000,
     schema_max: int = 12,
     ids: Optional[tuple[str, ...]] = None,
 ) -> list[Report]:
-    """Check every catalog axiom (or the given ids) against the model."""
+    """Check every catalog axiom (or the given ids) against the model.
+
+    Unknown ids raise ParseError, a ValueError.
+    """
     catalog = build_axioms(schema_max)
     if ids is not None:
         known = {spec.id for spec in catalog}
         unknown = [i for i in ids if i not in known]
         if unknown:
-            raise ValueError(f"unknown axiom ids: {', '.join(unknown)}")
+            raise ParseError(f"unknown axiom ids: {', '.join(unknown)}")
         catalog = tuple(spec for spec in catalog if spec.id in set(ids))
     return [check_axiom(spec, model, cases=cases, seed=seed) for spec in catalog]

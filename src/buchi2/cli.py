@@ -14,22 +14,22 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
-from .axioms import FAIL, Report, axiom_ids, run_suite
+from .axioms import FAIL, Report, run_suite
 from .formulas import (
     ForAll,
     Exists,
+    Term,
     eval_qf,
     eval_term,
     free_variables,
     parse_formula,
     parse_term,
     subformulas,
-    term_uses_v2,
     uses_v2,
 )
 from .nonstandard import (
+    Model,
     NegativeResultError,
     NotDivisibleError,
     NonstandardModel,
@@ -43,24 +43,7 @@ class EvaluationError(Exception):
     """Wrapper for anything that should exit with code 3."""
 
 
-@dataclass
-class SuiteConfig:
-    """Reproducible configuration of one axiom-suite run."""
-
-    seed: int = 0
-    cases: int = 1000
-    den_bound: int = 1000
-    offset_bound: int = 10**6
-    schema_max: int = 12
-    axioms: tuple[str, ...] | None = None
-    model: str = "nonstd"
-
-    def __post_init__(self):
-        if min(self.cases, self.den_bound, self.offset_bound, self.schema_max) < 1:
-            raise ValueError("suite bounds must be positive")
-
-
-def make_model(name: str, den_bound: int = 1000, offset_bound: int = 10**6):
+def make_model(name: str, den_bound: int = 1000, offset_bound: int = 10**6) -> Model:
     if name == "nonstd":
         return NonstandardModel(den_bound=den_bound, offset_bound=offset_bound)
     if name == "std":
@@ -70,32 +53,26 @@ def make_model(name: str, den_bound: int = 1000, offset_bound: int = 10**6):
     raise ValueError(f"unknown model {name!r}")
 
 
-def _evaluate_expression(text: str, model) -> str:
+def _evaluate_expression(text: str, model: Model) -> str:
     """Element literal, closed term, or closed quantifier-free formula."""
     try:
         return model.format(model.parse(text))
     except ParseError:
         pass
     try:
-        term = parse_term(text)
-        kind = "term"
+        expr = parse_term(text)
     except ParseError:
-        term = None
-        kind = "formula"
-    if term is not None:
-        if free_variables(term):
-            raise EvaluationError(f"unbound variables: {', '.join(sorted(free_variables(term)))}")
-        if term_uses_v2(term) and not model.has_v2:
-            raise EvaluationError(f"model {model.name!r} has no V2")
-        return model.format(eval_term(term, {}, model))
-    formula = parse_formula(text)  # ParseError propagates with position
-    if any(isinstance(sub, (ForAll, Exists)) for sub in subformulas(formula)):
+        expr = parse_formula(text)  # ParseError propagates with position
+    if any(isinstance(sub, (ForAll, Exists)) for sub in subformulas(expr)):
         raise EvaluationError("cannot decide quantified formulas; use the axioms harness")
-    if free_variables(formula):
-        raise EvaluationError(f"unbound variables: {', '.join(sorted(free_variables(formula)))}")
-    if uses_v2(formula) and not model.has_v2:
+    unbound = free_variables(expr)
+    if unbound:
+        raise EvaluationError(f"unbound variables: {', '.join(sorted(unbound))}")
+    if not model.has_v2 and uses_v2(expr):
         raise EvaluationError(f"model {model.name!r} has no V2")
-    return "true" if eval_qf(formula, {}, model) else "false"
+    if isinstance(expr, Term):
+        return model.format(eval_term(expr, {}, model))
+    return "true" if eval_qf(expr, {}, model) else "false"
 
 
 def _report_line(report: Report) -> str:
@@ -157,27 +134,15 @@ def cmd_div(args) -> int:
 
 
 def cmd_axioms(args) -> int:
-    config = SuiteConfig(
-        seed=args.seed,
-        cases=args.cases,
-        den_bound=args.den_bound,
-        offset_bound=args.offset_bound,
-        schema_max=args.schema_max,
-        axioms=tuple(args.axioms.split(",")) if args.axioms else None,
-        model=args.model,
-    )
-    if config.axioms is not None:
-        known = set(axiom_ids(config.schema_max))
-        unknown = [i for i in config.axioms if i not in known]
-        if unknown:
-            raise ParseError(f"unknown axiom ids: {', '.join(unknown)}")
-    model = make_model(config.model, config.den_bound, config.offset_bound)
+    if min(args.cases, args.den_bound, args.offset_bound, args.schema_max) < 1:
+        raise ValueError("suite bounds must be positive")
+    model = make_model(args.model, args.den_bound, args.offset_bound)
     reports = run_suite(
         model,
-        seed=config.seed,
-        cases=config.cases,
-        schema_max=config.schema_max,
-        ids=config.axioms,
+        seed=args.seed,
+        cases=args.cases,
+        schema_max=args.schema_max,
+        ids=tuple(args.axioms.split(",")) if args.axioms else None,
     )
     for report in reports:
         print(_report_line(report))
@@ -214,8 +179,8 @@ def cmd_repl(args) -> int:
             print(f"error: {exc}")
 
 
-def _add_model_flag(parser, choices=("nonstd", "std", "pairs")) -> None:
-    parser.add_argument("--model", choices=choices, default="nonstd")
+def _add_model_flag(parser) -> None:
+    parser.add_argument("--model", choices=("nonstd", "std", "pairs"), default="nonstd")
 
 
 def build_parser() -> argparse.ArgumentParser:

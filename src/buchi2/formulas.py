@@ -8,22 +8,27 @@ Grammar (whitespace-insensitive)::
     conjunction := negation ('&' negation)*
     negation := '~' negation | formula' | primary           # formula' = quantified
     primary  := atom | '(' formula ')'
-
-A quantifier binds as much as possible to its right, so in
-``x = 0 | exists y. x = y + 1`` the existential's scope is the rest of the
-line; parenthesize it to bound the scope.
     atom     := term '=' term | term '<' term | term '>' term
               | term '==' term 'mod' NAT                    # NAT >= 2
     term     := factor ('+' factor)*
     factor   := 'V2' '(' term ')' | NAT | IDENT | '(' term ')'
 
-``t1 > t2`` is sugar for ``t2 < t1``.  After parsing, bound variables that
-collide with free variables are renamed apart (leftmost-innermost).
+A quantifier binds as much as possible to its right, so in
+``x = 0 | exists y. x = y + 1`` the existential's scope is the rest of the
+line; parenthesize it to bound the scope.  ``t1 > t2`` is sugar for
+``t2 < t1``.  After parsing, bound variables that collide with free
+variables are renamed apart (leftmost-innermost).
 
-Evaluation is generic over the shared model interface: terms need
-``numeral``/``add``/``v2``, quantifier-free formulas additionally
-``compare`` and ``residue_mod`` (congruences are decided by residues, not
-by searching for the divisibility witness).
+Text may nest at most ``MAX_DEPTH`` levels, counted two ways.  The tree
+may be at most that deep, where each ``+``, ``&``, ``|``, ``->``, ``V2``,
+``~`` and quantifier node is one level above its deepest operand, so a
+chain of n operands takes n - 1 levels.  And at most that many
+parentheses, ``V2(``, ``~``, quantifiers and ``->`` may be open at once.
+Deeper text raises ParseError, which keeps the parser and every recursive
+walker over the tree well inside Python's default recursion limit.
+
+Evaluation is generic over ``Model`` (see ``nonstandard``); congruences
+are decided by residues, not by searching for the divisibility witness.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .nonstandard import Ordering, ParseError
+from .nonstandard import Model, Ordering, ParseError
 
 
 class Term:
@@ -140,6 +145,8 @@ def nsum(t: Term, n: int) -> Term:
 
 _KEYWORDS = {"forall", "exists", "mod", "V2"}
 
+MAX_DEPTH = 100
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<eqeq>==)|(?P<sym>[()+=<>~&|.])"
     r"|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
@@ -166,10 +173,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    # ``depth`` counts the parentheses, V2(, ~, quantifiers and -> open at
+    # the current token, which bounds the parser's own recursion;
+    # ``height`` is the number of levels of the node parsed last, which
+    # bounds the recursion of every walker over the tree.
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
+        self.height = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -196,17 +210,29 @@ class _Parser:
             return True
         return False
 
+    def descend(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", pos)
+
+    def grow(self, height: int) -> None:
+        if height > MAX_DEPTH:
+            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", self.peek()[2])
+        self.height = height
+
     # -- formulas ----------------------------------------------------------
 
     def formula(self) -> Formula:
         kind, value, _ = self.peek()
         if kind == "ident" and value in ("forall", "exists"):
-            self.next()
+            self.descend(self.next()[2])
             var = self.expect("ident")
             if var[1] in _KEYWORDS:
                 raise ParseError(f"{var[1]!r} cannot be a variable name", var[2])
             self.expect("sym", ".")
             body = self.formula()
+            self.depth -= 1
+            self.grow(self.height + 1)
             return (ForAll if value == "forall" else Exists)(var[1], body)
         return self.implication()
 
@@ -214,24 +240,37 @@ class _Parser:
         left = self.disjunction()
         if self.peek()[0] == "arrow":
             self.next()
-            return Implies(left, self.implication())
+            height = self.height
+            self.descend(self.peek()[2])
+            right = self.implication()
+            self.depth -= 1
+            self.grow(max(height, self.height) + 1)
+            return Implies(left, right)
         return left
 
     def disjunction(self) -> Formula:
         out = self.conjunction()
         while self.eat_sym("|"):
+            height = self.height
             out = Or(out, self.conjunction())
+            self.grow(max(height, self.height) + 1)
         return out
 
     def conjunction(self) -> Formula:
         out = self.negation()
         while self.eat_sym("&"):
+            height = self.height
             out = And(out, self.negation())
+            self.grow(max(height, self.height) + 1)
         return out
 
     def negation(self) -> Formula:
-        if self.eat_sym("~"):
-            return Not(self.negation())
+        if self.at_sym("~"):
+            self.descend(self.next()[2])
+            body = self.negation()
+            self.depth -= 1
+            self.grow(self.height + 1)
+            return Not(body)
         kind, value, _ = self.peek()
         if kind == "ident" and value in ("forall", "exists"):
             return self.formula()  # quantifier absorbs the rest of this branch
@@ -240,20 +279,22 @@ class _Parser:
     def primary(self) -> Formula:
         # An atom may itself start with a parenthesized term, so try the
         # atom reading first and fall back to a parenthesized formula.
-        mark = self.i
+        mark, depth = self.i, self.depth
         try:
             return self.atom()
         except ParseError as atom_error:
-            self.i = mark
+            self.i, self.depth = mark, depth
             if self.at_sym("("):
-                self.next()
+                self.descend(self.next()[2])
                 body = self.formula()
                 self.expect("sym", ")")
+                self.depth -= 1
                 return body
             raise atom_error
 
     def atom(self) -> Formula:
         left = self.term()
+        height = self.height
         kind, value, pos = self.next()
         if kind == "eqeq":
             right = self.term()
@@ -264,39 +305,51 @@ class _Parser:
             n = int(nat[1])
             if n < 2:
                 raise ParseError(f"congruence modulus must be >= 2, got {n}", nat[2])
-            return CongMod(n, left, right)
-        if kind == "sym" and value == "=":
-            return Eq(left, self.term())
-        if kind == "sym" and value == "<":
-            return Lt(left, self.term())
-        if kind == "sym" and value == ">":
-            return Lt(self.term(), left)
-        raise ParseError(f"expected a comparison, found {value or 'end of input'!r}", pos)
+            out = CongMod(n, left, right)
+        elif kind == "sym" and value == "=":
+            out = Eq(left, self.term())
+        elif kind == "sym" and value == "<":
+            out = Lt(left, self.term())
+        elif kind == "sym" and value == ">":
+            out = Lt(self.term(), left)
+        else:
+            raise ParseError(f"expected a comparison, found {value or 'end of input'!r}", pos)
+        self.height = max(height, self.height)
+        return out
 
     # -- terms -------------------------------------------------------------
 
     def term(self) -> Term:
         out = self.factor()
         while self.eat_sym("+"):
+            height = self.height
             out = Sum(out, self.factor())
+            self.grow(max(height, self.height) + 1)
         return out
 
     def factor(self) -> Term:
         kind, value, pos = self.next()
         if kind == "ident" and value == "V2":
+            self.descend(pos)
             self.expect("sym", "(")
             arg = self.term()
             self.expect("sym", ")")
+            self.depth -= 1
+            self.grow(self.height + 1)
             return V2App(arg)
         if kind == "nat":
+            self.height = 0
             return Numeral(int(value))
         if kind == "ident":
             if value in _KEYWORDS:
                 raise ParseError(f"{value!r} cannot be a variable name", pos)
+            self.height = 0
             return Variable(value)
         if kind == "sym" and value == "(":
+            self.descend(pos)
             inner = self.term()
             self.expect("sym", ")")
+            self.depth -= 1
             return inner
         raise ParseError(f"expected a term, found {value or 'end of input'!r}", pos)
 
@@ -459,7 +512,7 @@ class UnboundVariableError(ValueError):
     pass
 
 
-def eval_term(t: Term, env: Mapping[str, object], model):
+def eval_term(t: Term, env: Mapping[str, object], model: Model):
     """Value of a term under an assignment, in the given model."""
     if isinstance(t, Variable):
         try:
@@ -475,7 +528,7 @@ def eval_term(t: Term, env: Mapping[str, object], model):
     raise TypeError(f"not a term: {t!r}")
 
 
-def eval_qf(f: Formula, env: Mapping[str, object], model) -> bool:
+def eval_qf(f: Formula, env: Mapping[str, object], model: Model) -> bool:
     """Classical truth value of a quantifier-free formula, exactly."""
     if isinstance(f, Eq):
         return model.compare(eval_term(f.left, env, model), eval_term(f.right, env, model)) is Ordering.EQUAL
@@ -510,19 +563,12 @@ def subformulas(f: Formula) -> Iterator[Formula]:
         yield from subformulas(f.body)
 
 
-def term_uses_v2(t: Term) -> bool:
-    if isinstance(t, V2App):
+def uses_v2(f: Formula | Term) -> bool:
+    """Whether the term or formula f mentions the valuation function."""
+    if isinstance(f, V2App):
         return True
-    if isinstance(t, Sum):
-        return term_uses_v2(t.left) or term_uses_v2(t.right)
-    return False
-
-
-def uses_v2(f: Formula) -> bool:
-    """Whether any atom of f mentions the valuation function."""
-    for sub in subformulas(f):
-        if isinstance(sub, (Eq, Lt, CongMod)) and (
-            term_uses_v2(sub.left) or term_uses_v2(sub.right)
-        ):
-            return True
+    if isinstance(f, (Sum, Eq, Lt, CongMod, And, Or, Implies)):
+        return uses_v2(f.left) or uses_v2(f.right)
+    if isinstance(f, (Not, ForAll, Exists)):
+        return uses_v2(f.body)
     return False

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from typing import Protocol
 
 
 class NegativeResultError(ArithmeticError):
@@ -48,6 +49,32 @@ class Ordering(Enum):
     LESS = -1
     EQUAL = 0
     GREATER = 1
+
+
+class Model(Protocol):
+    """One structure for the signature {0, 1, +, <, congruence mod n, V2}.
+
+    The evaluator, the axiom harness and the CLI see every model through
+    this interface: ``NonstandardModel`` below, ``StandardModel`` and
+    ``PairsModel``.  Operations are pure.  ``v2`` and ``next_power_of_two``
+    exist iff ``has_v2``.
+    """
+
+    name: str
+    has_v2: bool
+
+    def numeral(self, n: int): ...
+    def add(self, x, y): ...
+    def sub(self, x, y): ...  # the z with y + z = x; NegativeResultError if x < y
+    def divide(self, x, n: int): ...  # the y with n-fold y = x, else NotDivisibleError
+    def compare(self, x, y) -> Ordering: ...
+    def residue_mod(self, x, n: int) -> int: ...  # the j in [0, n) with x == j mod n
+    def v2(self, x): ...  # the largest power of two dividing x; v2(0) = 0
+    def next_power_of_two(self, x): ...  # a power of two strictly greater than x
+    def corner_elements(self) -> tuple: ...  # tried first by every sampled check
+    def sample(self, rng): ...  # a random element drawn from a random.Random
+    def format(self, x) -> str: ...
+    def parse(self, text: str): ...  # inverse of format; ParseError on bad text
 
 
 @lru_cache(maxsize=None)
@@ -156,8 +183,12 @@ def sub(x: Element, y: Element) -> Element:
     return Element(g, x.offset - y.offset - _carry(y.galaxy, g))
 
 
-def compare(x: Element, y: Element) -> Ordering:
-    """Total order: galaxies as rationals, then offsets as integers."""
+def compare(x, y) -> Ordering:
+    """The order of x and y as their type's ``<`` gives it.
+
+    For Elements that is the model order: galaxies as rationals, then
+    offsets as integers.  Every model binds this one function.
+    """
     if x == y:
         return Ordering.EQUAL
     return Ordering.LESS if x < y else Ordering.GREATER
@@ -320,46 +351,26 @@ def format_element(x: Element) -> str:
 
 
 class NonstandardModel:
-    """The constructed model, packaged behind the shared model interface.
-
-    The interface (duck-typed, shared with StandardModel and PairsModel):
-    ``numeral``, ``add``, ``sub``, ``divide``, ``compare``, ``residue_mod``,
-    ``v2``/``has_v2``, ``next_power_of_two``, ``sample``, ``corner_elements``,
-    ``format`` and ``parse``.
-    """
+    """The constructed model as a Model."""
 
     name = "nonstd"
     has_v2 = True
+    numeral = staticmethod(natural)
+    add = staticmethod(add)
+    sub = staticmethod(sub)
+    divide = staticmethod(divide)
+    compare = staticmethod(compare)
+    residue_mod = staticmethod(residue_mod)
+    v2 = staticmethod(v2)
+    next_power_of_two = staticmethod(next_power_of_two_above)
+    format = staticmethod(format_element)
+    parse = staticmethod(parse_element)
 
     def __init__(self, den_bound: int = 1000, offset_bound: int = 10**6):
         if den_bound < 1 or offset_bound < 1:
             raise ValueError("sampling bounds must be positive")
         self.den_bound = den_bound
         self.offset_bound = offset_bound
-
-    def numeral(self, n: int) -> Element:
-        return Element(Fraction(0), n)
-
-    def add(self, x: Element, y: Element) -> Element:
-        return add(x, y)
-
-    def sub(self, x: Element, y: Element) -> Element:
-        return sub(x, y)
-
-    def divide(self, x: Element, n: int) -> Element:
-        return divide(x, n)
-
-    def compare(self, x: Element, y: Element) -> Ordering:
-        return compare(x, y)
-
-    def residue_mod(self, x: Element, n: int) -> int:
-        return residue_mod(x, n)
-
-    def v2(self, x: Element) -> Element:
-        return v2(x)
-
-    def next_power_of_two(self, x: Element) -> Element:
-        return next_power_of_two_above(x)
 
     def corner_elements(self) -> tuple[Element, ...]:
         F = Fraction
@@ -383,9 +394,3 @@ class NonstandardModel:
         num = rng.randrange(1, self.den_bound + 1)
         den = rng.randrange(1, self.den_bound + 1)
         return Element(Fraction(num, den), rng.randint(-self.offset_bound, self.offset_bound))
-
-    def format(self, x: Element) -> str:
-        return format_element(x)
-
-    def parse(self, text: str) -> Element:
-        return parse_element(text)

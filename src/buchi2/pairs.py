@@ -12,12 +12,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .nonstandard import (
     NegativeResultError,
     NotDivisibleError,
-    Ordering,
     ParseError,
+    compare as p_compare,
 )
 
 
@@ -49,12 +50,6 @@ def p_sub(x: PairElement, y: PairElement) -> PairElement:
     if x < y:
         raise NegativeResultError(f"{format_pair(x)} < {format_pair(y)}")
     return PairElement(x.g - y.g, x.n - y.n)
-
-
-def p_compare(x: PairElement, y: PairElement) -> Ordering:
-    if x == y:
-        return Ordering.EQUAL
-    return Ordering.LESS if x < y else Ordering.GREATER
 
 
 def p_scalar_mul(n: int, x: PairElement) -> PairElement:
@@ -171,34 +166,24 @@ def format_pair(x: PairElement) -> str:
 
 
 class PairsModel:
-    """The pairs model behind the shared interface; it has no V2."""
+    """The pairs model as a Model; it has no V2."""
 
     name = "pairs"
     has_v2 = False
+    numeral = staticmethod(partial(PairElement, Fraction(0)))
+    add = staticmethod(p_add)
+    sub = staticmethod(p_sub)
+    divide = staticmethod(p_divide)
+    compare = staticmethod(p_compare)
+    residue_mod = staticmethod(p_residue_mod)
+    format = staticmethod(format_pair)
+    parse = staticmethod(parse_pair)
 
     def __init__(self, den_bound: int = 1000, offset_bound: int = 10**6):
         if den_bound < 1 or offset_bound < 1:
             raise ValueError("sampling bounds must be positive")
         self.den_bound = den_bound
         self.offset_bound = offset_bound
-
-    def numeral(self, n: int) -> PairElement:
-        return PairElement(Fraction(0), n)
-
-    def add(self, x: PairElement, y: PairElement) -> PairElement:
-        return p_add(x, y)
-
-    def sub(self, x: PairElement, y: PairElement) -> PairElement:
-        return p_sub(x, y)
-
-    def divide(self, x: PairElement, n: int) -> PairElement:
-        return p_divide(x, n)
-
-    def compare(self, x: PairElement, y: PairElement) -> Ordering:
-        return p_compare(x, y)
-
-    def residue_mod(self, x: PairElement, n: int) -> int:
-        return p_residue_mod(x, n)
 
     def corner_elements(self) -> tuple[PairElement, ...]:
         F = Fraction
@@ -215,9 +200,3 @@ class PairsModel:
         num = rng.randrange(1, self.den_bound + 1)
         den = rng.randrange(1, self.den_bound + 1)
         return PairElement(Fraction(num, den), rng.randint(-self.offset_bound, self.offset_bound))
-
-    def format(self, x: PairElement) -> str:
-        return format_pair(x)
-
-    def parse(self, text: str) -> PairElement:
-        return parse_pair(text)

@@ -1,21 +1,21 @@
 """The standard model (N; =, +, V2) on Python integers, used as an oracle.
 
 Elements are plain non-negative ints; every operation is exact.  The class
-at the bottom adapts them to the same model interface the axiom harness
-uses for the non-standard model, so the two can be cross-checked case for
-case.
+at the bottom makes them a ``Model``, like the non-standard model, so the
+two can be cross-checked case for case.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .nonstandard import (
     Element,
     NegativeResultError,
     NotDivisibleError,
-    Ordering,
     ParseError,
+    compare,
 )
 
 
@@ -38,10 +38,14 @@ def embed(x: int) -> Element:
 
 
 class StandardModel:
-    """(N; =, +, V2) behind the shared model interface."""
+    """(N; =, +, V2) as a Model."""
 
     name = "std"
     has_v2 = True
+    add = staticmethod(operator.add)
+    compare = staticmethod(compare)
+    v2 = staticmethod(std_v2)
+    format = staticmethod(str)
 
     def __init__(self, offset_bound: int = 10**6):
         if offset_bound < 1:
@@ -50,9 +54,6 @@ class StandardModel:
 
     def numeral(self, n: int) -> int:
         return n
-
-    def add(self, x: int, y: int) -> int:
-        return x + y
 
     def sub(self, x: int, y: int) -> int:
         if x < y:
@@ -66,18 +67,10 @@ class StandardModel:
             raise NotDivisibleError(f"{x} is not divisible by {n}")
         return x // n
 
-    def compare(self, x: int, y: int) -> Ordering:
-        if x == y:
-            return Ordering.EQUAL
-        return Ordering.LESS if x < y else Ordering.GREATER
-
     def residue_mod(self, x: int, n: int) -> int:
         if n < 1:
             raise ValueError(f"modulus must be positive, got {n}")
         return x % n
-
-    def v2(self, x: int) -> int:
-        return std_v2(x)
 
     def next_power_of_two(self, x: int) -> int:
         return 1 << x.bit_length()
@@ -87,9 +80,6 @@ class StandardModel:
 
     def sample(self, rng) -> int:
         return rng.randrange(self.offset_bound + 1)
-
-    def format(self, x: int) -> str:
-        return str(x)
 
     def parse(self, text: str) -> int:
         text = text.strip()

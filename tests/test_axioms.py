@@ -14,8 +14,9 @@ from buchi2.axioms import (
     check_axiom,
     run_suite,
 )
+from buchi2.axioms import _congruence_matrix, _residue_cases_matrix
 from buchi2.formulas import eval_qf, parse_formula, uses_v2
-from buchi2.nonstandard import Element, NonstandardModel
+from buchi2.nonstandard import Element, Model, NonstandardModel
 from buchi2.pairs import PairsModel
 from buchi2.standard import StandardModel
 
@@ -85,9 +86,37 @@ def test_every_derived_witness_is_registered():
             assert witness_id in WITNESSES
 
 
+def test_schema_matrices_match_their_text():
+    for n in (2, 3, 12):
+        assert _residue_cases_matrix(n) == parse_formula(" | ".join(f"x == {j} mod {n}" for j in range(n)))
+    parts = []
+    for n in range(2, 13):
+        w, u = " + ".join([f"w{n}"] * n), " + ".join(["u"] * n)
+        parts.append(f"(x == y mod {n} -> (x = {w} + y | y = {w} + x)) & ({u} + y == y mod {n})")
+    assert _congruence_matrix(12) == parse_formula(" & ".join(f"({p})" for p in parts))
+
+
+def test_schema_bound_is_not_capped_by_the_parser():
+    reports = run_suite(STD, cases=2, schema_max=150, ids=("A4", "A11", "A17"))
+    assert [r.status for r in reports] == [PASS] * 3
+
+
 def test_schema_max_too_small_rejected():
     with pytest.raises(ValueError):
         build_axioms(2)
+
+
+# -- the model interface ------------------------------------------------------------
+
+@pytest.mark.parametrize("model_class", [NonstandardModel, StandardModel, PairsModel])
+def test_models_provide_the_interface(model_class):
+    members = {name for name in [*Model.__annotations__, *vars(Model)] if not name.startswith("_")}
+    assert len(members) == 14
+    model = model_class()
+    for name in members - {"v2", "next_power_of_two"}:
+        assert hasattr(model, name), name
+    for name in ("v2", "next_power_of_two"):
+        assert hasattr(model, name) == model.has_v2, name
 
 
 # -- passing runs -------------------------------------------------------------------

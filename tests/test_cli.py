@@ -1,12 +1,22 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import pytest
+
 from buchi2.cli import main
+from buchi2.formulas import MAX_DEPTH
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def repl_replies(capsys, monkeypatch, *lines):
+    feed = iter([*lines, ":q"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
+    assert main(["repl"]) == 0
+    return capsys.readouterr().out.splitlines()[1:]  # after the banner
 
 
 def test_eval_element_ops(capsys):
@@ -78,6 +88,21 @@ def test_axioms_filter(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["--cases", "0"], 3, "error: suite bounds must be positive\n"),
+        (["--den-bound", "0"], 3, "error: suite bounds must be positive\n"),
+        (["--offset-bound", "0", "--model", "std"], 3, "error: suite bounds must be positive\n"),
+        (["--schema-max", "2"], 3, "error: schema bound must be at least 3, got 2\n"),
+        (["--schema-max", "2", "--axioms", "B9"], 3, "error: schema bound must be at least 3, got 2\n"),
+        (["--axioms", "B9"], 2, "parse error: unknown axiom ids: B9\n"),
+    ],
+)
+def test_axioms_argument_validation(capsys, argv, code, err):
+    assert run(capsys, "axioms", *argv) == (code, "", err)
+
+
 def test_axioms_pairs_skips_v2_block(capsys):
     code, out, _ = run(capsys, "axioms", "--cases", "30", "--model", "pairs")
     assert code == 0
@@ -141,3 +166,42 @@ def test_failing_axiom_reports_counterexample(capsys, monkeypatch):
     fields = line.split("\t")
     assert fields[0] == "A12" and fields[1] == "FAIL"
     assert len(fields) == 5 and "x=" in fields[4]
+
+
+# Each shape nested `levels` deep, with the answer it evaluates to.
+NESTED = {
+    "sum": (lambda levels: " + ".join(["1"] * (levels + 1)), lambda levels: str(levels + 1)),
+    "conjunction": (lambda levels: " & ".join(["1 = 1"] * (levels + 1)), lambda levels: "true"),
+    "negation": (lambda levels: "~ " * levels + "1 = 1", lambda levels: "false" if levels % 2 else "true"),
+    "parentheses": (lambda levels: "(" * levels + "1 = 1" + ")" * levels, lambda levels: "true"),
+}
+
+
+@pytest.mark.parametrize("shape, levels", [
+    ("sum", MAX_DEPTH + 1), ("sum", 2999),
+    ("conjunction", MAX_DEPTH + 1), ("conjunction", 2999),
+    ("negation", MAX_DEPTH + 1), ("negation", 3000),
+    ("parentheses", MAX_DEPTH + 1), ("parentheses", 300),
+])
+def test_nesting_past_the_limit_is_a_parse_error(capsys, monkeypatch, shape, levels):
+    text = NESTED[shape][0](levels)
+    code, out, err = run(capsys, "eval", text)
+    assert (code, out) == (2, "") and err.startswith("parse error: nested deeper than")
+    replies = repl_replies(capsys, monkeypatch, text, "1 + 1")
+    assert replies[0].startswith("parse error: nested deeper than")
+    assert replies[1:] == ["2"]
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_deepest_accepted_nesting_evaluates(capsys, shape):
+    make, answer = NESTED[shape]
+    assert run(capsys, "eval", make(MAX_DEPTH)) == (0, answer(MAX_DEPTH) + "\n", "")
+
+
+def test_oversized_numeral_is_an_evaluation_error(capsys, monkeypatch):
+    digits = "1" * 5000
+    code, out, err = run(capsys, "eval", digits)
+    assert (code, out) == (3, "") and err.startswith("error: Exceeds the limit (4300 digits)")
+    replies = repl_replies(capsys, monkeypatch, digits, "1 + 1")
+    assert replies[0].startswith("error: Exceeds the limit (4300 digits)")
+    assert replies[1:] == ["2"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from buchi2.formulas import (
+    MAX_DEPTH,
     And,
     CongMod,
     Eq,
@@ -120,6 +121,25 @@ def test_parse_rejects(bad):
         parse_formula(bad)
 
 
+@pytest.mark.parametrize(
+    "parse, make",
+    [
+        (parse_term, lambda n: "V2(" * n + "1" + ")" * n),
+        (parse_term, lambda n: "(" * n + "1" + ")" * n),
+        (parse_formula, lambda n: "forall x. " * n + "x = x"),
+        (parse_formula, lambda n: " -> ".join(["0 = 0"] * (n + 1))),
+        (parse_formula, lambda n: " | ".join(["0 = 0"] * (n + 1))),
+        (parse_formula, lambda n: "~ (" * (n // 2) + "0 = 0" + ")" * (n // 2)),
+        # chains nested as first operands: few open parentheses, a deep tree
+        (parse_term, lambda n: "(" * (n // 4) + "1" + (" + 1" * 4 + ")") * (n // 4) + " + 1" * (n % 4)),
+    ],
+)
+def test_nesting_limit(parse, make):
+    parse(make(MAX_DEPTH))
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+        parse(make(MAX_DEPTH + 2))
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_formula("x = 0 & y # 1")
@@ -226,6 +246,8 @@ def test_uses_v2():
     assert uses_v2(parse_formula("V2(x) = x"))
     assert uses_v2(parse_formula("forall x. (x = 0 -> V2(x) + 1 = 1)"))
     assert not uses_v2(parse_formula("forall x. x + 0 = x"))
+    assert uses_v2(parse_term("1 + V2(2)"))
+    assert not uses_v2(parse_term("x + 1"))
 
 
 # -- evaluation -------------------------------------------------------------------
