@@ -19,6 +19,7 @@ from .axioms import FAIL, Report, run_suite
 from .formulas import (
     ForAll,
     Exists,
+    NestingError,
     Term,
     eval_qf,
     eval_term,
@@ -61,8 +62,14 @@ def _evaluate_expression(text: str, model: Model) -> str:
         pass
     try:
         expr = parse_term(text)
-    except ParseError:
-        expr = parse_formula(text)  # ParseError propagates with position
+    except ParseError as term_error:
+        try:
+            expr = parse_formula(text)  # ParseError propagates with position
+        except ParseError:
+            # A term too deep to read is still a term: its error is the answer.
+            if isinstance(term_error, NestingError):
+                raise term_error from None
+            raise
     if any(isinstance(sub, (ForAll, Exists)) for sub in subformulas(expr)):
         raise EvaluationError("cannot decide quantified formulas; use the axioms harness")
     unbound = free_variables(expr)

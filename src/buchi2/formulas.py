@@ -24,8 +24,9 @@ may be at most that deep, where each ``+``, ``&``, ``|``, ``->``, ``V2``,
 ``~`` and quantifier node is one level above its deepest operand, so a
 chain of n operands takes n - 1 levels.  And at most that many
 parentheses, ``V2(``, ``~``, quantifiers and ``->`` may be open at once.
-Deeper text raises ParseError, which keeps the parser and every recursive
-walker over the tree well inside Python's default recursion limit.
+Deeper text raises NestingError, a ParseError, which keeps the parser and
+every recursive walker over the tree well inside Python's default
+recursion limit.
 
 Evaluation is generic over ``Model`` (see ``nonstandard``); congruences
 are decided by residues, not by searching for the divisibility witness.
@@ -147,6 +148,11 @@ _KEYWORDS = {"forall", "exists", "mod", "V2"}
 
 MAX_DEPTH = 100
 
+
+class NestingError(ParseError):
+    """Text nested deeper than MAX_DEPTH levels."""
+
+
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<eqeq>==)|(?P<sym>[()+=<>~&|.])"
     r"|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
@@ -213,11 +219,11 @@ class _Parser:
     def descend(self, pos: int) -> None:
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", pos)
+            raise NestingError(f"nested deeper than {MAX_DEPTH} levels", pos)
 
     def grow(self, height: int) -> None:
         if height > MAX_DEPTH:
-            raise ParseError(f"nested deeper than {MAX_DEPTH} levels", self.peek()[2])
+            raise NestingError(f"nested deeper than {MAX_DEPTH} levels", self.peek()[2])
         self.height = height
 
     # -- formulas ----------------------------------------------------------

@@ -15,6 +15,26 @@ galaxy "p/q times c".  Galaxies add and compare as rationals, offsets as
 integers, so the order type is N + Z*Q and the monoid of galaxies is
 isomorphic to the non-negative rationals.
 
+Every carry between base points is an integer combination of t-values.
+For q dividing L, t(L) == t(q) (mod q) because t is CRT-coherent, so
+
+    base(p/q) = p * (c - t(L)) / q + lift(p, q, L),
+    lift(p, q, L) = p * (t(L) - t(q)) / q,
+
+where the division in lift is exact.  Written over one common L, the
+c-terms of base points cancel, which leaves the carries in plain integers:
+
+    base(r1) + base(r2) - base(r1 + r2)
+        = lift(p1, q1, L) + lift(p2, q2, L) - lift(P, Q, L)
+          for r1 = p1/q1, r2 = p2/q2, r1 + r2 = P/Q and L = lcm(q1, q2);
+    base(p/q) - n * base(p/(q n)) = lift(p, q, q n / gcd(p, n));
+    n * base(p/q) - base(n p/q)   = -lift(P, Q, q)   for n p/q = P/Q.
+
+In each, every denominator lifted to L divides L (the sum's Q divides
+lcm(q1, q2), n p/q's Q divides q, and gcd(p, n) divides n), so the carries
+are exact integers.  A carry is 0 as soon as one of its galaxies is the
+standard galaxy 0.
+
 Everything here is immutable and pure; values can be shared freely across
 threads or processes.
 """
@@ -26,6 +46,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Protocol
 
 
@@ -146,33 +167,34 @@ def natural(n: int) -> Element:
     return Element(Fraction(0), n)
 
 
-def _t_part(r: Fraction) -> Fraction:
-    # The standard correction in base(r) = r*c - _t_part(r); equals p*t(q)/q.
-    return Fraction(r.numerator * t_residue(r.denominator), r.denominator)
+def _lift(p: int, q: int, L: int) -> int:
+    # lift(p, q, L) of the module docstring; q must divide L.
+    return p * (t_residue(L) - t_residue(q)) // q
 
 
-def _exact_int(f: Fraction) -> int:
-    # Carries between canonical base points are integers whenever t_residue
-    # is CRT-coherent; a non-integer here is an internal bug, not bad input.
-    if f.denominator != 1:
-        raise AssertionError(f"base-point carry is not an integer: {f}")
-    return f.numerator
-
-
-def _carry(r1: Fraction, r2: Fraction) -> int:
-    # base(r1) + base(r2) - base(r1 + r2), evaluated without touching c:
-    # the c-terms cancel, leaving a difference of t-parts.
-    return _exact_int(_t_part(r1 + r2) - _t_part(r1) - _t_part(r2))
+def _carry(r1: Fraction, r2: Fraction, r: Fraction) -> int:
+    # base(r1) + base(r2) - base(r) for r = r1 + r2.
+    p1, p2 = r1.numerator, r2.numerator
+    if not p1 or not p2:
+        return 0
+    q1, q2 = r1.denominator, r2.denominator
+    L = lcm(q1, q2)
+    return _lift(p1, q1, L) + _lift(p2, q2, L) - _lift(r.numerator, r.denominator, L)
 
 
 def _split_carry(r: Fraction, n: int) -> int:
     # base(r) - n * base(r/n); the integer absorbed when cutting r into n parts.
-    return _exact_int(n * _t_part(r / n) - _t_part(r))
+    p = r.numerator
+    if not p:
+        return 0
+    q = r.denominator
+    return _lift(p, q, q * n // gcd(p, n))
 
 
 def add(x: Element, y: Element) -> Element:
     """Model addition: galaxies add as rationals, offsets carry-correct."""
-    return Element(x.galaxy + y.galaxy, x.offset + y.offset + _carry(x.galaxy, y.galaxy))
+    g = x.galaxy + y.galaxy
+    return Element(g, x.offset + y.offset + _carry(x.galaxy, y.galaxy, g))
 
 
 def sub(x: Element, y: Element) -> Element:
@@ -180,7 +202,7 @@ def sub(x: Element, y: Element) -> Element:
     if x < y:
         raise NegativeResultError(f"{format_element(x)} < {format_element(y)}")
     g = x.galaxy - y.galaxy
-    return Element(g, x.offset - y.offset - _carry(y.galaxy, g))
+    return Element(g, x.offset - y.offset - _carry(y.galaxy, g, x.galaxy))
 
 
 def compare(x, y) -> Ordering:
@@ -199,8 +221,7 @@ def scalar_mul(n: int, x: Element) -> Element:
     if n < 0:
         raise ValueError(f"scalar must be a natural number, got {n}")
     g = n * x.galaxy
-    shift = _exact_int(_t_part(g) - n * _t_part(x.galaxy))
-    return Element(g, n * x.offset + shift)
+    return Element(g, n * x.offset - _lift(g.numerator, g.denominator, x.galaxy.denominator))
 
 
 def divide(x: Element, n: int) -> Element:

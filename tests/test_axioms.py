@@ -2,6 +2,7 @@
 
 import pytest
 
+from buchi2 import nonstandard
 from buchi2.axioms import (
     EXISTENTIAL_WITNESSED,
     FAIL,
@@ -201,6 +202,26 @@ def test_carryless_add_is_caught():
     model = CarrylessAddModel()
     statuses = {r.axiom_id: r.status for r in run_suite(model, seed=0, cases=200)}
     assert FAIL in statuses.values()
+
+
+def _off_by_one_carry(carry):
+    # one too many, only when both galaxies' denominators are divisible by 3
+    return lambda r1, r2, r: carry(r1, r2, r) + (r1.denominator % 3 == 0 and r2.denominator % 3 == 0)
+
+
+def _off_by_one_split_carry(split_carry):
+    # one too many, only when cutting into 5 parts a galaxy whose denominator 7 divides
+    return lambda r, n: split_carry(r, n) + (n == 5 and r.denominator % 7 == 0)
+
+
+@pytest.mark.parametrize("name, fault", [
+    ("_carry", _off_by_one_carry),
+    ("_split_carry", _off_by_one_split_carry),
+])
+def test_seeded_kernel_fault_is_caught(monkeypatch, name, fault):
+    monkeypatch.setattr(nonstandard, name, fault(getattr(nonstandard, name)))
+    reports = run_suite(NonstandardModel(), seed=0, cases=300)
+    assert FAIL in {r.status for r in reports}
 
 
 def test_fail_reports_count_cases_up_to_failure():

@@ -168,9 +168,17 @@ def test_failing_axiom_reports_counterexample(capsys, monkeypatch):
     assert len(fields) == 5 and "x=" in fields[4]
 
 
+def first_operand_chain(levels):
+    # Sums nested as first operands, 50 per parenthesis: the tree is
+    # `levels` deep, and the formula reading fails before it gets that deep.
+    groups, rest = divmod(levels, 50)
+    return "(" * groups + "1" + (" + 1" * 50 + ")") * groups + " + 1" * rest
+
+
 # Each shape nested `levels` deep, with the answer it evaluates to.
 NESTED = {
     "sum": (lambda levels: " + ".join(["1"] * (levels + 1)), lambda levels: str(levels + 1)),
+    "chain": (first_operand_chain, lambda levels: str(levels + 1)),
     "conjunction": (lambda levels: " & ".join(["1 = 1"] * (levels + 1)), lambda levels: "true"),
     "negation": (lambda levels: "~ " * levels + "1 = 1", lambda levels: "false" if levels % 2 else "true"),
     "parentheses": (lambda levels: "(" * levels + "1 = 1" + ")" * levels, lambda levels: "true"),
@@ -179,6 +187,7 @@ NESTED = {
 
 @pytest.mark.parametrize("shape, levels", [
     ("sum", MAX_DEPTH + 1), ("sum", 2999),
+    ("chain", MAX_DEPTH + 1), ("chain", 50 * 50),
     ("conjunction", MAX_DEPTH + 1), ("conjunction", 2999),
     ("negation", MAX_DEPTH + 1), ("negation", 3000),
     ("parentheses", MAX_DEPTH + 1), ("parentheses", 300),

@@ -1,5 +1,6 @@
 """Core arithmetic: frozen oracle values and algebraic laws."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -34,6 +35,7 @@ from buchi2.nonstandard import (
     t_residue,
     v2,
 )
+from buchi2.nonstandard import _carry, _split_carry
 
 
 def el(num, den=1, offset=0):
@@ -42,13 +44,12 @@ def el(num, den=1, offset=0):
 
 # -- strategies ---------------------------------------------------------------
 
-galaxies = st.fractions(min_value=0, max_value=60, max_denominator=60)
 offsets = st.integers(min_value=-(10**6), max_value=10**6)
 
 
 @st.composite
-def elements(draw):
-    g = draw(galaxies)
+def elements(draw, max_denominator=60):
+    g = draw(st.fractions(min_value=0, max_value=60, max_denominator=max_denominator))
     d = draw(offsets)
     return Element(g, abs(d) if g == 0 else d)
 
@@ -269,6 +270,66 @@ def test_residue_is_the_unique_divisible_shift(x, n):
         hits.append(j)
         assert scalar_mul(n, y) == shifted
     assert hits == [r]
+
+
+# -- the integer kernel against the Fraction formulas --------------------------
+# Reference: each carry as a difference of the Fraction t-parts p*t(q)/q of
+# its galaxies, whose c-terms cancel.  The kernel lifts every t-value to one
+# common modulus instead; both must give the same integers.
+
+def ref_t_part(r):
+    return F(r.numerator * t_residue(r.denominator), r.denominator)
+
+
+def ref_int(f):
+    assert f.denominator == 1, f"carry is not an integer: {f}"
+    return f.numerator
+
+
+def ref_carry(r1, r2):
+    return ref_int(ref_t_part(r1 + r2) - ref_t_part(r1) - ref_t_part(r2))
+
+
+def ref_split_carry(r, n):
+    return ref_int(n * ref_t_part(r / n) - ref_t_part(r))
+
+
+def ref_scalar_shift(n, r):
+    return ref_int(ref_t_part(n * r) - n * ref_t_part(r))
+
+
+def assert_kernel_matches_reference(x, y, moduli):
+    gx, gy = x.galaxy, y.galaxy
+    carry = ref_carry(gx, gy)
+    assert _carry(gx, gy, gx + gy) == carry
+    assert add(x, y) == Element(gx + gy, x.offset + y.offset + carry)
+    lo, hi = sorted((x, y))
+    g = hi.galaxy - lo.galaxy
+    assert sub(hi, lo) == Element(g, hi.offset - lo.offset - ref_carry(lo.galaxy, g))
+    for n in moduli:
+        assert scalar_mul(n, x) == Element(n * gx, n * x.offset + ref_scalar_shift(n, gx))
+        split = ref_split_carry(gx, n)
+        assert _split_carry(gx, n) == split
+        num = x.offset + split
+        assert residue_mod(x, n) == num % n
+        if num % n:
+            with pytest.raises(NotDivisibleError):
+                divide(x, n)
+        else:
+            assert divide(x, n) == Element(gx / n, num // n)
+
+
+@given(elements(max_denominator=10**6), elements(max_denominator=10**6), st.integers(1, 24))
+def test_kernel_matches_fraction_reference(x, y, n):
+    assert_kernel_matches_reference(x, y, [n])
+
+
+def test_kernel_matches_fraction_reference_on_sampled_elements():
+    model = NonstandardModel()
+    rng = random.Random(0)
+    xs = list(model.corner_elements()) + [model.sample(rng) for _ in range(3000)]
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        assert_kernel_matches_reference(x, y, range(1, 25))
 
 
 # -- v2 -------------------------------------------------------------------------
