@@ -97,6 +97,7 @@ def test_axioms_filter(capsys):
         (["--schema-max", "2"], 3, "error: schema bound must be at least 3, got 2\n"),
         (["--schema-max", "2", "--axioms", "B9"], 3, "error: schema bound must be at least 3, got 2\n"),
         (["--axioms", "B9"], 2, "parse error: unknown axiom ids: B9\n"),
+        (["--schema-max", "501"], 3, "error: schema bound must be at most 500, got 501\n"),
     ],
 )
 def test_axioms_argument_validation(capsys, argv, code, err):
