@@ -52,20 +52,24 @@ def test_axiom_texts_parse_and_round_trip():
         assert parse_formula(format_formula(f)) == f
 
 
-def test_schema_parameters_and_witnesses():
-    def params(axiom_id, schema_max=12):
-        return tuple(n for n, _ in by_id(axiom_id, schema_max).obligations)
+def params(axiom_id, schema_max=12):
+    return tuple(n for n, _ in by_id(axiom_id, schema_max).obligations)
 
+
+def test_strategies():
     for axiom_id in ("A1", "A2", "A4", "A15"):
         assert params(axiom_id) == (None,)
-    assert params("A11") == tuple(range(2, 13))
-    assert params("A17") == (3, 5, 7, 9, 11)
-    assert params("A11", schema_max=5) == (2, 3, 4, 5)
     assert by_id("A1").derived == ()
     assert by_id("A15").derived == (("w", axioms._w_next_power_of_two, None),)
     assert by_id("A2").derived[0][1] is axioms._w_difference
     assert by_id("A8").derived[0][1] is axioms._w_predecessor
     assert by_id("A4").derived == tuple((f"w{n}", axioms._w_congruence_quotient, n) for n in range(2, 13))
+
+
+def test_schema_parameters():
+    assert params("A11") == tuple(range(2, 13))
+    assert params("A17") == (3, 5, 7, 9, 11)
+    assert params("A11", schema_max=5) == (2, 3, 4, 5)
 
 
 def test_schema_matrices_match_their_text():
