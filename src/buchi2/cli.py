@@ -19,11 +19,11 @@ from .axioms import FAIL, Report, run_suite
 from .formulas import (
     ForAll,
     Exists,
-    NestingError,
     Term,
     eval_qf,
     eval_term,
     free_variables,
+    is_formula_text,
     parse_formula,
     parse_term,
     subformulas,
@@ -60,16 +60,7 @@ def _evaluate_expression(text: str, model: Model) -> str:
         return model.format(model.parse(text))
     except ParseError:
         pass
-    try:
-        expr = parse_term(text)
-    except ParseError as term_error:
-        try:
-            expr = parse_formula(text)  # ParseError propagates with position
-        except ParseError:
-            # A term too deep to read is still a term: its error is the answer.
-            if isinstance(term_error, NestingError):
-                raise term_error from None
-            raise
+    expr = parse_formula(text) if is_formula_text(text) else parse_term(text)
     if any(isinstance(sub, (ForAll, Exists)) for sub in subformulas(expr)):
         raise EvaluationError("cannot decide quantified formulas; use the axioms harness")
     unbound = free_variables(expr)

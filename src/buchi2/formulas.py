@@ -13,6 +13,10 @@ Grammar (whitespace-insensitive)::
     term     := factor ('+' factor)*
     factor   := 'V2' '(' term ')' | NAT | IDENT | '(' term ')'
 
+A formula always contains a comparison, and a term never contains any of
+``= < > ~ & |``, ``forall`` or ``exists``: text with one of them can only
+be a formula, other text only a term (``is_formula_text``).
+
 A quantifier binds as much as possible to its right, so in
 ``x = 0 | exists y. x = y + 1`` the existential's scope is the rest of the
 line; parenthesize it to bound the scope.  ``t1 > t2`` is sugar for
@@ -157,6 +161,14 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<eqeq>==)|(?P<sym>[()+=<>~&|.])"
     r"|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
 )
+# No term contains these, and every formula contains a comparison, so
+# they decide from the raw text whether parse_formula or parse_term applies.
+_FORMULA_ONLY_RE = re.compile(r"[=<>~&|]|\b(?:forall|exists)\b")
+
+
+def is_formula_text(text: str) -> bool:
+    """Whether text can only be a formula; any other text can only be a term."""
+    return _FORMULA_ONLY_RE.search(text) is not None
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -185,7 +197,6 @@ class _Parser:
     # bounds the recursion of every walker over the tree.
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
         self.depth = 0
@@ -254,21 +265,20 @@ class _Parser:
             return Implies(left, right)
         return left
 
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.eat_sym("|"):
+    def chain(self, operand, sym: str, node):
+        """Left-associative operands joined by sym; n operands take n - 1 levels."""
+        out = operand()
+        while self.eat_sym(sym):
             height = self.height
-            out = Or(out, self.conjunction())
+            out = node(out, operand())
             self.grow(max(height, self.height) + 1)
         return out
 
+    def disjunction(self) -> Formula:
+        return self.chain(self.conjunction, "|", Or)
+
     def conjunction(self) -> Formula:
-        out = self.negation()
-        while self.eat_sym("&"):
-            height = self.height
-            out = And(out, self.negation())
-            self.grow(max(height, self.height) + 1)
-        return out
+        return self.chain(self.negation, "&", And)
 
     def negation(self) -> Formula:
         if self.at_sym("~"):
@@ -284,19 +294,21 @@ class _Parser:
 
     def primary(self) -> Formula:
         # An atom may itself start with a parenthesized term, so try the
-        # atom reading first and fall back to a parenthesized formula.
+        # atom reading first and fall back to a parenthesized formula.  The
+        # fallback opens the same groups and builds at least the same
+        # heights, so it cannot succeed where the atom went too deep.
         mark, depth = self.i, self.depth
         try:
             return self.atom()
         except ParseError as atom_error:
             self.i, self.depth = mark, depth
-            if self.at_sym("("):
-                self.descend(self.next()[2])
-                body = self.formula()
-                self.expect("sym", ")")
-                self.depth -= 1
-                return body
-            raise atom_error
+            if isinstance(atom_error, NestingError) or not self.at_sym("("):
+                raise
+            self.descend(self.next()[2])
+            body = self.formula()
+            self.expect("sym", ")")
+            self.depth -= 1
+            return body
 
     def atom(self) -> Formula:
         left = self.term()
@@ -326,12 +338,7 @@ class _Parser:
     # -- terms -------------------------------------------------------------
 
     def term(self) -> Term:
-        out = self.factor()
-        while self.eat_sym("+"):
-            height = self.height
-            out = Sum(out, self.factor())
-            self.grow(max(height, self.height) + 1)
-        return out
+        return self.chain(self.factor, "+", Sum)
 
     def factor(self) -> Term:
         kind, value, pos = self.next()
@@ -360,22 +367,21 @@ class _Parser:
         raise ParseError(f"expected a term, found {value or 'end of input'!r}", pos)
 
 
-def parse_term(text: str) -> Term:
+def _parse_whole(text: str, rule):
     parser = _Parser(text)
-    t = parser.term()
-    end = parser.peek()
-    if end[0] != "end":
-        raise ParseError(f"trailing input {end[1]!r}", end[2])
-    return t
+    out = rule(parser)
+    kind, value, pos = parser.peek()
+    if kind != "end":
+        raise ParseError(f"trailing input {value!r}", pos)
+    return out
+
+
+def parse_term(text: str) -> Term:
+    return _parse_whole(text, _Parser.term)
 
 
 def parse_formula(text: str) -> Formula:
-    parser = _Parser(text)
-    f = parser.formula()
-    end = parser.peek()
-    if end[0] != "end":
-        raise ParseError(f"trailing input {end[1]!r}", end[2])
-    return standardize_bound(f)
+    return standardize_bound(_parse_whole(text, _Parser.formula))
 
 
 def free_variables(f: Formula | Term) -> frozenset[str]:

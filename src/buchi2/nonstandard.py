@@ -98,7 +98,8 @@ class Model(Protocol):
     def parse(self, text: str): ...  # inverse of format; ParseError on bad text
 
 
-@lru_cache(maxsize=None)
+# Bounded: the carries look up t(lcm(q1, q2)), an unbounded set of keys.
+@lru_cache(maxsize=1 << 16)
 def t_residue(q: int) -> int:
     """Canonical residue of c modulo q, for q >= 1.
 

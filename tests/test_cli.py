@@ -2,8 +2,10 @@
 
 import pytest
 
+import buchi2.cli as cli
 from buchi2.cli import main
 from buchi2.formulas import MAX_DEPTH
+from buchi2.nonstandard import NonstandardModel, ParseError
 
 
 def run(capsys, *argv):
@@ -153,9 +155,6 @@ def test_repl_eof_exits_cleanly(capsys, monkeypatch):
 
 def test_failing_axiom_reports_counterexample(capsys, monkeypatch):
     # force a broken model into the suite to see the FAIL wire format
-    import buchi2.cli as cli
-    from buchi2.nonstandard import NonstandardModel
-
     class Broken(NonstandardModel):
         def v2(self, x):
             return self.numeral(3)
@@ -215,3 +214,44 @@ def test_oversized_numeral_is_an_evaluation_error(capsys, monkeypatch):
     replies = repl_replies(capsys, monkeypatch, digits, "1 + 1")
     assert replies[0].startswith("error: Exceeds the limit (4300 digits)")
     assert replies[1:] == ["2"]
+
+
+def test_too_deep_sum_inside_a_formula_is_a_nesting_error(capsys, monkeypatch):
+    # The parenthesized-formula fallback cannot succeed where the atom
+    # reading went too deep, so the depth error is the answer.
+    text = "1 = 1 & (1)" + " + 1" * 101 + " = 5"
+    answer = "parse error: nested deeper than 100 levels (at position 416)"
+    assert run(capsys, "eval", text) == (2, "", answer + "\n")
+    assert repl_replies(capsys, monkeypatch, text, "1 + 1") == [answer, "2"]
+
+
+@pytest.mark.parametrize("line, readings, answer", [
+    ("2c+5", (0, 0), "2c+5"),
+    ("1 + V2(12)", (1, 0), "5"),
+    ("V2(12) = 4", (0, 1), "true"),
+    ("forall x. x = x", (0, 1), "error"),
+    ("(514) +", (1, 0), "parse error"),
+    ("x <", (0, 1), "parse error"),
+])
+def test_each_line_is_read_once(monkeypatch, line, readings, answer):
+    calls = {"parse_term": 0, "parse_formula": 0}
+    for name in calls:
+        def counted(text, parse=getattr(cli, name), name=name):
+            calls[name] += 1
+            return parse(text)
+        monkeypatch.setattr(cli, name, counted)
+    try:
+        out = cli._evaluate_expression(line, NonstandardModel())
+    except ParseError:
+        out = "parse error"
+    except cli.EvaluationError:
+        out = "error"
+    assert (out, (calls["parse_term"], calls["parse_formula"])) == (answer, readings)
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["(514) +"], "parse error: expected a term, found 'end of input' (at position 7)\n"),
+    (["748c+6036", "--model", "std"], "parse error: trailing input 'c' (at position 3)\n"),
+])
+def test_a_line_without_formula_symbols_answers_the_term_error(capsys, argv, err):
+    assert run(capsys, "eval", *argv) == (2, "", err)

@@ -25,6 +25,7 @@ from buchi2.formulas import (
     format_formula,
     format_term,
     free_variables,
+    is_formula_text,
     nsum,
     parse_formula,
     parse_term,
@@ -231,6 +232,16 @@ def test_print_parse_round_trip(f):
 @given(terms())
 def test_term_round_trip(t):
     assert parse_term(format_term(t)) == t
+
+
+@given(formulas())
+def test_formula_text_is_formula_text(f):
+    assert is_formula_text(format_formula(f))
+
+
+@given(terms())
+def test_term_text_is_not_formula_text(t):
+    assert not is_formula_text(format_term(t))
 
 
 # -- helpers ---------------------------------------------------------------------

@@ -106,6 +106,17 @@ def test_t_residue_rejects_nonpositive():
         t_residue(0)
 
 
+def test_t_residue_cache_is_bounded():
+    maxsize = t_residue.cache_info().maxsize
+    assert maxsize is not None
+    try:
+        for q in range(1, maxsize + 1000):
+            t_residue(q)
+        assert t_residue.cache_info().currsize <= maxsize
+    finally:
+        t_residue.cache_clear()
+
+
 # -- nu2 ----------------------------------------------------------------------
 
 def test_nu2():
