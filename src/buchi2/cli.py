@@ -56,11 +56,14 @@ def make_model(name: str, den_bound: int = 1000, offset_bound: int = 10**6) -> M
 
 def _evaluate_expression(text: str, model: Model) -> str:
     """Element literal, closed term, or closed quantifier-free formula."""
-    try:
-        return model.format(model.parse(text))
-    except ParseError:
-        pass
-    expr = parse_formula(text) if is_formula_text(text) else parse_term(text)
+    if is_formula_text(text):  # no element literal has a formula-only symbol
+        expr = parse_formula(text)
+    else:
+        try:
+            return model.format(model.parse(text))
+        except ParseError:
+            pass
+        expr = parse_term(text)
     if any(isinstance(sub, (ForAll, Exists)) for sub in subformulas(expr)):
         raise EvaluationError("cannot decide quantified formulas; use the axioms harness")
     unbound = free_variables(expr)

@@ -15,13 +15,15 @@ Grammar (whitespace-insensitive)::
 
 A formula always contains a comparison, and a term never contains any of
 ``= < > ~ & |``, ``forall`` or ``exists``: text with one of them can only
-be a formula, other text only a term (``is_formula_text``).
+be a formula, other text only a term (``is_formula_text``).  The same rule
+picks the ``primary`` branch without backtracking: a ``(`` whose group, up
+to its matching ``)`` or the end of input, contains one of these opens
+``'(' formula ')'``, and any other ``(`` starts an atom.
 
 A quantifier binds as much as possible to its right, so in
 ``x = 0 | exists y. x = y + 1`` the existential's scope is the rest of the
 line; parenthesize it to bound the scope.  ``t1 > t2`` is sugar for
-``t2 < t1``.  After parsing, bound variables that collide with free
-variables are renamed apart (leftmost-innermost).
+``t2 < t1``.
 
 Text may nest at most ``MAX_DEPTH`` levels, counted two ways.  The tree
 may be at most that deep, where each ``+``, ``&``, ``|``, ``->``, ``V2``,
@@ -162,8 +164,10 @@ _TOKEN_RE = re.compile(
     r"|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
 )
 # No term contains these, and every formula contains a comparison, so
-# they decide from the raw text whether parse_formula or parse_term applies.
+# they decide from the raw text whether parse_formula or parse_term applies,
+# and from the tokens whether a parenthesized group holds a formula or a term.
 _FORMULA_ONLY_RE = re.compile(r"[=<>~&|]|\b(?:forall|exists)\b")
+_FORMULA_ONLY_TOKENS = frozenset(("=", "<", ">", "~", "&", "|", "==", "->", "forall", "exists"))
 
 
 def is_formula_text(text: str) -> bool:
@@ -190,6 +194,30 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _formula_groups(tokens: list[tuple[str, str, int]]) -> set[int]:
+    """Indices of the '(' that open a formula group.
+
+    A group runs to its matching ')', or to the end of input if it is left
+    open.  It is a formula group when it contains a formula-only token, the
+    rule of ``is_formula_text``; any other group can only hold a term.
+    """
+    groups: set[int] = set()
+    open_groups: list[int] = []
+    for i, (_, value, _) in enumerate(tokens):  # each value has one kind
+        if value == "(":
+            open_groups.append(i)
+        elif value == ")" and open_groups:
+            open_groups.pop()
+        elif value in _FORMULA_ONLY_TOKENS:
+            # The marked open groups are the outermost ones, so marking
+            # stops at the first marked group and each is marked once.
+            for j in reversed(open_groups):
+                if j in groups:
+                    break
+                groups.add(j)
+    return groups
+
+
 class _Parser:
     # ``depth`` counts the parentheses, V2(, ~, quantifiers and -> open at
     # the current token, which bounds the parser's own recursion;
@@ -198,6 +226,7 @@ class _Parser:
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
+        self.formula_groups = _formula_groups(self.tokens)
         self.i = 0
         self.depth = 0
         self.height = 0
@@ -293,22 +322,13 @@ class _Parser:
         return self.primary()
 
     def primary(self) -> Formula:
-        # An atom may itself start with a parenthesized term, so try the
-        # atom reading first and fall back to a parenthesized formula.  The
-        # fallback opens the same groups and builds at least the same
-        # heights, so it cannot succeed where the atom went too deep.
-        mark, depth = self.i, self.depth
-        try:
+        if self.i not in self.formula_groups:
             return self.atom()
-        except ParseError as atom_error:
-            self.i, self.depth = mark, depth
-            if isinstance(atom_error, NestingError) or not self.at_sym("("):
-                raise
-            self.descend(self.next()[2])
-            body = self.formula()
-            self.expect("sym", ")")
-            self.depth -= 1
-            return body
+        self.descend(self.next()[2])
+        body = self.formula()
+        self.expect("sym", ")")
+        self.depth -= 1
+        return body
 
     def atom(self) -> Formula:
         left = self.term()
@@ -381,7 +401,7 @@ def parse_term(text: str) -> Term:
 
 
 def parse_formula(text: str) -> Formula:
-    return standardize_bound(_parse_whole(text, _Parser.formula))
+    return _parse_whole(text, _Parser.formula)
 
 
 def free_variables(f: Formula | Term) -> frozenset[str]:
@@ -404,69 +424,6 @@ def free_variables(f: Formula | Term) -> frozenset[str]:
     if isinstance(f, (ForAll, Exists)):
         return free_variables(f.body) - {f.var}
     raise TypeError(f"not a formula or term: {f!r}")
-
-
-def _rename_free(f, old: str, new: str):
-    """Substitute the variable old by new at its free occurrences."""
-    if isinstance(f, Variable):
-        return Variable(new) if f.name == old else f
-    if isinstance(f, Numeral):
-        return f
-    if isinstance(f, Sum):
-        return Sum(_rename_free(f.left, old, new), _rename_free(f.right, old, new))
-    if isinstance(f, V2App):
-        return V2App(_rename_free(f.arg, old, new))
-    if isinstance(f, Eq):
-        return Eq(_rename_free(f.left, old, new), _rename_free(f.right, old, new))
-    if isinstance(f, Lt):
-        return Lt(_rename_free(f.left, old, new), _rename_free(f.right, old, new))
-    if isinstance(f, CongMod):
-        return CongMod(f.modulus, _rename_free(f.left, old, new), _rename_free(f.right, old, new))
-    if isinstance(f, Not):
-        return Not(_rename_free(f.body, old, new))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(_rename_free(f.left, old, new), _rename_free(f.right, old, new))
-    if isinstance(f, (ForAll, Exists)):
-        if f.var == old:
-            return f
-        return type(f)(f.var, _rename_free(f.body, old, new))
-    raise TypeError(f"not a formula or term: {f!r}")
-
-
-def standardize_bound(f: Formula) -> Formula:
-    """Rename bound variables apart from the formula's free variables.
-
-    Renames leftmost-innermost to the first fresh name of the form
-    ``<var>_<i>``; idempotent on already-standardized formulas.
-    """
-    free = free_variables(f)
-    used = set(free)
-
-    def fresh(base: str) -> str:
-        i = 1
-        while f"{base}_{i}" in used or f"{base}_{i}" in free:
-            i += 1
-        name = f"{base}_{i}"
-        used.add(name)
-        return name
-
-    def walk(g):
-        if isinstance(g, (Eq, Lt, CongMod)):
-            return g
-        if isinstance(g, Not):
-            return Not(walk(g.body))
-        if isinstance(g, (And, Or, Implies)):
-            return type(g)(walk(g.left), walk(g.right))
-        if isinstance(g, (ForAll, Exists)):
-            body = walk(g.body)
-            if g.var in free:
-                new = fresh(g.var)
-                return type(g)(new, _rename_free(body, g.var, new))
-            used.add(g.var)
-            return type(g)(g.var, body)
-        return g
-
-    return walk(f)
 
 
 # -- printing ---------------------------------------------------------------
@@ -514,7 +471,7 @@ def _format(f: Formula, parent: int) -> str:
 
 
 def format_formula(f: Formula) -> str:
-    """Canonical text; parse_formula round-trips on standardized formulas."""
+    """Canonical text; parse_formula round-trips on every formula."""
     return _format(f, 0)
 
 

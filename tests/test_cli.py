@@ -217,8 +217,8 @@ def test_oversized_numeral_is_an_evaluation_error(capsys, monkeypatch):
 
 
 def test_too_deep_sum_inside_a_formula_is_a_nesting_error(capsys, monkeypatch):
-    # The parenthesized-formula fallback cannot succeed where the atom
-    # reading went too deep, so the depth error is the answer.
+    # "(1)" holds no formula-only symbol, so the parser reads it as the
+    # start of an atom, whose sum is the part that goes too deep.
     text = "1 = 1 & (1)" + " + 1" * 101 + " = 5"
     answer = "parse error: nested deeper than 100 levels (at position 416)"
     assert run(capsys, "eval", text) == (2, "", answer + "\n")
@@ -226,27 +226,29 @@ def test_too_deep_sum_inside_a_formula_is_a_nesting_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("line, readings, answer", [
-    ("2c+5", (0, 0), "2c+5"),
-    ("1 + V2(12)", (1, 0), "5"),
-    ("V2(12) = 4", (0, 1), "true"),
-    ("forall x. x = x", (0, 1), "error"),
-    ("(514) +", (1, 0), "parse error"),
-    ("x <", (0, 1), "parse error"),
+    ("2c+5", (1, 0, 0), "2c+5"),
+    ("1 + V2(12)", (1, 1, 0), "5"),
+    ("V2(12) = 4", (0, 0, 1), "true"),
+    ("forall x. x = x", (0, 0, 1), "error"),
+    ("(514) +", (1, 1, 0), "parse error"),
+    ("x <", (0, 0, 1), "parse error"),
 ])
 def test_each_line_is_read_once(monkeypatch, line, readings, answer):
-    calls = {"parse_term": 0, "parse_formula": 0}
-    for name in calls:
-        def counted(text, parse=getattr(cli, name), name=name):
+    # calls of model.parse, parse_term and parse_formula
+    model = NonstandardModel()
+    calls = {"parse": 0, "parse_term": 0, "parse_formula": 0}
+    for owner, name in ((model, "parse"), (cli, "parse_term"), (cli, "parse_formula")):
+        def counted(text, parse=getattr(owner, name), name=name):
             calls[name] += 1
             return parse(text)
-        monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     try:
-        out = cli._evaluate_expression(line, NonstandardModel())
+        out = cli._evaluate_expression(line, model)
     except ParseError:
         out = "parse error"
     except cli.EvaluationError:
         out = "error"
-    assert (out, (calls["parse_term"], calls["parse_formula"])) == (answer, readings)
+    assert (out, tuple(calls.values())) == (answer, readings)
 
 
 @pytest.mark.parametrize("argv, err", [
@@ -255,3 +257,11 @@ def test_each_line_is_read_once(monkeypatch, line, readings, answer):
 ])
 def test_a_line_without_formula_symbols_answers_the_term_error(capsys, argv, err):
     assert run(capsys, "eval", *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize("text, err", [
+    ("(91 + 280) == 9082113 mod 0", "parse error: congruence modulus must be >= 2, got 0 (at position 26)\n"),
+    ("(91 + 280) == 9082113 mod 1", "parse error: congruence modulus must be >= 2, got 1 (at position 26)\n"),
+])
+def test_a_term_group_answers_the_atom_error(capsys, text, err):
+    assert run(capsys, "eval", text) == (2, "", err)

@@ -1,4 +1,4 @@
-"""Parser, printer, renaming and evaluation of the formula language."""
+"""Parser, printer and evaluation of the formula language."""
 
 from fractions import Fraction as F
 
@@ -20,6 +20,8 @@ from buchi2.formulas import (
     Sum,
     V2App,
     Variable,
+    _Parser,
+    _tokenize,
     eval_qf,
     eval_term,
     format_formula,
@@ -29,7 +31,6 @@ from buchi2.formulas import (
     nsum,
     parse_formula,
     parse_term,
-    standardize_bound,
     uses_v2,
 )
 from buchi2.nonstandard import Element, NonstandardModel, ParseError
@@ -154,18 +155,31 @@ def test_keywords_are_not_variables():
         parse_formula("forall mod. mod = 0")
 
 
-def test_bound_variables_renamed_apart_from_free():
+def test_bound_variables_parse_as_written():
     f = parse_formula("x < y & (forall x. x = x)")
     assert f == And(
         Lt(Variable("x"), Variable("y")),
-        ForAll("x_1", Eq(Variable("x_1"), Variable("x_1"))),
+        ForAll("x", Eq(Variable("x"), Variable("x"))),
     )
     assert free_variables(f) == {"x", "y"}
 
 
-def test_standardize_is_idempotent():
-    f = parse_formula("x < y & (forall x. (exists y. x = y))")
-    assert standardize_bound(f) == f
+@pytest.mark.parametrize("text", [
+    "(" * 99 + "1 = 1" + ")" * 99,
+    "(x + 1) = y & ((x = 1))",
+], ids=["99 parentheses", "term and formula groups"])
+def test_parse_reads_each_token_once(monkeypatch, text):
+    calls = 0
+    next_token = _Parser.next
+
+    def counted(self):
+        nonlocal calls
+        calls += 1
+        return next_token(self)
+
+    monkeypatch.setattr(_Parser, "next", counted)
+    parse_formula(text)
+    assert calls == len(_tokenize(text)) - 1  # `end` is only peeked
 
 
 # -- printing ------------------------------------------------------------------
@@ -216,16 +230,16 @@ def formulas():
             st.tuples(inner, inner).map(lambda p: And(*p)),
             st.tuples(inner, inner).map(lambda p: Or(*p)),
             st.tuples(inner, inner).map(lambda p: Implies(*p)),
-            st.tuples(st.sampled_from(["q", "r"]), inner).map(lambda p: ForAll(*p)),
-            st.tuples(st.sampled_from(["q", "r"]), inner).map(lambda p: Exists(*p)),
+            st.tuples(_names, inner).map(lambda p: ForAll(*p)),
+            st.tuples(_names, inner).map(lambda p: Exists(*p)),
         )
     return st.recursive(atoms, extend, max_leaves=8)
 
 
 @given(formulas())
 def test_print_parse_round_trip(f):
-    # bound names q, r never collide with the free names x..v, so the
-    # standardizing pass in parse_formula is the identity here
+    # bound and free names come from one pool, so shadowing is covered:
+    # the parser keeps every name as written
     assert parse_formula(format_formula(f)) == f
 
 
@@ -242,6 +256,24 @@ def test_formula_text_is_formula_text(f):
 @given(terms())
 def test_term_text_is_not_formula_text(t):
     assert not is_formula_text(format_term(t))
+
+
+def opens_formula_group(text):
+    return 0 in _Parser("(" + text + ")").formula_groups
+
+
+@given(st.one_of(formulas().map(format_formula), terms().map(format_term)))
+def test_group_rule_matches_formula_text(text):
+    assert opens_formula_group(text) == is_formula_text(text)
+
+
+@pytest.mark.parametrize("token", [
+    "+", "=", "<", ">", "~", "&", "|", ".", "->", "==", "mod", "forall", "exists", "V2", "x", "0",
+])
+def test_group_rule_matches_formula_text_on_each_token(token):
+    # formatted formulas have several formula-only symbols, which hides a
+    # missing one from the test above
+    assert opens_formula_group(token) == is_formula_text(token)
 
 
 # -- helpers ---------------------------------------------------------------------

@@ -1,0 +1,124 @@
+"""Print the observable behaviour of this checkout, one line per reading.
+
+    python3 tools/behaviour.py > behaviour.txt
+
+Run it on two checkouts and diff the outputs: an empty diff means the two
+give the same parse trees, REPL replies and axiom reports on these inputs.
+It takes no options; the output is about 26 MB, and takes about 20 s on a
+shared 2-vCPU Xeon with Python 3.11.
+
+The inputs are 60,000 lines: the 30,000 ``repl-mix`` benchmark lines
+(``perfbench/mix.py``, seeds 0-2, chunks 0-9 of 1000 lines) and 30,000
+seeded fuzzed token strings, half of them mix lines with one or two tokens
+changed and half random token sequences.  The readings are
+
+    tree<TAB>line<TAB>parse tree, or the parse error
+    repl MODEL<TAB>line<TAB>what ``buchi2 repl --model MODEL`` prints
+    report MODEL SEED<TAB>one ``Report`` of ``run_suite``
+
+for the models ``nonstd``, ``std`` and ``pairs`` and the suite seeds 0-2
+with the default bounds.  Lines are printed with ``repr``, so every reading
+stays on one output line.
+"""
+
+from __future__ import annotations
+
+import io
+import random
+import re
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import mix  # noqa: E402
+from buchi2 import cli  # noqa: E402
+from buchi2.axioms import run_suite  # noqa: E402
+from buchi2.formulas import is_formula_text, parse_formula, parse_term  # noqa: E402
+
+MODELS = ("nonstd", "std", "pairs")
+SEEDS = (0, 1, 2)
+CHUNKS = 10
+CHUNK_LINES = 1000
+FUZZED = 30_000
+
+_PIECE_RE = re.compile(r"->|==|[()+=<>~&|.]|\d+|[A-Za-z_]\w*|\S")
+VOCABULARY = (
+    "(", ")", "+", "=", "<", ">", "~", "&", "|", "->", "==", ".", "mod",
+    "forall", "exists", "V2", "x", "y", "c", "0", "1", "2", "12", "2c+5", "3/5c",
+)
+
+
+def mix_lines() -> list[str]:
+    return [
+        text
+        for seed in SEEDS
+        for chunk in range(CHUNKS)
+        for text, _ in mix.repl_lines(seed, chunk, CHUNK_LINES)
+    ]
+
+
+def fuzzed_lines(sources: list[str]) -> list[str]:
+    rng = random.Random("behaviour:fuzz")
+    out = []
+    for k in range(FUZZED):
+        if k % 2 == 0:
+            pieces = _PIECE_RE.findall(rng.choice(sources))
+            for _ in range(rng.randint(1, 2)):
+                at = rng.randrange(len(pieces) + 1)
+                edit = rng.randrange(3)
+                if edit == 0 and at < len(pieces):
+                    del pieces[at]
+                elif edit == 1 and at < len(pieces):
+                    pieces[at] = rng.choice(VOCABULARY)
+                else:
+                    pieces.insert(at, rng.choice(VOCABULARY))
+        else:
+            pieces = [rng.choice(VOCABULARY) for _ in range(rng.randint(1, 15))]
+        sep = " " if rng.random() < 0.8 else ""
+        out.append(sep.join(pieces) or "(")  # the REPL skips empty lines
+    return out
+
+
+def tree(text: str) -> str:
+    try:
+        return repr(parse_formula(text) if is_formula_text(text) else parse_term(text))
+    except ValueError as exc:  # ParseError and its NestingError included
+        return f"{type(exc).__name__}: {exc}"
+
+
+def repl_replies(model: str, lines: list[str]) -> list[str]:
+    stdin, out = sys.stdin, io.StringIO()
+    sys.stdin = io.StringIO("".join(line + "\n" for line in lines))
+    try:
+        with redirect_stdout(out):
+            code = cli.main(["repl", "--model", model])
+    finally:
+        sys.stdin = stdin
+    # a banner, then each reply after its prompt, then the prompt at EOF
+    printed = out.getvalue().split("\n")[1:-2]
+    if code != 0 or len(printed) != len(lines):
+        raise SystemExit(f"repl --model {model}: exit {code}, {len(printed)} replies to {len(lines)} lines")
+    return [reply.removeprefix("> ") for reply in printed]
+
+
+def main() -> None:
+    lines = mix_lines()
+    lines += fuzzed_lines(lines)
+    write = sys.stdout.write
+    for text in lines:
+        write(f"tree\t{text!r}\t{tree(text)}\n")
+    for model in MODELS:
+        for text, reply in zip(lines, repl_replies(model, lines)):
+            write(f"repl {model}\t{text!r}\t{reply}\n")
+    for model in MODELS:
+        for seed in SEEDS:
+            for report in run_suite(cli.make_model(model), seed=seed):
+                write(f"report {model} {seed}\t{report!r}\n")
+
+
+if __name__ == "__main__":
+    main()
