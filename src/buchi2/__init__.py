@@ -17,6 +17,7 @@ from .axioms import (
 from .formulas import (
     Formula,
     Term,
+    compile_qf,
     eval_qf,
     eval_term,
     format_formula,
@@ -70,7 +71,7 @@ from .standard import StandardModel, embed, std_v2
 
 __all__ = [
     "AxiomSpec", "Report", "build_axioms", "check_axiom", "run_suite",
-    "Formula", "Term", "eval_qf", "eval_term", "format_formula",
+    "Formula", "Term", "compile_qf", "eval_qf", "eval_term", "format_formula",
     "format_term", "parse_formula", "parse_term",
     "C", "Element", "Model", "NegativeResultError", "NonstandardModel",
     "NotDivisibleError", "ONE", "Ordering", "ParseError", "ZERO", "add",

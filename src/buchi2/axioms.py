@@ -12,6 +12,11 @@ quantifier-free checking matrix over sampled and derived variables:
 - schema axioms carry one matrix per value of their numeric parameter, up
   to a configured bound.
 
+Each matrix is compiled (``compile_qf``) the first time its axiom is
+checked against a model, and kept on the spec for that model; a matrix
+that comes out false is re-evaluated by the interpreter (``eval_qf``)
+before it is reported.
+
 A sampled check can only falsify an axiom, not prove it; the point of the
 harness is falsification power at a chosen scale.  Checks are
 deterministic for a fixed seed: every axiom draws from its own stream
@@ -21,13 +26,13 @@ seeded by ``"<seed>:<axiom id>"``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from typing import Callable, Optional
 
 from .formulas import (
     And, CongMod, Eq, Formula, Implies, Not, Numeral, Or, Sum, V2App, Variable,
-    eval_qf, nsum, parse_formula, uses_v2,
+    compile_qf, eval_qf, nsum, parse_formula, uses_v2,
 )
 from .nonstandard import (
     Model,
@@ -41,9 +46,10 @@ PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 
-# The evaluator takes one stack frame per level of a formula, and the A4
-# conjunction and A11 disjunction chains are about as deep as the schema
-# bound; far past this bound they overflow Python's recursion limit.
+# The A4 conjunction and A11 disjunction chains are about as deep as the
+# schema bound.  The compiled checks loop over them, but a counterexample is
+# confirmed by eval_qf, which takes one stack frame per level: far past this
+# bound it would overflow Python's recursion limit.
 MAX_SCHEMA = 500
 
 
@@ -109,7 +115,8 @@ class AxiomSpec:
     one holds.  They range over ``sampled`` variables drawn from the model
     and the ``derived`` variables: each ``(name, witness, param)`` binds
     ``name`` to ``witness(model, env, param)`` before the matrices are
-    evaluated.
+    evaluated.  ``compiled`` maps each model the spec was checked against
+    to its obligations with their ``compile_qf`` checks.
     """
 
     id: str
@@ -117,6 +124,7 @@ class AxiomSpec:
     sampled: tuple[str, ...]
     obligations: tuple[tuple[Optional[int], Formula], ...]
     derived: tuple[tuple[str, Callable, Optional[int]], ...] = ()
+    compiled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -326,6 +334,11 @@ def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int 
     """Check one axiom against one model; deterministic for a fixed seed."""
     if not model.has_v2 and any(uses_v2(matrix) for _, matrix in axiom.obligations):
         return Report(axiom.id, SKIPPED, 0, seed)
+    obligations = axiom.compiled.get(model)
+    if obligations is None:
+        obligations = axiom.compiled[model] = tuple(
+            (n, matrix, compile_qf(matrix, model)) for n, matrix in axiom.obligations
+        )
     rng = random.Random(f"{seed}:{axiom.id}")
     corners = model.corner_elements()
     for i in range(cases):
@@ -333,9 +346,9 @@ def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int 
         try:
             for var, witness, param in axiom.derived:
                 env[var] = witness(model, env, param)
-            for n, matrix in axiom.obligations:
-                if not eval_qf(matrix, env, model):
-                    assert not eval_qf(matrix, env, model)  # counterexample re-evaluates
+            for n, matrix, check in obligations:
+                if not check(env):
+                    assert not eval_qf(matrix, env, model)  # the interpreter confirms it
                     return Report(
                         axiom.id, FAIL, i + 1, seed,
                         counterexample=_format_env(model, env), param=n,

@@ -36,6 +36,12 @@ recursion limit.
 
 Evaluation is generic over ``Model`` (see ``nonstandard``); congruences
 are decided by residues, not by searching for the divisibility witness.
+``eval_qf`` interprets a quantifier-free formula, walking the tree on every
+call; it is the reference, and the CLI uses it, since it evaluates each
+line once.  ``compile_qf`` (module ``compiled``) turns a formula into a
+check for one model that gives the same value, or raises the same error,
+on every assignment; the axiom harness, which checks each matrix on many
+assignments, uses it.
 """
 
 from __future__ import annotations
@@ -518,6 +524,17 @@ def eval_qf(f: Formula, env: Mapping[str, object], model: Model) -> bool:
     if isinstance(f, (ForAll, Exists)):
         raise ValueError("quantifier in quantifier-free evaluation")
     raise TypeError(f"not a formula: {f!r}")
+
+
+def compile_qf(f: Formula, model: Model):
+    """check(env) -> bool, equal to ``eval_qf(f, env, model)`` for every env.
+
+    The compiler lives in ``compiled``, loaded on the first call, so that
+    importing this module, as the CLI and the REPL do, does not load it.
+    """
+    from .compiled import compile_qf
+
+    return compile_qf(f, model)
 
 
 def subformulas(f: Formula) -> Iterator[Formula]:

@@ -83,6 +83,6 @@ class StandardModel:
 
     def parse(self, text: str) -> int:
         text = text.strip()
-        if not text.isdigit():
+        if not text.isdecimal():  # isdigit() also passes digits int() rejects, such as "²"
             raise ParseError(f"not a natural number literal: {text!r}")
         return int(text)

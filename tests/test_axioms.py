@@ -1,5 +1,8 @@
 """Axiom catalog shape and harness behavior, including falsification power."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from buchi2 import axioms, nonstandard
@@ -14,7 +17,7 @@ from buchi2.axioms import (
     run_suite,
 )
 from buchi2.axioms import _congruence_matrix, _odd_indivisibility_matrix, _residue_cases_matrix
-from buchi2.formulas import eval_qf, parse_formula
+from buchi2.formulas import compile_qf, eval_qf, parse_formula, uses_v2
 from buchi2.nonstandard import Element, Model, NonstandardModel
 from buchi2.pairs import PairsModel
 from buchi2.standard import StandardModel
@@ -253,3 +256,122 @@ def test_fail_reports_count_cases_up_to_failure():
     model = ConstantV2Model()
     report = check_axiom(by_id("A12"), model, cases=200, seed=0)
     assert 1 <= report.cases <= 200
+
+
+# -- compiled obligations ----------------------------------------------------------------
+
+def outcome(evaluate):
+    try:
+        return evaluate()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+CHECKED_MODELS = [NONSTD, STD, PAIRS, ConstantV2Model(), IdentityV2Model(), CarrylessAddModel()]
+
+
+@pytest.mark.parametrize("model", CHECKED_MODELS, ids=lambda m: type(m).__name__)
+def test_compiled_obligations_match_the_interpreter(model):
+    corners = model.corner_elements()
+    for spec in build_axioms():
+        obligations = [m for _, m in spec.obligations]
+        if not model.has_v2 and any(map(uses_v2, obligations)):
+            continue  # SKIPPED by the harness
+        checks = [compile_qf(m, model) for m in obligations]
+        for seed in range(10):
+            rng = random.Random(f"{seed}:{spec.id}")
+            for case in range(len(corners) + 5):
+                env = axioms._sample_env(spec, model, rng, corners, case)
+                try:
+                    for var, witness, param in spec.derived:
+                        env[var] = witness(model, env, param)
+                except (ArithmeticError, ValueError):
+                    continue  # a witness error, reported before any matrix runs
+                for matrix, check in zip(obligations, checks):
+                    assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(matrix, env, model))
+
+
+@pytest.mark.parametrize("model_class", list(PINNED_FAILS), ids=lambda c: c.__name__)
+def test_reports_match_the_interpreting_harness(monkeypatch, model_class):
+    def suites():
+        return [
+            run_suite(model_class(), seed=seed, cases=60, schema_max=schema_max)
+            for seed in range(5) for schema_max in (3, 12)
+        ]
+
+    compiled = suites()
+    monkeypatch.setattr(axioms, "compile_qf", lambda f, model: lambda env: eval_qf(f, env, model))
+    assert suites() == compiled
+    assert FAIL in {r.status for reports in compiled for r in reports}
+
+
+class CountingModel(NonstandardModel):
+    """The non-standard model, counting calls of the operations a matrix uses."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = Counter()
+
+    def numeral(self, n):
+        self.calls["numeral"] += 1
+        return super().numeral(n)
+
+    def add(self, x, y):
+        self.calls["add"] += 1
+        return super().add(x, y)
+
+    def residue_mod(self, x, n):
+        self.calls["residue_mod"] += 1
+        return super().residue_mod(x, n)
+
+
+def test_residue_cases_share_the_residue_and_keep_the_constants():
+    model = CountingModel()
+    check = compile_qf(dict(by_id("A11").obligations)[12], model)
+    assert check({"x": model.numeral(11)})  # the last disjunct: every residue computed
+    model.calls.clear()
+    assert check({"x": model.parse("1/3c+2")})
+    assert model.calls == {"residue_mod": 1}
+
+
+def test_each_numeral_is_computed_once_over_many_checks():
+    model = CountingModel()
+    (_, a3), = by_id("A3").obligations  # the numerals 0 and 1, each written 4 times
+    check = compile_qf(a3, model)
+    corners = model.corner_elements()
+    for k in range(10):
+        check({"x": corners[k], "z": corners[k + 1]})
+    assert model.calls["numeral"] == 2
+
+
+@pytest.mark.parametrize("axiom_id, adds", [("A7", 4), ("A9", 2)])
+def test_sums_are_not_rewritten(axiom_id, adds):
+    # (x + y) + z and x + (y + z), x + y and y + x: different sums, each computed
+    model = CountingModel()
+    (_, matrix), = by_id(axiom_id).obligations
+    check = compile_qf(matrix, model)
+    for x in model.corner_elements()[:5]:
+        model.calls.clear()
+        assert check({"x": x, "y": model.parse("c-3"), "z": model.parse("2/7c")})
+        assert model.calls["add"] == adds
+
+
+def test_congruence_schema_add_count():
+    # x = 12, y = 0: x == y mod n holds for n = 2, 3, 4, 6, 12, and each of
+    # those n adds n - 1 times for wn + ... + wn and once more for + y.  Every
+    # n then needs u + ... + u + y: compiled, the n - 1 summand prefix is
+    # shared with the previous n, so that is 2 adds; interpreted, it is n.
+    spec = by_id("A4")
+    (_, matrix), = spec.obligations
+    model = CountingModel()
+    env = {"x": model.numeral(12), "y": model.numeral(0), "u": model.parse("c+1")}
+    for var, witness, param in spec.derived:
+        env[var] = witness(model, env, param)
+    check = compile_qf(matrix, model)
+    for _ in range(2):
+        model.calls.clear()
+        assert check(env)
+        assert model.calls["add"] == (2 + 3 + 4 + 6 + 12) + 2 * 11 == 49
+    model.calls.clear()
+    assert eval_qf(matrix, env, model)
+    assert model.calls["add"] == (2 + 3 + 4 + 6 + 12) + sum(range(2, 13)) == 104

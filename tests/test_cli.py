@@ -59,6 +59,15 @@ def test_parse_errors_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("model, twelve", [("nonstd", "12"), ("std", "12"), ("pairs", "(0, 12)")])
+def test_non_decimal_digits_are_parse_errors(capsys, model, twelve):
+    # "²" is a digit to str.isdigit() but not to int(); fullwidth "１２" is decimal
+    assert run(capsys, "eval", "²", "--model", model) == (
+        2, "", "parse error: unexpected character '²' (at position 0)\n",
+    )
+    assert run(capsys, "eval", "１２", "--model", model) == (0, twelve + "\n", "")
+
+
 def test_evaluation_errors_exit_3(capsys):
     code, _, err = run(capsys, "div", "c", "3")
     assert code == 3 and "not divisible" in err

@@ -1,5 +1,6 @@
 """Parser, printer and evaluation of the formula language."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -18,10 +19,12 @@ from buchi2.formulas import (
     Numeral,
     Or,
     Sum,
+    UnboundVariableError,
     V2App,
     Variable,
     _Parser,
     _tokenize,
+    compile_qf,
     eval_qf,
     eval_term,
     format_formula,
@@ -34,10 +37,12 @@ from buchi2.formulas import (
     uses_v2,
 )
 from buchi2.nonstandard import Element, NonstandardModel, ParseError
+from buchi2.pairs import PairsModel
 from buchi2.standard import StandardModel
 
 NONSTD = NonstandardModel()
 STD = StandardModel()
+PAIRS = PairsModel()
 
 
 # -- parsing -------------------------------------------------------------------
@@ -206,33 +211,33 @@ def test_print_parse_round_trip_examples(text):
 _names = st.sampled_from(["x", "y", "z", "u", "v"])
 
 
-def terms(max_depth=3):
+def terms(max_depth=3, v2=True):
     base = st.one_of(_names.map(Variable), st.integers(0, 9).map(Numeral))
-    return st.recursive(
-        base,
-        lambda inner: st.one_of(
-            st.tuples(inner, inner).map(lambda p: Sum(*p)),
-            inner.map(V2App),
-        ),
-        max_leaves=6,
-    )
+    def extend(inner):
+        sums = st.tuples(inner, inner).map(lambda p: Sum(*p))
+        return st.one_of(sums, inner.map(V2App)) if v2 else sums
+    return st.recursive(base, extend, max_leaves=6)
 
 
-def formulas():
+def formulas(v2=True, quantified=True):
     atoms = st.one_of(
-        st.tuples(terms(), terms()).map(lambda p: Eq(*p)),
-        st.tuples(terms(), terms()).map(lambda p: Lt(*p)),
-        st.tuples(st.integers(2, 12), terms(), terms()).map(lambda p: CongMod(*p)),
+        st.tuples(terms(v2=v2), terms(v2=v2)).map(lambda p: Eq(*p)),
+        st.tuples(terms(v2=v2), terms(v2=v2)).map(lambda p: Lt(*p)),
+        st.tuples(st.integers(2, 12), terms(v2=v2), terms(v2=v2)).map(lambda p: CongMod(*p)),
     )
     def extend(inner):
-        return st.one_of(
+        connectives = [
             inner.map(Not),
             st.tuples(inner, inner).map(lambda p: And(*p)),
             st.tuples(inner, inner).map(lambda p: Or(*p)),
             st.tuples(inner, inner).map(lambda p: Implies(*p)),
-            st.tuples(_names, inner).map(lambda p: ForAll(*p)),
-            st.tuples(_names, inner).map(lambda p: Exists(*p)),
-        )
+        ]
+        if quantified:
+            connectives += [
+                st.tuples(_names, inner).map(lambda p: ForAll(*p)),
+                st.tuples(_names, inner).map(lambda p: Exists(*p)),
+            ]
+        return st.one_of(connectives)
     return st.recursive(atoms, extend, max_leaves=8)
 
 
@@ -342,3 +347,107 @@ def test_congruence_existential_semantics_exhaustive_small():
                     a == n * u + b or b == n * u + a for u in range(max(a, b) // n + 1)
                 )
                 assert eval_qf(f, {"x": a, "y": b}, STD) == exists_u
+
+
+# -- compiled evaluation ------------------------------------------------------------
+
+class LoggedModel(StandardModel):
+    """Standard arithmetic that logs each operation before it runs.
+
+    Some adds and residues fail, with a message that names the operands, so
+    which operation fails first shows in the error.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def numeral(self, n):
+        self.log.append(("numeral", n))
+        return n
+
+    def add(self, x, y):
+        self.log.append(("add", x, y))
+        if (x + y) % 11 == 10:
+            raise ArithmeticError(f"add({x}, {y})")
+        return x + y
+
+    def compare(self, x, y):
+        self.log.append(("compare", x, y))
+        return super().compare(x, y)
+
+    def residue_mod(self, x, n):
+        self.log.append(("residue_mod", x, n))
+        if x % 13 == 12:
+            raise ValueError(f"residue_mod({x}, {n})")
+        return x % n
+
+    def v2(self, x):
+        self.log.append(("v2", x))
+        return super().v2(x)
+
+
+def outcome(evaluate):
+    """The value, or the type and message of the exception raised."""
+    try:
+        return evaluate()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def environments(model):
+    # subsets of the names, so unbound variables occur too
+    values = st.one_of(
+        st.sampled_from(model.corner_elements()),
+        st.integers(0, 2**32).map(lambda seed: model.sample(random.Random(seed))),
+    )
+    return st.lists(st.dictionaries(_names, values), min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("model", [NONSTD, STD, PAIRS], ids=["nonstd", "std", "pairs"])
+def test_compiled_matches_interpreter(model):
+    @given(formulas(v2=model.has_v2, quantified=False), environments(model))
+    def compiled_matches(f, envs):
+        check = compile_qf(f, model)  # one check over several calls: kept values are reused
+        for env in envs:
+            assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, model))
+    compiled_matches()
+
+
+@given(formulas(quantified=False), environments(STD))
+def test_compiled_runs_the_interpreters_operations_in_order(f, envs):
+    # The compiled check skips repeated operations, so the two logs must
+    # agree on the first run of each; a failed operation is logged too.
+    compiled, interpreted = LoggedModel(), LoggedModel()
+    check = compile_qf(f, compiled)
+    for env in envs:
+        assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, interpreted))
+    assert list(dict.fromkeys(compiled.log)) == list(dict.fromkeys(interpreted.log))
+
+
+@given(formulas(), environments(STD))
+def test_compiled_quantifiers_raise_where_the_interpreter_does(f, envs):
+    check = compile_qf(f, STD)
+    for env in envs:
+        assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, STD))
+
+
+def test_compiled_errors_are_the_interpreters():
+    env = {"x": 3}
+    for f in (parse_formula("x = 1 -> forall y. y = y"), Eq(Variable("x"), "x"), Not(Variable("x"))):
+        assert outcome(lambda: compile_qf(f, STD)(env)) == outcome(lambda: eval_qf(f, env, STD))
+    assert compile_qf(parse_formula("x = 2 & forall y. y = y"), STD)(env) is False
+    assert outcome(lambda: compile_qf(parse_formula("y + z = x"), STD)(env)) == (
+        UnboundVariableError, "unbound variable 'y'",
+    )
+
+
+def test_compiled_chains_do_not_recurse_per_link():
+    # far deeper than MAX_DEPTH: sums and disjunctions as the catalog builds them
+    x, n = Variable("x"), 3000
+    f = Or(Eq(nsum(x, n), Numeral(n)), Lt(x, x))
+    for _ in range(n):
+        f = Or(f, Lt(x, x))
+    check = compile_qf(f, STD)
+    assert check({"x": 1}) is True
+    assert check({"x": 2}) is False
