@@ -35,6 +35,12 @@ lcm(q1, q2), n p/q's Q divides q, and gcd(p, n) divides n), so the carries
 are exact integers.  A carry is 0 as soon as one of its galaxies is the
 standard galaxy 0.
 
+An ``Element`` holds p, q and the offset as ints, and the kernel below
+computes on those ints alone: sums of galaxies are reduced with one gcd,
+and powers of two are bit shifts.  Its results are valid by construction
+and are built by the unchecked ``_element``; ``Element(galaxy, offset)``
+is the checked constructor for everything else.
+
 Everything here is immutable and pure; values can be shared freely across
 threads or processes.
 """
@@ -42,10 +48,9 @@ threads or processes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import gcd, lcm
 from typing import Protocol
 
@@ -125,28 +130,66 @@ def nu2(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@total_ordering
 class Element:
-    """A model element base(galaxy) + offset.
+    """A model element base(p/q) + offset, stored as the three ints p, q, offset.
 
-    ``galaxy`` is a non-negative rational (0 for standard numbers), kept in
-    lowest terms by Fraction; ``offset`` is an arbitrary integer, except
-    that elements of the standard galaxy must have offset >= 0.  Field
-    order deliberately makes dataclass ordering the model order: galaxies
-    compare as rationals, ties break on offsets.
+    ``Element(galaxy, offset)`` checks its arguments: ``galaxy`` is a
+    non-negative rational (an int is accepted; 0 for standard numbers) and
+    ``offset`` an integer, which must be >= 0 in the standard galaxy.  The
+    galaxy is kept as p/q in lowest terms with q >= 1, and ``galaxy`` gives
+    it back as a Fraction.  Kernel results that are valid by construction
+    skip the checks through ``_element``.  Elements are immutable; ``<`` is
+    the model order (galaxies as rationals, ties broken on offsets), and
+    ``==`` compares the three ints.
     """
 
-    galaxy: Fraction
-    offset: int
+    __slots__ = ("p", "q", "offset")
 
-    def __post_init__(self):
-        if not isinstance(self.galaxy, Fraction):
-            object.__setattr__(self, "galaxy", Fraction(self.galaxy))
-        num = self.galaxy.numerator
-        if num < 0:
-            raise ValueError(f"galaxy must be non-negative, got {self.galaxy}")
-        if num == 0 and self.offset < 0:
-            raise ValueError(f"standard numbers are non-negative, got offset {self.offset}")
+    def __init__(self, galaxy: Fraction | int, offset: int):
+        if not isinstance(galaxy, Fraction):
+            galaxy = Fraction(galaxy)
+        p = galaxy.numerator
+        if p < 0:
+            raise ValueError(f"galaxy must be non-negative, got {galaxy}")
+        if p == 0 and offset < 0:
+            raise ValueError(f"standard numbers are non-negative, got offset {offset}")
+        _set_p(self, p)
+        _set_q(self, galaxy.denominator)
+        _set_offset(self, offset)
+
+    @property
+    def galaxy(self) -> Fraction:
+        return Fraction(self.p, self.q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Element, (self.galaxy, self.offset)
+
+    def __repr__(self) -> str:
+        return f"Element(galaxy={self.galaxy!r}, offset={self.offset!r})"
+
+    def __str__(self) -> str:
+        return format_element(self)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.offset))
+
+    def __eq__(self, other):
+        if other.__class__ is not Element:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q and self.offset == other.offset
+
+    def __lt__(self, other):
+        if other.__class__ is not Element:
+            return NotImplemented
+        a, b = self.p * other.q, other.p * self.q
+        return a < b or a == b and self.offset < other.offset
 
     def __add__(self, other: "Element") -> "Element":
         return add(self, other)
@@ -154,18 +197,32 @@ class Element:
     def __sub__(self, other: "Element") -> "Element":
         return sub(self, other)
 
-    def __str__(self) -> str:
-        return format_element(self)
+
+# The slots' own setters; they bypass Element.__setattr__.
+_set_p, _set_q, _set_offset = (getattr(Element, name).__set__ for name in Element.__slots__)
+_new = object.__new__
 
 
-ZERO = Element(Fraction(0), 0)
-ONE = Element(Fraction(0), 1)
-C = Element(Fraction(1), 0)
+def _element(p: int, q: int, offset: int) -> Element:
+    # The trusted constructor: the caller guarantees q >= 1, gcd(p, q) = 1,
+    # p >= 0, and offset >= 0 if p = 0.
+    x = _new(Element)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_offset(x, offset)
+    return x
+
+
+ZERO = _element(0, 1, 0)
+ONE = _element(0, 1, 1)
+C = _element(1, 1, 0)
 
 
 def natural(n: int) -> Element:
     """Embed a natural number as the standard element n."""
-    return Element(Fraction(0), n)
+    if n < 0:
+        raise ValueError(f"standard numbers are non-negative, got offset {n}")
+    return _element(0, 1, n)
 
 
 def _lift(p: int, q: int, L: int) -> int:
@@ -173,37 +230,55 @@ def _lift(p: int, q: int, L: int) -> int:
     return p * (t_residue(L) - t_residue(q)) // q
 
 
-def _carry(r1: Fraction, r2: Fraction, r: Fraction) -> int:
-    # base(r1) + base(r2) - base(r) for r = r1 + r2.
-    p1, p2 = r1.numerator, r2.numerator
-    if not p1 or not p2:
-        return 0
-    q1, q2 = r1.denominator, r2.denominator
-    L = lcm(q1, q2)
-    return _lift(p1, q1, L) + _lift(p2, q2, L) - _lift(r.numerator, r.denominator, L)
+def _carry(p1: int, q1: int, p2: int, q2: int, p: int, q: int) -> int:
+    # base(p1/q1) + base(p2/q2) - base(p/q) for p/q = p1/q1 + p2/q2, all in lowest terms.
+    if q1 == q2:
+        return -_lift(p, q, q1)
+    tL = t_residue(lcm(q1, q2))
+    return (p1 * (tL - t_residue(q1)) // q1 + p2 * (tL - t_residue(q2)) // q2
+            - p * (tL - t_residue(q)) // q)
 
 
-def _split_carry(r: Fraction, n: int) -> int:
-    # base(r) - n * base(r/n); the integer absorbed when cutting r into n parts.
-    p = r.numerator
+def _split_carry(p: int, q: int, n: int) -> int:
+    # base(p/q) - n * base(p/(q n)); the integer absorbed when cutting p/q into n parts.
     if not p:
         return 0
-    q = r.denominator
     return _lift(p, q, q * n // gcd(p, n))
 
 
 def add(x: Element, y: Element) -> Element:
     """Model addition: galaxies add as rationals, offsets carry-correct."""
-    g = x.galaxy + y.galaxy
-    return Element(g, x.offset + y.offset + _carry(x.galaxy, y.galaxy, g))
+    p1, q1, p2, q2 = x.p, x.q, y.p, y.q
+    if not p2:
+        return _element(p1, q1, x.offset + y.offset)
+    if not p1:
+        return _element(p2, q2, x.offset + y.offset)
+    if q1 == q2:
+        p, q = p1 + p2, q1
+    else:
+        p, q = p1 * q2 + p2 * q1, q1 * q2
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    return _element(p, q, x.offset + y.offset + _carry(p1, q1, p2, q2, p, q))
 
 
 def sub(x: Element, y: Element) -> Element:
     """The unique z with y + z = x; raises NegativeResultError if x < y."""
-    if x < y:
+    p1, q1, p2, q2 = x.p, x.q, y.p, y.q
+    a, b = p1 * q2, p2 * q1
+    if a < b or a == b and x.offset < y.offset:
         raise NegativeResultError(f"{format_element(x)} < {format_element(y)}")
-    g = x.galaxy - y.galaxy
-    return Element(g, x.offset - y.offset - _carry(y.galaxy, g, x.galaxy))
+    if not p2:
+        return _element(p1, q1, x.offset - y.offset)
+    if a == b:
+        return _element(0, 1, x.offset - y.offset)
+    if q1 == q2:
+        p, q = p1 - p2, q1
+    else:
+        p, q = a - b, q1 * q2
+    g = gcd(p, q)
+    p, q = p // g, q // g
+    return _element(p, q, x.offset - y.offset - _carry(p2, q2, p, q, p1, q1))
 
 
 def compare(x, y) -> Ordering:
@@ -222,7 +297,7 @@ def scalar_mul(n: int, x: Element) -> Element:
     if n < 0:
         raise ValueError(f"scalar must be a natural number, got {n}")
     g = n * x.galaxy
-    return Element(g, n * x.offset - _lift(g.numerator, g.denominator, x.galaxy.denominator))
+    return Element(g, n * x.offset - _lift(g.numerator, g.denominator, x.q))
 
 
 def divide(x: Element, n: int) -> Element:
@@ -232,17 +307,19 @@ def divide(x: Element, n: int) -> Element:
     """
     if n < 1:
         raise ValueError(f"divisor must be positive, got {n}")
-    num = x.offset + _split_carry(x.galaxy, n)
+    p, q = x.p, x.q
+    num = x.offset + _split_carry(p, q, n)
     if num % n:
         raise NotDivisibleError(f"{format_element(x)} is not divisible by {n}")
-    return Element(x.galaxy / n, num // n)
+    g = gcd(p, n)
+    return _element(p // g, q * (n // g), num // n)
 
 
 def residue_mod(x: Element, n: int) -> int:
     """The unique j in [0, n) such that x - j is divisible by n."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    return (x.offset + _split_carry(x.galaxy, n)) % n
+    return (x.offset + _split_carry(x.p, x.q, n)) % n
 
 
 def v2(x: Element) -> Element:
@@ -252,19 +329,21 @@ def v2(x: Element) -> Element:
     is the valuation of the numerator: if w = 0 the element is a
     binary-rational multiple of c and its v2 is the non-standard power
     2^(nu2(p) - nu2(q)) * c; otherwise v2 is the standard 2^(nu2(w) - nu2(q)).
-    nu2(w) >= nu2(q) always, since t(q) carries the full 2-part of q.
+    nu2(w) >= nu2(q) always, since t(q) carries the full 2-part of q.  If
+    w = 0, q is a power of two (t(q) is 1 modulo q's odd part, which would
+    divide p), so with ``m & -m`` = 2^nu2(m) that galaxy is (p & -p)/q.
     """
-    p, q, d = x.galaxy.numerator, x.galaxy.denominator, x.offset
+    p, q, d = x.p, x.q, x.offset
     if p == 0:
-        return ZERO if d == 0 else Element(Fraction(0), 1 << nu2(d))
+        return _element(0, 1, d & -d)
     w = q * d - p * t_residue(q)
     if w == 0:
-        return Element(Fraction(2) ** (nu2(p) - nu2(q)), 0)
-    return Element(Fraction(0), 1 << (nu2(w) - nu2(q)))
+        return _element(p & -p, q, 0)
+    return _element(0, 1, (w & -w) // (q & -q))
 
 
 def is_standard(x: Element) -> bool:
-    return x.galaxy == 0
+    return x.p == 0
 
 
 def is_hypernumber(x: Element) -> bool:
@@ -273,7 +352,7 @@ def is_hypernumber(x: Element) -> bool:
     These are exactly the binary-rational multiples of c: galaxy p/2^e
     with offset such that the standard part w vanishes.
     """
-    p, q = x.galaxy.numerator, x.galaxy.denominator
+    p, q = x.p, x.q
     return p != 0 and q * x.offset == p * t_residue(q)
 
 
@@ -285,14 +364,13 @@ def next_power_of_two_above(x: Element) -> Element:
     """A power of two strictly greater than x (the least such, for determinism).
 
     For standard x this is the least standard 2^m > offset; otherwise the
-    hypernumber 2^k * c with the least k such that 2^k >= galaxy + 1, which
-    lands in a strictly larger galaxy and so beats every offset.
+    hypernumber 2^k * c with the least k such that 2^k >= galaxy + 1, that
+    is 2^k > ceil(galaxy) - 1, which lands in a strictly larger galaxy and
+    so beats every offset.
     """
-    if x.galaxy == 0:
-        return Element(Fraction(0), 1 << x.offset.bit_length())
-    top = x.galaxy + 1
-    k = (-(-top.numerator // top.denominator) - 1).bit_length()
-    return Element(Fraction(2) ** k, 0)
+    if x.p == 0:
+        return _element(0, 1, 1 << x.offset.bit_length())
+    return _element(1 << (-(-x.p // x.q)).bit_length(), 1, 0)
 
 
 def density_witnesses(x: Element, y: Element) -> tuple[Element, Element, Element]:
@@ -360,9 +438,9 @@ def parse_element(text: str) -> Element:
 
 def format_element(x: Element) -> str:
     """Canonical literal; inverse of parse_element on its own output."""
-    if x.galaxy == 0:
+    p, q = x.p, x.q
+    if p == 0:
         return str(x.offset)
-    p, q = x.galaxy.numerator, x.galaxy.denominator
     if q == 1:
         coef = "c" if p == 1 else f"{p}c"
     else:
@@ -408,11 +486,12 @@ class NonstandardModel:
     def sample(self, rng) -> Element:
         roll = rng.random()
         if roll < 0.25:
-            return Element(Fraction(0), rng.randrange(self.offset_bound + 1))
+            return _element(0, 1, rng.randrange(self.offset_bound + 1))
         if roll < 0.40:
             # hypernumbers: binary-rational multiples of c
-            num = rng.randrange(1, self.den_bound + 1)
-            return Element(Fraction(num, 1 << rng.randrange(11)), 0)
-        num = rng.randrange(1, self.den_bound + 1)
-        den = rng.randrange(1, self.den_bound + 1)
-        return Element(Fraction(num, den), rng.randint(-self.offset_bound, self.offset_bound))
+            num, den, offset = rng.randrange(1, self.den_bound + 1), 1 << rng.randrange(11), 0
+        else:
+            num, den = rng.randrange(1, self.den_bound + 1), rng.randrange(1, self.den_bound + 1)
+            offset = rng.randint(-self.offset_bound, self.offset_bound)
+        g = gcd(num, den)
+        return _element(num // g, den // g, offset)

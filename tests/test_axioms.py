@@ -234,12 +234,12 @@ def test_fail_reports_are_pinned(model_class):
 
 def _off_by_one_carry(carry):
     # one too many, only when both galaxies' denominators are divisible by 3
-    return lambda r1, r2, r: carry(r1, r2, r) + (r1.denominator % 3 == 0 and r2.denominator % 3 == 0)
+    return lambda p1, q1, p2, q2, p, q: carry(p1, q1, p2, q2, p, q) + (q1 % 3 == 0 and q2 % 3 == 0)
 
 
 def _off_by_one_split_carry(split_carry):
     # one too many, only when cutting into 5 parts a galaxy whose denominator 7 divides
-    return lambda r, n: split_carry(r, n) + (n == 5 and r.denominator % 7 == 0)
+    return lambda p, q, n: split_carry(p, q, n) + (n == 5 and q % 7 == 0)
 
 
 @pytest.mark.parametrize("name, fault", [

@@ -1,5 +1,6 @@
 """Parser, printer and evaluation of the formula language."""
 
+import gc
 import random
 from fractions import Fraction as F
 
@@ -451,3 +452,30 @@ def test_compiled_chains_do_not_recurse_per_link():
     check = compile_qf(f, STD)
     assert check({"x": 1}) is True
     assert check({"x": 2}) is False
+
+
+class _CollectorProbe(StandardModel):
+    # records whether the cyclic collector runs while the compiler reads the model
+    def __init__(self, seen):
+        super().__init__()
+        self.seen = seen
+
+    @property
+    def numeral(self):
+        self.seen.append(gc.isenabled())
+        return int
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_compile_qf_pauses_and_restores_the_collector(enabled):
+    was = gc.isenabled()
+    seen = []
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert compile_qf(parse_formula("x + 1 = 2"), _CollectorProbe(seen))({"x": 1}) is True
+        assert seen == [False] and gc.isenabled() is enabled
+        with pytest.raises(AttributeError):
+            compile_qf(parse_formula("x = 1"), object())  # no model operations to look up
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -1,7 +1,10 @@
 """Core arithmetic: frozen oracle values and algebraic laws."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -130,11 +133,45 @@ def test_nu2():
 # -- element construction and literals ---------------------------------------
 
 def test_carrier_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="standard numbers are non-negative"):
         Element(F(0), -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="standard numbers are non-negative"):
+        Element(0, -1)
+    with pytest.raises(ValueError, match="standard numbers are non-negative"):
+        natural(-1)
+    with pytest.raises(ValueError, match="galaxy must be non-negative"):
         Element(F(-1, 3), 0)
+    with pytest.raises(ValueError, match="galaxy must be non-negative"):
+        Element(-2, 5)
     assert el(1, 3, -5).offset == -5  # negative offsets fine off the standard galaxy
+
+
+def test_element_stores_its_galaxy_in_lowest_terms():
+    x = Element(2, 5)  # an int galaxy
+    assert (x.p, x.q, x.offset) == (2, 1, 5) and x == el(2, 1, 5)
+    assert type(x.galaxy) is F and x.galaxy == 2
+    assert (el(6, 4, -1).p, el(6, 4, -1).q) == (3, 2)
+    assert (ZERO.p, ZERO.q) == (0, 1)
+    with pytest.raises(AttributeError):
+        x.p = 3
+    with pytest.raises(AttributeError):
+        x.galaxy = F(1)
+    with pytest.raises(AttributeError):
+        del x.offset
+
+
+def test_repr_pickle_and_copy():
+    assert repr(divide(el(2, 5, 3), 3)) == "Element(galaxy=Fraction(2, 15), offset=1)"
+    assert repr(ZERO) == "Element(galaxy=Fraction(0, 1), offset=0)"
+    for x in (ZERO, C, el(5, 6, -2), divide(el(2, 5, 3), 3), v2(el(1, 4))):
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+
+
+def test_elements_compare_only_with_elements():
+    assert natural(3) != 3 and not natural(3) == (0, 1, 3)
+    with pytest.raises(TypeError):
+        natural(3) < 4
 
 
 @pytest.mark.parametrize(
@@ -283,6 +320,45 @@ def test_residue_is_the_unique_divisible_shift(x, n):
     assert hits == [r]
 
 
+# -- the int representation against the Fraction reference ---------------------
+# Reference order: tuples (Fraction(p, q), offset).  Kernel results skip the
+# checks of the public constructor, so each must be a well-formed element
+# equal to its rebuilt copy.
+
+def ref_key(x):
+    return (F(x.p, x.q), x.offset)
+
+
+def assert_well_formed(x):
+    assert type(x) is Element and all(type(v) is int for v in (x.p, x.q, x.offset))
+    assert x.q >= 1 and x.p >= 0 and gcd(x.p, x.q) == 1
+    assert x.p > 0 or x.offset >= 0
+    assert x == Element(F(x.p, x.q), x.offset)
+
+
+def assert_order_matches_reference(x, y):
+    kx, ky = ref_key(x), ref_key(y)
+    assert (x < y, x <= y, x > y, x >= y) == (kx < ky, kx <= ky, kx > ky, kx >= ky)
+    assert (x == y, x != y) == (kx == ky, kx != ky)
+    assert compare(x, y) is Ordering((kx > ky) - (kx < ky))
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def assert_representation_matches_reference(x, y):
+    for a, b in ((x, y), (y, x), (x, x), (x, Element(x.galaxy, x.offset)), (x, add(x, ZERO))):
+        assert_order_matches_reference(a, b)
+    lo, hi = sorted((x, y))
+    results = [x, y, add(x, y), sub(hi, lo), v2(x), next_power_of_two_above(x)]
+    for n in range(1, 8):
+        try:
+            results.append(divide(x, n))
+        except NotDivisibleError:
+            pass
+    for z in results:
+        assert_well_formed(z)
+
+
 # -- the integer kernel against the Fraction formulas --------------------------
 # Reference: each carry as a difference of the Fraction t-parts p*t(q)/q of
 # its galaxies, whose c-terms cancel.  The kernel lifts every t-value to one
@@ -310,17 +386,19 @@ def ref_scalar_shift(n, r):
 
 
 def assert_kernel_matches_reference(x, y, moduli):
+    assert_representation_matches_reference(x, y)
     gx, gy = x.galaxy, y.galaxy
     carry = ref_carry(gx, gy)
-    assert _carry(gx, gy, gx + gy) == carry
-    assert add(x, y) == Element(gx + gy, x.offset + y.offset + carry)
+    s = gx + gy
+    assert _carry(x.p, x.q, y.p, y.q, s.numerator, s.denominator) == carry
+    assert add(x, y) == Element(s, x.offset + y.offset + carry)
     lo, hi = sorted((x, y))
     g = hi.galaxy - lo.galaxy
     assert sub(hi, lo) == Element(g, hi.offset - lo.offset - ref_carry(lo.galaxy, g))
     for n in moduli:
         assert scalar_mul(n, x) == Element(n * gx, n * x.offset + ref_scalar_shift(n, gx))
         split = ref_split_carry(gx, n)
-        assert _split_carry(gx, n) == split
+        assert _split_carry(x.p, x.q, n) == split
         num = x.offset + split
         assert residue_mod(x, n) == num % n
         if num % n:

@@ -4,7 +4,7 @@
 
 Run it on two checkouts and diff the outputs: an empty diff means the two
 give the same parse trees, REPL replies and axiom reports on these inputs.
-It takes no options; the output is about 26 MB, and takes about 20 s on a
+It takes no options; the output is about 31 MB, and takes about 15 s on a
 shared 2-vCPU Xeon with Python 3.11.
 
 The inputs are 60,000 lines: the 30,000 ``repl-mix`` benchmark lines
@@ -15,10 +15,18 @@ changed and half random token sequences.  The readings are
     tree<TAB>line<TAB>parse tree, or the parse error
     repl MODEL<TAB>line<TAB>what ``buchi2 repl --model MODEL`` prints
     report MODEL SEED<TAB>one ``Report`` of ``run_suite``
+    kernel MODEL<TAB>x<TAB>y<TAB>x + y, x - y, compare(x, y)<TAB>unary readings of x<TAB>of y
 
 for the models ``nonstd``, ``std`` and ``pairs`` and the suite seeds 0-2
 with the default bounds.  Lines are printed with ``repr``, so every reading
 stays on one output line.
+
+The kernel readings go through the ``Model`` interface of ``nonstd`` and
+``pairs``, on every pair of corner elements and on 2,000 seeded pairs of
+``sample``s.  The unary readings are ``residue_mod`` for n = 2-24,
+``divide`` for n = 2-7, and ``v2`` and ``next_power_of_two`` where the
+model has them.  Every element is printed formatted, on ``nonstd`` also
+with its ``repr``; a failed ``sub`` or ``divide`` prints its error.
 """
 
 from __future__ import annotations
@@ -44,6 +52,8 @@ SEEDS = (0, 1, 2)
 CHUNKS = 10
 CHUNK_LINES = 1000
 FUZZED = 30_000
+KERNEL_MODELS = ("nonstd", "pairs")
+KERNEL_SAMPLES = 2000
 
 _PIECE_RE = re.compile(r"->|==|[()+=<>~&|.]|\d+|[A-Za-z_]\w*|\S")
 VOCABULARY = (
@@ -105,6 +115,38 @@ def repl_replies(model: str, lines: list[str]) -> list[str]:
     return [reply.removeprefix("> ") for reply in printed]
 
 
+def attempt(reading) -> str:
+    try:
+        return reading()
+    except ArithmeticError as exc:  # NegativeResultError, NotDivisibleError
+        return f"{type(exc).__name__}: {exc}"
+
+
+def kernel_readings(name: str) -> list[str]:
+    model = cli.make_model(name)
+    corners = model.corner_elements()
+    rng = random.Random("behaviour:kernel")
+    pairs = [(x, y) for x in corners for y in corners]
+    pairs += [(model.sample(rng), model.sample(rng)) for _ in range(KERNEL_SAMPLES)]
+    show = (lambda v: f"{model.format(v)} {v!r}") if name == "nonstd" else model.format
+
+    def unary(z) -> str:
+        readings = [str(model.residue_mod(z, n)) for n in range(2, 25)]
+        readings += [attempt(lambda n=n: show(model.divide(z, n))) for n in range(2, 8)]
+        if model.has_v2:
+            readings += [show(model.v2(z)), show(model.next_power_of_two(z))]
+        return " | ".join(readings)
+
+    return [
+        "\t".join((
+            show(x), show(y),
+            " | ".join((show(model.add(x, y)), attempt(lambda: show(model.sub(x, y))), model.compare(x, y).name)),
+            unary(x), unary(y),
+        ))
+        for x, y in pairs
+    ]
+
+
 def main() -> None:
     lines = mix_lines()
     lines += fuzzed_lines(lines)
@@ -118,6 +160,9 @@ def main() -> None:
         for seed in SEEDS:
             for report in run_suite(cli.make_model(model), seed=seed):
                 write(f"report {model} {seed}\t{report!r}\n")
+    for model in KERNEL_MODELS:
+        for reading in kernel_readings(model):
+            write(f"kernel {model}\t{reading}\n")
 
 
 if __name__ == "__main__":
