@@ -13,9 +13,9 @@ quantifier-free checking matrix over sampled and derived variables:
   to a configured bound.
 
 Each matrix is compiled (``compile_qf``) the first time its axiom is
-checked against a model, and kept on the spec for that model; a matrix
-that comes out false is re-evaluated by the interpreter (``eval_qf``)
-before it is reported.
+checked against a model object, and kept on the spec for that object,
+looked up by identity; a matrix that comes out false is re-evaluated by
+the interpreter (``eval_qf``) before it is reported.
 
 A sampled check can only falsify an axiom, not prove it; the point of the
 harness is falsification power at a chosen scale.  Checks are
@@ -115,8 +115,9 @@ class AxiomSpec:
     one holds.  They range over ``sampled`` variables drawn from the model
     and the ``derived`` variables: each ``(name, witness, param)`` binds
     ``name`` to ``witness(model, env, param)`` before the matrices are
-    evaluated.  ``compiled`` maps each model the spec was checked against
-    to its obligations with their ``compile_qf`` checks.
+    evaluated.  ``compiled`` maps the ``id`` of each model object the spec
+    was checked against to that model (held, so the ``id`` stays its own)
+    and its obligations with their ``compile_qf`` checks.
     """
 
     id: str
@@ -334,11 +335,12 @@ def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int 
     """Check one axiom against one model; deterministic for a fixed seed."""
     if not model.has_v2 and any(uses_v2(matrix) for _, matrix in axiom.obligations):
         return Report(axiom.id, SKIPPED, 0, seed)
-    obligations = axiom.compiled.get(model)
-    if obligations is None:
-        obligations = axiom.compiled[model] = tuple(
+    entry = axiom.compiled.get(id(model))
+    if entry is None:
+        entry = axiom.compiled[id(model)] = model, tuple(
             (n, matrix, compile_qf(matrix, model)) for n, matrix in axiom.obligations
         )
+    _, obligations = entry
     rng = random.Random(f"{seed}:{axiom.id}")
     corners = model.corner_elements()
     for i in range(cases):
@@ -348,7 +350,8 @@ def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int 
                 env[var] = witness(model, env, param)
             for n, matrix, check in obligations:
                 if not check(env):
-                    assert not eval_qf(matrix, env, model)  # the interpreter confirms it
+                    if eval_qf(matrix, env, model):  # the interpreter must confirm it
+                        raise AssertionError(f"{axiom.id}: the compiled check and eval_qf disagree")
                     return Report(
                         axiom.id, FAIL, i + 1, seed,
                         counterexample=_format_env(model, env), param=n,

@@ -8,7 +8,6 @@ harness uses it; ``formulas.eval_qf`` stays the reference.
 
 from __future__ import annotations
 
-import gc
 from typing import Mapping
 
 from .formulas import (
@@ -189,21 +188,7 @@ def compile_qf(f: Formula, model: Model):
     compiling nor checking recurses once per chain link.  The model's
     ``numeral``, ``add``, ``compare`` and ``residue_mod`` are looked up once,
     here.
-
-    The cyclic garbage collector is paused while the DAG, which has no
-    reference cycles, is built: a large DAG (``schema_max=500``) then sets
-    off one full collection after its build instead of several during it.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _compile(f, model)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _compile(f: Formula, model: Model):
     numeral, add, compare, residue_mod = model.numeral, model.add, model.compare, model.residue_mod
     slots: dict[tuple, int] = {}  # (kind, operand slots or value) -> slot
     fns: list = []  # slot -> its function

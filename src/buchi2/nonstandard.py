@@ -450,6 +450,16 @@ def format_element(x: Element) -> str:
     return f"{coef}{'+' if x.offset > 0 else '-'}{abs(x.offset)}"
 
 
+_CORNERS = (
+    ZERO, ONE, natural(2), natural(3), natural(8), natural(12),
+    C, Element(2, 0), Element(4, 0), Element(Fraction(1, 2), 0),
+    Element(Fraction(1, 4), 0), Element(Fraction(3, 2), 0), Element(3, 0),
+    Element(Fraction(1, 3), 0), Element(Fraction(1, 3), 5), Element(Fraction(1, 3), -5),
+    Element(Fraction(2, 3), 4), Element(Fraction(2, 5), 3), Element(Fraction(5, 6), -2),
+    Element(1, -7),
+)
+
+
 class NonstandardModel:
     """The constructed model as a Model."""
 
@@ -473,15 +483,7 @@ class NonstandardModel:
         self.offset_bound = offset_bound
 
     def corner_elements(self) -> tuple[Element, ...]:
-        F = Fraction
-        return (
-            ZERO, ONE, natural(2), natural(3), natural(8), natural(12),
-            C, Element(F(2), 0), Element(F(4), 0), Element(F(1, 2), 0),
-            Element(F(1, 4), 0), Element(F(3, 2), 0), Element(F(3), 0),
-            Element(F(1, 3), 0), Element(F(1, 3), 5), Element(F(1, 3), -5),
-            Element(F(2, 3), 4), Element(F(2, 5), 3), Element(F(5, 6), -2),
-            Element(F(1), -7),
-        )
+        return _CORNERS
 
     def sample(self, rng) -> Element:
         roll = rng.random()

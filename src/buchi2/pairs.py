@@ -165,6 +165,14 @@ def format_pair(x: PairElement) -> str:
     return f"({x.g}, {x.n})"
 
 
+_CORNERS = (
+    PairElement(0, 0), PairElement(0, 1), PairElement(0, 2),
+    PairElement(1, 0), PairElement(1, -3), PairElement(Fraction(1, 2), -3),
+    PairElement(2, 5), PairElement(Fraction(1, 3), 7), PairElement(Fraction(5, 7), 6),
+    PairElement(2, 0),
+)
+
+
 class PairsModel:
     """The pairs model as a Model; it has no V2."""
 
@@ -186,13 +194,7 @@ class PairsModel:
         self.offset_bound = offset_bound
 
     def corner_elements(self) -> tuple[PairElement, ...]:
-        F = Fraction
-        return (
-            PairElement(F(0), 0), PairElement(F(0), 1), PairElement(F(0), 2),
-            PairElement(F(1), 0), PairElement(F(1), -3), PairElement(F(1, 2), -3),
-            PairElement(F(2), 5), PairElement(F(1, 3), 7), PairElement(F(5, 7), 6),
-            PairElement(F(2), 0),
-        )
+        return _CORNERS
 
     def sample(self, rng) -> PairElement:
         if rng.random() < 0.3:

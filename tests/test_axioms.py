@@ -1,9 +1,16 @@
 """Axiom catalog shape and harness behavior, including falsification power."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
+
+import buchi2
 
 from buchi2 import axioms, nonstandard
 from buchi2.axioms import (
@@ -107,6 +114,7 @@ def test_models_provide_the_interface(model_class):
         assert hasattr(model, name), name
     for name in ("v2", "next_power_of_two"):
         assert hasattr(model, name) == model.has_v2, name
+    assert model.corner_elements() is model_class().corner_elements()  # built once
 
 
 # -- passing runs -------------------------------------------------------------------
@@ -252,6 +260,30 @@ def test_seeded_kernel_fault_is_caught(monkeypatch, name, fault):
     assert FAIL in {r.status for r in reports}
 
 
+# A compiled check that is always false: every FAIL it reports must be
+# refused by the interpreter, also when asserts are stripped.
+UNCONFIRMED_FAIL = """
+from buchi2 import axioms
+from buchi2.standard import StandardModel
+axioms.compile_qf = lambda f, model: lambda env: False
+try:
+    axioms.run_suite(StandardModel(), cases=3, ids=("A9",))
+except AssertionError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["asserts", "optimized"])
+def test_an_unconfirmed_fail_raises(flags):
+    env = {**os.environ, "PYTHONPATH": str(Path(buchi2.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", UNCONFIRMED_FAIL], env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "A9: the compiled check and eval_qf disagree\n", "",
+    )
+
+
 def test_fail_reports_count_cases_up_to_failure():
     model = ConstantV2Model()
     report = check_axiom(by_id("A12"), model, cases=200, seed=0)
@@ -344,6 +376,14 @@ def test_each_numeral_is_computed_once_over_many_checks():
     assert model.calls["numeral"] == 2
 
 
+def test_a_constant_sum_is_computed_once_over_many_checks():
+    model = CountingModel()
+    check = compile_qf(parse_formula("x = 1 + 1 + 1"), model)
+    for x in model.corner_elements()[:5]:
+        check({"x": x})
+    assert model.calls["add"] == 2
+
+
 @pytest.mark.parametrize("axiom_id, adds", [("A7", 4), ("A9", 2)])
 def test_sums_are_not_rewritten(axiom_id, adds):
     # (x + y) + z and x + (y + z), x + y and y + x: different sums, each computed
@@ -375,3 +415,53 @@ def test_congruence_schema_add_count():
     model.calls.clear()
     assert eval_qf(matrix, env, model)
     assert model.calls["add"] == (2 + 3 + 4 + 6 + 12) + sum(range(2, 13)) == 104
+
+
+# -- compiled checks are kept per model object ---------------------------------------
+
+@dataclass
+class DataclassModel(StandardModel):
+    """The standard model as a dataclass with ``==``: its instances are unhashable."""
+
+    offset_bound: int = 10**6
+
+
+def test_run_suite_takes_an_unhashable_model():
+    model = DataclassModel()
+    with pytest.raises(TypeError):
+        hash(model)
+    assert {r.status for r in run_suite(model, cases=20)} == {PASS}
+
+
+@dataclass(frozen=True)
+class FrozenCountingModel(StandardModel):
+    """Equal instances hash alike; each counts its own numeral calls."""
+
+    offset_bound: int = 10**6
+    calls: Counter = field(default_factory=Counter, compare=False)
+
+    def numeral(self, n):
+        self.calls["numeral"] += 1
+        return n
+
+
+def test_equal_models_get_their_own_checks():
+    spec, a, b = by_id("A3"), FrozenCountingModel(), FrozenCountingModel()
+    assert a == b and hash(a) == hash(b) and a is not b
+    for model in (a, b):
+        assert check_axiom(spec, model, cases=10).status == PASS
+    assert a.calls == b.calls == {"numeral": 2}  # 0 and 1, once each
+
+
+def test_a_spec_compiles_once_per_model(monkeypatch):
+    compiled = Counter()
+
+    def counted(f, model):
+        compiled[id(model)] += 1
+        return compile_qf(f, model)
+
+    monkeypatch.setattr(axioms, "compile_qf", counted)
+    spec, a, b = by_id("A11"), StandardModel(), StandardModel()
+    for model in (a, b, a):
+        assert check_axiom(spec, model, cases=10).status == PASS
+    assert compiled == {id(a): 11, id(b): 11}  # one check per schema parameter

@@ -79,6 +79,17 @@ def test_evaluation_errors_exit_3(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("model, value", [("nonstd", "6"), ("std", "6"), ("pairs", "(1, 6)")])
+@pytest.mark.parametrize("command, n, err", [
+    ("div", "0", "error: divisor must be positive, got 0\n"),
+    ("div", "-2", "error: divisor must be positive, got -2\n"),
+    ("mod", "0", "error: modulus must be positive, got 0\n"),
+    ("mod", "-3", "error: modulus must be positive, got -3\n"),
+])
+def test_nonpositive_divisor_or_modulus_exits_3(capsys, model, value, command, n, err):
+    assert run(capsys, command, value, n, "--model", model) == (3, "", err)
+
+
 def test_axioms_tsv_format_and_exit(capsys):
     code, out, _ = run(capsys, "axioms", "--cases", "40", "--seed", "7")
     assert code == 0
@@ -177,6 +188,25 @@ def test_failing_axiom_reports_counterexample(capsys, monkeypatch):
     assert len(fields) == 5 and "x=" in fields[4]
 
 
+class IdentityV2Model(NonstandardModel):
+    def v2(self, x):
+        return x
+
+
+class ConstantV2Model(NonstandardModel):
+    def v2(self, x):
+        return self.numeral(3)
+
+
+@pytest.mark.parametrize("model_class, axiom, line", [
+    (IdentityV2Model, "A17", "A17\tFAIL\t4\t0\tn=3;x=3\n"),  # a schema parameter
+    (ConstantV2Model, "A16", "A16\tFAIL\t4\t0\terror=3 is not divisible by 2;x=3;y=8\n"),  # a witness raised
+])
+def test_fail_line_names_the_parameter_or_the_error(capsys, monkeypatch, model_class, axiom, line):
+    monkeypatch.setattr(cli, "make_model", lambda name, *a, **k: model_class())
+    assert run(capsys, "axioms", "--axioms", axiom, "--cases", "300") == (1, line, "")
+
+
 def first_operand_chain(levels):
     # Sums nested as first operands, 50 per parenthesis: the tree is
     # `levels` deep, and the formula reading fails before it gets that deep.
@@ -271,6 +301,7 @@ def test_a_line_without_formula_symbols_answers_the_term_error(capsys, argv, err
 @pytest.mark.parametrize("text, err", [
     ("(91 + 280) == 9082113 mod 0", "parse error: congruence modulus must be >= 2, got 0 (at position 26)\n"),
     ("(91 + 280) == 9082113 mod 1", "parse error: congruence modulus must be >= 2, got 1 (at position 26)\n"),
+    ("1 == 1 foo 3", "parse error: expected 'mod' (at position 7)\n"),
 ])
 def test_a_term_group_answers_the_atom_error(capsys, text, err):
     assert run(capsys, "eval", text) == (2, "", err)

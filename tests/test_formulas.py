@@ -1,11 +1,16 @@
 """Parser, printer and evaluation of the formula language."""
 
-import gc
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
+
+import buchi2
 
 from buchi2.formulas import (
     MAX_DEPTH,
@@ -454,28 +459,10 @@ def test_compiled_chains_do_not_recurse_per_link():
     assert check({"x": 2}) is False
 
 
-class _CollectorProbe(StandardModel):
-    # records whether the cyclic collector runs while the compiler reads the model
-    def __init__(self, seen):
-        super().__init__()
-        self.seen = seen
 
-    @property
-    def numeral(self):
-        self.seen.append(gc.isenabled())
-        return int
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_compile_qf_pauses_and_restores_the_collector(enabled):
-    was = gc.isenabled()
-    seen = []
-    try:
-        (gc.enable if enabled else gc.disable)()
-        assert compile_qf(parse_formula("x + 1 = 2"), _CollectorProbe(seen))({"x": 1}) is True
-        assert seen == [False] and gc.isenabled() is enabled
-        with pytest.raises(AttributeError):
-            compile_qf(parse_formula("x = 1"), object())  # no model operations to look up
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
+def test_importing_the_cli_does_not_load_the_compiler():
+    # formulas.compile_qf loads it on first use, which keeps start-up short
+    env = {**os.environ, "PYTHONPATH": str(Path(buchi2.__file__).parents[1])}
+    code = "import sys, buchi2.cli; print('buchi2.compiled' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (done.stdout, done.stderr) == ("False\n", "")

@@ -163,6 +163,7 @@ def test_element_stores_its_galaxy_in_lowest_terms():
 def test_repr_pickle_and_copy():
     assert repr(divide(el(2, 5, 3), 3)) == "Element(galaxy=Fraction(2, 15), offset=1)"
     assert repr(ZERO) == "Element(galaxy=Fraction(0, 1), offset=0)"
+    assert str(divide(el(2, 5, 3), 3)) == "2/15c+1" and str(ZERO) == "0"
     for x in (ZERO, C, el(5, 6, -2), divide(el(2, 5, 3), 3), v2(el(1, 4))):
         for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
@@ -209,6 +210,7 @@ def test_add_examples():
     assert add(natural(4), natural(38)) == natural(42)
     assert add(el(1, 3, 5), el(1, 3, -2)) == el(2, 3, 3)
     assert add(el(1, 3), el(2, 3)) == el(1, 1, -1)
+    assert el(1, 3, 5) + el(1, 3, -2) == el(2, 3, 3)
 
 
 def test_sub_examples():
@@ -216,6 +218,9 @@ def test_sub_examples():
     assert sub(el(2, 3, 3), el(1, 3, -2)) == el(1, 3, 5)
     with pytest.raises(NegativeResultError):
         sub(ONE, natural(2))
+    assert el(2, 3, 3) - el(1, 3, -2) == el(1, 3, 5)
+    with pytest.raises(NegativeResultError, match="^1 < 2$"):
+        ONE - natural(2)
 
 
 def test_compare_examples():
@@ -274,6 +279,8 @@ def test_scalar_mul_examples():
     assert scalar_mul(2, natural(21)) == natural(42)
     assert scalar_mul(1, el(2, 5, 3)) == el(2, 5, 3)
     assert scalar_mul(0, el(2, 5, 3)) == ZERO
+    with pytest.raises(ValueError, match="^scalar must be a natural number, got -1$"):
+        scalar_mul(-1, C)
 
 
 def test_divide_examples():
@@ -281,6 +288,8 @@ def test_divide_examples():
     assert divide(natural(10), 5) == natural(2)
     with pytest.raises(NotDivisibleError):
         divide(C, 3)
+    with pytest.raises(ValueError, match="^divisor must be positive, got 0$"):
+        divide(C, 0)
 
 
 def test_residue_examples():
