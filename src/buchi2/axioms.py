@@ -47,9 +47,10 @@ FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 
 # The A4 conjunction and A11 disjunction chains are about as deep as the
-# schema bound.  The compiled checks loop over them, but a counterexample is
-# confirmed by eval_qf, which takes one stack frame per level: far past this
-# bound it would overflow Python's recursion limit.
+# schema bound, and so are A4's sums.  The compiled checks loop over the
+# chains, but they and eval_qf, which confirms every FAIL, both take one
+# stack frame per sum link: far past this bound a sum would overflow
+# Python's recursion limit.
 MAX_SCHEMA = 500
 
 
@@ -374,10 +375,12 @@ def run_suite(
 ) -> list[Report]:
     """Check every catalog axiom (or the given ids) against the model.
 
-    Unknown ids raise ParseError, a ValueError.
+    Empty or unknown ids raise ParseError, a ValueError.
     """
     catalog = build_axioms(schema_max)
     if ids is not None:
+        if "" in ids:
+            raise ParseError("empty axiom id")
         known = {spec.id for spec in catalog}
         unknown = [i for i in ids if i not in known]
         if unknown:

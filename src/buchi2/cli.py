@@ -143,7 +143,7 @@ def cmd_axioms(args) -> int:
         seed=args.seed,
         cases=args.cases,
         schema_max=args.schema_max,
-        ids=tuple(args.axioms.split(",")) if args.axioms else None,
+        ids=None if args.axioms is None else tuple(args.axioms.split(",")),
     )
     for report in reports:
         print(_report_line(report))

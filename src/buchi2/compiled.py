@@ -8,6 +8,7 @@ harness uses it; ``formulas.eval_qf`` stays the reference.
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping
 
 from .formulas import (
@@ -19,12 +20,13 @@ from .nonstandard import Model, Ordering
 # A compiled formula is a DAG of functions fn(env, vals), one per distinct
 # subterm ("slot") and one per formula node.  ``vals`` holds this call's
 # slot values, None until first demanded; each reader checks it before
-# calling the slot's function, which stores its value there.  The function
-# of a variable-free slot also stores it in ``kept``, the list each call
-# copies ``vals`` from; model operations are pure, so two calls that both
-# store a kept value store the same one.  Every function takes its values
-# as default arguments, so there are no closure cells and no reference
-# cycles.
+# calling the slot's function, which stores its value there, so a slot
+# calls its operands' functions where eval_term would recurse into them.
+# The function of a variable-free slot also stores its value in ``kept``,
+# the list each call copies ``vals`` from; model operations are pure, so
+# two calls that both store a kept value store the same one.  Every
+# function takes its values as default arguments, so there are no closure
+# cells and no reference cycles.
 
 def _variable_slot(i, name, kept):
     def slot(env, vals, i=i, name=name):
@@ -69,12 +71,11 @@ def _residue_slot(i, a, fa, n, residue_mod, kept):
     return slot
 
 
-def _sum_slot(i, a, fa, b, fb, walk, add, kept):
-    # walk: fa is a sum slot of the same kind (kept or not) as this one
-    def slot(env, vals, i=i, a=a, fa=fa, b=b, fb=fb, walk=walk, add=add, kept=kept):
+def _sum_slot(i, a, fa, b, fb, add, kept):
+    def slot(env, vals, i=i, a=a, fa=fa, b=b, fb=fb, add=add, kept=kept):
         x = vals[a]
         if x is None:
-            x = _spine(fa, env, vals) if walk else fa(env, vals)
+            x = fa(env, vals)
         y = vals[b]
         if y is None:
             y = fb(env, vals)
@@ -83,35 +84,6 @@ def _sum_slot(i, a, fa, b, fb, walk, add, kept):
             kept[i] = v
         return v
     return slot
-
-
-def _spine(fn, env, vals):
-    """Value of the sum slot fn, with its left spine computed bottom-up.
-
-    Each sum slot's function carries its operands as its defaults.  The
-    walk down stops at the first computed slot or at a left operand that
-    is not walked; the way back up adds the right operands.  That is the
-    order of eval_term, without a stack frame per sum.
-    """
-    spine = []
-    while True:
-        args = fn.__defaults__  # (i, a, fa, b, fb, walk, add, kept)
-        spine.append(args)
-        x = vals[args[1]]
-        if x is not None:
-            break
-        if not args[5]:
-            x = args[2](env, vals)
-            break
-        fn = args[2]
-    for i, _, _, b, fb, _, add, kept in reversed(spine):
-        y = vals[b]
-        if y is None:
-            y = fb(env, vals)
-        x = vals[i] = add(x, y)
-        if kept is not None:
-            kept[i] = x
-    return x
 
 
 def _raising(error, message):
@@ -129,19 +101,6 @@ def _comparison(a, fa, b, fb, compare, want):
         if y is None:
             y = fb(env, vals)
         return compare(x, y) is want
-    return atom
-
-
-def _congruence(a, fa, b, fb):
-    # a and b are the residue slots of the two sides
-    def atom(env, vals, a=a, fa=fa, b=b, fb=fb):
-        x = vals[a]
-        if x is None:
-            x = fa(env, vals)
-        y = vals[b]
-        if y is None:
-            y = fb(env, vals)
-        return x == y
     return atom
 
 
@@ -184,17 +143,18 @@ def compile_qf(f: Formula, model: Model):
     are kept.  A variable-free slot keeps its value across calls.  Sharing
     is structural only: ``x + y`` and ``y + x``, or ``(x + y) + z`` and
     ``x + (y + z)``, are different slots.  ``And``/``Or`` chains run as
-    loops and the left spines of sums are walked iteratively, so neither
-    compiling nor checking recurses once per chain link.  The model's
-    ``numeral``, ``add``, ``compare`` and ``residue_mod`` are looked up once,
-    here.
+    loops; terms are compiled and checked recursively, one stack frame per
+    term node as in ``eval_qf``, so sums as long as the catalog's
+    (``axioms.MAX_SCHEMA`` links) fit the default recursion limit.  A
+    congruence compares the two sides' residue slots.  The model's
+    ``numeral``, ``add``, ``compare`` and ``residue_mod`` are looked up
+    once, here.
     """
     numeral, add, compare, residue_mod = model.numeral, model.add, model.compare, model.residue_mod
     slots: dict[tuple, int] = {}  # (kind, operand slots or value) -> slot
     fns: list = []  # slot -> its function
     const: list[bool] = []  # slot -> whether it is variable-free
     kept: list = []  # slot -> its kept value, None until computed
-    sums: set[int] = set()  # the sum slots
 
     def slot(key, is_const, factory, *args) -> int:
         # a factory takes the slot, its operands, and kept or, for a slot
@@ -208,26 +168,17 @@ def compile_qf(f: Formula, model: Model):
         return i
 
     def term(t) -> int:
-        rights = []
-        while isinstance(t, Sum):
-            rights.append(t.right)
-            t = t.left
+        if isinstance(t, Sum):
+            a, b = term(t.left), term(t.right)
+            return slot(("+", a, b), const[a] and const[b], _sum_slot, a, fns[a], b, fns[b], add)
         if isinstance(t, Variable):
-            a = slot(("var", t.name), False, _variable_slot, t.name)
-        elif isinstance(t, Numeral):
-            a = slot(("num", t.value), True, _numeral_slot, t.value, numeral)
-        elif isinstance(t, V2App):
-            arg = term(t.arg)
-            a = slot(("v2", arg), const[arg], _v2_slot, arg, fns[arg], model)
-        else:
-            a = slot(("bad", len(fns)), False, lambda i, kept: _raising(TypeError, f"not a term: {t!r}"))
-        for right in reversed(rights):
-            b = term(right)
-            is_const = const[a] and const[b]
-            walk = a in sums and const[a] == is_const
-            a = slot(("+", a, b), is_const, _sum_slot, a, fns[a], b, fns[b], walk, add)
-            sums.add(a)
-        return a
+            return slot(("var", t.name), False, _variable_slot, t.name)
+        if isinstance(t, Numeral):
+            return slot(("num", t.value), True, _numeral_slot, t.value, numeral)
+        if isinstance(t, V2App):
+            a = term(t.arg)
+            return slot(("v2", a), const[a], _v2_slot, a, fns[a], model)
+        return slot(("bad", len(fns)), False, lambda i, kept: _raising(TypeError, f"not a term: {t!r}"))
 
     def residue(t, n: int) -> int:
         a = term(t)
@@ -240,7 +191,7 @@ def compile_qf(f: Formula, model: Model):
             return _comparison(a, fns[a], b, fns[b], compare, want)
         if isinstance(g, CongMod):
             a, b = residue(g.left, g.modulus), residue(g.right, g.modulus)
-            return _congruence(a, fns[a], b, fns[b])
+            return _comparison(a, fns[a], b, fns[b], operator.eq, True)
         if isinstance(g, Not):
             return _negation(formula(g.body))
         if isinstance(g, (And, Or)):

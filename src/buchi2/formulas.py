@@ -415,18 +415,12 @@ def free_variables(f: Formula | Term) -> frozenset[str]:
         return frozenset((f.name,))
     if isinstance(f, Numeral):
         return frozenset()
-    if isinstance(f, Sum):
+    if isinstance(f, (Sum, Eq, Lt, CongMod, And, Or, Implies)):
         return free_variables(f.left) | free_variables(f.right)
     if isinstance(f, V2App):
         return free_variables(f.arg)
-    if isinstance(f, (Eq, Lt)):
-        return free_variables(f.left) | free_variables(f.right)
-    if isinstance(f, CongMod):
-        return free_variables(f.left) | free_variables(f.right)
     if isinstance(f, Not):
         return free_variables(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return free_variables(f.left) | free_variables(f.right)
     if isinstance(f, (ForAll, Exists)):
         return free_variables(f.body) - {f.var}
     raise TypeError(f"not a formula or term: {f!r}")

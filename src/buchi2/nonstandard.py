@@ -361,12 +361,14 @@ def is_power_of_two(x: Element) -> bool:
 
 
 def next_power_of_two_above(x: Element) -> Element:
-    """A power of two strictly greater than x (the least such, for determinism).
+    """A power of two strictly greater than x, chosen deterministically.
 
-    For standard x this is the least standard 2^m > offset; otherwise the
-    hypernumber 2^k * c with the least k such that 2^k >= galaxy + 1, that
-    is 2^k > ceil(galaxy) - 1, which lands in a strictly larger galaxy and
-    so beats every offset.
+    For standard x this is the least one, the standard 2^m > offset with
+    the least m.  Otherwise it is the hypernumber 2^k * c with the least
+    integer k such that 2^k >= galaxy + 1, that is 2^k > ceil(galaxy): it
+    lies in a strictly larger galaxy, so it beats every offset.  That need
+    not be the least power of two above x: c - 7 gives 2c, though c is
+    above it, and c/3 and c/2 - 1 give 2c, though c/2 is above them.
     """
     if x.p == 0:
         return _element(0, 1, 1 << x.offset.bit_length())

@@ -119,6 +119,9 @@ def test_axioms_filter(capsys):
         (["--schema-max", "2"], 3, "error: schema bound must be at least 3, got 2\n"),
         (["--schema-max", "2", "--axioms", "B9"], 3, "error: schema bound must be at least 3, got 2\n"),
         (["--axioms", "B9"], 2, "parse error: unknown axiom ids: B9\n"),
+        (["--axioms", ""], 2, "parse error: empty axiom id\n"),
+        (["--axioms", "A1,,A2"], 2, "parse error: empty axiom id\n"),
+        (["--axioms", "A15,"], 2, "parse error: empty axiom id\n"),
         (["--schema-max", "501"], 3, "error: schema bound must be at most 500, got 501\n"),
     ],
 )

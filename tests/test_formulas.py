@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 import buchi2
 
+from buchi2.axioms import MAX_SCHEMA
 from buchi2.formulas import (
     MAX_DEPTH,
     And,
@@ -448,10 +449,14 @@ def test_compiled_errors_are_the_interpreters():
     )
 
 
-def test_compiled_chains_do_not_recurse_per_link():
-    # far deeper than MAX_DEPTH: sums and disjunctions as the catalog builds them
+def test_compiled_chains_loop_and_sums_recurse_as_eval_qf():
+    # a disjunction far deeper than MAX_DEPTH runs as a loop; a sum recurses
+    # once per link, as in eval_qf, and the catalog's longest sums fit
     x, n = Variable("x"), 3000
-    f = Or(Eq(nsum(x, n), Numeral(n)), Lt(x, x))
+    total = Eq(nsum(x, MAX_SCHEMA), Numeral(MAX_SCHEMA))
+    for value in (1, 2):
+        assert compile_qf(total, STD)({"x": value}) is eval_qf(total, {"x": value}, STD)
+    f = Or(total, Lt(x, x))
     for _ in range(n):
         f = Or(f, Lt(x, x))
     check = compile_qf(f, STD)

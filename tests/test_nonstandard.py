@@ -521,6 +521,13 @@ def test_next_power_of_two_examples():
     assert next_power_of_two_above(natural(5)) == natural(8)
     assert next_power_of_two_above(C) == el(2, 1)
     assert next_power_of_two_above(el(7, 2, 123)) == el(8, 1)
+    assert next_power_of_two_above(ZERO) == natural(1)
+    assert next_power_of_two_above(natural(8)) == natural(16)
+    # not the least power above a non-standard x: c and c/2 lie between
+    assert next_power_of_two_above(el(1, 1, -7)) == el(2, 1)
+    assert next_power_of_two_above(el(1, 3)) == el(2, 1)
+    assert next_power_of_two_above(el(1, 2, -1)) == el(2, 1)
+    assert is_power_of_two(el(1, 2)) and el(1, 3) < el(1, 2, -1) < el(1, 2) < C
 
 
 @given(elements())
