@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from typing import Callable, Optional
+from functools import cache, reduce
+from typing import Callable, Collection, Optional
 
 from .formulas import (
     And, CongMod, Eq, Formula, Implies, Not, Numeral, Or, Sum, V2App, Variable,
@@ -157,39 +157,56 @@ def _one(text: str) -> tuple[tuple[None, Formula]]:
 # congruence matrices grow with the schema bound, and as text they would
 # nest deeper than the parser's MAX_DEPTH allows once the bound reaches a
 # few dozen.  The odd-indivisibility matrices are built the same way, so
-# the catalog parses the same fixed set of texts whatever the bound.
+# the catalog parses the same fixed set of texts whatever the bound.  The
+# builders share their nodes: one Variable per name and one Numeral per
+# value across all matrices, and each n-fold sum of u extends the last.
+
+_X, _Y, _U = Variable("x"), Variable("y"), Variable("u")
+_numeral = cache(Numeral)  # called with values below MAX_SCHEMA only
+
 
 def _residue_cases_matrix(n: int) -> Formula:
     # x == 0 mod n | x == 1 mod n | ... | x == n-1 mod n
-    return reduce(Or, (CongMod(n, Variable("x"), Numeral(j)) for j in range(n)))
+    return reduce(Or, (CongMod(n, _X, _numeral(j)) for j in range(n)))
 
 
 def _odd_indivisibility_matrix(n: int) -> Formula:
     # (V2(x) = x & ~ x = 0) -> ~ x == 0 mod n
-    x, zero = Variable("x"), Numeral(0)
+    x, zero = _X, _numeral(0)
     return Implies(And(Eq(V2App(x), x), Not(Eq(x, zero))), Not(CongMod(n, x, zero)))
 
 
 def _congruence_matrix(schema_max: int) -> Formula:
     # (x == y mod n -> (x = wn + ... + wn + y | y = wn + ... + wn + x))
     # & (u + ... + u + y == y mod n), n summands each, for n = 2..schema_max
-    x, y, u = Variable("x"), Variable("y"), Variable("u")
+    x, y, u = _X, _Y, _U
     parts = []
+    u_sum = u
     for n in range(2, schema_max + 1):
         w = nsum(Variable(f"w{n}"), n)
+        u_sum = Sum(u_sum, u)
         parts.append(And(
             Implies(CongMod(n, x, y), Or(Eq(x, Sum(w, y)), Eq(y, Sum(w, x)))),
-            CongMod(n, Sum(nsum(u, n), y), y),
+            CongMod(n, Sum(u_sum, y), y),
         ))
     return reduce(And, parts)
 
 
-def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
-    """The full catalog: A1..A17 plus the V2-induction block V12..V14."""
+def build_axioms(schema_max: int = 12, ids: Optional[Collection[str]] = None) -> tuple[AxiomSpec, ...]:
+    """The full catalog: A1..A17 plus the V2-induction block V12..V14.
+
+    With ``ids``, only the specs with those ids, in catalog order; ids not
+    in the catalog are ignored.  A schema's obligations, which grow with
+    ``schema_max``, are built only for the specs returned.
+    """
     if schema_max < 3:
         raise ValueError(f"schema bound must be at least 3, got {schema_max}")
     if schema_max > MAX_SCHEMA:
         raise ValueError(f"schema bound must be at most {MAX_SCHEMA}, got {schema_max}")
+    wanted = None if ids is None else set(ids)
+
+    def schema(axiom_id, build):
+        return build() if wanted is None or axiom_id in wanted else ()
 
     specs = [
         AxiomSpec(
@@ -224,7 +241,7 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
                 " & ((exists u. (x = u + u + y | y = u + u + x)) -> x == y mod 2))"
             ),
             sampled=("x", "y", "u"),
-            obligations=((None, _congruence_matrix(schema_max)),),
+            obligations=schema("A4", lambda: ((None, _congruence_matrix(schema_max)),)),
             derived=tuple((f"w{n}", _w_congruence_quotient, n) for n in range(2, schema_max + 1)),
         ),
         AxiomSpec(
@@ -268,7 +285,9 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
             id="A11",
             text="forall x. (x == 0 mod 2 | x == 1 mod 2)",
             sampled=("x",),
-            obligations=tuple((n, _residue_cases_matrix(n)) for n in range(2, schema_max + 1)),
+            obligations=schema("A11", lambda: tuple(
+                (n, _residue_cases_matrix(n)) for n in range(2, schema_max + 1)
+            )),
         ),
         AxiomSpec(
             id="A12",
@@ -312,11 +331,14 @@ def build_axioms(schema_max: int = 12) -> tuple[AxiomSpec, ...]:
             id="A17",
             text="forall x. ((V2(x) = x & ~ x = 0) -> ~ x == 0 mod 3)",
             sampled=("x",),
-            obligations=tuple((n, _odd_indivisibility_matrix(n)) for n in range(3, schema_max + 1, 2)),
+            obligations=schema("A17", lambda: tuple(
+                (n, _odd_indivisibility_matrix(n)) for n in range(3, schema_max + 1, 2)
+            )),
         ),
     ]
     # The V2-induction block restates A12..A14 under its own ids.
-    return (*specs, *(replace(spec, id="V" + spec.id[1:]) for spec in specs[11:14]))
+    specs += [replace(spec, id="V" + spec.id[1:]) for spec in specs[11:14]]
+    return tuple(spec for spec in specs if wanted is None or spec.id in wanted)
 
 
 def _sample_env(axiom: AxiomSpec, model: Model, rng, corners, case_index: int) -> dict:
@@ -373,11 +395,13 @@ def run_suite(
     schema_max: int = 12,
     ids: Optional[tuple[str, ...]] = None,
 ) -> list[Report]:
-    """Check every catalog axiom (or the given ids) against the model.
+    """Check every catalog axiom (or the given ids, in catalog order) against the model.
 
-    Empty or unknown ids raise ParseError, a ValueError.
+    Schema matrices are built for the requested ids only.  Empty or
+    unknown ids raise ParseError, a ValueError, after the schema bound's
+    own errors.
     """
-    catalog = build_axioms(schema_max)
+    catalog = build_axioms(schema_max, ids)
     if ids is not None:
         if "" in ids:
             raise ParseError("empty axiom id")
@@ -385,5 +409,4 @@ def run_suite(
         unknown = [i for i in ids if i not in known]
         if unknown:
             raise ParseError(f"unknown axiom ids: {', '.join(unknown)}")
-        catalog = tuple(spec for spec in catalog if spec.id in set(ids))
     return [check_axiom(spec, model, cases=cases, seed=seed) for spec in catalog]

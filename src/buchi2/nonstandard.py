@@ -15,31 +15,28 @@ galaxy "p/q times c".  Galaxies add and compare as rationals, offsets as
 integers, so the order type is N + Z*Q and the monoid of galaxies is
 isomorphic to the non-negative rationals.
 
-Every carry between base points is an integer combination of t-values.
-For q dividing L, t(L) == t(q) (mod q) because t is CRT-coherent, so
+Every element is also a fraction with c as its indeterminate:
 
-    base(p/q) = p * (c - t(L)) / q + lift(p, q, L),
-    lift(p, q, L) = p * (t(L) - t(q)) / q,
+    base(p/q) + d = (p*c + w) / q,    w = q*d - p*t(q),
 
-where the division in lift is exact.  Written over one common L, the
-c-terms of base points cancel, which leaves the carries in plain integers:
+and an ``Element`` stores the three ints p, q and w, under the invariant
+that q divides w + p*t(q).  In this numerator form ``+``, ``-`` and ``<``
+are plain fraction arithmetic, with no carries between base points: a sum
+cross-multiplies the numerators and divides p, q and w by g = gcd(p, q),
+and g divides w because it divides q and p*t(q).  The invariant survives
+the reduction because t is CRT-coherent: t(q) == t(q/g) (mod q/g).
 
-    base(r1) + base(r2) - base(r1 + r2)
-        = lift(p1, q1, L) + lift(p2, q2, L) - lift(P, Q, L)
-          for r1 = p1/q1, r2 = p2/q2, r1 + r2 = P/Q and L = lcm(q1, q2);
-    base(p/q) - n * base(p/(q n)) = lift(p, q, q n / gcd(p, n));
-    n * base(p/q) - base(n p/q)   = -lift(P, Q, q)   for n p/q = P/Q.
+t(q) is needed only where the model meets the standard numbers.  Modulo n,
+with L = q*n/gcd(p, n), the element is the integer (p*t(L) + w)/q plus
+n times the element (p/gcd(p, n) * (c - t(L)))/L, so its residue is that
+integer's.  It is divisible by n exactly when n divides that integer, and
+then the quotient is (p/gcd(p, n) * c + w/gcd(p, n))/L.  The offset
+d = (w + p*t(q))/q is computed only where it is read: to print, to pickle
+and through ``Element.offset``.
 
-In each, every denominator lifted to L divides L (the sum's Q divides
-lcm(q1, q2), n p/q's Q divides q, and gcd(p, n) divides n), so the carries
-are exact integers.  A carry is 0 as soon as one of its galaxies is the
-standard galaxy 0.
-
-An ``Element`` holds p, q and the offset as ints, and the kernel below
-computes on those ints alone: sums of galaxies are reduced with one gcd,
-and powers of two are bit shifts.  Its results are valid by construction
-and are built by the unchecked ``_element``; ``Element(galaxy, offset)``
-is the checked constructor for everything else.
+Kernel results are valid by construction and are built by the unchecked
+``_element``; ``Element(galaxy, offset)`` is the checked constructor for
+everything else.
 
 Everything here is immutable and pure; values can be shared freely across
 threads or processes.
@@ -51,7 +48,7 @@ import re
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from math import gcd, lcm
+from math import gcd
 from typing import Protocol
 
 
@@ -103,7 +100,7 @@ class Model(Protocol):
     def parse(self, text: str): ...  # inverse of format; ParseError on bad text
 
 
-# Bounded: the carries look up t(lcm(q1, q2)), an unbounded set of keys.
+# Bounded: residues look up t(q*n/gcd(p, n)), an unbounded set of keys.
 @lru_cache(maxsize=1 << 16)
 def t_residue(q: int) -> int:
     """Canonical residue of c modulo q, for q >= 1.
@@ -132,35 +129,42 @@ def nu2(m: int) -> int:
 
 @total_ordering
 class Element:
-    """A model element base(p/q) + offset, stored as the three ints p, q, offset.
+    """A model element base(p/q) + offset, stored as (p*c + w)/q in the three ints p, q, w.
 
     ``Element(galaxy, offset)`` checks its arguments: ``galaxy`` is a
     non-negative rational (an int is accepted; 0 for standard numbers) and
     ``offset`` an integer, which must be >= 0 in the standard galaxy.  The
     galaxy is kept as p/q in lowest terms with q >= 1, and ``galaxy`` gives
-    it back as a Fraction.  Kernel results that are valid by construction
-    skip the checks through ``_element``.  Elements are immutable; ``<`` is
-    the model order (galaxies as rationals, ties broken on offsets), and
-    ``==`` compares the three ints.
+    it back as a Fraction; w = q*offset - p*t(q), so a standard element
+    stores its value in w, and ``offset`` gives back (w + p*t(q)) / q.
+    Kernel results that are valid by construction skip the checks through
+    ``_element``.  Elements are immutable; ``<`` is the model order
+    (galaxies as rationals, ties broken on w, which orders the offsets
+    within a galaxy), and ``==`` compares the three ints.
     """
 
-    __slots__ = ("p", "q", "offset")
+    __slots__ = ("p", "q", "w")
 
     def __init__(self, galaxy: Fraction | int, offset: int):
         if not isinstance(galaxy, Fraction):
             galaxy = Fraction(galaxy)
-        p = galaxy.numerator
+        p, q = galaxy.numerator, galaxy.denominator
         if p < 0:
             raise ValueError(f"galaxy must be non-negative, got {galaxy}")
         if p == 0 and offset < 0:
             raise ValueError(f"standard numbers are non-negative, got offset {offset}")
         _set_p(self, p)
-        _set_q(self, galaxy.denominator)
-        _set_offset(self, offset)
+        _set_q(self, q)
+        _set_w(self, q * offset - p * t_residue(q) if p else offset)
 
     @property
     def galaxy(self) -> Fraction:
         return Fraction(self.p, self.q)
+
+    @property
+    def offset(self) -> int:
+        p, q = self.p, self.q
+        return (self.w + p * t_residue(q)) // q if p else self.w
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -178,18 +182,18 @@ class Element:
         return format_element(self)
 
     def __hash__(self) -> int:
-        return hash((self.p, self.q, self.offset))
+        return hash((self.p, self.q, self.w))
 
     def __eq__(self, other):
         if other.__class__ is not Element:
             return NotImplemented
-        return self.p == other.p and self.q == other.q and self.offset == other.offset
+        return self.p == other.p and self.q == other.q and self.w == other.w
 
     def __lt__(self, other):
         if other.__class__ is not Element:
             return NotImplemented
         a, b = self.p * other.q, other.p * self.q
-        return a < b or a == b and self.offset < other.offset
+        return a < b or a == b and self.w < other.w
 
     def __add__(self, other: "Element") -> "Element":
         return add(self, other)
@@ -199,17 +203,17 @@ class Element:
 
 
 # The slots' own setters; they bypass Element.__setattr__.
-_set_p, _set_q, _set_offset = (getattr(Element, name).__set__ for name in Element.__slots__)
+_set_p, _set_q, _set_w = (getattr(Element, name).__set__ for name in Element.__slots__)
 _new = object.__new__
 
 
-def _element(p: int, q: int, offset: int) -> Element:
+def _element(p: int, q: int, w: int) -> Element:
     # The trusted constructor: the caller guarantees q >= 1, gcd(p, q) = 1,
-    # p >= 0, and offset >= 0 if p = 0.
+    # p >= 0, q dividing w + p*t(q), and w >= 0 if p = 0.
     x = _new(Element)
     _set_p(x, p)
     _set_q(x, q)
-    _set_offset(x, offset)
+    _set_w(x, w)
     return x
 
 
@@ -225,79 +229,68 @@ def natural(n: int) -> Element:
     return _element(0, 1, n)
 
 
-def _lift(p: int, q: int, L: int) -> int:
-    # lift(p, q, L) of the module docstring; q must divide L.
-    return p * (t_residue(L) - t_residue(q)) // q
-
-
-def _carry(p1: int, q1: int, p2: int, q2: int, p: int, q: int) -> int:
-    # base(p1/q1) + base(p2/q2) - base(p/q) for p/q = p1/q1 + p2/q2, all in lowest terms.
-    if q1 == q2:
-        return -_lift(p, q, q1)
-    tL = t_residue(lcm(q1, q2))
-    return (p1 * (tL - t_residue(q1)) // q1 + p2 * (tL - t_residue(q2)) // q2
-            - p * (tL - t_residue(q)) // q)
-
-
-def _split_carry(p: int, q: int, n: int) -> int:
-    # base(p/q) - n * base(p/(q n)); the integer absorbed when cutting p/q into n parts.
-    if not p:
-        return 0
-    return _lift(p, q, q * n // gcd(p, n))
-
-
 def add(x: Element, y: Element) -> Element:
-    """Model addition: galaxies add as rationals, offsets carry-correct."""
+    """Model addition: (p1*c + w1)/q1 + (p2*c + w2)/q2 as fractions."""
     p1, q1, p2, q2 = x.p, x.q, y.p, y.q
     if not p2:
-        return _element(p1, q1, x.offset + y.offset)
+        return _element(p1, q1, x.w + q1 * y.w)
     if not p1:
-        return _element(p2, q2, x.offset + y.offset)
+        return _element(p2, q2, y.w + q2 * x.w)
     if q1 == q2:
-        p, q = p1 + p2, q1
+        p, q, w = p1 + p2, q1, x.w + y.w
     else:
-        p, q = p1 * q2 + p2 * q1, q1 * q2
+        p, q, w = p1 * q2 + p2 * q1, q1 * q2, x.w * q2 + y.w * q1
     g = gcd(p, q)
-    p, q = p // g, q // g
-    return _element(p, q, x.offset + y.offset + _carry(p1, q1, p2, q2, p, q))
+    return _element(p // g, q // g, w // g)
 
 
 def sub(x: Element, y: Element) -> Element:
     """The unique z with y + z = x; raises NegativeResultError if x < y."""
     p1, q1, p2, q2 = x.p, x.q, y.p, y.q
     a, b = p1 * q2, p2 * q1
-    if a < b or a == b and x.offset < y.offset:
+    if a < b or a == b and x.w < y.w:
         raise NegativeResultError(f"{format_element(x)} < {format_element(y)}")
-    if not p2:
-        return _element(p1, q1, x.offset - y.offset)
     if a == b:
-        return _element(0, 1, x.offset - y.offset)
+        return _element(0, 1, (x.w - y.w) // q1)
+    if not p2:
+        return _element(p1, q1, x.w - q1 * y.w)
     if q1 == q2:
-        p, q = p1 - p2, q1
+        p, q, w = p1 - p2, q1, x.w - y.w
     else:
-        p, q = a - b, q1 * q2
+        p, q, w = a - b, q1 * q2, x.w * q2 - y.w * q1
     g = gcd(p, q)
-    p, q = p // g, q // g
-    return _element(p, q, x.offset - y.offset - _carry(p2, q2, p, q, p1, q1))
+    return _element(p // g, q // g, w // g)
 
 
 def compare(x, y) -> Ordering:
     """The order of x and y as their type's ``<`` gives it.
 
-    For Elements that is the model order: galaxies as rationals, then
-    offsets as integers.  Every model binds this one function.
+    The standard and pairs models bind this function; the non-standard
+    model binds the kernel ``compare_elements``, which gives the same
+    answer on Elements.
     """
     if x == y:
         return Ordering.EQUAL
     return Ordering.LESS if x < y else Ordering.GREATER
 
 
+def compare_elements(x: Element, y: Element) -> Ordering:
+    """The model order of two Elements: galaxies as rationals, then w."""
+    a, b = x.p * y.q, y.p * x.q
+    if a == b:
+        a, b = x.w, y.w
+        if a == b:
+            return Ordering.EQUAL
+    return Ordering.LESS if a < b else Ordering.GREATER
+
+
 def scalar_mul(n: int, x: Element) -> Element:
     """n-fold sum of x with itself; scalar_mul(0, x) is 0."""
     if n < 0:
         raise ValueError(f"scalar must be a natural number, got {n}")
-    g = n * x.galaxy
-    return Element(g, n * x.offset - _lift(g.numerator, g.denominator, x.q))
+    p, q = n * x.p, x.q
+    g = gcd(p, q)
+    return _element(p // g, q // g, n * x.w // g)
 
 
 def divide(x: Element, n: int) -> Element:
@@ -307,37 +300,38 @@ def divide(x: Element, n: int) -> Element:
     """
     if n < 1:
         raise ValueError(f"divisor must be positive, got {n}")
-    p, q = x.p, x.q
-    num = x.offset + _split_carry(p, q, n)
-    if num % n:
-        raise NotDivisibleError(f"{format_element(x)} is not divisible by {n}")
+    p, q, w = x.p, x.q, x.w
     g = gcd(p, n)
-    return _element(p // g, q * (n // g), num // n)
+    L = q * n // g
+    if ((p * t_residue(L) + w) // q if p else w) % n:
+        raise NotDivisibleError(f"{format_element(x)} is not divisible by {n}")
+    return _element(p // g, L, w // g)
 
 
 def residue_mod(x: Element, n: int) -> int:
     """The unique j in [0, n) such that x - j is divisible by n."""
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    return (x.offset + _split_carry(x.p, x.q, n)) % n
+    p = x.p
+    if not p:
+        return x.w % n
+    q = x.q
+    return (p * t_residue(q * n // gcd(p, n)) + x.w) // q % n
 
 
 def v2(x: Element) -> Element:
     """The largest power of two dividing x, with v2(0) = 0.
 
-    Writing x = (p*c + w)/q with w = q*offset - p*t(q), the valuation of x
-    is the valuation of the numerator: if w = 0 the element is a
-    binary-rational multiple of c and its v2 is the non-standard power
-    2^(nu2(p) - nu2(q)) * c; otherwise v2 is the standard 2^(nu2(w) - nu2(q)).
-    nu2(w) >= nu2(q) always, since t(q) carries the full 2-part of q.  If
-    w = 0, q is a power of two (t(q) is 1 modulo q's odd part, which would
-    divide p), so with ``m & -m`` = 2^nu2(m) that galaxy is (p & -p)/q.
+    With x = (p*c + w)/q, the valuation of x is the valuation of the
+    numerator: if w = 0 the element is a binary-rational multiple of c and
+    its v2 is the non-standard power 2^(nu2(p) - nu2(q)) * c; otherwise v2
+    is the standard 2^(nu2(w) - nu2(q)).  nu2(w) >= nu2(q) always, since
+    t(q) carries the full 2-part of q.  If w = 0, q is a power of two
+    (t(q) is 1 modulo q's odd part, which would divide p), so with
+    ``m & -m`` = 2^nu2(m) that galaxy is (p & -p)/q.
     """
-    p, q, d = x.p, x.q, x.offset
-    if p == 0:
-        return _element(0, 1, d & -d)
-    w = q * d - p * t_residue(q)
-    if w == 0:
+    p, q, w = x.p, x.q, x.w
+    if w == 0 and p:
         return _element(p & -p, q, 0)
     return _element(0, 1, (w & -w) // (q & -q))
 
@@ -349,11 +343,10 @@ def is_standard(x: Element) -> bool:
 def is_hypernumber(x: Element) -> bool:
     """True iff x is divisible by every standard power of two.
 
-    These are exactly the binary-rational multiples of c: galaxy p/2^e
-    with offset such that the standard part w vanishes.
+    These are exactly the binary-rational multiples of c, the elements
+    with w = 0: galaxy p/2^e and offset 0, as t(2^e) = 0.
     """
-    p, q = x.p, x.q
-    return p != 0 and q * x.offset == p * t_residue(q)
+    return x.p != 0 and x.w == 0
 
 
 def is_power_of_two(x: Element) -> bool:
@@ -371,7 +364,7 @@ def next_power_of_two_above(x: Element) -> Element:
     above it, and c/3 and c/2 - 1 give 2c, though c/2 is above them.
     """
     if x.p == 0:
-        return _element(0, 1, 1 << x.offset.bit_length())
+        return _element(0, 1, 1 << x.w.bit_length())
     return _element(1 << (-(-x.p // x.q)).bit_length(), 1, 0)
 
 
@@ -442,14 +435,15 @@ def format_element(x: Element) -> str:
     """Canonical literal; inverse of parse_element on its own output."""
     p, q = x.p, x.q
     if p == 0:
-        return str(x.offset)
+        return str(x.w)
     if q == 1:
         coef = "c" if p == 1 else f"{p}c"
     else:
         coef = f"{p}/{q}c"
-    if x.offset == 0:
+    d = x.offset
+    if d == 0:
         return coef
-    return f"{coef}{'+' if x.offset > 0 else '-'}{abs(x.offset)}"
+    return f"{coef}{'+' if d > 0 else '-'}{abs(d)}"
 
 
 _CORNERS = (
@@ -462,6 +456,15 @@ _CORNERS = (
 )
 
 
+def _below(getrandbits, n: int) -> int:
+    # rng.randrange(n) for n >= 1, drawn as CPython's Random draws it.
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 class NonstandardModel:
     """The constructed model as a Model."""
 
@@ -471,7 +474,7 @@ class NonstandardModel:
     add = staticmethod(add)
     sub = staticmethod(sub)
     divide = staticmethod(divide)
-    compare = staticmethod(compare)
+    compare = staticmethod(compare_elements)
     residue_mod = staticmethod(residue_mod)
     v2 = staticmethod(v2)
     next_power_of_two = staticmethod(next_power_of_two_above)
@@ -488,14 +491,21 @@ class NonstandardModel:
         return _CORNERS
 
     def sample(self, rng) -> Element:
+        # The draws of rng.randrange and rng.randint, in the same order.
+        bits = rng.getrandbits
         roll = rng.random()
         if roll < 0.25:
-            return _element(0, 1, rng.randrange(self.offset_bound + 1))
+            return _element(0, 1, _below(bits, self.offset_bound + 1))
+        den_bound = self.den_bound
+        num = 1 + _below(bits, den_bound)
         if roll < 0.40:
-            # hypernumbers: binary-rational multiples of c
-            num, den, offset = rng.randrange(1, self.den_bound + 1), 1 << rng.randrange(11), 0
-        else:
-            num, den = rng.randrange(1, self.den_bound + 1), rng.randrange(1, self.den_bound + 1)
-            offset = rng.randint(-self.offset_bound, self.offset_bound)
+            # hypernumbers: binary-rational multiples of c, where w = 0
+            den = 1 << _below(bits, 11)
+            g = gcd(num, den)
+            return _element(num // g, den // g, 0)
+        den = 1 + _below(bits, den_bound)
+        offset_bound = self.offset_bound
+        offset = _below(bits, 2 * offset_bound + 1) - offset_bound
         g = gcd(num, den)
-        return _element(num // g, den // g, offset)
+        p, q = num // g, den // g
+        return _element(p, q, q * offset - p * t_residue(q))

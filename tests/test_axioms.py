@@ -148,6 +148,30 @@ def test_run_suite_filters_and_validates_ids():
         run_suite(NONSTD, ids=("A15", "B9"))
 
 
+def test_run_suite_builds_only_the_requested_specs(monkeypatch):
+    def unwanted(*args):
+        raise AssertionError("built a schema matrix that was not requested")
+
+    for name in ("_congruence_matrix", "_residue_cases_matrix", "_odd_indivisibility_matrix"):
+        monkeypatch.setattr(axioms, name, unwanted)
+    reports = run_suite(NONSTD, cases=5, schema_max=MAX_SCHEMA, ids=("V13", "A15", "A1", "A15"))
+    assert [(r.axiom_id, r.status) for r in reports] == [("A1", PASS), ("A15", PASS), ("V13", PASS)]
+    with pytest.raises(ValueError, match="^schema bound must be at most 500, got 501$"):
+        run_suite(NONSTD, schema_max=MAX_SCHEMA + 1, ids=("", "B9"))
+    with pytest.raises(ValueError, match="^empty axiom id$"):
+        run_suite(NONSTD, ids=("B9", ""))
+    with pytest.raises(ValueError, match="^unknown axiom ids: B9, V15$"):
+        run_suite(NONSTD, ids=("A15", "B9", "V15"))
+
+
+def test_build_axioms_filters_by_id_in_catalog_order():
+    assert build_axioms(ids=()) == ()
+    picked = build_axioms(ids=("A17", "V12", "A4", "B9"))
+    assert [spec.id for spec in picked] == ["A4", "A17", "V12"]
+    full = {spec.id: spec for spec in build_axioms()}
+    assert all(spec == full[spec.id] for spec in picked)
+
+
 # -- falsification power ---------------------------------------------------------------
 
 class ConstantV2Model(NonstandardModel):
@@ -240,24 +264,29 @@ def test_fail_reports_are_pinned(model_class):
     assert [r for r in reports if r.status == FAIL] == PINNED_FAILS[model_class]
 
 
-def _off_by_one_carry(carry):
-    # one too many, only when both galaxies' denominators are divisible by 3
-    return lambda p1, q1, p2, q2, p, q: carry(p1, q1, p2, q2, p, q) + (q1 % 3 == 0 and q2 % 3 == 0)
+class OffByOneAddModel(NonstandardModel):
+    """add deliberately broken: one too many when both denominators are divisible by 3."""
+
+    def add(self, x, y):
+        z = nonstandard.add(x, y)
+        return nonstandard.add(z, nonstandard.ONE) if x.q % 3 == 0 and y.q % 3 == 0 else z
 
 
-def _off_by_one_split_carry(split_carry):
-    # one too many, only when cutting into 5 parts a galaxy whose denominator 7 divides
-    return lambda p, q, n: split_carry(p, q, n) + (n == 5 and q % 7 == 0)
+class OffByOneResidueModel(NonstandardModel):
+    """residue_mod deliberately broken: one too many modulo 5 when 7 divides the denominator."""
+
+    def residue_mod(self, x, n):
+        return (nonstandard.residue_mod(x, n) + (n == 5 and x.q % 7 == 0)) % n
 
 
-@pytest.mark.parametrize("name, fault", [
-    ("_carry", _off_by_one_carry),
-    ("_split_carry", _off_by_one_split_carry),
-])
-def test_seeded_kernel_fault_is_caught(monkeypatch, name, fault):
-    monkeypatch.setattr(nonstandard, name, fault(getattr(nonstandard, name)))
-    reports = run_suite(NonstandardModel(), seed=0, cases=300)
-    assert FAIL in {r.status for r in reports}
+# The axioms each seeded fault fails in the default-sized suite.
+SEEDED_FAULT_FAILS = {OffByOneAddModel: ["A2", "A4", "A7"], OffByOneResidueModel: ["A4"]}
+
+
+@pytest.mark.parametrize("model_class", list(SEEDED_FAULT_FAILS), ids=lambda c: c.__name__)
+def test_seeded_kernel_fault_is_caught(model_class):
+    reports = run_suite(model_class(), seed=0, cases=300)
+    assert [r.axiom_id for r in reports if r.status == FAIL] == SEEDED_FAULT_FAILS[model_class]
 
 
 # A compiled check that is always false: every FAIL it reports must be

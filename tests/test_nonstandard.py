@@ -21,6 +21,7 @@ from buchi2.nonstandard import (
     ZERO,
     add,
     compare,
+    compare_elements,
     density_witnesses,
     divide,
     format_element,
@@ -38,7 +39,6 @@ from buchi2.nonstandard import (
     t_residue,
     v2,
 )
-from buchi2.nonstandard import _carry, _split_carry
 
 
 def el(num, den=1, offset=0):
@@ -339,9 +339,10 @@ def ref_key(x):
 
 
 def assert_well_formed(x):
-    assert type(x) is Element and all(type(v) is int for v in (x.p, x.q, x.offset))
+    assert type(x) is Element and all(type(v) is int for v in (x.p, x.q, x.w, x.offset))
     assert x.q >= 1 and x.p >= 0 and gcd(x.p, x.q) == 1
     assert x.p > 0 or x.offset >= 0
+    assert x.w == x.q * x.offset - x.p * t_residue(x.q)
     assert x == Element(F(x.p, x.q), x.offset)
 
 
@@ -349,7 +350,7 @@ def assert_order_matches_reference(x, y):
     kx, ky = ref_key(x), ref_key(y)
     assert (x < y, x <= y, x > y, x >= y) == (kx < ky, kx <= ky, kx > ky, kx >= ky)
     assert (x == y, x != y) == (kx == ky, kx != ky)
-    assert compare(x, y) is Ordering((kx > ky) - (kx < ky))
+    assert compare(x, y) is compare_elements(x, y) is Ordering((kx > ky) - (kx < ky))
     if x == y:
         assert hash(x) == hash(y)
 
@@ -369,9 +370,10 @@ def assert_representation_matches_reference(x, y):
 
 
 # -- the integer kernel against the Fraction formulas --------------------------
-# Reference: each carry as a difference of the Fraction t-parts p*t(q)/q of
-# its galaxies, whose c-terms cancel.  The kernel lifts every t-value to one
-# common modulus instead; both must give the same integers.
+# Reference: the offset form base(p/q) + offset, with each carry between base
+# points as a difference of the Fraction t-parts p*t(q)/q of its galaxies,
+# whose c-terms cancel.  The kernel computes on numerators (p*c + w)/q and
+# forms no carries; both must give the same elements.
 
 def ref_t_part(r):
     return F(r.numerator * t_residue(r.denominator), r.denominator)
@@ -397,24 +399,22 @@ def ref_scalar_shift(n, r):
 def assert_kernel_matches_reference(x, y, moduli):
     assert_representation_matches_reference(x, y)
     gx, gy = x.galaxy, y.galaxy
-    carry = ref_carry(gx, gy)
-    s = gx + gy
-    assert _carry(x.p, x.q, y.p, y.q, s.numerator, s.denominator) == carry
-    assert add(x, y) == Element(s, x.offset + y.offset + carry)
+    results = [(add(x, y), Element(gx + gy, x.offset + y.offset + ref_carry(gx, gy)))]
     lo, hi = sorted((x, y))
     g = hi.galaxy - lo.galaxy
-    assert sub(hi, lo) == Element(g, hi.offset - lo.offset - ref_carry(lo.galaxy, g))
+    results.append((sub(hi, lo), Element(g, hi.offset - lo.offset - ref_carry(lo.galaxy, g))))
     for n in moduli:
-        assert scalar_mul(n, x) == Element(n * gx, n * x.offset + ref_scalar_shift(n, gx))
-        split = ref_split_carry(gx, n)
-        assert _split_carry(x.p, x.q, n) == split
-        num = x.offset + split
+        results.append((scalar_mul(n, x), Element(n * gx, n * x.offset + ref_scalar_shift(n, gx))))
+        num = x.offset + ref_split_carry(gx, n)
         assert residue_mod(x, n) == num % n
         if num % n:
             with pytest.raises(NotDivisibleError):
                 divide(x, n)
         else:
-            assert divide(x, n) == Element(gx / n, num // n)
+            results.append((divide(x, n), Element(gx / n, num // n)))
+    for z, want in results:
+        assert_well_formed(z)
+        assert z == want
 
 
 @given(elements(max_denominator=10**6), elements(max_denominator=10**6), st.integers(1, 24))
@@ -428,6 +428,17 @@ def test_kernel_matches_fraction_reference_on_sampled_elements():
     xs = list(model.corner_elements()) + [model.sample(rng) for _ in range(3000)]
     for x, y in zip(xs, xs[1:] + xs[:1]):
         assert_kernel_matches_reference(x, y, range(1, 25))
+
+
+def test_kernel_compare_matches_generic_compare():
+    model = NonstandardModel()
+    rng = random.Random(1)
+    xs = list(model.corner_elements()) + [model.sample(rng) for _ in range(300)]
+    xs += [add(x, natural(1)) for x in xs[::7]]  # same galaxy, nearby offsets
+    assert model.compare is compare_elements
+    for x in xs:
+        for y in xs:
+            assert compare_elements(x, y) is compare(x, y)
 
 
 # -- v2 -------------------------------------------------------------------------
@@ -580,6 +591,31 @@ def test_pow2_cycle_length_divides_totient(n):
 
 
 # -- model adapter ----------------------------------------------------------------
+
+def ref_sample(model, rng):
+    # The sampler as written with randrange and randint, through the checked constructor.
+    roll = rng.random()
+    if roll < 0.25:
+        return Element(0, rng.randrange(model.offset_bound + 1))
+    if roll < 0.40:
+        num, den, offset = rng.randrange(1, model.den_bound + 1), 1 << rng.randrange(11), 0
+    else:
+        num, den = rng.randrange(1, model.den_bound + 1), rng.randrange(1, model.den_bound + 1)
+        offset = rng.randint(-model.offset_bound, model.offset_bound)
+    return Element(F(num, den), offset)
+
+
+@pytest.mark.parametrize("den_bound, offset_bound", [(1000, 10**6), (1, 1), (7, 10**40)])
+def test_sampler_draws_as_randrange_does(den_bound, offset_bound):
+    model = NonstandardModel(den_bound=den_bound, offset_bound=offset_bound)
+    for seed in range(50):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            x = model.sample(rng)
+            assert x == ref_sample(model, ref_rng)
+            assert_well_formed(x)
+        assert rng.getstate() == ref_rng.getstate()
+
 
 def test_sampler_respects_bounds_and_is_deterministic():
     import random
