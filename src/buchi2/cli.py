@@ -20,14 +20,14 @@ from .formulas import (
     ForAll,
     Exists,
     Term,
+    V2App,
     eval_qf,
     eval_term,
     free_variables,
     is_formula_text,
+    mentions,
     parse_formula,
     parse_term,
-    subformulas,
-    uses_v2,
 )
 from .nonstandard import (
     Model,
@@ -64,12 +64,12 @@ def _evaluate_expression(text: str, model: Model) -> str:
         except ParseError:
             pass
         expr = parse_term(text)
-    if any(isinstance(sub, (ForAll, Exists)) for sub in subformulas(expr)):
+    if mentions(expr, (ForAll, Exists)):
         raise EvaluationError("cannot decide quantified formulas; use the axioms harness")
     unbound = free_variables(expr)
     if unbound:
         raise EvaluationError(f"unbound variables: {', '.join(sorted(unbound))}")
-    if not model.has_v2 and uses_v2(expr):
+    if not model.has_v2 and mentions(expr, V2App):
         raise EvaluationError(f"model {model.name!r} has no V2")
     if isinstance(expr, Term):
         return model.format(eval_term(expr, {}, model))

@@ -18,7 +18,8 @@ A formula always contains a comparison, and a term never contains any of
 be a formula, other text only a term (``is_formula_text``).  The same rule
 picks the ``primary`` branch without backtracking: a ``(`` whose group, up
 to its matching ``)`` or the end of input, contains one of these opens
-``'(' formula ')'``, and any other ``(`` starts an atom.
+``'(' formula ')'``, and any other ``(`` starts an atom.  A line is scanned
+once: the pass that splits it into tokens also marks these groups.
 
 A quantifier binds as much as possible to its right, so in
 ``x = 0 | exists y. x = y + 1`` the existential's scope is the rest of the
@@ -41,14 +42,15 @@ call; it is the reference, and the CLI uses it, since it evaluates each
 line once.  ``compile_qf`` (module ``compiled``) turns a formula into a
 check for one model that gives the same value, or raises the same error,
 on every assignment; the axiom harness, which checks each matrix on many
-assignments, uses it.
+assignments, uses it.  ``mentions`` says whether a tree has a node of a
+given kind, such as a quantifier or ``V2``.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .nonstandard import Model, Ordering, ParseError
 
@@ -166,8 +168,8 @@ class NestingError(ParseError):
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<eqeq>==)|(?P<sym>[()+=<>~&|.])"
-    r"|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*))"
+    r"(?P<arrow>->)|(?P<eqeq>==)|(?P<sym>[()+=<>~&|.])"
+    r"|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S)"
 )
 # No term contains these, and every formula contains a comparison, so
 # they decide from the raw text whether parse_formula or parse_term applies,
@@ -181,37 +183,24 @@ def is_formula_text(text: str) -> bool:
     return _FORMULA_ONLY_RE.search(text) is not None
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == m.start():
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + len(rest) - len(rest.lstrip())
-            raise ParseError(f"unexpected character {text[bad]!r}", bad)
-        kind = m.lastgroup
-        value = m.group(kind)
-        tokens.append((kind, value, m.start(kind)))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _scan(text: str) -> tuple[list[tuple[str, str, int]], set[int]]:
+    """The tokens of text, ending in an ``end`` token, and its formula groups.
 
-
-def _formula_groups(tokens: list[tuple[str, str, int]]) -> set[int]:
-    """Indices of the '(' that open a formula group.
-
-    A group runs to its matching ')', or to the end of input if it is left
-    open.  It is a formula group when it contains a formula-only token, the
-    rule of ``is_formula_text``; any other group can only hold a term.
+    Whitespace matches no alternative of ``_TOKEN_RE`` and is skipped.  The
+    formula groups are the indices of the '(' that open one.  A group runs
+    to its matching ')', or to the end of input if it is left open, and is
+    a formula group when it contains a formula-only token, the rule of
+    ``is_formula_text``; any other group can only hold a term.
     """
+    tokens: list[tuple[str, str, int]] = []
     groups: set[int] = set()
     open_groups: list[int] = []
-    for i, (_, value, _) in enumerate(tokens):  # each value has one kind
-        if value == "(":
-            open_groups.append(i)
+    for m in _TOKEN_RE.finditer(text):
+        kind, value, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+        if value == "(":  # each value has one kind
+            open_groups.append(len(tokens))
         elif value == ")" and open_groups:
             open_groups.pop()
         elif value in _FORMULA_ONLY_TOKENS:
@@ -221,7 +210,9 @@ def _formula_groups(tokens: list[tuple[str, str, int]]) -> set[int]:
                 if j in groups:
                     break
                 groups.add(j)
-    return groups
+        tokens.append((kind, value, pos))
+    tokens.append(("end", "", len(text)))
+    return tokens, groups
 
 
 class _Parser:
@@ -231,8 +222,7 @@ class _Parser:
     # bounds the recursion of every walker over the tree.
 
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.formula_groups = _formula_groups(self.tokens)
+        self.tokens, self.formula_groups = _scan(text)
         self.i = 0
         self.depth = 0
         self.height = 0
@@ -531,24 +521,14 @@ def compile_qf(f: Formula, model: Model):
     return compile_qf(f, model)
 
 
-def subformulas(f: Formula) -> Iterator[Formula]:
-    """All subformulas, preorder."""
-    yield f
-    if isinstance(f, Not):
-        yield from subformulas(f.body)
-    elif isinstance(f, (And, Or, Implies)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (ForAll, Exists)):
-        yield from subformulas(f.body)
-
-
-def uses_v2(f: Formula | Term) -> bool:
-    """Whether the term or formula f mentions the valuation function."""
-    if isinstance(f, V2App):
+def mentions(f: Formula | Term, kinds: type | tuple[type, ...]) -> bool:
+    """Whether the term or formula f has a node of the given type or types."""
+    if isinstance(f, kinds):
         return True
     if isinstance(f, (Sum, Eq, Lt, CongMod, And, Or, Implies)):
-        return uses_v2(f.left) or uses_v2(f.right)
+        return mentions(f.left, kinds) or mentions(f.right, kinds)
+    if isinstance(f, V2App):
+        return mentions(f.arg, kinds)
     if isinstance(f, (Not, ForAll, Exists)):
-        return uses_v2(f.body)
+        return mentions(f.body, kinds)
     return False

@@ -132,11 +132,12 @@ class Element:
     """A model element base(p/q) + offset, stored as (p*c + w)/q in the three ints p, q, w.
 
     ``Element(galaxy, offset)`` checks its arguments: ``galaxy`` is a
-    non-negative rational (an int is accepted; 0 for standard numbers) and
-    ``offset`` an integer, which must be >= 0 in the standard galaxy.  The
-    galaxy is kept as p/q in lowest terms with q >= 1, and ``galaxy`` gives
-    it back as a Fraction; w = q*offset - p*t(q), so a standard element
-    stores its value in w, and ``offset`` gives back (w + p*t(q)) / q.
+    non-negative Fraction or int (0 for standard numbers) and ``offset`` an
+    int, which must be >= 0 in the standard galaxy; other types raise
+    TypeError.  The galaxy is kept as p/q in lowest terms with q >= 1, and
+    ``galaxy`` gives it back as a Fraction; w = q*offset - p*t(q), so a
+    standard element stores its value in w, and ``offset`` gives back
+    (w + p*t(q)) / q.
     Kernel results that are valid by construction skip the checks through
     ``_element``.  Elements are immutable; ``<`` is the model order
     (galaxies as rationals, ties broken on w, which orders the offsets
@@ -146,7 +147,11 @@ class Element:
     __slots__ = ("p", "q", "w")
 
     def __init__(self, galaxy: Fraction | int, offset: int):
+        if not isinstance(offset, int):
+            raise TypeError(f"offset must be an int, got {offset!r}")
         if not isinstance(galaxy, Fraction):
+            if not isinstance(galaxy, int):
+                raise TypeError(f"galaxy must be an int or a Fraction, got {galaxy!r}")
             galaxy = Fraction(galaxy)
         p, q = galaxy.numerator, galaxy.denominator
         if p < 0:
@@ -254,10 +259,7 @@ def sub(x: Element, y: Element) -> Element:
         return _element(0, 1, (x.w - y.w) // q1)
     if not p2:
         return _element(p1, q1, x.w - q1 * y.w)
-    if q1 == q2:
-        p, q, w = p1 - p2, q1, x.w - y.w
-    else:
-        p, q, w = a - b, q1 * q2, x.w * q2 - y.w * q1
+    p, q, w = a - b, q1 * q2, x.w * q2 - y.w * q1
     g = gcd(p, q)
     return _element(p // g, q // g, w // g)
 

@@ -30,7 +30,11 @@ class PairElement:
     n: int
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise TypeError(f"second coordinate must be an int, got {self.n!r}")
         if not isinstance(self.g, Fraction):
+            if not isinstance(self.g, int):
+                raise TypeError(f"first coordinate must be an int or a Fraction, got {self.g!r}")
             object.__setattr__(self, "g", Fraction(self.g))
         num = self.g.numerator
         if num < 0:

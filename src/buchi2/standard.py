@@ -8,14 +8,13 @@ two can be cross-checked case for case.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 
 from .nonstandard import (
-    Element,
     NegativeResultError,
     NotDivisibleError,
     ParseError,
     compare,
+    natural,
 )
 
 
@@ -30,11 +29,7 @@ def std_v2(x: int) -> int:
     return x & -x
 
 
-def embed(x: int) -> Element:
-    """The standard element x of the non-standard model."""
-    if x < 0:
-        raise ValueError(f"natural number expected, got {x}")
-    return Element(Fraction(0), x)
+embed = natural  # the standard element x of the non-standard model
 
 
 class StandardModel:

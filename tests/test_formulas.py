@@ -30,7 +30,6 @@ from buchi2.formulas import (
     V2App,
     Variable,
     _Parser,
-    _tokenize,
     compile_qf,
     eval_qf,
     eval_term,
@@ -38,10 +37,10 @@ from buchi2.formulas import (
     format_term,
     free_variables,
     is_formula_text,
+    mentions,
     nsum,
     parse_formula,
     parse_term,
-    uses_v2,
 )
 from buchi2.nonstandard import Element, NonstandardModel, ParseError
 from buchi2.pairs import PairsModel
@@ -160,6 +159,13 @@ def test_parse_error_carries_position():
     assert err.value.position == 10
 
 
+def test_scanner_reads_unicode_spaces_and_digits():
+    assert parse_formula("1\u3000=\x1c1\x85") == Eq(Numeral(1), Numeral(1))
+    assert eval_qf(parse_formula("\u0661\u0662 = 12"), {}, NONSTD) is True
+    with pytest.raises(ParseError, match=r"^unexpected character '/' \(at position 5\)$"):
+        parse_formula("1 =\u3000\u3000/")
+
+
 def test_keywords_are_not_variables():
     with pytest.raises(ParseError):
         parse_term("mod + 1")
@@ -191,7 +197,7 @@ def test_parse_reads_each_token_once(monkeypatch, text):
 
     monkeypatch.setattr(_Parser, "next", counted)
     parse_formula(text)
-    assert calls == len(_tokenize(text)) - 1  # `end` is only peeked
+    assert calls == len(_Parser(text).tokens) - 1  # `end` is only peeked
 
 
 # -- printing ------------------------------------------------------------------
@@ -297,12 +303,17 @@ def test_nsum():
     assert nsum(u, 3) == Sum(Sum(u, u), u)
 
 
-def test_uses_v2():
-    assert uses_v2(parse_formula("V2(x) = x"))
-    assert uses_v2(parse_formula("forall x. (x = 0 -> V2(x) + 1 = 1)"))
-    assert not uses_v2(parse_formula("forall x. x + 0 = x"))
-    assert uses_v2(parse_term("1 + V2(2)"))
-    assert not uses_v2(parse_term("x + 1"))
+def test_mentions():
+    assert mentions(parse_formula("V2(x) = x"), V2App)
+    assert mentions(parse_formula("forall x. (x = 0 -> V2(x) + 1 = 1)"), V2App)
+    assert not mentions(parse_formula("forall x. x + 0 = x"), V2App)
+    assert mentions(parse_term("1 + V2(2)"), V2App)
+    assert not mentions(parse_term("x + 1"), V2App)
+    assert mentions(parse_formula("x = 1 & x < 2 + V2(1)"), V2App)
+    assert mentions(parse_formula("x = 0 | ~ exists y. x = y"), (ForAll, Exists))
+    assert not mentions(parse_formula("~ (x = 0 & V2(x) = 1)"), (ForAll, Exists))
+    assert not mentions(parse_term("V2(x + 1)"), (ForAll, Exists))
+    assert mentions(parse_term("1 + V2(x + 1)"), Variable)
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -40,6 +40,9 @@ def test_carrier():
         PairElement(F(0), -1)
     with pytest.raises(ValueError):
         PairElement(F(-1, 2), 0)
+    for g, n in [(F(1, 3), 1.5), (0.5, 1), ("1/2", 0)]:
+        with pytest.raises(TypeError):
+            PairElement(g, n)
     assert pe(1, 2, -3).n == -3
 
 
