@@ -17,15 +17,11 @@ import sys
 
 from .axioms import FAIL, Report, run_suite
 from .formulas import (
-    ForAll,
-    Exists,
     Term,
-    V2App,
     eval_qf,
     eval_term,
-    free_variables,
+    identifiers,
     is_formula_text,
-    mentions,
     parse_formula,
     parse_term,
 )
@@ -54,6 +50,9 @@ def make_model(name: str, den_bound: int = 1000, offset_bound: int = 10**6) -> M
     raise ValueError(f"unknown model {name!r}")
 
 
+_NON_VARIABLES = frozenset(("mod", "V2"))
+
+
 def _evaluate_expression(text: str, model: Model) -> str:
     """Element literal, closed term, or closed quantifier-free formula."""
     if is_formula_text(text):  # no element literal has a formula-only symbol
@@ -64,12 +63,14 @@ def _evaluate_expression(text: str, model: Model) -> str:
         except ParseError:
             pass
         expr = parse_term(text)
-    if mentions(expr, (ForAll, Exists)):
+    # The text parsed, so its names say what the tree holds (``identifiers``).
+    names = identifiers(text)
+    if "forall" in names or "exists" in names:
         raise EvaluationError("cannot decide quantified formulas; use the axioms harness")
-    unbound = free_variables(expr)
+    unbound = names - _NON_VARIABLES
     if unbound:
         raise EvaluationError(f"unbound variables: {', '.join(sorted(unbound))}")
-    if not model.has_v2 and mentions(expr, V2App):
+    if not model.has_v2 and "V2" in names:
         raise EvaluationError(f"model {model.name!r} has no V2")
     if isinstance(expr, Term):
         return model.format(eval_term(expr, {}, model))

@@ -43,7 +43,10 @@ line once.  ``compile_qf`` (module ``compiled``) turns a formula into a
 check for one model that gives the same value, or raises the same error,
 on every assignment; the axiom harness, which checks each matrix on many
 assignments, uses it.  ``mentions`` says whether a tree has a node of a
-given kind, such as a quantifier or ``V2``.
+given kind, such as a quantifier or ``V2``.  ``identifiers`` gives the
+names in a line's text, from which the CLI reads, without walking the
+tree, whether a line that parsed is quantified, which variables it leaves
+unbound and whether it uses ``V2``.
 """
 
 from __future__ import annotations
@@ -167,10 +170,14 @@ class NestingError(ParseError):
     """Text nested deeper than MAX_DEPTH levels."""
 
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _TOKEN_RE = re.compile(
     r"(?P<arrow>->)|(?P<eqeq>==)|(?P<sym>[()+=<>~&|.])"
-    r"|(?P<nat>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<bad>\S)"
+    rf"|(?P<nat>\d+)|(?P<ident>{_IDENT})|(?P<bad>\S)"
 )
+# No other kind of token contains a character that can start an identifier,
+# so on text that scans without error this finds exactly the ident tokens.
+_IDENT_RE = re.compile(_IDENT)
 # No term contains these, and every formula contains a comparison, so
 # they decide from the raw text whether parse_formula or parse_term applies,
 # and from the tokens whether a parenthesized group holds a formula or a term.
@@ -181,6 +188,16 @@ _FORMULA_ONLY_TOKENS = frozenset(("=", "<", ">", "~", "&", "|", "==", "->", "for
 def is_formula_text(text: str) -> bool:
     """Whether text can only be a formula; any other text can only be a term."""
     return _FORMULA_ONLY_RE.search(text) is not None
+
+
+def identifiers(text: str) -> set[str]:
+    """The names of the identifier tokens of text.
+
+    On text that parses, a ``forall`` or ``exists`` name is a quantifier,
+    ``V2`` a ``V2App``, ``mod`` the keyword of a congruence, and every other
+    name a ``Variable``; with no quantifier, these are the free variables.
+    """
+    return set(_IDENT_RE.findall(text))
 
 
 def _scan(text: str) -> tuple[list[tuple[str, str, int]], set[int]]:
@@ -227,8 +244,9 @@ class _Parser:
         self.depth = 0
         self.height = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
+    # The methods read ``self.tokens[self.i]`` directly and step ``i`` by
+    # one.  They test a symbol or keyword token by its value alone: no two
+    # kinds of token share a value.
 
     def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
@@ -242,16 +260,6 @@ class _Parser:
             raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
         return tok
 
-    def at_sym(self, value: str) -> bool:
-        kind, tok, _ = self.peek()
-        return kind == "sym" and tok == value
-
-    def eat_sym(self, value: str) -> bool:
-        if self.at_sym(value):
-            self.next()
-            return True
-        return False
-
     def descend(self, pos: int) -> None:
         self.depth += 1
         if self.depth > MAX_DEPTH:
@@ -259,14 +267,14 @@ class _Parser:
 
     def grow(self, height: int) -> None:
         if height > MAX_DEPTH:
-            raise NestingError(f"nested deeper than {MAX_DEPTH} levels", self.peek()[2])
+            raise NestingError(f"nested deeper than {MAX_DEPTH} levels", self.tokens[self.i][2])
         self.height = height
 
     # -- formulas ----------------------------------------------------------
 
     def formula(self) -> Formula:
-        kind, value, _ = self.peek()
-        if kind == "ident" and value in ("forall", "exists"):
+        value = self.tokens[self.i][1]
+        if value == "forall" or value == "exists":
             self.descend(self.next()[2])
             var = self.expect("ident")
             if var[1] in _KEYWORDS:
@@ -280,10 +288,10 @@ class _Parser:
 
     def implication(self) -> Formula:
         left = self.disjunction()
-        if self.peek()[0] == "arrow":
-            self.next()
+        if self.tokens[self.i][1] == "->":
+            self.i += 1
             height = self.height
-            self.descend(self.peek()[2])
+            self.descend(self.tokens[self.i][2])
             right = self.implication()
             self.depth -= 1
             self.grow(max(height, self.height) + 1)
@@ -293,7 +301,9 @@ class _Parser:
     def chain(self, operand, sym: str, node):
         """Left-associative operands joined by sym; n operands take n - 1 levels."""
         out = operand()
-        while self.eat_sym(sym):
+        tokens = self.tokens
+        while tokens[self.i][1] == sym:
+            self.i += 1
             height = self.height
             out = node(out, operand())
             self.grow(max(height, self.height) + 1)
@@ -306,21 +316,24 @@ class _Parser:
         return self.chain(self.negation, "&", And)
 
     def negation(self) -> Formula:
-        if self.at_sym("~"):
-            self.descend(self.next()[2])
+        _, value, pos = self.tokens[self.i]
+        if value == "~":
+            self.i += 1
+            self.descend(pos)
             body = self.negation()
             self.depth -= 1
             self.grow(self.height + 1)
             return Not(body)
-        kind, value, _ = self.peek()
-        if kind == "ident" and value in ("forall", "exists"):
+        if value == "forall" or value == "exists":
             return self.formula()  # quantifier absorbs the rest of this branch
         return self.primary()
 
     def primary(self) -> Formula:
-        if self.i not in self.formula_groups:
+        i = self.i
+        if i not in self.formula_groups:
             return self.atom()
-        self.descend(self.next()[2])
+        self.i = i + 1
+        self.descend(self.tokens[i][2])
         body = self.formula()
         self.expect("sym", ")")
         self.depth -= 1
@@ -329,8 +342,15 @@ class _Parser:
     def atom(self) -> Formula:
         left = self.term()
         height = self.height
-        kind, value, pos = self.next()
-        if kind == "eqeq":
+        _, value, pos = self.tokens[self.i]
+        self.i += 1
+        if value == "=":
+            out = Eq(left, self.term())
+        elif value == "<":
+            out = Lt(left, self.term())
+        elif value == ">":
+            out = Lt(self.term(), left)
+        elif value == "==":
             right = self.term()
             mod_kw = self.expect("ident")
             if mod_kw[1] != "mod":
@@ -340,12 +360,6 @@ class _Parser:
             if n < 2:
                 raise ParseError(f"congruence modulus must be >= 2, got {n}", nat[2])
             out = CongMod(n, left, right)
-        elif kind == "sym" and value == "=":
-            out = Eq(left, self.term())
-        elif kind == "sym" and value == "<":
-            out = Lt(left, self.term())
-        elif kind == "sym" and value == ">":
-            out = Lt(self.term(), left)
         else:
             raise ParseError(f"expected a comparison, found {value or 'end of input'!r}", pos)
         self.height = max(height, self.height)
@@ -357,24 +371,25 @@ class _Parser:
         return self.chain(self.factor, "+", Sum)
 
     def factor(self) -> Term:
-        kind, value, pos = self.next()
-        if kind == "ident" and value == "V2":
-            self.descend(pos)
-            self.expect("sym", "(")
-            arg = self.term()
-            self.expect("sym", ")")
-            self.depth -= 1
-            self.grow(self.height + 1)
-            return V2App(arg)
+        kind, value, pos = self.tokens[self.i]
+        self.i += 1
         if kind == "nat":
             self.height = 0
             return Numeral(int(value))
         if kind == "ident":
+            if value == "V2":
+                self.descend(pos)
+                self.expect("sym", "(")
+                arg = self.term()
+                self.expect("sym", ")")
+                self.depth -= 1
+                self.grow(self.height + 1)
+                return V2App(arg)
             if value in _KEYWORDS:
                 raise ParseError(f"{value!r} cannot be a variable name", pos)
             self.height = 0
             return Variable(value)
-        if kind == "sym" and value == "(":
+        if value == "(":
             self.descend(pos)
             inner = self.term()
             self.expect("sym", ")")
@@ -386,7 +401,7 @@ class _Parser:
 def _parse_whole(text: str, rule):
     parser = _Parser(text)
     out = rule(parser)
-    kind, value, pos = parser.peek()
+    kind, value, pos = parser.tokens[parser.i]
     if kind != "end":
         raise ParseError(f"trailing input {value!r}", pos)
     return out

@@ -133,11 +133,11 @@ class Element:
 
     ``Element(galaxy, offset)`` checks its arguments: ``galaxy`` is a
     non-negative Fraction or int (0 for standard numbers) and ``offset`` an
-    int, which must be >= 0 in the standard galaxy; other types raise
-    TypeError.  The galaxy is kept as p/q in lowest terms with q >= 1, and
-    ``galaxy`` gives it back as a Fraction; w = q*offset - p*t(q), so a
-    standard element stores its value in w, and ``offset`` gives back
-    (w + p*t(q)) / q.
+    int, which must be >= 0 in the standard galaxy; other types, bools
+    included, raise TypeError.  The galaxy is kept as p/q in lowest terms
+    with q >= 1, and ``galaxy`` gives it back as a Fraction;
+    w = q*offset - p*t(q), so a standard element stores its value in w, and
+    ``offset`` gives back (w + p*t(q)) / q.
     Kernel results that are valid by construction skip the checks through
     ``_element``.  Elements are immutable; ``<`` is the model order
     (galaxies as rationals, ties broken on w, which orders the offsets
@@ -147,10 +147,10 @@ class Element:
     __slots__ = ("p", "q", "w")
 
     def __init__(self, galaxy: Fraction | int, offset: int):
-        if not isinstance(offset, int):
+        if offset.__class__ is not int and (offset.__class__ is bool or not isinstance(offset, int)):
             raise TypeError(f"offset must be an int, got {offset!r}")
         if not isinstance(galaxy, Fraction):
-            if not isinstance(galaxy, int):
+            if galaxy.__class__ is bool or not isinstance(galaxy, int):
                 raise TypeError(f"galaxy must be an int or a Fraction, got {galaxy!r}")
             galaxy = Fraction(galaxy)
         p, q = galaxy.numerator, galaxy.denominator
@@ -228,7 +228,9 @@ C = _element(1, 1, 0)
 
 
 def natural(n: int) -> Element:
-    """Embed a natural number as the standard element n."""
+    """Embed a natural number as the standard element n; n is an int, not a bool."""
+    if n.__class__ is not int and (n.__class__ is bool or not isinstance(n, int)):
+        raise TypeError(f"standard numbers are ints, got {n!r}")
     if n < 0:
         raise ValueError(f"standard numbers are non-negative, got offset {n}")
     return _element(0, 1, n)
@@ -414,7 +416,7 @@ def parse_element(text: str) -> Element:
     """Parse an element literal such as ``7``, ``c``, ``2c+5``, ``3/5c-2``, ``c/4+1``."""
     compact = "".join(text.split())
     if m := _STANDARD_RE.match(compact):
-        return Element(Fraction(0), int(m.group(1)))
+        return _element(0, 1, int(m.group(1)))
     if m := _SUGAR_RE.match(compact):
         num, den = 1, int(m.group(1))
         sign, off = m.group(2), m.group(3)
@@ -427,10 +429,14 @@ def parse_element(text: str) -> Element:
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}")
     offset = 0 if off is None else (int(off) if sign == "+" else -int(off))
-    try:
-        return Element(Fraction(num, den), offset)
-    except ValueError as exc:
-        raise ParseError(f"literal denotes no model element: {text!r} ({exc})") from exc
+    if num == 0:
+        try:
+            return natural(offset)
+        except ValueError as exc:
+            raise ParseError(f"literal denotes no model element: {text!r} ({exc})") from exc
+    g = gcd(num, den)
+    p, q = num // g, den // g
+    return _element(p, q, q * offset - p * t_residue(q))
 
 
 def format_element(x: Element) -> str:

@@ -30,20 +30,35 @@ class PairElement:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int):
-            raise TypeError(f"second coordinate must be an int, got {self.n!r}")
-        if not isinstance(self.g, Fraction):
-            if not isinstance(self.g, int):
-                raise TypeError(f"first coordinate must be an int or a Fraction, got {self.g!r}")
-            object.__setattr__(self, "g", Fraction(self.g))
-        num = self.g.numerator
-        if num < 0:
-            raise ValueError(f"first coordinate must be non-negative, got {self.g}")
-        if num == 0 and self.n < 0:
-            raise ValueError(f"standard pairs are non-negative, got {self.n}")
+        g, n = self.g, self.n
+        if n.__class__ is not int and (n.__class__ is bool or not isinstance(n, int)):
+            raise TypeError(f"second coordinate must be an int, got {n!r}")
+        if g.__class__ is not Fraction and not isinstance(g, Fraction):
+            if g.__class__ is bool or not isinstance(g, int):
+                raise TypeError(f"first coordinate must be an int or a Fraction, got {g!r}")
+            g = Fraction(g)
+            _set_g(self, g)
+        if g.numerator <= 0:
+            if g.numerator < 0:
+                raise ValueError(f"first coordinate must be non-negative, got {g}")
+            if n < 0:
+                raise ValueError(f"standard pairs are non-negative, got {n}")
 
     def __str__(self) -> str:
         return format_pair(self)
+
+
+# The slots' own setters; they bypass the frozen __setattr__.
+_set_g, _set_n = PairElement.__dict__["g"].__set__, PairElement.__dict__["n"].__set__
+
+
+def _pair(g: Fraction, n: int) -> PairElement:
+    # The trusted constructor: the caller guarantees a valid pair whose g
+    # is a Fraction.
+    x = object.__new__(PairElement)
+    _set_g(x, g)
+    _set_n(x, n)
+    return x
 
 
 def p_add(x: PairElement, y: PairElement) -> PairElement:
@@ -110,23 +125,26 @@ def refute_power2_candidate(x: PairElement) -> Verdict:
     """
     if x.g.numerator == 0:
         raise ValueError("standard pairs are not candidates")
-    if x.n != 0:
+    n = x.n
+    if n != 0:
+        # g = a/b in lowest terms, so its half (a/2)/b or a/(2b) is too.
+        a, b = x.g.numerator, x.g.denominator
         chain = [x]
-        last = x
-        while last.n % 2 == 0:
-            last = PairElement(last.g / 2, last.n // 2)
-            chain.append(last)
+        while n % 2 == 0:
+            if a % 2 == 0:
+                a //= 2
+            else:
+                b *= 2
+            n //= 2
+            chain.append(_pair(Fraction(a, b), n))
         return FiniteTwoDivisibility(max_steps=len(chain) - 1, chain=tuple(chain))
     return DivisibleByThree(quotient=PairElement(x.g / 3, 0))
 
 
 def _is_multiple(k: int, whole: PairElement, part: PairElement) -> bool:
     # whole == k * part, by cross-multiplication to avoid Fraction churn
-    return (
-        whole.n == k * part.n
-        and whole.g.numerator * part.g.denominator
-        == k * part.g.numerator * whole.g.denominator
-    )
+    g, h = whole.g, part.g
+    return whole.n == k * part.n and g.numerator * h.denominator == k * h.numerator * g.denominator
 
 
 def validate_verdict(x: PairElement, verdict: Verdict) -> bool:

@@ -68,6 +68,15 @@ def test_non_decimal_digits_are_parse_errors(capsys, model, twelve):
     assert run(capsys, "eval", "１２", "--model", model) == (0, twelve + "\n", "")
 
 
+def test_evaluation_errors_come_in_order(capsys):
+    # quantifier before unbound variables, unbound variables before V2
+    assert run(capsys, "eval", "forall x. x = y") == (
+        3, "", "error: cannot decide quantified formulas; use the axioms harness\n",
+    )
+    assert run(capsys, "eval", "V2(x) = 1", "--model", "pairs") == (3, "", "error: unbound variables: x\n")
+    assert run(capsys, "eval", "V2(1) = 1", "--model", "pairs") == (3, "", "error: model 'pairs' has no V2\n")
+
+
 def test_evaluation_errors_exit_3(capsys):
     code, _, err = run(capsys, "div", "c", "3")
     assert code == 3 and "not divisible" in err

@@ -36,6 +36,7 @@ from buchi2.formulas import (
     format_formula,
     format_term,
     free_variables,
+    identifiers,
     is_formula_text,
     mentions,
     nsum,
@@ -187,17 +188,18 @@ def test_bound_variables_parse_as_written():
     "(x + 1) = y & ((x = 1))",
 ], ids=["99 parentheses", "term and formula groups"])
 def test_parse_reads_each_token_once(monkeypatch, text):
-    calls = 0
-    next_token = _Parser.next
+    # Every assignment to the token index steps it by one, and the parser
+    # stops at the `end` token, which is only read: no token is read twice.
+    count = len(_Parser(text).tokens)
+    assigned = []
 
-    def counted(self):
-        nonlocal calls
-        calls += 1
-        return next_token(self)
+    def assign(self, value):
+        assigned.append(value)
+        self.__dict__["i"] = value
 
-    monkeypatch.setattr(_Parser, "next", counted)
+    monkeypatch.setattr(_Parser, "i", property(lambda self: self.__dict__["i"], assign), raising=False)
     parse_formula(text)
-    assert calls == len(_Parser(text).tokens) - 1  # `end` is only peeked
+    assert assigned == list(range(count))
 
 
 # -- printing ------------------------------------------------------------------
@@ -314,6 +316,39 @@ def test_mentions():
     assert not mentions(parse_formula("~ (x = 0 & V2(x) = 1)"), (ForAll, Exists))
     assert not mentions(parse_term("V2(x + 1)"), (ForAll, Exists))
     assert mentions(parse_term("1 + V2(x + 1)"), Variable)
+
+
+def identifier_answers(text):
+    """(quantified?, unbound names, any V2?) as the CLI reads them from text."""
+    names = identifiers(text)
+    if "forall" in names or "exists" in names:
+        return True, None, None
+    return False, names - {"mod", "V2"}, "V2" in names
+
+
+def tree_answers(tree):
+    """The same three answers, walked from the parsed tree."""
+    if mentions(tree, (ForAll, Exists)):
+        return True, None, None
+    return False, free_variables(tree), mentions(tree, V2App)
+
+
+@given(st.one_of(formulas().map(format_formula), terms().map(format_term)))
+def test_identifiers_answer_as_the_tree_walks(text):
+    tree = parse_formula(text) if is_formula_text(text) else parse_term(text)
+    assert identifier_answers(text) == tree_answers(tree)
+
+
+@pytest.mark.parametrize("text, answers", [
+    ("x9 + _y = V2(z_1)", (False, {"_y", "x9", "z_1"}, True)),
+    ("x == y mod 3 & forall z. z = w", (True, None, None)),
+    ("x == 12 mod 3 -> 2 + x = y", (False, {"x", "y"}, False)),
+    ("V2(1) + 1", (False, set(), True)),
+    ("~ exists y. 0 < y", (True, None, None)),
+])
+def test_identifiers_answer_as_the_tree_walks_examples(text, answers):
+    tree = parse_formula(text) if is_formula_text(text) else parse_term(text)
+    assert identifier_answers(text) == tree_answers(tree) == answers
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -143,9 +143,12 @@ def test_carrier_invariants():
         Element(F(-1, 3), 0)
     with pytest.raises(ValueError, match="galaxy must be non-negative"):
         Element(-2, 5)
-    for galaxy, offset in [(F(1, 3), 1.5), (0.5, 0), ("1/2", 0), (1, F(2))]:
+    for galaxy, offset in [(F(1, 3), 1.5), (0.5, 0), ("1/2", 0), (1, F(2)), (0, True), (True, 0)]:
         with pytest.raises(TypeError):
             Element(galaxy, offset)
+    for n in [1.5, True, F(2), "3"]:
+        with pytest.raises(TypeError):
+            natural(n)
     assert el(1, 3, -5).offset == -5  # negative offsets fine off the standard galaxy
 
 

@@ -40,7 +40,7 @@ def test_carrier():
         PairElement(F(0), -1)
     with pytest.raises(ValueError):
         PairElement(F(-1, 2), 0)
-    for g, n in [(F(1, 3), 1.5), (0.5, 1), ("1/2", 0)]:
+    for g, n in [(F(1, 3), 1.5), (0.5, 1), ("1/2", 0), (0, True), (True, 0)]:
         with pytest.raises(TypeError):
             PairElement(g, n)
     assert pe(1, 2, -3).n == -3

@@ -16,6 +16,7 @@ changed and half random token sequences.  The readings are
     repl MODEL<TAB>line<TAB>what ``buchi2 repl --model MODEL`` prints
     report MODEL SEED<TAB>one ``Report`` of ``run_suite``
     kernel MODEL<TAB>x<TAB>y<TAB>x + y, x - y, compare(x, y)<TAB>unary readings of x<TAB>of y
+    refute<TAB>pair<TAB>what ``buchi2 refute PAIR`` prints
 
 for the models ``nonstd``, ``std`` and ``pairs`` and the suite seeds 0-2
 with the default bounds.  Lines are printed with ``repr``, so every reading
@@ -27,10 +28,14 @@ The kernel readings go through the ``Model`` interface of ``nonstd`` and
 ``divide`` for n = 2-7, and ``v2`` and ``next_power_of_two`` where the
 model has them.  Every element is printed formatted, on ``nonstd`` also
 with its ``repr``; a failed ``sub`` or ``divide`` prints its error.
+
+The refute readings are the verdict lines for the pairs ``(a/b, n)`` with
+a and b in 1-20 and n in -20..20, in that order.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import random
 import re
@@ -54,6 +59,8 @@ CHUNK_LINES = 1000
 FUZZED = 30_000
 KERNEL_MODELS = ("nonstd", "pairs")
 KERNEL_SAMPLES = 2000
+REFUTE_COEFFICIENTS = range(1, 21)
+REFUTE_OFFSETS = range(-20, 21)
 
 _PIECE_RE = re.compile(r"->|==|[()+=<>~&|.]|\d+|[A-Za-z_]\w*|\S")
 VOCABULARY = (
@@ -147,6 +154,15 @@ def kernel_readings(name: str) -> list[str]:
     ]
 
 
+def refute_readings() -> list[str]:
+    pairs = [f"({a}/{b}, {n})" for a in REFUTE_COEFFICIENTS for b in REFUTE_COEFFICIENTS for n in REFUTE_OFFSETS]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        for pair in pairs:
+            cli.cmd_refute(argparse.Namespace(pair=pair))
+    return [f"{pair}\t{verdict}" for pair, verdict in zip(pairs, out.getvalue().splitlines(), strict=True)]
+
+
 def main() -> None:
     lines = mix_lines()
     lines += fuzzed_lines(lines)
@@ -163,6 +179,8 @@ def main() -> None:
     for model in KERNEL_MODELS:
         for reading in kernel_readings(model):
             write(f"kernel {model}\t{reading}\n")
+    for reading in refute_readings():
+        write(f"refute\t{reading}\n")
 
 
 if __name__ == "__main__":
