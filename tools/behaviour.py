@@ -17,6 +17,8 @@ changed and half random token sequences.  The readings are
     report MODEL SEED<TAB>one ``Report`` of ``run_suite``
     kernel MODEL<TAB>x<TAB>y<TAB>x + y, x - y, compare(x, y)<TAB>unary readings of x<TAB>of y
     refute<TAB>pair<TAB>what ``buchi2 refute PAIR`` prints
+    command MODEL<TAB>argv<TAB>exit code<TAB>stdout<TAB>stderr of one ``cli.main`` call
+    help<TAB>argv<TAB>exit code<TAB>stdout<TAB>stderr of one ``--help`` screen
 
 for the models ``nonstd``, ``std`` and ``pairs`` and the suite seeds 0-2
 with the default bounds.  Lines are printed with ``repr``, so every reading
@@ -31,16 +33,26 @@ with its ``repr``; a failed ``sub`` or ``divide`` prints its error.
 
 The refute readings are the verdict lines for the pairs ``(a/b, n)`` with
 a and b in 1-20 and n in -20..20, in that order.
+
+The command readings call ``cli.main`` with ``--model MODEL``: ``add``
+and ``cmp`` on every pair of literals, ``eval`` and ``v2`` on each
+literal, and ``mod`` and ``div`` on each literal with n in ``-1 0 1 2 3 7
+x``.  The literals are the model's formatted corner elements and a fixed
+list of malformed ones.  An exit through ``SystemExit``, as argparse
+exits, prints its code.  The help readings are the ``--help`` screens of
+``buchi2`` and of each subcommand, at 80 columns: the tool sets
+``COLUMNS`` itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
 import random
 import re
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +73,9 @@ KERNEL_MODELS = ("nonstd", "pairs")
 KERNEL_SAMPLES = 2000
 REFUTE_COEFFICIENTS = range(1, 21)
 REFUTE_OFFSETS = range(-20, 21)
+MALFORMED = ("", "2cc", "x", "(1,2)", "c/0", "0c-2", "-5", "(1/0, 2)", "(0, -2)", "12forall")
+DIVISORS = ("-1", "0", "1", "2", "3", "7", "x")
+SUBCOMMANDS = ("eval", "add", "cmp", "v2", "mod", "div", "axioms", "refute", "repl")
 
 _PIECE_RE = re.compile(r"->|==|[()+=<>~&|.]|\d+|[A-Za-z_]\w*|\S")
 VOCABULARY = (
@@ -163,6 +178,30 @@ def refute_readings() -> list[str]:
     return [f"{pair}\t{verdict}" for pair, verdict in zip(pairs, out.getvalue().splitlines(), strict=True)]
 
 
+def run_main(argv: list[str]) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return f"{argv!r}\t{code}\t{out.getvalue()!r}\t{err.getvalue()!r}"
+
+
+def command_readings(name: str) -> list[str]:
+    model = cli.make_model(name)
+    literals = [model.format(x) for x in model.corner_elements()] + list(MALFORMED)
+    argvs = [[command, x, y] for command in ("add", "cmp") for x in literals for y in literals]
+    argvs += [[command, x] for command in ("eval", "v2") for x in literals]
+    argvs += [[command, x, n] for command in ("mod", "div") for x in literals for n in DIVISORS]
+    return [run_main([*argv, "--model", name]) for argv in argvs]
+
+
+def help_readings() -> list[str]:
+    os.environ["COLUMNS"] = "80"
+    return [run_main(argv) for argv in (["--help"], *([command, "--help"] for command in SUBCOMMANDS))]
+
+
 def main() -> None:
     lines = mix_lines()
     lines += fuzzed_lines(lines)
@@ -181,6 +220,11 @@ def main() -> None:
             write(f"kernel {model}\t{reading}\n")
     for reading in refute_readings():
         write(f"refute\t{reading}\n")
+    for model in MODELS:
+        for reading in command_readings(model):
+            write(f"command {model}\t{reading}\n")
+    for reading in help_readings():
+        write(f"help\t{reading}\n")
 
 
 if __name__ == "__main__":
