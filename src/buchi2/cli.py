@@ -3,7 +3,11 @@
 Subcommands: ``eval``, ``add``, ``cmp``, ``v2``, ``mod``, ``div`` evaluate
 element expressions; ``axioms`` runs the checking suite and prints one TSV
 line per axiom; ``refute`` prints the impossibility verdict for a pair;
-``repl`` loops ``eval`` over stdin lines.
+``repl`` loops ``eval`` over stdin lines.  The six element subcommands are
+the rows of one table, ``_MODEL_COMMANDS``, and share one handler, which
+makes the model, reads the operands and prints the row's answer.  Every
+subcommand but ``refute`` takes ``--model``.  ``build_parser`` builds the
+argument parser once per process.
 
 Exit codes: 0 success / all axioms pass, 1 some axiom fails, 2 parse
 error, 3 evaluation error.  Output is byte-identical for identical
@@ -13,6 +17,7 @@ arguments and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .axioms import FAIL, Report, run_suite
@@ -97,41 +102,32 @@ def _format_verdict(verdict) -> str:
     return f"DIVISIBLE_BY_THREE quotient={verdict.quotient}"
 
 
-def cmd_eval(args) -> int:
-    model = make_model(args.model)
-    print(_evaluate_expression(args.expr, model))
-    return 0
-
-
-def cmd_add(args) -> int:
-    model = make_model(args.model)
-    print(model.format(model.add(model.parse(args.left), model.parse(args.right))))
-    return 0
-
-
-def cmd_cmp(args) -> int:
-    model = make_model(args.model)
-    print(model.compare(model.parse(args.left), model.parse(args.right)).name)
-    return 0
-
-
-def cmd_v2(args) -> int:
-    model = make_model(args.model)
-    if not model.has_v2:
+def _v2(model: Model, value: str) -> str:
+    if not model.has_v2:  # refuse before reading the operand
         raise EvaluationError(f"model {model.name!r} has no V2")
-    print(model.format(model.v2(model.parse(args.value))))
-    return 0
+    return model.format(model.v2(model.parse(value)))
 
 
-def cmd_mod(args) -> int:
-    model = make_model(args.model)
-    print(model.residue_mod(model.parse(args.value), args.n))
-    return 0
+# The subcommands that answer from one model: name, help, operands (``n``
+# is an int), and the answer for the model and the operands.
+_MODEL_COMMANDS = (
+    ("eval", "evaluate an element literal, term, or closed formula", ("expr",),
+     lambda model, expr: _evaluate_expression(expr, model)),
+    ("add", "add two elements", ("left", "right"),
+     lambda model, x, y: model.format(model.add(model.parse(x), model.parse(y)))),
+    ("cmp", "compare two elements", ("left", "right"),
+     lambda model, x, y: model.compare(model.parse(x), model.parse(y)).name),
+    ("v2", "largest power of two dividing an element", ("value",), _v2),
+    ("mod", "residue of an element modulo n", ("value", "n"),
+     lambda model, x, n: model.residue_mod(model.parse(x), n)),
+    ("div", "exact division of an element by n", ("value", "n"),
+     lambda model, x, n: model.format(model.divide(model.parse(x), n))),
+)
 
 
-def cmd_div(args) -> int:
-    model = make_model(args.model)
-    print(model.format(model.divide(model.parse(args.value), args.n)))
+def cmd_model(args) -> int:
+    model = make_model(args.model)  # looked up per call, as callers replace it
+    print(args.answer(model, *(getattr(args, name) for name in args.operands)))
     return 0
 
 
@@ -181,50 +177,20 @@ def cmd_repl(args) -> int:
             print(f"error: {exc}")
 
 
-def _add_model_flag(parser) -> None:
-    parser.add_argument("--model", choices=("nonstd", "std", "pairs"), default="nonstd")
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="buchi2",
         description="Exact arithmetic and axiom checks for a non-standard model of BA2.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eval", help="evaluate an element literal, term, or closed formula")
-    p.add_argument("expr")
-    _add_model_flag(p)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("add", help="add two elements")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_model_flag(p)
-    p.set_defaults(fn=cmd_add)
-
-    p = sub.add_parser("cmp", help="compare two elements")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_model_flag(p)
-    p.set_defaults(fn=cmd_cmp)
-
-    p = sub.add_parser("v2", help="largest power of two dividing an element")
-    p.add_argument("value")
-    _add_model_flag(p)
-    p.set_defaults(fn=cmd_v2)
-
-    p = sub.add_parser("mod", help="residue of an element modulo n")
-    p.add_argument("value")
-    p.add_argument("n", type=int)
-    _add_model_flag(p)
-    p.set_defaults(fn=cmd_mod)
-
-    p = sub.add_parser("div", help="exact division of an element by n")
-    p.add_argument("value")
-    p.add_argument("n", type=int)
-    _add_model_flag(p)
-    p.set_defaults(fn=cmd_div)
+    for name, summary, operands, answer in _MODEL_COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for operand in operands:
+            p.add_argument(operand, type=int if operand == "n" else None)
+        p.set_defaults(fn=cmd_model, operands=operands, answer=answer)
 
     p = sub.add_parser("axioms", help="run the axiom suite, one TSV line per axiom")
     p.add_argument("--seed", type=int, default=0)
@@ -233,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--offset-bound", type=int, default=10**6)
     p.add_argument("--schema-max", type=int, default=12)
     p.add_argument("--axioms", default=None, help="comma-separated axiom ids, e.g. A15,V12")
-    _add_model_flag(p)
     p.set_defaults(fn=cmd_axioms)
 
     p = sub.add_parser("refute", help="refute a pairs-model power-of-two candidate")
@@ -241,9 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_refute)
 
     p = sub.add_parser("repl", help="read-eval-print loop over eval expressions")
-    _add_model_flag(p)
     p.set_defaults(fn=cmd_repl)
 
+    for name, p in sub.choices.items():
+        if name != "refute":  # a refute candidate is always a pair
+            p.add_argument("--model", choices=("nonstd", "std", "pairs"), default="nonstd")
     return parser
 
 

@@ -14,12 +14,15 @@ Grammar (whitespace-insensitive)::
     factor   := 'V2' '(' term ')' | NAT | IDENT | '(' term ')'
 
 A formula always contains a comparison, and a term never contains any of
-``= < > ~ & |``, ``forall`` or ``exists``: text with one of them can only
-be a formula, other text only a term (``is_formula_text``).  The same rule
-picks the ``primary`` branch without backtracking: a ``(`` whose group, up
-to its matching ``)`` or the end of input, contains one of these opens
-``'(' formula ')'``, and any other ``(`` starts an atom.  A line is scanned
-once: the pass that splits it into tokens also marks these groups.
+the symbols ``= < > ~ & |`` or a ``forall`` or ``exists`` token: text with
+one of them can only be a formula, other text only a term
+(``is_formula_text``).  The rule is about tokens, so ``12forall``, which
+scans to ``12`` and ``forall``, can only be a formula, and ``x1forall``,
+one name, can only be a term.  The same rule picks the ``primary`` branch
+without backtracking: a ``(`` whose group, up to its matching ``)`` or the
+end of input, contains one of these opens ``'(' formula ')'``, and any
+other ``(`` starts an atom.  A line is scanned once: the pass that splits
+it into tokens also marks these groups.
 
 A quantifier binds as much as possible to its right, so in
 ``x = 0 | exists y. x = y + 1`` the existential's scope is the rest of the
@@ -161,7 +164,8 @@ def nsum(t: Term, n: int) -> Term:
     return out
 
 
-_KEYWORDS = {"forall", "exists", "mod", "V2"}
+_QUANTIFIERS = frozenset(("forall", "exists"))
+_KEYWORDS = _QUANTIFIERS | {"mod", "V2"}
 
 MAX_DEPTH = 100
 
@@ -178,16 +182,21 @@ _TOKEN_RE = re.compile(
 # No other kind of token contains a character that can start an identifier,
 # so on text that scans without error this finds exactly the ident tokens.
 _IDENT_RE = re.compile(_IDENT)
-# No term contains these, and every formula contains a comparison, so
-# they decide from the raw text whether parse_formula or parse_term applies,
-# and from the tokens whether a parenthesized group holds a formula or a term.
-_FORMULA_ONLY_RE = re.compile(r"[=<>~&|]|\b(?:forall|exists)\b")
-_FORMULA_ONLY_TOKENS = frozenset(("=", "<", ">", "~", "&", "|", "==", "->", "forall", "exists"))
+# No term contains these symbols or quantifier tokens, and every formula
+# contains a comparison, so they decide whether text is a formula or a term,
+# and whether a parenthesized group holds a formula or a term.
+_FORMULA_SYMBOL_RE = re.compile(r"[=<>~&|]")
+_FORMULA_ONLY_TOKENS = frozenset(("=", "<", ">", "~", "&", "|", "==", "->")) | _QUANTIFIERS
 
 
 def is_formula_text(text: str) -> bool:
-    """Whether text can only be a formula; any other text can only be a term."""
-    return _FORMULA_ONLY_RE.search(text) is not None
+    """Whether text can only be a formula; any other text can only be a term.
+
+    On text that scans, this is the rule by which ``_scan`` marks a group.
+    """
+    if _FORMULA_SYMBOL_RE.search(text):
+        return True
+    return ("forall" in text or "exists" in text) and not _QUANTIFIERS.isdisjoint(identifiers(text))
 
 
 def identifiers(text: str) -> set[str]:

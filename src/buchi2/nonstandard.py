@@ -405,27 +405,24 @@ def pow2_cycle_mod(n: int) -> list[int]:
     return cycle
 
 
-# Element literals: INT | RAT_COEF "c" (sign NAT)?  with empty RAT_COEF = 1,
-# plus the sugar "c/NAT" for coefficients 1/n.  Whitespace is ignored.
-_STANDARD_RE = re.compile(r"^(\d+)$")
-_COEF_RE = re.compile(r"^(?:(\d+)(?:/(\d+))?)?c(?:([+-])(\d+))?$")
-_SUGAR_RE = re.compile(r"^c/(\d+)(?:([+-])(\d+))?$")
+# Element literals: NAT | COEF "c" (sign NAT)?  with COEF = NAT ("/" NAT)?,
+# or empty for 1, plus the sugar "c/NAT" for coefficients 1/n.  Whitespace
+# is ignored.
+_LITERAL_RE = re.compile(
+    r"(?P<standard>\d+)"
+    r"|(?:c/(?P<sugar>\d+)|(?:(?P<num>\d+)(?:/(?P<den>\d+))?)?c)(?:(?P<sign>[+-])(?P<off>\d+))?"
+)
 
 
 def parse_element(text: str) -> Element:
     """Parse an element literal such as ``7``, ``c``, ``2c+5``, ``3/5c-2``, ``c/4+1``."""
-    compact = "".join(text.split())
-    if m := _STANDARD_RE.match(compact):
-        return _element(0, 1, int(m.group(1)))
-    if m := _SUGAR_RE.match(compact):
-        num, den = 1, int(m.group(1))
-        sign, off = m.group(2), m.group(3)
-    elif m := _COEF_RE.match(compact):
-        num = int(m.group(1)) if m.group(1) is not None else 1
-        den = int(m.group(2)) if m.group(2) is not None else 1
-        sign, off = m.group(3), m.group(4)
-    else:
+    m = _LITERAL_RE.fullmatch("".join(text.split()))
+    if m is None:
         raise ParseError(f"not an element literal: {text!r}")
+    standard, sugar, num, den, sign, off = m.groups()
+    if standard is not None:
+        return _element(0, 1, int(standard))
+    num, den = int(num or 1), int(sugar or den or 1)  # c/n has no num and no den
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}")
     offset = 0 if off is None else (int(off) if sign == "+" else -int(off))

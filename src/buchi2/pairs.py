@@ -160,25 +160,21 @@ def validate_verdict(x: PairElement, verdict: Verdict) -> bool:
     return verdict.quotient.n == 0 and _is_multiple(3, x, verdict.quotient)
 
 
-_PAIR_RE = re.compile(r"^\((\d+(?:/\d+)?),(-?\d+)\)$")
+_PAIR_RE = re.compile(r"\((\d+)(?:/(\d+))?,(-?\d+)\)")
 
 
 def parse_pair(text: str) -> PairElement:
     """Parse a pair literal such as ``(5/7, 6)`` or ``(2, 0)``."""
-    compact = "".join(text.split())
-    m = _PAIR_RE.match(compact)
+    m = _PAIR_RE.fullmatch("".join(text.split()))
     if not m:
         raise ParseError(f"not a pair literal: {text!r}")
-    raw_g = m.group(1)
-    if "/" in raw_g:
-        num, den = raw_g.split("/")
-        if int(den) == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        g = Fraction(int(num), int(den))
-    else:
-        g = Fraction(int(raw_g))
+    num, den, n = m.groups()
+    den = int(den or 1)
+    if den == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    g = Fraction(int(num), den)
     try:
-        return PairElement(g, int(m.group(2)))
+        return PairElement(g, int(n))
     except ValueError as exc:
         raise ParseError(f"literal denotes no pair element: {text!r} ({exc})") from exc
 

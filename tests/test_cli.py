@@ -52,6 +52,51 @@ def test_pairs_model_ops(capsys):
     assert run(capsys, "mod", "(5/7, 6)", "4", "--model", "pairs") == (0, "2\n", "")
 
 
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+HELP_USAGE = {
+    (): "usage: buchi2 [-h] {eval,add,cmp,v2,mod,div,axioms,refute,repl} ...",
+    ("eval",): "usage: buchi2 eval [-h] [--model {nonstd,std,pairs}] expr",
+    ("add",): "usage: buchi2 add [-h] [--model {nonstd,std,pairs}] left right",
+    ("cmp",): "usage: buchi2 cmp [-h] [--model {nonstd,std,pairs}] left right",
+    ("v2",): "usage: buchi2 v2 [-h] [--model {nonstd,std,pairs}] value",
+    ("mod",): "usage: buchi2 mod [-h] [--model {nonstd,std,pairs}] value n",
+    ("div",): "usage: buchi2 div [-h] [--model {nonstd,std,pairs}] value n",
+    ("axioms",): (
+        "usage: buchi2 axioms [-h] [--seed SEED] [--cases CASES]\n"
+        "                     [--den-bound DEN_BOUND] [--offset-bound OFFSET_BOUND]\n"
+        "                     [--schema-max SCHEMA_MAX] [--axioms AXIOMS]\n"
+        "                     [--model {nonstd,std,pairs}]"
+    ),
+    ("refute",): "usage: buchi2 refute [-h] pair",
+    ("repl",): "usage: buchi2 repl [-h] [--model {nonstd,std,pairs}]",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_USAGE), ids=lambda c: " ".join(c) or "buchi2")
+def test_help_usage_lines(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert out.split("\n\n")[0] == HELP_USAGE[command]
+
+
+def test_v2_without_v2_refuses_before_reading_its_operand(capsys):
+    assert run(capsys, "v2", "zz", "--model", "pairs") == (3, "", "error: model 'pairs' has no V2\n")
+
+
+@pytest.mark.parametrize("command", ["mod", "div"])
+def test_non_integer_n_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "c", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "add", "c", "2cc")
     assert code == 2 and "parse error" in err

@@ -289,10 +289,12 @@ def test_group_rule_matches_formula_text(text):
 
 @pytest.mark.parametrize("token", [
     "+", "=", "<", ">", "~", "&", "|", ".", "->", "==", "mod", "forall", "exists", "V2", "x", "0",
+    "12forall", "0exists+.", "forall٣", "x1forall", "x٣forall",
 ])
 def test_group_rule_matches_formula_text_on_each_token(token):
     # formatted formulas have several formula-only symbols, which hides a
-    # missing one from the test above
+    # missing one from the test above; the rule is about tokens, so a
+    # quantifier glued to a number is a token, and one inside a name is not
     assert opens_formula_group(token) == is_formula_text(token)
 
 

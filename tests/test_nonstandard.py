@@ -199,10 +199,28 @@ def test_parse_element(text, value):
     assert parse_element(text) == value
 
 
-@pytest.mark.parametrize("bad", ["", "-5", "c/0", "3/0c", "0c-2", "2cc", "c+", "x", "(1,2)"])
+REJECTED_LITERALS = {
+    "": "not an element literal: ''",
+    "-5": "not an element literal: '-5'",
+    "c/0": "zero denominator in 'c/0'",
+    "3/0c": "zero denominator in '3/0c'",
+    "0c-2": "literal denotes no model element: '0c-2' (standard numbers are non-negative, got offset -2)",
+    "2cc": "not an element literal: '2cc'",
+    "c+": "not an element literal: 'c+'",
+    "x": "not an element literal: 'x'",
+    "(1,2)": "not an element literal: '(1,2)'",
+    "3/5c/4": "not an element literal: '3/5c/4'",
+    "7+3": "not an element literal: '7+3'",
+    "c/4c": "not an element literal: 'c/4c'",
+    "0/0c": "zero denominator in '0/0c'",
+}
+
+
+@pytest.mark.parametrize("bad", list(REJECTED_LITERALS))
 def test_parse_element_rejects(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_element(bad)
+    assert str(exc.value) == REJECTED_LITERALS[bad]
 
 
 @given(elements())

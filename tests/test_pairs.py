@@ -120,9 +120,18 @@ def test_pair_literals():
     assert parse_pair("( 1/2 , -3 )") == pe(1, 2, -3)
     assert format_pair(pe(5, 7, 6)) == "(5/7, 6)"
     assert format_pair(pe(2, 1, 0)) == "(2, 0)"
-    for bad in ("", "5/7,6", "(5/7 6)", "(1/0, 2)", "(-1, 2)", "(0, -2)", "c+1"):
-        with pytest.raises(ParseError):
+    for bad, message in (
+        ("", "not a pair literal: ''"),
+        ("5/7,6", "not a pair literal: '5/7,6'"),
+        ("(5/7 6)", "not a pair literal: '(5/7 6)'"),
+        ("(1/0, 2)", "zero denominator in '(1/0, 2)'"),
+        ("(-1, 2)", "not a pair literal: '(-1, 2)'"),
+        ("(0, -2)", "literal denotes no pair element: '(0, -2)' (standard pairs are non-negative, got -2)"),
+        ("c+1", "not a pair literal: 'c+1'"),
+    ):
+        with pytest.raises(ParseError) as exc:
             parse_pair(bad)
+        assert str(exc.value) == message
 
 
 @given(pair_elements())

@@ -3,7 +3,8 @@
     python3 tools/behaviour.py > behaviour.txt
 
 Run it on two checkouts and diff the outputs: an empty diff means the two
-give the same parse trees, REPL replies and axiom reports on these inputs.
+give the same parse trees, REPL replies, axiom reports and command
+outputs on these inputs.
 It takes no options; the output is about 31 MB, and takes about 15 s on a
 shared 2-vCPU Xeon with Python 3.11.
 
