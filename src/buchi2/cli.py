@@ -10,8 +10,9 @@ subcommand but ``refute`` takes ``--model``.  ``build_parser`` builds the
 argument parser once per process.
 
 Exit codes: 0 success / all axioms pass, 1 some axiom fails, 2 parse
-error, 3 evaluation error.  Output is byte-identical for identical
-arguments and seeds.
+error (a ``ParseError``), 3 evaluation error (any other ``ValueError``,
+which every failed model operation raises).  Output is byte-identical
+for identical arguments and seeds.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import sys
 
 from .axioms import FAIL, Report, run_suite
 from .formulas import (
+    KEYWORDS,
+    QUANTIFIERS,
     Term,
     eval_qf,
     eval_term,
@@ -30,19 +33,9 @@ from .formulas import (
     parse_formula,
     parse_term,
 )
-from .nonstandard import (
-    Model,
-    NegativeResultError,
-    NotDivisibleError,
-    NonstandardModel,
-    ParseError,
-)
-from .pairs import PairsModel, FiniteTwoDivisibility, refute_power2_candidate
+from .nonstandard import Model, NonstandardModel, ParseError
+from .pairs import PairsModel, FiniteTwoDivisibility, parse_pair, refute_power2_candidate
 from .standard import StandardModel
-
-
-class EvaluationError(Exception):
-    """Wrapper for anything that should exit with code 3."""
 
 
 def make_model(name: str, den_bound: int = 1000, offset_bound: int = 10**6) -> Model:
@@ -53,9 +46,6 @@ def make_model(name: str, den_bound: int = 1000, offset_bound: int = 10**6) -> M
     if name == "pairs":
         return PairsModel(den_bound=den_bound, offset_bound=offset_bound)
     raise ValueError(f"unknown model {name!r}")
-
-
-_NON_VARIABLES = frozenset(("mod", "V2"))
 
 
 def _evaluate_expression(text: str, model: Model) -> str:
@@ -70,13 +60,13 @@ def _evaluate_expression(text: str, model: Model) -> str:
         expr = parse_term(text)
     # The text parsed, so its names say what the tree holds (``identifiers``).
     names = identifiers(text)
-    if "forall" in names or "exists" in names:
-        raise EvaluationError("cannot decide quantified formulas; use the axioms harness")
-    unbound = names - _NON_VARIABLES
+    if not QUANTIFIERS.isdisjoint(names):
+        raise ValueError("cannot decide quantified formulas; use the axioms harness")
+    unbound = names - KEYWORDS
     if unbound:
-        raise EvaluationError(f"unbound variables: {', '.join(sorted(unbound))}")
+        raise ValueError(f"unbound variables: {', '.join(sorted(unbound))}")
     if not model.has_v2 and "V2" in names:
-        raise EvaluationError(f"model {model.name!r} has no V2")
+        raise ValueError(f"model {model.name!r} has no V2")
     if isinstance(expr, Term):
         return model.format(eval_term(expr, {}, model))
     return "true" if eval_qf(expr, {}, model) else "false"
@@ -104,7 +94,7 @@ def _format_verdict(verdict) -> str:
 
 def _v2(model: Model, value: str) -> str:
     if not model.has_v2:  # refuse before reading the operand
-        raise EvaluationError(f"model {model.name!r} has no V2")
+        raise ValueError(f"model {model.name!r} has no V2")
     return model.format(model.v2(model.parse(value)))
 
 
@@ -148,11 +138,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_refute(args) -> int:
-    model = PairsModel()
-    pair = model.parse(args.pair)
-    if pair.g == 0:
-        raise EvaluationError(f"{model.format(pair)} is standard; not a candidate")
-    print(_format_verdict(refute_power2_candidate(pair)))
+    print(_format_verdict(refute_power2_candidate(parse_pair(args.pair))))
     return 0
 
 
@@ -173,7 +159,7 @@ def cmd_repl(args) -> int:
             print(_evaluate_expression(line, model))
         except ParseError as exc:
             print(f"parse error: {exc}")
-        except (EvaluationError, NegativeResultError, NotDivisibleError, ValueError) as exc:
+        except ValueError as exc:
             print(f"error: {exc}")
 
 
@@ -221,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (EvaluationError, NegativeResultError, NotDivisibleError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -164,8 +164,8 @@ def nsum(t: Term, n: int) -> Term:
     return out
 
 
-_QUANTIFIERS = frozenset(("forall", "exists"))
-_KEYWORDS = _QUANTIFIERS | {"mod", "V2"}
+QUANTIFIERS = frozenset(("forall", "exists"))
+KEYWORDS = QUANTIFIERS | {"mod", "V2"}
 
 MAX_DEPTH = 100
 
@@ -186,7 +186,7 @@ _IDENT_RE = re.compile(_IDENT)
 # contains a comparison, so they decide whether text is a formula or a term,
 # and whether a parenthesized group holds a formula or a term.
 _FORMULA_SYMBOL_RE = re.compile(r"[=<>~&|]")
-_FORMULA_ONLY_TOKENS = frozenset(("=", "<", ">", "~", "&", "|", "==", "->")) | _QUANTIFIERS
+_FORMULA_ONLY_TOKENS = frozenset(("=", "<", ">", "~", "&", "|", "==", "->")) | QUANTIFIERS
 
 
 def is_formula_text(text: str) -> bool:
@@ -196,7 +196,7 @@ def is_formula_text(text: str) -> bool:
     """
     if _FORMULA_SYMBOL_RE.search(text):
         return True
-    return ("forall" in text or "exists" in text) and not _QUANTIFIERS.isdisjoint(identifiers(text))
+    return ("forall" in text or "exists" in text) and not QUANTIFIERS.isdisjoint(identifiers(text))
 
 
 def identifiers(text: str) -> set[str]:
@@ -286,7 +286,7 @@ class _Parser:
         if value == "forall" or value == "exists":
             self.descend(self.next()[2])
             var = self.expect("ident")
-            if var[1] in _KEYWORDS:
+            if var[1] in KEYWORDS:
                 raise ParseError(f"{var[1]!r} cannot be a variable name", var[2])
             self.expect("sym", ".")
             body = self.formula()
@@ -394,7 +394,7 @@ class _Parser:
                 self.depth -= 1
                 self.grow(self.height + 1)
                 return V2App(arg)
-            if value in _KEYWORDS:
+            if value in KEYWORDS:
                 raise ParseError(f"{value!r} cannot be a variable name", pos)
             self.height = 0
             return Variable(value)

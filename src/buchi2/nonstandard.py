@@ -38,6 +38,11 @@ Kernel results are valid by construction and are built by the unchecked
 ``_element``; ``Element(galaxy, offset)`` is the checked constructor for
 everything else.
 
+Every bad value raises a ValueError: a ParseError for malformed text,
+NegativeResultError or NotDivisibleError (also ArithmeticErrors) where
+``-`` or exact division has no result, a plain ValueError otherwise.  A
+wrong type raises TypeError.
+
 Everything here is immutable and pure; values can be shared freely across
 threads or processes.
 """
@@ -45,6 +50,7 @@ threads or processes.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -52,12 +58,12 @@ from math import gcd
 from typing import Protocol
 
 
-class NegativeResultError(ArithmeticError):
-    """Subtraction would leave the model; there are no negative elements."""
+class NegativeResultError(ArithmeticError, ValueError):
+    """Subtraction would leave the model (no negative elements); a ValueError too."""
 
 
-class NotDivisibleError(ArithmeticError):
-    """Exact division by a natural number has no witness in the model."""
+class NotDivisibleError(ArithmeticError, ValueError):
+    """Exact division by a natural number has no witness in the model; a ValueError too."""
 
 
 class ParseError(ValueError):
@@ -128,6 +134,7 @@ def nu2(m: int) -> int:
 
 
 @total_ordering
+@dataclass(frozen=True, init=False, repr=False)
 class Element:
     """A model element base(p/q) + offset, stored as (p*c + w)/q in the three ints p, q, w.
 
@@ -139,12 +146,15 @@ class Element:
     w = q*offset - p*t(q), so a standard element stores its value in w, and
     ``offset`` gives back (w + p*t(q)) / q.
     Kernel results that are valid by construction skip the checks through
-    ``_element``.  Elements are immutable; ``<`` is the model order
-    (galaxies as rationals, ties broken on w, which orders the offsets
-    within a galaxy), and ``==`` compares the three ints.
+    ``_element``.  Elements are frozen dataclasses (``==`` and ``hash`` read
+    the three ints); ``<`` is the model order (galaxies as rationals, ties
+    broken on w, which orders the offsets within a galaxy).
     """
 
     __slots__ = ("p", "q", "w")
+    p: int
+    q: int
+    w: int
 
     def __init__(self, galaxy: Fraction | int, offset: int):
         if offset.__class__ is not int and (offset.__class__ is bool or not isinstance(offset, int)):
@@ -171,12 +181,6 @@ class Element:
         p, q = self.p, self.q
         return (self.w + p * t_residue(q)) // q if p else self.w
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
         return Element, (self.galaxy, self.offset)
 
@@ -185,14 +189,6 @@ class Element:
 
     def __str__(self) -> str:
         return format_element(self)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q, self.w))
-
-    def __eq__(self, other):
-        if other.__class__ is not Element:
-            return NotImplemented
-        return self.p == other.p and self.q == other.q and self.w == other.w
 
     def __lt__(self, other):
         if other.__class__ is not Element:
@@ -207,7 +203,7 @@ class Element:
         return sub(self, other)
 
 
-# The slots' own setters; they bypass Element.__setattr__.
+# The slots' own setters; they bypass the frozen __setattr__.
 _set_p, _set_q, _set_w = (getattr(Element, name).__set__ for name in Element.__slots__)
 _new = object.__new__
 

@@ -22,10 +22,11 @@ from .nonstandard import (
 )
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, order=True)
 class PairElement:
-    """A pair (g, n); field order makes dataclass ordering lexicographic."""
+    """A pair (g, n), frozen; field order makes dataclass ordering lexicographic."""
 
+    __slots__ = ("g", "n")
     g: Fraction
     n: int
 
@@ -43,6 +44,9 @@ class PairElement:
                 raise ValueError(f"first coordinate must be non-negative, got {g}")
             if n < 0:
                 raise ValueError(f"standard pairs are non-negative, got {n}")
+
+    def __reduce__(self):  # the frozen __setattr__ refuses a slot-by-slot restore
+        return PairElement, (self.g, self.n)
 
     def __str__(self) -> str:
         return format_pair(self)
@@ -124,7 +128,7 @@ def refute_power2_candidate(x: PairElement) -> Verdict:
     no consistent V2 value exists for x.
     """
     if x.g.numerator == 0:
-        raise ValueError("standard pairs are not candidates")
+        raise ValueError(f"{format_pair(x)} is standard; not a candidate")
     n = x.n
     if n != 0:
         # g = a/b in lowest terms, so its half (a/2)/b or a/(2b) is too.

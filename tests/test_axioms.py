@@ -29,6 +29,8 @@ from buchi2.nonstandard import Element, Model, NonstandardModel
 from buchi2.pairs import PairsModel
 from buchi2.standard import StandardModel
 
+from fault_models import ConstantV2Model, IdentityV2Model
+
 NONSTD = NonstandardModel()
 STD = StandardModel()
 PAIRS = PairsModel()
@@ -164,6 +166,17 @@ def test_run_suite_builds_only_the_requested_specs(monkeypatch):
         run_suite(NONSTD, ids=("A15", "B9", "V15"))
 
 
+@pytest.mark.parametrize("cases", [0, -5])
+def test_cases_must_be_positive(cases):
+    message = f"^cases must be positive, got {cases}$"
+    with pytest.raises(ValueError, match=message):
+        check_axiom(by_id("A1"), STD, cases=cases)
+    with pytest.raises(ValueError, match=message):
+        run_suite(STD, cases=cases, ids=("A1",))
+    with pytest.raises(ValueError, match=message):  # before a model without V2 skips it
+        run_suite(PAIRS, cases=cases, ids=("V12",))
+
+
 def test_build_axioms_filters_by_id_in_catalog_order():
     assert build_axioms(ids=()) == ()
     picked = build_axioms(ids=("A17", "V12", "A4", "B9"))
@@ -173,20 +186,6 @@ def test_build_axioms_filters_by_id_in_catalog_order():
 
 
 # -- falsification power ---------------------------------------------------------------
-
-class ConstantV2Model(NonstandardModel):
-    """v2 deliberately broken: always 3."""
-
-    def v2(self, x):
-        return self.numeral(3)
-
-
-class IdentityV2Model(NonstandardModel):
-    """v2 deliberately broken: identity, so everything looks like a power of two."""
-
-    def v2(self, x):
-        return x
-
 
 class CarrylessAddModel(NonstandardModel):
     """add deliberately broken: drops the base-point carry."""

@@ -175,6 +175,11 @@ def test_repr_pickle_and_copy():
             assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
 
 
+def test_failed_operations_raise_value_errors():
+    for error in (NegativeResultError, NotDivisibleError):
+        assert issubclass(error, ValueError) and issubclass(error, ArithmeticError)
+
+
 def test_elements_compare_only_with_elements():
     assert natural(3) != 3 and not natural(3) == (0, 1, 3)
     with pytest.raises(TypeError):

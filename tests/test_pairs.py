@@ -1,11 +1,13 @@
 """Componentwise pairs model and the power-of-two refutation."""
 
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, strategies as st
 
-from buchi2.nonstandard import NegativeResultError, NotDivisibleError, Ordering, ParseError
+from buchi2.nonstandard import Element, NegativeResultError, NotDivisibleError, Ordering, ParseError
 from buchi2.pairs import (
     DivisibleByThree,
     FiniteTwoDivisibility,
@@ -44,6 +46,22 @@ def test_carrier():
         with pytest.raises(TypeError):
             PairElement(g, n)
     assert pe(1, 2, -3).n == -3
+
+
+@pytest.mark.parametrize("x, name", [
+    (Element(F(1, 3), 5), "p"), (Element(F(1, 3), 5), "foo"), (pe(1, 3, 5), "g"), (pe(1, 3, 5), "foo"),
+], ids=["Element-field", "Element-other", "PairElement-field", "PairElement-other"])
+def test_elements_are_frozen(x, name):
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+        setattr(x, name, 1)
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+        delattr(x, name)
+
+
+def test_pickle_and_copy():
+    for x in PairsModel().corner_elements():
+        for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert y == x and hash(y) == hash(x) and type(y.g) is F
 
 
 def test_add_examples():
@@ -93,7 +111,7 @@ def test_refutation_examples():
     assert isinstance(v, FiniteTwoDivisibility)
     assert v.max_steps == 0
 
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\(0, 4\) is standard; not a candidate$"):
         refute_power2_candidate(pe(0, 1, 4))
 
 

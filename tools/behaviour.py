@@ -4,7 +4,8 @@
 
 Run it on two checkouts and diff the outputs: an empty diff means the two
 give the same parse trees, REPL replies, axiom reports and command
-outputs on these inputs.
+outputs on these inputs.  ``tools/behaviour_diff.py REV`` does that for a
+git revision and this checkout.
 It takes no options; the output is about 31 MB, and takes about 15 s on a
 shared 2-vCPU Xeon with Python 3.11.
 
