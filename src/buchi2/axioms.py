@@ -13,9 +13,13 @@ quantifier-free checking matrix over sampled and derived variables:
   to a configured bound.
 
 Each matrix is compiled (``compile_qf``) the first time its axiom is
-checked against a model object, and kept on the spec for that object,
-looked up by identity; a matrix that comes out false is re-evaluated by
-the interpreter (``eval_qf``) before it is reported.
+checked against a model object, and kept on the spec for the last two
+model objects, looked up by identity.  A witness is a slot of the
+compiled matrix: it is computed when the matrix first reads its variable,
+from the matrix's own slot values, so a witness whose guard is false
+never runs.  A matrix that comes out false computes the witnesses it did
+not read, so the report lists every derived variable, and is re-evaluated
+by the interpreter (``eval_qf``) before it is reported.
 
 A sampled check can only falsify an axiom, not prove it; the point of the
 harness is falsification power at a chosen scale.  Checks are
@@ -50,52 +54,41 @@ MAX_SCHEMA = 500
 
 # -- witness functions -------------------------------------------------------
 #
-# Signature: fn(model, env, param) -> element.  Where no genuine witness
-# exists the functions return a dummy (zero) that leaves the matrix's
-# guarding antecedent false.
+# Signature: fn(model, param, *values) -> element, where values are the
+# slot values of the reads its derived variable declares (see compile_qf).
+# Where no genuine witness exists the functions return a dummy (zero, or x)
+# that leaves the matrix's guarding antecedent false.
 
-def _w_difference(model: Model, env, param):
-    x, y = env["x"], env["y"]
-    if model.compare(x, y) is Ordering.LESS:
-        return model.sub(y, x)
-    return model.numeral(0)
+def _w_difference(model: Model, param, x, y, zero):
+    return model.sub(y, x) if model.compare(x, y) is Ordering.LESS else zero
 
 
-def _w_predecessor(model: Model, env, param):
-    x = env["x"]
-    zero = model.numeral(0)
-    if model.compare(x, zero) is Ordering.EQUAL:
+def _w_predecessor(model: Model, param, x, zero, one):
+    return zero if model.compare(x, zero) is Ordering.EQUAL else model.sub(x, one)
+
+
+def _w_congruence_quotient(model: Model, param, x, y, x_residue, y_residue, zero):
+    if x_residue != y_residue:
         return zero
-    return model.sub(x, model.numeral(1))
-
-
-def _w_congruence_quotient(model: Model, env, param):
-    x, y = env["x"], env["y"]
-    if model.residue_mod(x, param) != model.residue_mod(y, param):
-        return model.numeral(0)
     if model.compare(x, y) is Ordering.LESS:
         x, y = y, x
     return model.divide(model.sub(x, y), param)
 
 
-def _w_halve(model: Model, env, param):
-    x = env["x"]
-    if model.residue_mod(x, 2) != 0:
-        return model.numeral(0)
-    return model.divide(x, 2)
+def _w_halve(model: Model, param, x, x_residue, zero):
+    return zero if x_residue != 0 else model.divide(x, 2)
 
 
-def _w_next_power_of_two(model: Model, env, param):
-    return model.next_power_of_two(env["x"])
+def _w_next_power_of_two(model: Model, param, x):
+    return model.next_power_of_two(x)
 
 
-def _w_power_gap_probe(model: Model, env, param):
+def _w_power_gap_probe(model: Model, param, x, one, v2_x):
     # A point in the open interval (x, 2x) when x is a power of two > 1;
     # otherwise just x, which leaves the interval guard false.
-    x = env["x"]
-    if model.compare(x, model.numeral(1)) is not Ordering.GREATER:
+    if model.compare(x, one) is not Ordering.GREATER:
         return x
-    if model.compare(model.v2(x), x) is not Ordering.EQUAL:
+    if model.compare(v2_x, x) is not Ordering.EQUAL:
         return x
     return model.add(x, model.divide(x, 2))
 
@@ -108,18 +101,18 @@ class AxiomSpec:
     quantifier-free matrices actually evaluated, each paired with its
     schema parameter (``None`` outside schemata); a case passes when every
     one holds.  They range over ``sampled`` variables drawn from the model
-    and the ``derived`` variables: each ``(name, witness, param)`` binds
-    ``name`` to ``witness(model, env, param)`` before the matrices are
-    evaluated.  ``compiled`` maps the ``id`` of each model object the spec
-    was checked against to that model (held, so the ``id`` stays its own)
-    and its obligations with their ``compile_qf`` checks.
+    and the ``derived`` variables: each ``(name, witness, param, reads)``
+    binds ``name`` to ``witness(model, param, *values of reads)`` when a
+    matrix first reads it (``compile_qf``'s ``derived``).  ``compiled`` maps the ``id`` of the last two model objects the spec was
+    checked against to that model (held, so the ``id`` stays its own) and
+    its obligations with their ``compile_qf`` checks.
     """
 
     id: str
     text: str
     sampled: tuple[str, ...]
     obligations: tuple[tuple[Optional[int], Formula], ...]
-    derived: tuple[tuple[str, Callable, Optional[int]], ...] = ()
+    derived: tuple[tuple[str, Callable, Optional[int], tuple], ...] = ()
     compiled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
@@ -130,7 +123,8 @@ class Report:
     A FAIL report carries an assignment (variable -> printed element) that
     makes the checking matrix false on re-evaluation, plus the schema
     parameter if one was involved.  A witness-computation error is
-    reported in ``error`` with the triggering assignment.
+    reported in ``error`` with the sampled variables and the derived
+    variables computed before it.
     """
 
     axiom_id: str
@@ -217,7 +211,7 @@ def build_axioms(schema_max: int = 12, ids: Optional[Collection[str]] = None) ->
             ),
             sampled=("x", "y", "u"),
             obligations=_one("(x < y -> (x + z = y & ~ z = 0)) & (~ u = 0 -> x < x + u)"),
-            derived=(("z", _w_difference, None),),
+            derived=(("z", _w_difference, None, (_X, _Y, _numeral(0))),),
         ),
         AxiomSpec(
             id="A3",
@@ -236,7 +230,8 @@ def build_axioms(schema_max: int = 12, ids: Optional[Collection[str]] = None) ->
             ),
             sampled=("x", "y", "u"),
             obligations=schema("A4", lambda: ((None, _congruence_matrix(schema_max)),)),
-            derived=tuple((f"w{n}", _w_congruence_quotient, n) for n in range(2, schema_max + 1)),
+            derived=tuple((f"w{n}", _w_congruence_quotient, n, (_X, _Y, (_X, n), (_Y, n), _numeral(0)))
+                          for n in range(2, schema_max + 1)),
         ),
         AxiomSpec(
             id="A5",
@@ -261,7 +256,7 @@ def build_axioms(schema_max: int = 12, ids: Optional[Collection[str]] = None) ->
             text="forall x. (x = 0 | exists y. x = y + 1)",
             sampled=("x",),
             obligations=_one("x = 0 | x = p + 1"),
-            derived=(("p", _w_predecessor, None),),
+            derived=(("p", _w_predecessor, None, (_X, _numeral(0), _numeral(1))),),
         ),
         AxiomSpec(
             id="A9",
@@ -302,14 +297,14 @@ def build_axioms(schema_max: int = 12, ids: Optional[Collection[str]] = None) ->
             text="forall x. forall t. (t + t = x -> V2(x) = V2(t) + V2(t))",
             sampled=("x",),
             obligations=_one("h + h = x -> V2(x) = V2(h) + V2(h)"),
-            derived=(("h", _w_halve, None),),
+            derived=(("h", _w_halve, None, (_X, (_X, 2), _numeral(0))),),
         ),
         AxiomSpec(
             id="A15",
             text="forall x. exists y. (y > x & V2(y) = y)",
             sampled=("x",),
             obligations=_one("x < w & V2(w) = w"),
-            derived=(("w", _w_next_power_of_two, None),),
+            derived=(("w", _w_next_power_of_two, None, (_X,)),),
         ),
         AxiomSpec(
             id="A16",
@@ -319,7 +314,7 @@ def build_axioms(schema_max: int = 12, ids: Optional[Collection[str]] = None) ->
                 "((V2(x) = x & ~ x = 0) & x < y & y < x + x -> V2(y) < y)"
                 " & ((V2(x) = x & ~ x = 0) & x < m & m < x + x -> V2(m) < m)"
             ),
-            derived=(("m", _w_power_gap_probe, None),),
+            derived=(("m", _w_power_gap_probe, None, (_X, _numeral(1), V2App(_X))),),
         ),
         AxiomSpec(
             id="A17",
@@ -351,27 +346,29 @@ def _format_env(model: Model, env: dict) -> tuple[tuple[str, str], ...]:
 def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int = 0) -> Report:
     """Check one axiom against one model; deterministic for a fixed seed.
 
-    ``cases`` must be positive; a case that raises a ValueError fails the axiom.
+    ``cases`` must be positive; a case whose check raises a ValueError,
+    also in a witness the check reads, fails the axiom.
     """
     if cases < 1:
         raise ValueError(f"cases must be positive, got {cases}")
     if not model.has_v2 and any(mentions(matrix, V2App) for _, matrix in axiom.obligations):
         return Report(axiom.id, SKIPPED, 0, seed)
-    entry = axiom.compiled.get(id(model))
+    entry = axiom.compiled.pop(id(model), None)
     if entry is None:
-        entry = axiom.compiled[id(model)] = model, tuple(
-            (n, matrix, compile_qf(matrix, model)) for n, matrix in axiom.obligations
+        entry = model, tuple(
+            (n, matrix, compile_qf(matrix, model, axiom.derived)) for n, matrix in axiom.obligations
         )
+        if len(axiom.compiled) > 1:  # keep the two most recently checked models
+            del axiom.compiled[next(iter(axiom.compiled))]
+    axiom.compiled[id(model)] = entry
     _, obligations = entry
     rng = random.Random(f"{seed}:{axiom.id}")
     corners = model.corner_elements()
     for i in range(cases):
         env = _sample_env(axiom, model, rng, corners, i)
         try:
-            for var, witness, param in axiom.derived:
-                env[var] = witness(model, env, param)
             for n, matrix, check in obligations:
-                if not check(env):
+                if not check(env):  # env now holds every derived variable
                     if eval_qf(matrix, env, model):  # the interpreter must confirm it
                         raise AssertionError(f"{axiom.id}: the compiled check and eval_qf disagree")
                     return Report(

@@ -9,7 +9,7 @@ harness uses it; ``formulas.eval_qf`` stays the reference.
 from __future__ import annotations
 
 import operator
-from typing import Mapping
+from typing import MutableMapping
 
 from .formulas import (
     And, CongMod, Eq, Exists, ForAll, Formula, Implies, Lt, Not, Numeral, Or, Sum,
@@ -26,7 +26,9 @@ from .nonstandard import Model, Ordering
 # the list each call copies ``vals`` from; model operations are pure, so
 # two calls that both store a kept value store the same one.  Every
 # function takes its values as default arguments, so there are no closure
-# cells and no reference cycles.
+# cells and no reference cycles.  A derived variable's slot is keyed like
+# the variable it binds; it calls its witness on its operand slots' values
+# and stores the result in env too, so the caller sees what a call derived.
 
 def _variable_slot(i, name, kept):
     def slot(env, vals, i=i, name=name):
@@ -86,6 +88,19 @@ def _sum_slot(i, a, fa, b, fb, add, kept):
     return slot
 
 
+def _derived_slot(i, name, witness, param, model, reads, kept):
+    def slot(env, vals, i=i, name=name, witness=witness, param=param, model=model, reads=reads):
+        args = []
+        for a, fa in reads:
+            x = vals[a]
+            if x is None:
+                x = fa(env, vals)
+            args.append(x)
+        v = vals[i] = env[name] = witness(model, param, *args)
+        return v
+    return slot
+
+
 def _raising(error, message):
     def fail(env, vals, error=error, message=message):
         raise error(message)
@@ -134,7 +149,7 @@ def _disjunction(parts):
     return disj
 
 
-def compile_qf(f: Formula, model: Model):
+def compile_qf(f: Formula, model: Model, derived=()):
     """check(env) -> bool, equal to ``eval_qf(f, env, model)`` for every env.
 
     Each distinct subterm is one slot, keyed by its kind and its operands'
@@ -149,6 +164,14 @@ def compile_qf(f: Formula, model: Model):
     congruence compares the two sides' residue slots.  The model's
     ``numeral``, ``add``, ``compare`` and ``residue_mod`` are looked up
     once, here.
+
+    Each ``(name, witness, param, reads)`` of ``derived`` binds ``name``
+    in env to ``witness(model, param, *values)``, the values of ``reads``:
+    terms (sampled or earlier derived variables), and ``(term, n)`` for a
+    term's residue mod n, sharing f's own slots.  It is computed when f
+    first demands ``name``; a false check then computes the rest, in
+    order, so env holds them all.  A witness's error propagates.  The
+    equality with ``eval_qf`` is for the env that the check leaves.
     """
     numeral, add, compare, residue_mod = model.numeral, model.add, model.compare, model.residue_mod
     slots: dict[tuple, int] = {}  # (kind, operand slots or value) -> slot
@@ -209,8 +232,20 @@ def compile_qf(f: Formula, model: Model):
             return _raising(ValueError, "quantifier in quantifier-free evaluation")
         return _raising(TypeError, f"not a formula: {g!r}")
 
+    def derive(name, witness, param, reads) -> int:
+        operands = [residue(*r) if isinstance(r, tuple) else term(r) for r in reads]
+        return slot(("var", name), False, _derived_slot, name, witness, param, model,
+                    tuple((a, fns[a]) for a in operands))
+
+    witnesses = tuple((i, fns[i]) for i in [derive(*d) for d in derived])
     root = formula(f)
 
-    def check(env: Mapping[str, object], root=root, kept=kept) -> bool:
-        return root(env, kept.copy())
+    def check(env: MutableMapping[str, object], root=root, kept=kept, witnesses=witnesses) -> bool:
+        vals = kept.copy()
+        if root(env, vals):
+            return True
+        for i, fn in witnesses:
+            if vals[i] is None:
+                fn(env, vals)
+        return False
     return check

@@ -534,15 +534,17 @@ def eval_qf(f: Formula, env: Mapping[str, object], model: Model) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def compile_qf(f: Formula, model: Model):
+def compile_qf(f: Formula, model: Model, derived=()):
     """check(env) -> bool, equal to ``eval_qf(f, env, model)`` for every env.
 
+    ``derived`` names the variables the check binds in env itself, each
+    by a witness computed when first demanded (see ``compiled.compile_qf``).
     The compiler lives in ``compiled``, loaded on the first call, so that
     importing this module, as the CLI and the REPL do, does not load it.
     """
     from .compiled import compile_qf
 
-    return compile_qf(f, model)
+    return compile_qf(f, model, derived)
 
 
 def mentions(f: Formula | Term, kinds: type | tuple[type, ...]) -> bool:

@@ -1,9 +1,11 @@
 """Axiom catalog shape and harness behavior, including falsification power."""
 
+import gc
 import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,8 +26,8 @@ from buchi2.axioms import (
     run_suite,
 )
 from buchi2.axioms import _congruence_matrix, _odd_indivisibility_matrix, _residue_cases_matrix
-from buchi2.formulas import V2App, compile_qf, eval_qf, mentions, parse_formula
-from buchi2.nonstandard import Element, Model, NonstandardModel
+from buchi2.formulas import Numeral, V2App, Variable, compile_qf, eval_qf, mentions, parse_formula
+from buchi2.nonstandard import Element, Model, NonstandardModel, NotDivisibleError, Ordering
 from buchi2.pairs import PairsModel
 from buchi2.standard import StandardModel
 
@@ -71,11 +73,16 @@ def params(axiom_id, schema_max=12):
 def test_strategies():
     for axiom_id in ("A1", "A2", "A4", "A15"):
         assert params(axiom_id) == (None,)
+    x, y, zero, one = Variable("x"), Variable("y"), Numeral(0), Numeral(1)
     assert by_id("A1").derived == ()
-    assert by_id("A15").derived == (("w", axioms._w_next_power_of_two, None),)
-    assert by_id("A2").derived[0][1] is axioms._w_difference
-    assert by_id("A8").derived[0][1] is axioms._w_predecessor
-    assert by_id("A4").derived == tuple((f"w{n}", axioms._w_congruence_quotient, n) for n in range(2, 13))
+    assert by_id("A15").derived == (("w", axioms._w_next_power_of_two, None, (x,)),)
+    assert by_id("A2").derived == (("z", axioms._w_difference, None, (x, y, zero)),)
+    assert by_id("A8").derived == (("p", axioms._w_predecessor, None, (x, zero, one)),)
+    assert by_id("A14").derived == (("h", axioms._w_halve, None, (x, (x, 2), zero)),)
+    assert by_id("A16").derived == (("m", axioms._w_power_gap_probe, None, (x, one, V2App(x))),)
+    assert by_id("A4").derived == tuple(
+        (f"w{n}", axioms._w_congruence_quotient, n, (x, y, (x, n), (y, n), zero)) for n in range(2, 13)
+    )
 
 
 def test_schema_parameters():
@@ -293,7 +300,7 @@ def test_seeded_kernel_fault_is_caught(model_class):
 UNCONFIRMED_FAIL = """
 from buchi2 import axioms
 from buchi2.standard import StandardModel
-axioms.compile_qf = lambda f, model: lambda env: False
+axioms.compile_qf = lambda f, model, derived: lambda env: False
 try:
     axioms.run_suite(StandardModel(), cases=3, ids=("A9",))
 except AssertionError as exc:
@@ -327,46 +334,140 @@ def outcome(evaluate):
         return type(exc), str(exc)
 
 
+# -- the eager reference harness ------------------------------------------------------
+#
+# The witnesses as the harness computed them before they became slots of the
+# compiled checks: each by its own model calls, from the sampled variables,
+# before any matrix runs.  The reference harness then interprets every
+# matrix with eval_qf.
+
+def _ref_difference(model, env, param):
+    x, y = env["x"], env["y"]
+    if model.compare(x, y) is Ordering.LESS:
+        return model.sub(y, x)
+    return model.numeral(0)
+
+
+def _ref_predecessor(model, env, param):
+    x = env["x"]
+    zero = model.numeral(0)
+    if model.compare(x, zero) is Ordering.EQUAL:
+        return zero
+    return model.sub(x, model.numeral(1))
+
+
+def _ref_congruence_quotient(model, env, param):
+    x, y = env["x"], env["y"]
+    if model.residue_mod(x, param) != model.residue_mod(y, param):
+        return model.numeral(0)
+    if model.compare(x, y) is Ordering.LESS:
+        x, y = y, x
+    return model.divide(model.sub(x, y), param)
+
+
+def _ref_halve(model, env, param):
+    x = env["x"]
+    if model.residue_mod(x, 2) != 0:
+        return model.numeral(0)
+    return model.divide(x, 2)
+
+
+def _ref_next_power_of_two(model, env, param):
+    return model.next_power_of_two(env["x"])
+
+
+def _ref_power_gap_probe(model, env, param):
+    x = env["x"]
+    if model.compare(x, model.numeral(1)) is not Ordering.GREATER:
+        return x
+    if model.compare(model.v2(x), x) is not Ordering.EQUAL:
+        return x
+    return model.add(x, model.divide(x, 2))
+
+
+REFERENCE_WITNESSES = {
+    axioms._w_difference: _ref_difference,
+    axioms._w_predecessor: _ref_predecessor,
+    axioms._w_congruence_quotient: _ref_congruence_quotient,
+    axioms._w_halve: _ref_halve,
+    axioms._w_next_power_of_two: _ref_next_power_of_two,
+    axioms._w_power_gap_probe: _ref_power_gap_probe,
+}
+
+
+def bind_reference_witnesses(spec, model, env):
+    for name, witness, param, _ in spec.derived:
+        env[name] = REFERENCE_WITNESSES[witness](model, env, param)
+
+
+def reference_check(spec, model, cases, seed):
+    """check_axiom with eager witnesses and interpreted matrices."""
+    if not model.has_v2 and any(mentions(matrix, V2App) for _, matrix in spec.obligations):
+        return Report(spec.id, SKIPPED, 0, seed)
+    rng = random.Random(f"{seed}:{spec.id}")
+    corners = model.corner_elements()
+    for i in range(cases):
+        env = axioms._sample_env(spec, model, rng, corners, i)
+        try:
+            bind_reference_witnesses(spec, model, env)
+            for n, matrix in spec.obligations:
+                if not eval_qf(matrix, env, model):
+                    return Report(spec.id, FAIL, i + 1, seed, counterexample=axioms._format_env(model, env), param=n)
+        except ValueError as exc:
+            return Report(spec.id, FAIL, i + 1, seed, counterexample=axioms._format_env(model, env), error=str(exc))
+    return Report(spec.id, PASS, cases, seed)
+
+
 CHECKED_MODELS = [NONSTD, STD, PAIRS, ConstantV2Model(), IdentityV2Model(), CarrylessAddModel()]
 
 
 @pytest.mark.parametrize("model", CHECKED_MODELS, ids=lambda m: type(m).__name__)
 def test_compiled_obligations_match_the_interpreter(model):
+    # The checks bind the derived variables they demand, and on a false
+    # check all of them, to the reference witnesses' values; where a
+    # reference witness raises, a check either does not demand it or
+    # raises the same error.
     corners = model.corner_elements()
     for spec in build_axioms():
         obligations = [m for _, m in spec.obligations]
         if not model.has_v2 and any(mentions(m, V2App) for m in obligations):
             continue  # SKIPPED by the harness
-        checks = [compile_qf(m, model) for m in obligations]
+        checks = [compile_qf(m, model, spec.derived) for m in obligations]
         for seed in range(10):
             rng = random.Random(f"{seed}:{spec.id}")
             for case in range(len(corners) + 5):
                 env = axioms._sample_env(spec, model, rng, corners, case)
-                try:
-                    for var, witness, param in spec.derived:
-                        env[var] = witness(model, env, param)
-                except (ArithmeticError, ValueError):
-                    continue  # a witness error, reported before any matrix runs
+                expected = dict(env)
+                error = outcome(lambda: bind_reference_witnesses(spec, model, expected))
                 for matrix, check in zip(obligations, checks):
-                    assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(matrix, env, model))
+                    got = dict(env)
+                    result = outcome(lambda: check(got))
+                    if error is None:
+                        assert result == outcome(lambda: eval_qf(matrix, expected, model))
+                        assert got.items() <= expected.items()
+                        assert result is not False or got == expected
+                    else:
+                        assert result in (True, error)
 
 
-@pytest.mark.parametrize("model_class", list(PINNED_FAILS), ids=lambda c: c.__name__)
-def test_reports_match_the_interpreting_harness(monkeypatch, model_class):
-    def suites():
-        return [
-            run_suite(model_class(), seed=seed, cases=60, schema_max=schema_max)
-            for seed in range(5) for schema_max in (3, 12)
-        ]
-
-    compiled = suites()
-    monkeypatch.setattr(axioms, "compile_qf", lambda f, model: lambda env: eval_qf(f, env, model))
-    assert suites() == compiled
-    assert FAIL in {r.status for reports in compiled for r in reports}
+@pytest.mark.parametrize(
+    "model_class",
+    [NonstandardModel, StandardModel, PairsModel, *PINNED_FAILS, *SEEDED_FAULT_FAILS],
+    ids=lambda c: c.__name__,
+)
+def test_reports_match_the_interpreting_harness(model_class):
+    statuses = set()
+    for schema_max in (3, 12):
+        catalog = build_axioms(schema_max)
+        for seed in range(5):
+            expected = [reference_check(spec, model_class(), 60, seed) for spec in catalog]
+            assert run_suite(model_class(), seed=seed, cases=60, schema_max=schema_max) == expected
+            statuses |= {r.status for r in expected}
+    assert (FAIL in statuses) is (model_class in (*PINNED_FAILS, *SEEDED_FAULT_FAILS))
 
 
 class CountingModel(NonstandardModel):
-    """The non-standard model, counting calls of the operations a matrix uses."""
+    """The non-standard model, counting calls of the operations a matrix or a witness uses."""
 
     def __init__(self):
         super().__init__()
@@ -383,6 +484,14 @@ class CountingModel(NonstandardModel):
     def residue_mod(self, x, n):
         self.calls["residue_mod"] += 1
         return super().residue_mod(x, n)
+
+    def sub(self, x, y):
+        self.calls["sub"] += 1
+        return super().sub(x, y)
+
+    def divide(self, x, n):
+        self.calls["divide"] += 1
+        return super().divide(x, n)
 
 
 def test_residue_cases_share_the_residue_and_keep_the_constants():
@@ -433,13 +542,12 @@ def test_congruence_schema_add_count():
     (_, matrix), = spec.obligations
     model = CountingModel()
     env = {"x": model.numeral(12), "y": model.numeral(0), "u": model.parse("c+1")}
-    for var, witness, param in spec.derived:
-        env[var] = witness(model, env, param)
-    check = compile_qf(matrix, model)
+    check = compile_qf(matrix, model, spec.derived)
     for _ in range(2):
         model.calls.clear()
         assert check(env)
         assert model.calls["add"] == (2 + 3 + 4 + 6 + 12) + 2 * 11 == 49
+        assert sorted(name for name in env if name.startswith("w")) == ["w12", "w2", "w3", "w4", "w6"]
     model.calls.clear()
     assert eval_qf(matrix, env, model)
     assert model.calls["add"] == (2 + 3 + 4 + 6 + 12) + sum(range(2, 13)) == 104
@@ -484,12 +592,113 @@ def test_equal_models_get_their_own_checks():
 def test_a_spec_compiles_once_per_model(monkeypatch):
     compiled = Counter()
 
-    def counted(f, model):
+    def counted(f, model, derived):
         compiled[id(model)] += 1
-        return compile_qf(f, model)
+        return compile_qf(f, model, derived)
 
     monkeypatch.setattr(axioms, "compile_qf", counted)
-    spec, a, b = by_id("A11"), StandardModel(), StandardModel()
-    for model in (a, b, a):
+    spec, a, b, c = by_id("A11"), StandardModel(), StandardModel(), StandardModel()
+    for model in (a, b, a, b, a):
         assert check_axiom(spec, model, cases=10).status == PASS
     assert compiled == {id(a): 11, id(b): 11}  # one check per schema parameter
+    for model in (c, a, b):  # c takes b's place, the less recently checked
+        assert check_axiom(spec, model, cases=10).status == PASS
+    assert compiled == {id(a): 11, id(b): 22, id(c): 11}
+    assert list(spec.compiled) == [id(a), id(b)]
+
+
+def test_compiled_checks_are_kept_for_the_last_two_models():
+    # A process that checks one spec against many model objects keeps two
+    # entries; at schema 3 so that 2,000 compilations stay quick.
+    spec = by_id("A4", schema_max=3)
+    tracemalloc.start()
+    try:
+        for k in range(2000):
+            assert check_axiom(spec, NonstandardModel(), cases=1).status == PASS
+            if k == 99:
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(spec.compiled) <= 2
+    assert grown < 100_000  # about 9 KB per kept entry when every entry is kept
+
+
+# -- witnesses are computed on demand --------------------------------------------------
+
+def _never_called(model, param, *values):
+    raise AssertionError("a witness behind a false antecedent was computed")
+
+
+def test_a_witness_behind_a_false_antecedent_is_never_called():
+    derived = (("w", _never_called, None, (Variable("x"),)),)
+    check = compile_qf(parse_formula("x = 0 -> x = w + x"), STD, derived)
+    env = {"x": 5}
+    assert check(env) is True
+    assert env == {"x": 5}
+    # A4 on two elements that agree modulo no n in 2..12: no witness runs.
+    spec = by_id("A4")
+    (_, matrix), = spec.obligations
+    derived = tuple((name, _never_called, n, reads) for name, _, n, reads in spec.derived)
+    env = {"x": 0, "y": 1, "u": 7}
+    assert compile_qf(matrix, STD, derived)(env) is True
+    assert sorted(env) == ["u", "x", "y"]
+
+
+def test_a_demanded_witness_error_is_the_reference_witness_error():
+    model, spec = ConstantV2Model(), by_id("A16")  # v2(3) = 3: m = 3 + 3/2 is demanded
+    (_, matrix), = spec.obligations
+    env = {"x": model.numeral(3), "y": model.numeral(8)}
+    error = outcome(lambda: bind_reference_witnesses(spec, model, dict(env)))
+    assert error == (NotDivisibleError, "3 is not divisible by 2")
+    assert outcome(lambda: compile_qf(matrix, model, spec.derived)(env)) == error
+    assert sorted(env) == ["x", "y"]
+
+
+def test_a_false_check_computes_the_witnesses_it_did_not_demand_in_order():
+    computed = []
+
+    def halve(model, param, x):
+        computed.append("a")
+        return model.divide(x, 2)
+
+    def double(model, param, x):
+        computed.append("b")
+        return model.add(x, x)
+
+    x = Variable("x")
+    check = compile_qf(parse_formula("x = 1 & b = x + x"), STD, (("a", halve, None, (x,)), ("b", double, None, (x,))))
+    for value, result, bound, order in [
+        (1, True, {"b": 2}, ["b"]),  # a is not demanded
+        (4, False, {"a": 2, "b": 8}, ["a", "b"]),  # a false check computes both, in order
+        (3, (NotDivisibleError, "3 is not divisible by 2"), {}, ["a"]),
+    ]:
+        env = {"x": value}
+        computed.clear()
+        assert outcome(lambda: check(env)) == result
+        assert env == {"x": value, **bound}
+        assert computed == order
+
+
+def test_congruence_witnesses_read_the_matrix_residues():
+    # Per n and case the matrix takes the residues of x, y and u + ... + u + y.
+    # Computed up front, the witnesses take x's and y's again: 55 residues a
+    # case.  As slots they run only where x == y mod n and read the matrix's
+    # own: 33.  Their zero is a kept numeral; sums, differences and
+    # quotients are as many as up front.
+    spec = by_id("A4")
+    (_, matrix), = spec.obligations
+    lazy, eager = CountingModel(), CountingModel()
+    assert check_axiom(spec, lazy, cases=2000, seed=0).status == PASS
+    check = compile_qf(matrix, eager)  # the derived variables read from env
+    rng, corners = random.Random(f"0:{spec.id}"), eager.corner_elements()
+    for i in range(2000):
+        env = axioms._sample_env(spec, eager, rng, corners, i)
+        bind_reference_witnesses(spec, eager, env)
+        assert check(env)
+    assert (lazy.calls["residue_mod"], eager.calls["residue_mod"]) == (33 * 2000, 55 * 2000)
+    assert lazy.calls["numeral"] == 1 < eager.calls["numeral"]
+    for op in ("add", "sub", "divide"):
+        assert lazy.calls[op] == eager.calls[op] > 0, op

@@ -6,8 +6,8 @@ Run it on two checkouts and diff the outputs: an empty diff means the two
 give the same parse trees, REPL replies, axiom reports and command
 outputs on these inputs.  ``tools/behaviour_diff.py REV`` does that for a
 git revision and this checkout.
-It takes no options; the output is about 31 MB, and takes about 15 s on a
-shared 2-vCPU Xeon with Python 3.11.
+It takes no options; the output is 266,110 lines, about 33 MB, and takes
+about 16 s on a shared 2-vCPU Xeon with Python 3.11.
 
 The inputs are 60,000 lines: the 30,000 ``repl-mix`` benchmark lines
 (``perfbench/mix.py``, seeds 0-2, chunks 0-9 of 1000 lines) and 30,000
@@ -17,6 +17,7 @@ changed and half random token sequences.  The readings are
     tree<TAB>line<TAB>parse tree, or the parse error
     repl MODEL<TAB>line<TAB>what ``buchi2 repl --model MODEL`` prints
     report MODEL SEED<TAB>one ``Report`` of ``run_suite``
+    fault CLASS SEED<TAB>one ``Report`` of ``run_suite`` on a fault model
     kernel MODEL<TAB>x<TAB>y<TAB>x + y, x - y, compare(x, y)<TAB>unary readings of x<TAB>of y
     refute<TAB>pair<TAB>what ``buchi2 refute PAIR`` prints
     command MODEL<TAB>argv<TAB>exit code<TAB>stdout<TAB>stderr of one ``cli.main`` call
@@ -25,6 +26,12 @@ changed and half random token sequences.  The readings are
 for the models ``nonstd``, ``std`` and ``pairs`` and the suite seeds 0-2
 with the default bounds.  Lines are printed with ``repr``, so every reading
 stays on one output line.
+
+The fault readings are the same reports on the test suite's models with a
+deliberately broken kernel, which make the suite report ``FAIL``:
+``ConstantV2Model`` and ``IdentityV2Model`` (``tests/fault_models.py``),
+and ``CarrylessAddModel``, ``OffByOneAddModel`` and
+``OffByOneResidueModel`` (``tests/test_axioms.py``, imported with pytest).
 
 The kernel readings go through the ``Model`` interface of ``nonstd`` and
 ``pairs``, on every pair of corner elements and on 2,000 seeded pairs of
@@ -60,14 +67,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 import mix  # noqa: E402
 from buchi2 import cli  # noqa: E402
 from buchi2.axioms import run_suite  # noqa: E402
 from buchi2.formulas import is_formula_text, parse_formula, parse_term  # noqa: E402
+from fault_models import ConstantV2Model, IdentityV2Model  # noqa: E402
+from test_axioms import CarrylessAddModel, OffByOneAddModel, OffByOneResidueModel  # noqa: E402
 
 MODELS = ("nonstd", "std", "pairs")
 SEEDS = (0, 1, 2)
+FAULT_MODELS = (ConstantV2Model, IdentityV2Model, CarrylessAddModel, OffByOneAddModel, OffByOneResidueModel)
 CHUNKS = 10
 CHUNK_LINES = 1000
 FUZZED = 30_000
@@ -217,6 +228,10 @@ def main() -> None:
         for seed in SEEDS:
             for report in run_suite(cli.make_model(model), seed=seed):
                 write(f"report {model} {seed}\t{report!r}\n")
+    for model_class in FAULT_MODELS:
+        for seed in SEEDS:
+            for report in run_suite(model_class(), seed=seed):
+                write(f"fault {model_class.__name__} {seed}\t{report!r}\n")
     for model in KERNEL_MODELS:
         for reading in kernel_readings(model):
             write(f"kernel {model}\t{reading}\n")
