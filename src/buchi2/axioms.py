@@ -12,14 +12,13 @@ quantifier-free checking matrix over sampled and derived variables:
 - schema axioms carry one matrix per value of their numeric parameter, up
   to a configured bound.
 
-Each matrix is compiled (``compile_qf``) the first time its axiom is
-checked against a model object, and kept on the spec for the last two
-model objects, looked up by identity.  A witness is a slot of the
-compiled matrix: it is computed when the matrix first reads its variable,
-from the matrix's own slot values, so a witness whose guard is false
-never runs.  A matrix that comes out false computes the witnesses it did
-not read, so the report lists every derived variable, and is re-evaluated
-by the interpreter (``eval_qf``) before it is reported.
+An axiom's obligations are compiled (``compile_qf``) as one check, their
+conjunction, so a schema's obligations share their slots; it is kept on
+the spec for the last two model objects, looked up by identity.  A
+witness is a slot of the check, computed when a matrix first reads it.  A
+false check computes the witnesses it did not read, so the report lists
+every derived variable; the interpreter (``eval_qf``) then runs the
+obligations in order and reports the first false one, with its parameter.
 
 A sampled check can only falsify an axiom, not prove it; the point of the
 harness is falsification power at a chosen scale.  Checks are
@@ -103,9 +102,9 @@ class AxiomSpec:
     one holds.  They range over ``sampled`` variables drawn from the model
     and the ``derived`` variables: each ``(name, witness, param, reads)``
     binds ``name`` to ``witness(model, param, *values of reads)`` when a
-    matrix first reads it (``compile_qf``'s ``derived``).  ``compiled`` maps the ``id`` of the last two model objects the spec was
-    checked against to that model (held, so the ``id`` stays its own) and
-    its obligations with their ``compile_qf`` checks.
+    matrix first reads it (``compile_qf``'s ``derived``).  ``compiled`` maps
+    the ``id`` of the last two model objects checked to that model (held, so
+    the ``id`` stays its own) and the check of all the obligations.
     """
 
     id: str
@@ -347,34 +346,37 @@ def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int 
     """Check one axiom against one model; deterministic for a fixed seed.
 
     ``cases`` must be positive; a case whose check raises a ValueError,
-    also in a witness the check reads, fails the axiom.
+    also in a witness the check reads, fails the axiom.  A false check
+    reports the first obligation ``eval_qf`` finds false, or raises
+    AssertionError if there is none.
     """
     if cases < 1:
         raise ValueError(f"cases must be positive, got {cases}")
     if not model.has_v2 and any(mentions(matrix, V2App) for _, matrix in axiom.obligations):
         return Report(axiom.id, SKIPPED, 0, seed)
+    if not axiom.obligations:
+        return Report(axiom.id, PASS, cases, seed)
     entry = axiom.compiled.pop(id(model), None)
     if entry is None:
-        entry = model, tuple(
-            (n, matrix, compile_qf(matrix, model, axiom.derived)) for n, matrix in axiom.obligations
-        )
+        matrices = (matrix for _, matrix in axiom.obligations)  # in catalog order
+        entry = model, compile_qf(reduce(And, matrices), model, axiom.derived)
         if len(axiom.compiled) > 1:  # keep the two most recently checked models
             del axiom.compiled[next(iter(axiom.compiled))]
     axiom.compiled[id(model)] = entry
-    _, obligations = entry
+    _, check = entry
     rng = random.Random(f"{seed}:{axiom.id}")
     corners = model.corner_elements()
     for i in range(cases):
         env = _sample_env(axiom, model, rng, corners, i)
         try:
-            for n, matrix, check in obligations:
-                if not check(env):  # env now holds every derived variable
-                    if eval_qf(matrix, env, model):  # the interpreter must confirm it
-                        raise AssertionError(f"{axiom.id}: the compiled check and eval_qf disagree")
-                    return Report(
-                        axiom.id, FAIL, i + 1, seed,
-                        counterexample=_format_env(model, env), param=n,
-                    )
+            if not check(env):  # env now holds every derived variable
+                for n, matrix in axiom.obligations:  # the interpreter must confirm it
+                    if not eval_qf(matrix, env, model):
+                        return Report(
+                            axiom.id, FAIL, i + 1, seed,
+                            counterexample=_format_env(model, env), param=n,
+                        )
+                raise AssertionError(f"{axiom.id}: the compiled check and eval_qf disagree")
         except ValueError as exc:
             return Report(
                 axiom.id, FAIL, i + 1, seed,

@@ -239,6 +239,7 @@ def compile_qf(f: Formula, model: Model, derived=()):
 
     witnesses = tuple((i, fns[i]) for i in [derive(*d) for d in derived])
     root = formula(f)
+    del slot, term, residue, formula, derive  # empty their cells, which form reference cycles
 
     def check(env: MutableMapping[str, object], root=root, kept=kept, witnesses=witnesses) -> bool:
         vals = kept.copy()

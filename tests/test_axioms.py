@@ -14,12 +14,13 @@ import pytest
 
 import buchi2
 
-from buchi2 import axioms, nonstandard
+from buchi2 import axioms
 from buchi2.axioms import (
     FAIL,
     MAX_SCHEMA,
     PASS,
     SKIPPED,
+    AxiomSpec,
     Report,
     build_axioms,
     check_axiom,
@@ -27,11 +28,17 @@ from buchi2.axioms import (
 )
 from buchi2.axioms import _congruence_matrix, _odd_indivisibility_matrix, _residue_cases_matrix
 from buchi2.formulas import Numeral, V2App, Variable, compile_qf, eval_qf, mentions, parse_formula
-from buchi2.nonstandard import Element, Model, NonstandardModel, NotDivisibleError, Ordering
+from buchi2.nonstandard import Model, NonstandardModel, NotDivisibleError, Ordering
 from buchi2.pairs import PairsModel
 from buchi2.standard import StandardModel
 
-from fault_models import ConstantV2Model, IdentityV2Model
+from fault_models import (
+    CarrylessAddModel,
+    ConstantV2Model,
+    IdentityV2Model,
+    OffByOneAddModel,
+    OffByOneResidueModel,
+)
 
 NONSTD = NonstandardModel()
 STD = StandardModel()
@@ -194,13 +201,6 @@ def test_build_axioms_filters_by_id_in_catalog_order():
 
 # -- falsification power ---------------------------------------------------------------
 
-class CarrylessAddModel(NonstandardModel):
-    """add deliberately broken: drops the base-point carry."""
-
-    def add(self, x, y):
-        return Element(x.galaxy + y.galaxy, x.offset + y.offset)
-
-
 def _reeval(report, model, spec):
     env = {name: model.parse(text) for name, text in report.counterexample}
     return eval_qf(dict(spec.obligations)[report.param], env, model)
@@ -268,21 +268,6 @@ PINNED_FAILS = {
 def test_fail_reports_are_pinned(model_class):
     reports = run_suite(model_class(), seed=0, cases=300)
     assert [r for r in reports if r.status == FAIL] == PINNED_FAILS[model_class]
-
-
-class OffByOneAddModel(NonstandardModel):
-    """add deliberately broken: one too many when both denominators are divisible by 3."""
-
-    def add(self, x, y):
-        z = nonstandard.add(x, y)
-        return nonstandard.add(z, nonstandard.ONE) if x.q % 3 == 0 and y.q % 3 == 0 else z
-
-
-class OffByOneResidueModel(NonstandardModel):
-    """residue_mod deliberately broken: one too many modulo 5 when 7 divides the denominator."""
-
-    def residue_mod(self, x, n):
-        return (nonstandard.residue_mod(x, n) + (n == 5 and x.q % 7 == 0)) % n
 
 
 # The axioms each seeded fault fails in the default-sized suite.
@@ -493,6 +478,10 @@ class CountingModel(NonstandardModel):
         self.calls["divide"] += 1
         return super().divide(x, n)
 
+    def v2(self, x):
+        self.calls["v2"] += 1
+        return super().v2(x)
+
 
 def test_residue_cases_share_the_residue_and_keep_the_constants():
     model = CountingModel()
@@ -553,6 +542,57 @@ def test_congruence_schema_add_count():
     assert model.calls["add"] == (2 + 3 + 4 + 6 + 12) + sum(range(2, 13)) == 104
 
 
+# -- one check per axiom ------------------------------------------------------------
+
+@pytest.mark.parametrize("axiom_id, calls", [
+    # one V2(x) a case and one 0 for all five n
+    ("A17", {"v2": 100, "numeral": 1, "residue_mod": 45}),
+    # one numeral j for all n > j
+    ("A11", {"numeral": 12, "residue_mod": 1177}),
+])
+def test_a_schemas_obligations_share_their_slots(axiom_id, calls):
+    model = CountingModel()
+    assert check_axiom(by_id(axiom_id), model, cases=100, seed=0).status == PASS
+    assert model.calls == calls
+
+
+class FifteenFirstModel(IdentityV2Model):
+    """Identity V2, with 15 tried first: a power of two to the model, divisible by 3 and 5."""
+
+    def corner_elements(self):
+        return (self.numeral(15), *super().corner_elements())
+
+
+def test_a_false_check_reports_the_first_false_obligation():
+    model, spec = FifteenFirstModel(), by_id("A17")
+    env = {"x": model.numeral(15)}
+    assert [n for n, m in spec.obligations if not eval_qf(m, env, model)] == [3, 5]
+    report = check_axiom(spec, model, cases=10, seed=0)
+    assert report == Report("A17", FAIL, 1, 0, counterexample=(("x", "15"),), param=3)
+
+
+def test_a_spec_without_obligations_passes():
+    spec = AxiomSpec(id="E", text="forall x. x = x", sampled=("x",), obligations=())
+    for model in (NONSTD, STD, PAIRS):
+        assert check_axiom(spec, model, cases=7) == Report("E", PASS, 7, 0)
+
+
+def test_a_compilation_leaves_no_reference_cycle():
+    # With the collector off, a dropped check must be freed by its
+    # reference counts alone.
+    spec = by_id("A4")
+    (_, matrix), = spec.obligations
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        compile_qf(matrix, NONSTD, spec.derived)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # -- compiled checks are kept per model object ---------------------------------------
 
 @dataclass
@@ -600,10 +640,10 @@ def test_a_spec_compiles_once_per_model(monkeypatch):
     spec, a, b, c = by_id("A11"), StandardModel(), StandardModel(), StandardModel()
     for model in (a, b, a, b, a):
         assert check_axiom(spec, model, cases=10).status == PASS
-    assert compiled == {id(a): 11, id(b): 11}  # one check per schema parameter
+    assert compiled == {id(a): 1, id(b): 1}  # one check for all the schema parameters
     for model in (c, a, b):  # c takes b's place, the less recently checked
         assert check_axiom(spec, model, cases=10).status == PASS
-    assert compiled == {id(a): 11, id(b): 22, id(c): 11}
+    assert compiled == {id(a): 1, id(b): 2, id(c): 1}
     assert list(spec.compiled) == [id(a), id(b)]
 
 

@@ -29,9 +29,9 @@ stays on one output line.
 
 The fault readings are the same reports on the test suite's models with a
 deliberately broken kernel, which make the suite report ``FAIL``:
-``ConstantV2Model`` and ``IdentityV2Model`` (``tests/fault_models.py``),
-and ``CarrylessAddModel``, ``OffByOneAddModel`` and
-``OffByOneResidueModel`` (``tests/test_axioms.py``, imported with pytest).
+``ConstantV2Model``, ``IdentityV2Model``, ``CarrylessAddModel``,
+``OffByOneAddModel`` and ``OffByOneResidueModel``, all from
+``tests/fault_models.py``.
 
 The kernel readings go through the ``Model`` interface of ``nonstd`` and
 ``pairs``, on every pair of corner elements and on 2,000 seeded pairs of
@@ -73,8 +73,9 @@ import mix  # noqa: E402
 from buchi2 import cli  # noqa: E402
 from buchi2.axioms import run_suite  # noqa: E402
 from buchi2.formulas import is_formula_text, parse_formula, parse_term  # noqa: E402
-from fault_models import ConstantV2Model, IdentityV2Model  # noqa: E402
-from test_axioms import CarrylessAddModel, OffByOneAddModel, OffByOneResidueModel  # noqa: E402
+from fault_models import (  # noqa: E402
+    CarrylessAddModel, ConstantV2Model, IdentityV2Model, OffByOneAddModel, OffByOneResidueModel,
+)
 
 MODELS = ("nonstd", "std", "pairs")
 SEEDS = (0, 1, 2)

@@ -4,8 +4,9 @@
 
 Extracts REV with ``git archive`` into a temporary directory, so neither
 ``.git`` nor the working tree changes, copies this checkout's
-``tools/behaviour.py`` into that tree, so that both sides print the same
-readings, and runs it on both trees side by side.  Prints ``N of M lines
+``tools/behaviour.py`` and the fault models it imports,
+``tests/fault_models.py``, into that tree, so that both sides print the
+same readings, and runs it on both trees side by side.  Prints ``N of M lines
 differ``, where M is the longer output's line count, and then the first 20
 differing pairs: the line number, REV's line and this checkout's line.
 Exits 0 only when N is 0, 1 when lines differ, and 2 when a side fails
@@ -44,8 +45,9 @@ def main(argv: list[str]) -> int:
         tree = tmp / "tree"
         tree.mkdir()
         extract(rev, tree)
-        (tree / "tools").mkdir(exist_ok=True)
-        shutil.copy(ROOT / "tools" / "behaviour.py", tree / "tools" / "behaviour.py")
+        for copied in ("tools/behaviour.py", "tests/fault_models.py"):
+            (tree / copied).parent.mkdir(exist_ok=True)
+            shutil.copy(ROOT / copied, tree / copied)
         sides = {rev: tree, "this checkout": ROOT}
         outputs = {name: tmp / f"{i}.txt" for i, name in enumerate(sides)}
         runs = {}
