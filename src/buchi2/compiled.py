@@ -29,6 +29,8 @@ from .nonstandard import Model, Ordering
 # cells and no reference cycles.  A derived variable's slot is keyed like
 # the variable it binds; it calls its witness on its operand slots' values
 # and stores the result in env too, so the caller sees what a call derived.
+# A disjunction of congruences of one term against variable-free terms is
+# one lookup node instead of one atom per disjunct (see _residue_lookup).
 
 def _variable_slot(i, name, kept):
     def slot(env, vals, i=i, name=name):
@@ -48,13 +50,15 @@ def _numeral_slot(i, value, numeral, kept):
 
 
 def _v2_slot(i, a, fa, model, kept):
-    # model.v2 is looked up per call: on a model without V2 the error comes
-    # where eval_term raises it, not at compile time.
+    # model.v2 is looked up per call, before the operand is computed: on a
+    # model without V2 the error comes where eval_term raises it, not at
+    # compile time nor from the operand.
     def slot(env, vals, i=i, a=a, fa=fa, model=model, kept=kept):
+        v2 = model.v2
         x = vals[a]
         if x is None:
             x = fa(env, vals)
-        v = vals[i] = model.v2(x)
+        v = vals[i] = v2(x)
         if kept is not None:
             kept[i] = v
         return v
@@ -119,6 +123,35 @@ def _comparison(a, fa, b, fb, compare, want):
     return atom
 
 
+def _residue_lookup(a, fa, n, residue_mod, pending):
+    # t == k0 mod n | t == k1 mod n | ..., with a the slot of t's residue and
+    # every k variable-free.  pending holds the k slots not read yet, flat
+    # and last first: [..., fn of k1, k1, fn of k0, k0].  A k's residue
+    # moves from there to known only once computed, and both are kept
+    # across calls, like kept values; so known always holds the residues of
+    # a prefix of the chain, a hit in it is where eval_qf's scan stops, and
+    # a k whose residue raises raises again when a later call reaches it.
+    known = set()
+
+    def lookup(env, vals, a=a, fa=fa, n=n, residue_mod=residue_mod, pending=pending, known=known):
+        x = vals[a]
+        if x is None:
+            x = fa(env, vals)
+        if x in known:
+            return True
+        while pending:
+            y = vals[pending[-1]]
+            if y is None:
+                y = pending[-2](env, vals)
+            y = residue_mod(y, n)
+            del pending[-2:]
+            known.add(y)
+            if x == y:
+                return True
+        return False
+    return lookup
+
+
 def _negation(body):
     def neg(env, vals, body=body):
         return not body(env, vals)
@@ -161,9 +194,14 @@ def compile_qf(f: Formula, model: Model, derived=()):
     loops; terms are compiled and checked recursively, one stack frame per
     term node as in ``eval_qf``, so sums as long as the catalog's
     (``axioms.MAX_SCHEMA`` links) fit the default recursion limit.  A
-    congruence compares the two sides' residue slots.  The model's
-    ``numeral``, ``add``, ``compare`` and ``residue_mod`` are looked up
-    once, here.
+    congruence compares the two sides' residue slots.  An ``Or`` chain of
+    congruences ``t == k mod n`` with one modulus, one term ``t`` and every
+    ``k`` variable-free, such as A11's residue cases, is one node instead:
+    it looks ``t``'s residue up in the set of the ``k`` residues computed
+    so far, which it keeps across calls, and computes the next ones, in
+    chain order, only on a miss; so one check must not run in two threads
+    at once.  The model's ``numeral``, ``add``, ``compare`` and
+    ``residue_mod`` are looked up once, here.
 
     Each ``(name, witness, param, reads)`` of ``derived`` binds ``name``
     in env to ``witness(model, param, *values)``, the values of ``reads``:
@@ -207,6 +245,23 @@ def compile_qf(f: Formula, model: Model, derived=()):
         a = term(t)
         return slot(("mod", a, n), const[a], _residue_slot, a, fns[a], n, residue_mod)
 
+    def lookup(operands):
+        # the _residue_lookup node of a chain of congruences, or None
+        if not all(isinstance(h, CongMod) for h in operands):
+            return None
+        n = operands[0].modulus
+        if any(h.modulus != n for h in operands):
+            return None
+        a = term(operands[0].left)
+        if any(term(h.left) != a for h in operands):
+            return None
+        ks = [term(h.right) for h in operands]
+        if not all(const[k] for k in ks):
+            return None
+        pending = [v for k in reversed(ks) for v in (fns[k], k)]
+        a = residue(operands[0].left, n)
+        return _residue_lookup(a, fns[a], n, residue_mod, pending)
+
     def formula(g):
         if isinstance(g, (Eq, Lt)):
             a, b = term(g.left), term(g.right)
@@ -218,14 +273,16 @@ def compile_qf(f: Formula, model: Model, derived=()):
         if isinstance(g, Not):
             return _negation(formula(g.body))
         if isinstance(g, (And, Or)):
-            chain, parts, stack = type(g), [], [g]
+            chain, operands, stack = type(g), [], [g]
             while stack:  # the operands, left to right, of the whole chain
                 h = stack.pop()
                 if type(h) is chain:
                     stack += (h.right, h.left)
                 else:
-                    parts.append(formula(h))
-            return (_conjunction if isinstance(g, And) else _disjunction)(tuple(parts))
+                    operands.append(h)
+            if isinstance(g, And):
+                return _conjunction(tuple(formula(h) for h in operands))
+            return lookup(operands) or _disjunction(tuple(formula(h) for h in operands))
         if isinstance(g, Implies):
             return _implication(formula(g.left), formula(g.right))
         if isinstance(g, (ForAll, Exists)):
@@ -239,7 +296,7 @@ def compile_qf(f: Formula, model: Model, derived=()):
 
     witnesses = tuple((i, fns[i]) for i in [derive(*d) for d in derived])
     root = formula(f)
-    del slot, term, residue, formula, derive  # empty their cells, which form reference cycles
+    del slot, term, residue, lookup, formula, derive  # empty their cells, which form reference cycles
 
     def check(env: MutableMapping[str, object], root=root, kept=kept, witnesses=witnesses) -> bool:
         vals = kept.copy()

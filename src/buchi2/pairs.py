@@ -18,6 +18,7 @@ from .nonstandard import (
     NegativeResultError,
     NotDivisibleError,
     ParseError,
+    _below,
     compare as p_compare,
 )
 
@@ -219,8 +220,10 @@ class PairsModel:
         return _CORNERS
 
     def sample(self, rng) -> PairElement:
+        # The draws of rng.randrange and rng.randint, in the same order.
+        bits, offset_bound = rng.getrandbits, self.offset_bound
         if rng.random() < 0.3:
-            return PairElement(Fraction(0), rng.randrange(self.offset_bound + 1))
-        num = rng.randrange(1, self.den_bound + 1)
-        den = rng.randrange(1, self.den_bound + 1)
-        return PairElement(Fraction(num, den), rng.randint(-self.offset_bound, self.offset_bound))
+            return PairElement(Fraction(0), _below(bits, offset_bound + 1))
+        num = 1 + _below(bits, self.den_bound)
+        den = 1 + _below(bits, self.den_bound)
+        return PairElement(Fraction(num, den), _below(bits, 2 * offset_bound + 1) - offset_bound)

@@ -13,6 +13,7 @@ from .nonstandard import (
     NegativeResultError,
     NotDivisibleError,
     ParseError,
+    _below,
     compare,
     natural,
 )
@@ -74,7 +75,8 @@ class StandardModel:
         return (0, 1, 2, 3, 4, 7, 8, 12, 15, 64, 96, 1024)
 
     def sample(self, rng) -> int:
-        return rng.randrange(self.offset_bound + 1)
+        # The draw of rng.randrange(self.offset_bound + 1).
+        return _below(rng.getrandbits, self.offset_bound + 1)
 
     def parse(self, text: str) -> int:
         text = text.strip()

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -27,7 +28,7 @@ from buchi2.axioms import (
     run_suite,
 )
 from buchi2.axioms import _congruence_matrix, _odd_indivisibility_matrix, _residue_cases_matrix
-from buchi2.formulas import Numeral, V2App, Variable, compile_qf, eval_qf, mentions, parse_formula
+from buchi2.formulas import And, Numeral, V2App, Variable, compile_qf, eval_qf, mentions, parse_formula
 from buchi2.nonstandard import Model, NonstandardModel, NotDivisibleError, Ordering
 from buchi2.pairs import PairsModel
 from buchi2.standard import StandardModel
@@ -591,6 +592,29 @@ def test_a_compilation_leaves_no_reference_cycle():
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.mark.parametrize("model", [NONSTD, StandardModel()], ids=["nonstd", "std"])
+def test_residue_cases_compile_to_fewer_objects_than_disjuncts(model):
+    # Each obligation x == 0 mod n | ... | x == n-1 mod n is one lookup
+    # node; only the numerals 0..199 are slots, shared by every n.
+    spec = by_id("A11", 200)
+    matrix = reduce(And, (m for _, m in spec.obligations))
+    disjuncts = sum(n for n, _ in spec.obligations)
+    assert disjuncts == 20_099
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        before = len(gc.get_objects())
+        check = compile_qf(matrix, model, spec.derived)
+        gc.collect()
+        created = len(gc.get_objects()) - before
+    finally:
+        if enabled:
+            gc.enable()
+    assert check({"x": model.numeral(7)})
+    assert created < disjuncts
 
 
 # -- compiled checks are kept per model object ---------------------------------------

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 from fractions import Fraction as F
 
@@ -459,9 +460,50 @@ def environments(model):
     return st.lists(st.dictionaries(_names, values), min_size=1, max_size=4)
 
 
+def constant_terms():
+    # numerals, sums of constants and V2 of constants
+    def extend(inner):
+        return st.one_of(st.tuples(inner, inner).map(lambda p: Sum(*p)), inner.map(V2App))
+    return st.recursive(st.integers(0, 15).map(Numeral), extend, max_leaves=3)
+
+
+@st.composite
+def residue_chains(draw, v2=True, spoiled=False):
+    """t == k0 mod n | t == k1 mod n | ..., bracketed at random, each k
+    variable-free.  A spoiled chain has one operand that breaks the pattern:
+    a variable k, a second modulus, a second left term or no congruence."""
+    n, t = draw(st.integers(2, 7)), draw(terms(v2=v2))
+    operands = [CongMod(n, t, k) for k in draw(st.lists(constant_terms(), min_size=2, max_size=8))]
+    if spoiled:
+        i = draw(st.integers(0, len(operands) - 1))
+        k = operands[i].right
+        operands[i] = draw(st.sampled_from([
+            CongMod(n, t, Sum(k, Variable("y"))),
+            CongMod(n + 1, t, k),
+            CongMod(n, Sum(t, Numeral(1)), k),
+            Eq(t, k),
+        ]))
+
+    def bracket(parts):
+        if len(parts) == 1:
+            return parts[0]
+        i = draw(st.integers(1, len(parts) - 1))
+        return Or(bracket(parts[:i]), bracket(parts[i:]))
+    return bracket(operands)
+
+
+def qf_formulas(v2=True):
+    # the generic formulas, and disjunctions that compile to a residue lookup or nearly do
+    return st.one_of(
+        formulas(v2=v2, quantified=False),
+        residue_chains(v2),
+        residue_chains(v2, spoiled=True),
+    )
+
+
 @pytest.mark.parametrize("model", [NONSTD, STD, PAIRS], ids=["nonstd", "std", "pairs"])
 def test_compiled_matches_interpreter(model):
-    @given(formulas(v2=model.has_v2, quantified=False), environments(model))
+    @given(qf_formulas(v2=model.has_v2), environments(model))
     def compiled_matches(f, envs):
         check = compile_qf(f, model)  # one check over several calls: kept values are reused
         for env in envs:
@@ -469,7 +511,7 @@ def test_compiled_matches_interpreter(model):
     compiled_matches()
 
 
-@given(formulas(quantified=False), environments(STD))
+@given(qf_formulas(), environments(STD))
 def test_compiled_runs_the_interpreters_operations_in_order(f, envs):
     # The compiled check skips repeated operations, so the two logs must
     # agree on the first run of each; a failed operation is logged too.
@@ -495,6 +537,11 @@ def test_compiled_errors_are_the_interpreters():
     assert outcome(lambda: compile_qf(parse_formula("y + z = x"), STD)(env)) == (
         UnboundVariableError, "unbound variable 'y'",
     )
+    # without V2, V2 fails before its operand is computed, as in eval_term
+    f = parse_formula("V2(y) = x")
+    assert outcome(lambda: compile_qf(f, PAIRS)(env)) == outcome(lambda: eval_qf(f, env, PAIRS)) == (
+        AttributeError, "'PairsModel' object has no attribute 'v2'",
+    )
 
 
 def test_compiled_chains_loop_and_sums_recurse_as_eval_qf():
@@ -511,6 +558,54 @@ def test_compiled_chains_loop_and_sums_recurse_as_eval_qf():
     assert check({"x": 1}) is True
     assert check({"x": 2}) is False
 
+
+def root_node(check):
+    # the name of the factory that made the compiled check's root node
+    root = check.__defaults__[0]
+    return root.__qualname__.split(".")[0]
+
+
+@pytest.mark.parametrize("spoiled, root", [(False, "_residue_lookup"), (True, "_disjunction")])
+def test_only_a_pure_residue_chain_compiles_to_a_lookup(spoiled, root):
+    @given(residue_chains(spoiled=spoiled))
+    def compiles_to_root(f):
+        assert root_node(compile_qf(f, STD)) == root
+    compiles_to_root()
+
+
+def faulty(model, operation, bad):
+    """model, except that its numeral or residue_mod raises on the numeral bad."""
+    class Faulty(type(model)):
+        def numeral(self, n):
+            if operation == "numeral" and n == bad:
+                raise ArithmeticError(f"numeral fails on {bad}")
+            return super().numeral(n)
+
+        def residue_mod(self, x, n):
+            if operation == "residue_mod" and x == super().numeral(bad):
+                raise ArithmeticError(f"residue_mod fails on {bad}")
+            return super().residue_mod(x, n)
+    return Faulty()
+
+
+@pytest.mark.parametrize("operation", ["numeral", "residue_mod"])
+@pytest.mark.parametrize("model", [NONSTD, STD, PAIRS], ids=["nonstd", "std", "pairs"])
+def test_a_faulty_constant_raises_where_the_chain_reaches_it(model, operation):
+    faulty_model = faulty(model, operation, 3)
+    f = reduce(Or, (CongMod(5, Variable("x"), Numeral(j)) for j in range(5)))
+    check = compile_qf(f, faulty_model)
+    for j in (4, 1, 3, 0, 2, 4, 1):  # x == j mod 5, never x = 3 itself
+        env = {"x": faulty_model.numeral(j + 5)}
+        expected = True if j < 3 else (ArithmeticError, f"{operation} fails on 3")
+        assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, faulty_model)) == expected
+
+    @given(residue_chains(model.has_v2), st.integers(0, 15), environments(model))
+    def raises_as_the_interpreter(f, bad, envs):
+        faulty_model = faulty(model, operation, bad)
+        check = compile_qf(f, faulty_model)
+        for env in envs:
+            assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, faulty_model))
+    raises_as_the_interpreter()
 
 
 def test_importing_the_cli_does_not_load_the_compiler():

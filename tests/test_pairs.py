@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -162,3 +163,21 @@ def test_model_adapter_has_no_v2():
     assert not model.has_v2
     assert not hasattr(model, "v2")
     assert model.residue_mod(pe(5, 7, 6), 4) == 2
+
+
+def ref_sample(model, rng):
+    # The sampler as written with randrange and randint.
+    if rng.random() < 0.3:
+        return PairElement(F(0), rng.randrange(model.offset_bound + 1))
+    num, den = rng.randrange(1, model.den_bound + 1), rng.randrange(1, model.den_bound + 1)
+    return PairElement(F(num, den), rng.randint(-model.offset_bound, model.offset_bound))
+
+
+@pytest.mark.parametrize("den_bound, offset_bound", [(1000, 10**6), (1, 1), (7, 10**40)])
+def test_sampler_draws_as_randrange_does(den_bound, offset_bound):
+    model = PairsModel(den_bound=den_bound, offset_bound=offset_bound)
+    for seed in range(50):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            assert model.sample(rng) == ref_sample(model, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()

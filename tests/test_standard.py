@@ -61,3 +61,13 @@ def test_model_adapter_basics():
     assert model.divide(12, 4) == 3
     xs = {model.sample(random.Random(3)) for _ in range(3)}
     assert len(xs) == 1  # deterministic under a fixed seed
+
+
+@pytest.mark.parametrize("offset_bound", [1, 2, 99, 10**6, 2**64, 10**40])
+def test_sampler_draws_as_randrange_does(offset_bound):
+    model = StandardModel(offset_bound=offset_bound)
+    for seed in range(50):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        for _ in range(2000):
+            assert model.sample(rng) == ref_rng.randrange(offset_bound + 1)
+        assert rng.getstate() == ref_rng.getstate()
