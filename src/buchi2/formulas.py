@@ -21,8 +21,11 @@ scans to ``12`` and ``forall``, can only be a formula, and ``x1forall``,
 one name, can only be a term.  The same rule picks the ``primary`` branch
 without backtracking: a ``(`` whose group, up to its matching ``)`` or the
 end of input, contains one of these opens ``'(' formula ')'``, and any
-other ``(`` starts an atom.  A line is scanned once: the pass that splits
-it into tokens also marks these groups.
+other ``(`` starts an atom.  A line that parses is scanned once, by one
+``findall`` whose tokens are strings, and a line with a ``(`` has its
+groups marked in one pass over them; only an error scans the line again,
+for its position.  A numeral longer than ``int()`` reads from text
+(``sys.get_int_max_str_digits()``) is a parse error.
 
 A quantifier binds as much as possible to its right, so in
 ``x = 0 | exists y. x = y + 1`` the existential's scope is the rest of the
@@ -58,98 +61,166 @@ import re
 from dataclasses import dataclass
 from typing import Mapping
 
-from .nonstandard import Model, Ordering, ParseError
+from .nonstandard import Model, Ordering, ParseError, too_many_digits
 
 
-class Term:
+class _Node:
+    """A tree node: a frozen dataclass whose fields are declared slots.
+
+    Its ``__init__`` sets the fields through the slots' own setters, which
+    the frozen ``__setattr__`` does not block; ``pickle`` and ``copy``
+    rebuild a node by calling its class on its fields.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+
+
+class Term(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Formula(_Node):
+    __slots__ = ()
+
+
+class _Binary(_Node):
+    """The slots and ``__init__`` of Sum, Eq, Lt, And, Or and Implies."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        _set_left(self, left)
+        _set_right(self, right)
+
+
+class _Quantifier(_Node):
+    """The slots and ``__init__`` of ForAll and Exists."""
+
+    __slots__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        _set_var(self, var)
+        _set_body(self, body)
+
+
+@dataclass(frozen=True, init=False)
 class Variable(Term):
+    __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str):
+        _set_name(self, name)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Numeral(Term):
+    __slots__ = ("value",)
     value: int
 
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError(f"numerals are naturals, got {self.value}")
+    def __init__(self, value: int):
+        if value < 0:
+            raise ValueError(f"numerals are naturals, got {value}")
+        _set_value(self, value)
 
 
-@dataclass(frozen=True)
-class Sum(Term):
+@dataclass(frozen=True, init=False)
+class Sum(Term, _Binary):
+    __slots__ = ()
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class V2App(Term):
+    __slots__ = ("arg",)
     arg: Term
 
+    def __init__(self, arg: Term):
+        _set_arg(self, arg)
 
-class Formula:
+
+@dataclass(frozen=True, init=False)
+class Eq(Formula, _Binary):
     __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Lt(Formula):
+@dataclass(frozen=True, init=False)
+class Lt(Formula, _Binary):
+    __slots__ = ()
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CongMod(Formula):
+    __slots__ = ("modulus", "left", "right")
     modulus: int
     left: Term
     right: Term
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError(f"congruence modulus must be >= 2, got {self.modulus}")
+    def __init__(self, modulus: int, left: Term, right: Term):
+        if modulus < 2:
+            raise ValueError(f"congruence modulus must be >= 2, got {modulus}")
+        _set_modulus(self, modulus)
+        _set_congruent_left(self, left)
+        _set_congruent_right(self, right)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Not(Formula):
+    __slots__ = ("body",)
     body: Formula
 
+    def __init__(self, body: Formula):
+        _set_negated(self, body)
 
-@dataclass(frozen=True)
-class And(Formula):
+
+@dataclass(frozen=True, init=False)
+class And(Formula, _Binary):
+    __slots__ = ()
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Or(Formula):
+@dataclass(frozen=True, init=False)
+class Or(Formula, _Binary):
+    __slots__ = ()
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
+@dataclass(frozen=True, init=False)
+class Implies(Formula, _Binary):
+    __slots__ = ()
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
-class ForAll(Formula):
+@dataclass(frozen=True, init=False)
+class ForAll(Formula, _Quantifier):
+    __slots__ = ()
     var: str
     body: Formula
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
+@dataclass(frozen=True, init=False)
+class Exists(Formula, _Quantifier):
+    __slots__ = ()
     var: str
     body: Formula
+
+
+# The slots' own setters.
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+_set_var, _set_body = _Quantifier.var.__set__, _Quantifier.body.__set__
+_set_name, _set_value, _set_arg = Variable.name.__set__, Numeral.value.__set__, V2App.arg.__set__
+_set_negated = Not.body.__set__
+_set_modulus, _set_congruent_left, _set_congruent_right = (getattr(CongMod, n).__set__ for n in CongMod.__slots__)
 
 
 def nsum(t: Term, n: int) -> Term:
@@ -175,10 +246,14 @@ class NestingError(ParseError):
 
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-_TOKEN_RE = re.compile(
-    r"(?P<arrow>->)|(?P<eqeq>==)|(?P<sym>[()+=<>~&|.])"
-    rf"|(?P<nat>\d+)|(?P<ident>{_IDENT})|(?P<bad>\S)"
-)
+# Every token: a symbol, a natural or a name.  A natural passes
+# str.isdecimal, a name str.isidentifier; no two kinds share a value.
+_WORD = rf"->|==|[()+=<>~&|.]|\d+|{_IDENT}"
+_WORD_RE = re.compile(_WORD)
+# The reference scan, which also matches a character that starts no token.
+_TOKEN_RE = re.compile(rf"{_WORD}|(?P<bad>\S)")
+# Exactly the characters _TOKEN_RE matches as bad.
+_BAD_RE = re.compile(r"-(?!>)|[^\s\d()+=<>~&|.A-Za-z_-]")
 # No other kind of token contains a character that can start an identifier,
 # so on text that scans without error this finds exactly the ident tokens.
 _IDENT_RE = re.compile(_IDENT)
@@ -209,35 +284,50 @@ def identifiers(text: str) -> set[str]:
     return set(_IDENT_RE.findall(text))
 
 
-def _scan(text: str) -> tuple[list[tuple[str, str, int]], set[int]]:
-    """The tokens of text, ending in an ``end`` token, and its formula groups.
+def _positions(text: str) -> list[int]:
+    """Where each token of text starts, then len(text) for the ``end`` token.
 
-    Whitespace matches no alternative of ``_TOKEN_RE`` and is skipped.  The
-    formula groups are the indices of the '(' that open one.  A group runs
-    to its matching ')', or to the end of input if it is left open, and is
-    a formula group when it contains a formula-only token, the rule of
-    ``is_formula_text``; any other group can only hold a term.
+    This is the reference scan; it raises the ParseError of the first
+    character that starts no token.
     """
-    tokens: list[tuple[str, str, int]] = []
-    groups: set[int] = set()
-    open_groups: list[int] = []
+    out = []
     for m in _TOKEN_RE.finditer(text):
-        kind, value, pos = m.lastgroup, m.group(), m.start()
-        if kind == "bad":
-            raise ParseError(f"unexpected character {value!r}", pos)
-        if value == "(":  # each value has one kind
-            open_groups.append(len(tokens))
-        elif value == ")" and open_groups:
-            open_groups.pop()
-        elif value in _FORMULA_ONLY_TOKENS:
-            # The marked open groups are the outermost ones, so marking
-            # stops at the first marked group and each is marked once.
-            for j in reversed(open_groups):
-                if j in groups:
-                    break
-                groups.add(j)
-        tokens.append((kind, value, pos))
-    tokens.append(("end", "", len(text)))
+        if m.lastgroup:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        out.append(m.start())
+    out.append(len(text))
+    return out
+
+
+def _scan(text: str) -> tuple[list[str], set[int]]:
+    """The tokens of text, ending in the empty ``end`` token, and its formula groups.
+
+    A line that parses is scanned once, by one ``findall``; only an error
+    scans it again, in ``_positions``, for its position.  Whitespace is
+    skipped.  The formula groups are the indices of the '(' that open one.
+    A group runs to its matching ')', or to the end of input if it is left
+    open, and is a formula group when it contains a formula-only token, the
+    rule of ``is_formula_text``; any other group can only hold a term.
+    """
+    if _BAD_RE.search(text):
+        _positions(text)  # raises at the first bad character
+    tokens = _WORD_RE.findall(text)
+    groups: set[int] = set()
+    if "(" in text:
+        open_groups: list[int] = []
+        for i, value in enumerate(tokens):
+            if value == "(":
+                open_groups.append(i)
+            elif value == ")" and open_groups:
+                open_groups.pop()
+            elif value in _FORMULA_ONLY_TOKENS:
+                # The marked open groups are the outermost ones, so marking
+                # stops at the first marked group and each is marked once.
+                for j in reversed(open_groups):
+                    if j in groups:
+                        break
+                    groups.add(j)
+    tokens.append("")
     return tokens, groups
 
 
@@ -248,59 +338,58 @@ class _Parser:
     # bounds the recursion of every walker over the tree.
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens, self.formula_groups = _scan(text)
         self.i = 0
         self.depth = 0
         self.height = 0
 
     # The methods read ``self.tokens[self.i]`` directly and step ``i`` by
-    # one.  They test a symbol or keyword token by its value alone: no two
-    # kinds of token share a value.
+    # one.  An error scans the text again for its token's position.
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
+    def expect(self, want: str, kind=None) -> str:
+        """Step over the next token: the symbol want, or a token that kind accepts."""
+        i = self.i
+        tok = self.tokens[i]
+        self.i = i + 1
+        if not (kind(tok) if kind else tok == want):
+            raise ParseError(f"expected {want!r}, found {tok or 'end of input'!r}", _positions(self.text)[i])
         return tok
 
-    def expect(self, kind: str, value: str | None = None) -> tuple[str, str, int]:
-        tok = self.next()
-        if tok[0] != kind or (value is not None and tok[1] != value):
-            want = value if value is not None else kind
-            raise ParseError(f"expected {want!r}, found {tok[1] or 'end of input'!r}", tok[2])
-        return tok
-
-    def descend(self, pos: int) -> None:
+    def descend(self, i: int) -> None:
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise NestingError(f"nested deeper than {MAX_DEPTH} levels", pos)
+            raise NestingError(f"nested deeper than {MAX_DEPTH} levels", _positions(self.text)[i])
 
     def grow(self, height: int) -> None:
         if height > MAX_DEPTH:
-            raise NestingError(f"nested deeper than {MAX_DEPTH} levels", self.tokens[self.i][2])
+            raise NestingError(f"nested deeper than {MAX_DEPTH} levels", _positions(self.text)[self.i])
         self.height = height
 
     # -- formulas ----------------------------------------------------------
 
     def formula(self) -> Formula:
-        value = self.tokens[self.i][1]
+        i = self.i
+        value = self.tokens[i]
         if value == "forall" or value == "exists":
-            self.descend(self.next()[2])
-            var = self.expect("ident")
-            if var[1] in KEYWORDS:
-                raise ParseError(f"{var[1]!r} cannot be a variable name", var[2])
-            self.expect("sym", ".")
+            self.i = i + 1
+            self.descend(i)
+            var = self.expect("ident", str.isidentifier)
+            if var in KEYWORDS:
+                raise ParseError(f"{var!r} cannot be a variable name", _positions(self.text)[i + 1])
+            self.expect(".")
             body = self.formula()
             self.depth -= 1
             self.grow(self.height + 1)
-            return (ForAll if value == "forall" else Exists)(var[1], body)
+            return (ForAll if value == "forall" else Exists)(var, body)
         return self.implication()
 
     def implication(self) -> Formula:
         left = self.disjunction()
-        if self.tokens[self.i][1] == "->":
+        if self.tokens[self.i] == "->":
             self.i += 1
             height = self.height
-            self.descend(self.tokens[self.i][2])
+            self.descend(self.i)
             right = self.implication()
             self.depth -= 1
             self.grow(max(height, self.height) + 1)
@@ -311,7 +400,7 @@ class _Parser:
         """Left-associative operands joined by sym; n operands take n - 1 levels."""
         out = operand()
         tokens = self.tokens
-        while tokens[self.i][1] == sym:
+        while tokens[self.i] == sym:
             self.i += 1
             height = self.height
             out = node(out, operand())
@@ -325,10 +414,11 @@ class _Parser:
         return self.chain(self.negation, "&", And)
 
     def negation(self) -> Formula:
-        _, value, pos = self.tokens[self.i]
+        i = self.i
+        value = self.tokens[i]
         if value == "~":
-            self.i += 1
-            self.descend(pos)
+            self.i = i + 1
+            self.descend(i)
             body = self.negation()
             self.depth -= 1
             self.grow(self.height + 1)
@@ -342,17 +432,18 @@ class _Parser:
         if i not in self.formula_groups:
             return self.atom()
         self.i = i + 1
-        self.descend(self.tokens[i][2])
+        self.descend(i)
         body = self.formula()
-        self.expect("sym", ")")
+        self.expect(")")
         self.depth -= 1
         return body
 
     def atom(self) -> Formula:
         left = self.term()
         height = self.height
-        _, value, pos = self.tokens[self.i]
-        self.i += 1
+        i = self.i
+        value = self.tokens[i]
+        self.i = i + 1
         if value == "=":
             out = Eq(left, self.term())
         elif value == "<":
@@ -361,16 +452,18 @@ class _Parser:
             out = Lt(self.term(), left)
         elif value == "==":
             right = self.term()
-            mod_kw = self.expect("ident")
-            if mod_kw[1] != "mod":
-                raise ParseError("expected 'mod'", mod_kw[2])
-            nat = self.expect("nat")
-            n = int(nat[1])
+            if self.expect("ident", str.isidentifier) != "mod":
+                raise ParseError("expected 'mod'", _positions(self.text)[self.i - 1])
+            nat = self.expect("nat", str.isdecimal)
+            try:
+                n = int(nat)
+            except ValueError:  # more digits than int() reads from text
+                raise too_many_digits(_positions(self.text)[self.i - 1]) from None
             if n < 2:
-                raise ParseError(f"congruence modulus must be >= 2, got {n}", nat[2])
+                raise ParseError(f"congruence modulus must be >= 2, got {n}", _positions(self.text)[self.i - 1])
             out = CongMod(n, left, right)
         else:
-            raise ParseError(f"expected a comparison, found {value or 'end of input'!r}", pos)
+            raise ParseError(f"expected a comparison, found {value or 'end of input'!r}", _positions(self.text)[i])
         self.height = max(height, self.height)
         return out
 
@@ -380,39 +473,43 @@ class _Parser:
         return self.chain(self.factor, "+", Sum)
 
     def factor(self) -> Term:
-        kind, value, pos = self.tokens[self.i]
-        self.i += 1
-        if kind == "nat":
+        i = self.i
+        value = self.tokens[i]
+        self.i = i + 1
+        if value.isdecimal():
             self.height = 0
-            return Numeral(int(value))
-        if kind == "ident":
+            try:
+                return Numeral(int(value))
+            except ValueError:  # more digits than int() reads from text
+                raise too_many_digits(_positions(self.text)[i]) from None
+        if value.isidentifier():
             if value == "V2":
-                self.descend(pos)
-                self.expect("sym", "(")
+                self.descend(i)
+                self.expect("(")
                 arg = self.term()
-                self.expect("sym", ")")
+                self.expect(")")
                 self.depth -= 1
                 self.grow(self.height + 1)
                 return V2App(arg)
             if value in KEYWORDS:
-                raise ParseError(f"{value!r} cannot be a variable name", pos)
+                raise ParseError(f"{value!r} cannot be a variable name", _positions(self.text)[i])
             self.height = 0
             return Variable(value)
         if value == "(":
-            self.descend(pos)
+            self.descend(i)
             inner = self.term()
-            self.expect("sym", ")")
+            self.expect(")")
             self.depth -= 1
             return inner
-        raise ParseError(f"expected a term, found {value or 'end of input'!r}", pos)
+        raise ParseError(f"expected a term, found {value or 'end of input'!r}", _positions(self.text)[i])
 
 
 def _parse_whole(text: str, rule):
     parser = _Parser(text)
     out = rule(parser)
-    kind, value, pos = parser.tokens[parser.i]
-    if kind != "end":
-        raise ParseError(f"trailing input {value!r}", pos)
+    value = parser.tokens[parser.i]
+    if value:
+        raise ParseError(f"trailing input {value!r}", _positions(text)[parser.i])
     return out
 
 
@@ -429,7 +526,7 @@ def free_variables(f: Formula | Term) -> frozenset[str]:
         return frozenset((f.name,))
     if isinstance(f, Numeral):
         return frozenset()
-    if isinstance(f, (Sum, Eq, Lt, CongMod, And, Or, Implies)):
+    if isinstance(f, (_Binary, CongMod)):
         return free_variables(f.left) | free_variables(f.right)
     if isinstance(f, V2App):
         return free_variables(f.arg)
@@ -551,7 +648,7 @@ def mentions(f: Formula | Term, kinds: type | tuple[type, ...]) -> bool:
     """Whether the term or formula f has a node of the given type or types."""
     if isinstance(f, kinds):
         return True
-    if isinstance(f, (Sum, Eq, Lt, CongMod, And, Or, Implies)):
+    if isinstance(f, (_Binary, CongMod)):
         return mentions(f.left, kinds) or mentions(f.right, kinds)
     if isinstance(f, V2App):
         return mentions(f.arg, kinds)

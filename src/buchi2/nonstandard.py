@@ -50,6 +50,7 @@ threads or processes.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -72,6 +73,14 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int | None = None):
         super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = 0 if position is None else position
+
+
+def too_many_digits(position: int | None = None) -> ParseError:
+    """The error for a numeral of more digits than int() reads from text.
+
+    That limit is ``sys.get_int_max_str_digits()``, 4300 by default.
+    """
+    return ParseError(f"numeral exceeds the limit of {sys.get_int_max_str_digits()} digits", position)
 
 
 class Ordering(Enum):
@@ -416,12 +425,15 @@ def parse_element(text: str) -> Element:
     if m is None:
         raise ParseError(f"not an element literal: {text!r}")
     standard, sugar, num, den, sign, off = m.groups()
-    if standard is not None:
-        return _element(0, 1, int(standard))
-    num, den = int(num or 1), int(sugar or den or 1)  # c/n has no num and no den
+    try:
+        if standard is not None:
+            return _element(0, 1, int(standard))
+        num, den = int(num or 1), int(sugar or den or 1)  # c/n has no num and no den
+        offset = 0 if off is None else (int(off) if sign == "+" else -int(off))
+    except ValueError:  # more digits than int() reads from text
+        raise too_many_digits() from None
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}")
-    offset = 0 if off is None else (int(off) if sign == "+" else -int(off))
     if num == 0:
         try:
             return natural(offset)

@@ -20,6 +20,7 @@ from .nonstandard import (
     ParseError,
     _below,
     compare as p_compare,
+    too_many_digits,
 )
 
 
@@ -174,12 +175,14 @@ def parse_pair(text: str) -> PairElement:
     if not m:
         raise ParseError(f"not a pair literal: {text!r}")
     num, den, n = m.groups()
-    den = int(den or 1)
+    try:
+        num, den, n = int(num), int(den or 1), int(n)
+    except ValueError:  # more digits than int() reads from text
+        raise too_many_digits() from None
     if den == 0:
         raise ParseError(f"zero denominator in {text!r}")
-    g = Fraction(int(num), den)
     try:
-        return PairElement(g, int(n))
+        return PairElement(Fraction(num, den), n)
     except ValueError as exc:
         raise ParseError(f"literal denotes no pair element: {text!r} ({exc})") from exc
 

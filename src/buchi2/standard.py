@@ -16,6 +16,7 @@ from .nonstandard import (
     _below,
     compare,
     natural,
+    too_many_digits,
 )
 
 
@@ -82,4 +83,7 @@ class StandardModel:
         text = text.strip()
         if not text.isdecimal():  # isdigit() also passes digits int() rejects, such as "²"
             raise ParseError(f"not a natural number literal: {text!r}")
-        return int(text)
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() reads from text
+            raise too_many_digits() from None

@@ -1,5 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import sys
+
 import pytest
 
 import buchi2.cli as cli
@@ -290,13 +292,60 @@ def test_deepest_accepted_nesting_evaluates(capsys, shape):
     assert run(capsys, "eval", make(MAX_DEPTH)) == (0, answer(MAX_DEPTH) + "\n", "")
 
 
-def test_oversized_numeral_is_an_evaluation_error(capsys, monkeypatch):
+def test_oversized_numeral_is_a_parse_error(capsys, monkeypatch):
     digits = "1" * 5000
-    code, out, err = run(capsys, "eval", digits)
+    answer = "parse error: numeral exceeds the limit of 4300 digits (at position 0)"
+    assert run(capsys, "eval", digits) == (2, "", answer + "\n")
+    assert repl_replies(capsys, monkeypatch, digits, "1 + 1") == [answer, "2"]
+    # a result too long to print is still an evaluation error
+    code, out, err = run(capsys, "eval", "9" * 4300 + " + 1")
     assert (code, out) == (3, "") and err.startswith("error: Exceeds the limit (4300 digits)")
-    replies = repl_replies(capsys, monkeypatch, digits, "1 + 1")
-    assert replies[0].startswith("error: Exceeds the limit (4300 digits)")
-    assert replies[1:] == ["2"]
+
+
+_LONG = "7" * 4301
+
+
+@pytest.mark.parametrize("model", ["nonstd", "std", "pairs"])
+@pytest.mark.parametrize("text, position", [
+    (_LONG, 0),
+    (f"1 + {_LONG}", 4),
+    (f"V2({_LONG}) = 1", 3),
+    (f"x == 1 mod {_LONG}", 11),
+    (f"1 = 1 & ({_LONG} < 2)", 9),
+], ids=["numeral", "sum", "V2", "modulus", "group"])
+def test_oversized_numeral_in_a_term_or_formula(capsys, monkeypatch, model, text, position):
+    answer = f"parse error: numeral exceeds the limit of 4300 digits (at position {position})"
+    assert run(capsys, "eval", text, "--model", model) == (2, "", answer + "\n")
+    feed = iter([text, "1 < 2", ":q"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
+    assert main(["repl", "--model", model]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [answer, "true"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["add", f"2c+{_LONG}", "1", "--model", "nonstd"],
+    ["cmp", "c", f"{_LONG}/3c", "--model", "nonstd"],
+    ["v2", f"c/{_LONG}", "--model", "nonstd"],
+    ["add", _LONG, "1", "--model", "std"],
+    ["add", f"({_LONG}, 1)", "(1, 1)", "--model", "pairs"],
+    ["mod", f"(1/{_LONG}, 1)", "3", "--model", "pairs"],
+    ["refute", f"(1, -{_LONG})"],
+], ids=["nonstd offset", "nonstd numerator", "nonstd sugar", "std", "pairs numerator", "pairs denominator",
+        "refute"])
+def test_oversized_numeral_in_an_element_literal(capsys, argv):
+    assert run(capsys, *argv) == (2, "", "parse error: numeral exceeds the limit of 4300 digits\n")
+
+
+def test_the_numeral_limit_is_the_interpreters(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        answer = "parse error: numeral exceeds the limit of 640 digits"
+        assert run(capsys, "eval", "1 + " + "1" * 641) == (2, "", answer + " (at position 4)\n")
+        assert run(capsys, "add", "1" * 641, "1", "--model", "std") == (2, "", answer + "\n")
+        assert run(capsys, "eval", "1 + " + "9" * 640, "--model", "std")[0] == 3
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_too_deep_sum_inside_a_formula_is_a_nesting_error(capsys, monkeypatch):

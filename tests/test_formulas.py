@@ -1,17 +1,22 @@
 """Parser, printer and evaluation of the formula language."""
 
+import copy
+import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
 from functools import reduce
 from pathlib import Path
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 import buchi2
+import buchi2.formulas as formulas_module
 
 from buchi2.axioms import MAX_SCHEMA
 from buchi2.formulas import (
@@ -31,6 +36,7 @@ from buchi2.formulas import (
     V2App,
     Variable,
     _Parser,
+    _TOKEN_RE,
     compile_qf,
     eval_qf,
     eval_term,
@@ -201,6 +207,147 @@ def test_parse_reads_each_token_once(monkeypatch, text):
     monkeypatch.setattr(_Parser, "i", property(lambda self: self.__dict__["i"], assign), raising=False)
     parse_formula(text)
     assert assigned == list(range(count))
+
+
+# The reference scanner: one loop over _TOKEN_RE.finditer that keeps each
+# token's position and marks the formula groups on every line.
+_FORMULA_ONLY = {"=", "<", ">", "~", "&", "|", "==", "->", "forall", "exists"}
+
+
+def reference_scan(text):
+    tokens, groups, open_groups = [], set(), []
+    for m in _TOKEN_RE.finditer(text):
+        value = m.group()
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {value!r}", m.start())
+        if value == "(":
+            open_groups.append(len(tokens))
+        elif value == ")" and open_groups:
+            open_groups.pop()
+        elif value in _FORMULA_ONLY:
+            for j in reversed(open_groups):
+                if j in groups:
+                    break
+                groups.add(j)
+        tokens.append((value, m.start()))
+    tokens.append(("", len(text)))
+    return tokens, groups
+
+
+def reference_tokens(text):
+    tokens, groups = reference_scan(text)
+    return [value for value, _ in tokens], groups
+
+
+def scan_answer(call, text):
+    """What call(text) returns, or the type, message and position of its ParseError."""
+    try:
+        return call(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.position
+
+
+def reference_answer(parse, text):
+    """What parse answers when it scans with reference_scan and reads
+    positions from it, in place of the single findall and the second scan."""
+    def positions(text):
+        return [start for _, start in reference_scan(text)[0]]
+
+    with mock.patch.object(formulas_module, "_scan", reference_tokens), \
+            mock.patch.object(formulas_module, "_positions", positions):
+        return scan_answer(parse, text)
+
+
+_SCAN_PIECES = (
+    "(", ")", "+", "=", "<", ">", "~", "&", "|", "->", "==", ".", "mod", "forall", "exists", "V2",
+    "x", "y1", "_", "0", "12", " ", "-", "-->", "*", "/", "²", "é", "١٢",
+    "　", "\x1c", "\x85", "7" * 4301,
+)
+_DEEP = ("", "(" * (MAX_DEPTH + 1), "V2(" * (MAX_DEPTH + 1), "~ " * (MAX_DEPTH + 1), "1" + " + 1" * MAX_DEPTH)
+scan_texts = st.builds(
+    str.__add__, st.sampled_from(_DEEP), st.lists(st.sampled_from(_SCAN_PIECES), max_size=16).map("".join)
+)
+
+
+@given(scan_texts)
+def test_scan_matches_the_reference_loop(text):
+    assert scan_answer(formulas_module._scan, text) == scan_answer(reference_tokens, text)
+
+
+def test_scan_matches_the_reference_loop_on_each_piece_in_a_group():
+    for piece in _SCAN_PIECES:
+        for text in (piece, f"({piece}", f"((x {piece}) + 1", f"{piece}(1 = 1)", f"(x{piece}(y)", f"(x) {piece}"):
+            assert scan_answer(formulas_module._scan, text) == scan_answer(reference_tokens, text)
+
+
+@given(scan_texts)
+def test_parse_errors_match_the_reference_scan(text):
+    for parse in (parse_formula, parse_term):
+        assert scan_answer(parse, text) == reference_answer(parse, text)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("x - y", "unexpected character '-' (at position 2)"),
+    ("x --> y", "unexpected character '-' (at position 2)"),
+    ("x -> y = 1 * 2", "unexpected character '*' (at position 11)"),
+    ("x² = 1", "unexpected character '²' (at position 1)"),
+    ("é = 1", "unexpected character 'é' (at position 0)"),
+    ("1 = 1 &", "expected a term, found 'end of input' (at position 7)"),
+    ("(1 = 1", "expected ')', found 'end of input' (at position 6)"),
+    ("١٢ = 1 == 2 mod 3", "trailing input '==' (at position 7)"),
+    ("1　< 2 )", "trailing input ')' (at position 6)"),
+    ("x == 1 mod 1", "congruence modulus must be >= 2, got 1 (at position 11)"),
+    ("x == 1 mod y", "expected 'nat', found 'y' (at position 11)"),
+    ("forall 1. x = 1", "expected 'ident', found '1' (at position 7)"),
+    ("x == 1 mud 2", "expected 'mod' (at position 7)"),
+])
+def test_parse_error_examples(text, error):
+    with pytest.raises(ParseError) as err:
+        parse_formula(text)
+    assert str(err.value) == error
+
+
+# -- tree nodes ----------------------------------------------------------------
+
+_x, _y = Variable("x"), Variable("y")
+NODES = (
+    _x, Numeral(3), Sum(_x, Numeral(1)), V2App(_y), Eq(_x, _y), Lt(_y, _x), CongMod(3, _x, _y),
+    Not(Eq(_x, _y)), And(Eq(_x, _y), Lt(_x, _y)), Or(Lt(_x, _y), Eq(_y, _x)),
+    Implies(Eq(_x, _y), Eq(_y, _x)), ForAll("x", Eq(_x, _x)), Exists("y", Lt(_x, _y)),
+)
+
+
+def test_the_node_list_has_every_node_class():
+    assert sorted(type(node).__name__ for node in NODES) == sorted((
+        "Variable", "Numeral", "Sum", "V2App", "Eq", "Lt", "CongMod", "Not", "And", "Or", "Implies",
+        "ForAll", "Exists",
+    ))
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_nodes_are_frozen_slotted_and_picklable(node):
+    for name in (*(f.name for f in dataclasses.fields(node)), "extra"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, _x)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    assert not hasattr(node, "__dict__")
+    for copied in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+        assert type(copied) is type(node)
+        assert copied == node and hash(copied) == hash(node) and repr(copied) == repr(node)
+
+
+def test_node_checks():
+    with pytest.raises(ValueError, match=r"^numerals are naturals, got -1$"):
+        Numeral(-1)
+    with pytest.raises(ValueError, match=r"^congruence modulus must be >= 2, got 1$"):
+        CongMod(1, _x, _y)
+
+
+def test_nodes_of_different_classes_differ():
+    assert Sum(_x, _y) != Eq(_x, _y) != Lt(_x, _y) != And(_x, _y)
+    assert ForAll("x", Eq(_x, _x)) != Exists("x", Eq(_x, _x))
+    assert repr(CongMod(3, _x, _y)) == "CongMod(modulus=3, left=Variable(name='x'), right=Variable(name='y'))"
 
 
 # -- printing ------------------------------------------------------------------

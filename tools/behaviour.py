@@ -12,7 +12,9 @@ about 16 s on a shared 2-vCPU Xeon with Python 3.11.
 The inputs are 60,000 lines: the 30,000 ``repl-mix`` benchmark lines
 (``perfbench/mix.py``, seeds 0-2, chunks 0-9 of 1000 lines) and 30,000
 seeded fuzzed token strings, half of them mix lines with one or two tokens
-changed and half random token sequences.  The readings are
+changed and half random token sequences.  Their vocabulary has tokens,
+literals, characters that start no token (a lone ``-``, ``*``, ``²``), a
+Unicode number and a Unicode space.  The readings are
 
     tree<TAB>line<TAB>parse tree, or the parse error
     repl MODEL<TAB>line<TAB>what ``buchi2 repl --model MODEL`` prints
@@ -95,6 +97,7 @@ _PIECE_RE = re.compile(r"->|==|[()+=<>~&|.]|\d+|[A-Za-z_]\w*|\S")
 VOCABULARY = (
     "(", ")", "+", "=", "<", ">", "~", "&", "|", "->", "==", ".", "mod",
     "forall", "exists", "V2", "x", "y", "c", "0", "1", "2", "12", "2c+5", "3/5c",
+    "-", "*", "\u00b2", "\u0661\u0662", "\u3000",
 )
 
 
@@ -125,7 +128,8 @@ def fuzzed_lines(sources: list[str]) -> list[str]:
         else:
             pieces = [rng.choice(VOCABULARY) for _ in range(rng.randint(1, 15))]
         sep = " " if rng.random() < 0.8 else ""
-        out.append(sep.join(pieces) or "(")  # the REPL skips empty lines
+        text = sep.join(pieces)
+        out.append(text if text.strip() else "(")  # the REPL skips blank lines
     return out
 
 
