@@ -22,10 +22,11 @@ one name, can only be a term.  The same rule picks the ``primary`` branch
 without backtracking: a ``(`` whose group, up to its matching ``)`` or the
 end of input, contains one of these opens ``'(' formula ')'``, and any
 other ``(`` starts an atom.  A line that parses is scanned once, by one
-``findall`` whose tokens are strings, and a line with a ``(`` has its
+``split`` whose tokens are strings, and a line with a ``(`` has its
 groups marked in one pass over them; only an error scans the line again,
 for its position.  A numeral longer than ``int()`` reads from text
-(``sys.get_int_max_str_digits()``) is a parse error.
+(``sys.get_int_max_str_digits()``) is a parse error.  Tree nodes are
+frozen, compare and hash by their fields, pickle and support ``match``.
 
 A quantifier binds as much as possible to its right, so in
 ``x = 0 | exists y. x = y + 1`` the existential's scope is the rest of the
@@ -58,24 +59,56 @@ unbound and whether it uses ``V2``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
+from operator import attrgetter
 from typing import Mapping
 
 from .nonstandard import Model, Ordering, ParseError, too_many_digits
 
 
 class _Node:
-    """A tree node: a frozen dataclass whose fields are declared slots.
+    """A frozen tree node; its fields are the slots along its MRO, outermost first.
 
-    Its ``__init__`` sets the fields through the slots' own setters, which
-    the frozen ``__setattr__`` does not block; ``pickle`` and ``copy``
-    rebuild a node by calling its class on its fields.
+    ``__init_subclass__`` lists them as ``__match_args__``, for ``match``,
+    and builds ``_values``, which reads them as the tuple that ``==``,
+    ``hash``, ``repr`` (in the dataclass form), ``pickle``, ``copy`` and
+    ``mentions`` use.  ``__init__`` sets the fields through the slots' own
+    setters, which the frozen ``__setattr__`` does not block.
     """
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        names = tuple(name for base in reversed(cls.__mro__) for name in base.__dict__.get("__slots__", ()))
+        cls.__match_args__ = names
+        if len(names) == 1:
+            get = attrgetter(*names)
+            cls._values = staticmethod(lambda node: (get(node),))
+        elif names:
+            cls._values = staticmethod(attrgetter(*names))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = []  # a loop, not a generator, so a deep tree costs no extra frame per level
+        for name, value in zip(self.__match_args__, self._values(self)):
+            fields.append(f"{name}={value!r}")
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, name) for name in self.__match_args__)
+        return self.__class__, self._values(self)
 
 
 class Term(_Node):
@@ -106,19 +139,15 @@ class _Quantifier(_Node):
         _set_body(self, body)
 
 
-@dataclass(frozen=True, init=False)
 class Variable(Term):
     __slots__ = ("name",)
-    name: str
 
     def __init__(self, name: str):
         _set_name(self, name)
 
 
-@dataclass(frozen=True, init=False)
 class Numeral(Term):
     __slots__ = ("value",)
-    value: int
 
     def __init__(self, value: int):
         if value < 0:
@@ -126,42 +155,27 @@ class Numeral(Term):
         _set_value(self, value)
 
 
-@dataclass(frozen=True, init=False)
 class Sum(Term, _Binary):
     __slots__ = ()
-    left: Term
-    right: Term
 
 
-@dataclass(frozen=True, init=False)
 class V2App(Term):
     __slots__ = ("arg",)
-    arg: Term
 
     def __init__(self, arg: Term):
         _set_arg(self, arg)
 
 
-@dataclass(frozen=True, init=False)
 class Eq(Formula, _Binary):
     __slots__ = ()
-    left: Term
-    right: Term
 
 
-@dataclass(frozen=True, init=False)
 class Lt(Formula, _Binary):
     __slots__ = ()
-    left: Term
-    right: Term
 
 
-@dataclass(frozen=True, init=False)
 class CongMod(Formula):
     __slots__ = ("modulus", "left", "right")
-    modulus: int
-    left: Term
-    right: Term
 
     def __init__(self, modulus: int, left: Term, right: Term):
         if modulus < 2:
@@ -171,48 +185,31 @@ class CongMod(Formula):
         _set_congruent_right(self, right)
 
 
-@dataclass(frozen=True, init=False)
 class Not(Formula):
     __slots__ = ("body",)
-    body: Formula
 
     def __init__(self, body: Formula):
         _set_negated(self, body)
 
 
-@dataclass(frozen=True, init=False)
 class And(Formula, _Binary):
     __slots__ = ()
-    left: Formula
-    right: Formula
 
 
-@dataclass(frozen=True, init=False)
 class Or(Formula, _Binary):
     __slots__ = ()
-    left: Formula
-    right: Formula
 
 
-@dataclass(frozen=True, init=False)
 class Implies(Formula, _Binary):
     __slots__ = ()
-    left: Formula
-    right: Formula
 
 
-@dataclass(frozen=True, init=False)
 class ForAll(Formula, _Quantifier):
     __slots__ = ()
-    var: str
-    body: Formula
 
 
-@dataclass(frozen=True, init=False)
 class Exists(Formula, _Quantifier):
     __slots__ = ()
-    var: str
-    body: Formula
 
 
 # The slots' own setters.
@@ -249,11 +246,11 @@ _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 # Every token: a symbol, a natural or a name.  A natural passes
 # str.isdecimal, a name str.isidentifier; no two kinds share a value.
 _WORD = rf"->|==|[()+=<>~&|.]|\d+|{_IDENT}"
-_WORD_RE = re.compile(_WORD)
+# Splitting by the captured token leaves the gaps between tokens at the even
+# indices and the tokens at the odd ones.
+_SPLIT_RE = re.compile(f"({_WORD})")
 # The reference scan, which also matches a character that starts no token.
 _TOKEN_RE = re.compile(rf"{_WORD}|(?P<bad>\S)")
-# Exactly the characters _TOKEN_RE matches as bad.
-_BAD_RE = re.compile(r"-(?!>)|[^\s\d()+=<>~&|.A-Za-z_-]")
 # No other kind of token contains a character that can start an identifier,
 # so on text that scans without error this finds exactly the ident tokens.
 _IDENT_RE = re.compile(_IDENT)
@@ -302,16 +299,20 @@ def _positions(text: str) -> list[int]:
 def _scan(text: str) -> tuple[list[str], set[int]]:
     """The tokens of text, ending in the empty ``end`` token, and its formula groups.
 
-    A line that parses is scanned once, by one ``findall``; only an error
-    scans it again, in ``_positions``, for its position.  Whitespace is
-    skipped.  The formula groups are the indices of the '(' that open one.
+    A line that parses is scanned once, by one ``split``; only an error
+    scans it again, in ``_positions``, for its position.  The gaps between
+    the tokens must be whitespace, which is skipped: any other character
+    starts no token and is an error.  The formula groups are the indices of
+    the '(' that open one.
     A group runs to its matching ')', or to the end of input if it is left
     open, and is a formula group when it contains a formula-only token, the
     rule of ``is_formula_text``; any other group can only hold a term.
     """
-    if _BAD_RE.search(text):
-        _positions(text)  # raises at the first bad character
-    tokens = _WORD_RE.findall(text)
+    parts = _SPLIT_RE.split(text)
+    gaps = "".join(parts[::2])
+    if gaps and not gaps.isspace():
+        _positions(text)  # raises at the first character that starts no token
+    tokens = parts[1::2]
     groups: set[int] = set()
     if "(" in text:
         open_groups: list[int] = []
@@ -648,10 +649,7 @@ def mentions(f: Formula | Term, kinds: type | tuple[type, ...]) -> bool:
     """Whether the term or formula f has a node of the given type or types."""
     if isinstance(f, kinds):
         return True
-    if isinstance(f, (_Binary, CongMod)):
-        return mentions(f.left, kinds) or mentions(f.right, kinds)
-    if isinstance(f, V2App):
-        return mentions(f.arg, kinds)
-    if isinstance(f, (Not, ForAll, Exists)):
-        return mentions(f.body, kinds)
+    for child in f._values(f):
+        if isinstance(child, _Node) and mentions(child, kinds):
+            return True
     return False

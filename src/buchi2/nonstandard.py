@@ -202,8 +202,7 @@ class Element:
     def __lt__(self, other):
         if other.__class__ is not Element:
             return NotImplemented
-        a, b = self.p * other.q, other.p * self.q
-        return a < b or a == b and self.w < other.w
+        return compare_elements(self, other) is Ordering.LESS
 
     def __add__(self, other: "Element") -> "Element":
         return add(self, other)

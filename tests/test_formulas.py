@@ -5,6 +5,7 @@ import dataclasses
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from functools import reduce
@@ -261,7 +262,7 @@ def reference_answer(parse, text):
 _SCAN_PIECES = (
     "(", ")", "+", "=", "<", ">", "~", "&", "|", "->", "==", ".", "mod", "forall", "exists", "V2",
     "x", "y1", "_", "0", "12", " ", "-", "-->", "*", "/", "²", "é", "١٢",
-    "　", "\x1c", "\x85", "7" * 4301,
+    "　", "\x1c", "\x85", "\t", "\x0b", "\xa0", "\u2028", "\x7f", "7" * 4301,
 )
 _DEEP = ("", "(" * (MAX_DEPTH + 1), "V2(" * (MAX_DEPTH + 1), "~ " * (MAX_DEPTH + 1), "1" + " + 1" * MAX_DEPTH)
 scan_texts = st.builds(
@@ -278,6 +279,13 @@ def test_scan_matches_the_reference_loop_on_each_piece_in_a_group():
     for piece in _SCAN_PIECES:
         for text in (piece, f"({piece}", f"((x {piece}) + 1", f"{piece}(1 = 1)", f"(x{piece}(y)", f"(x) {piece}"):
             assert scan_answer(formulas_module._scan, text) == scan_answer(reference_tokens, text)
+
+
+def test_str_isspace_agrees_with_the_regex_whitespace_class():
+    # _scan accepts a gap between tokens when str.isspace() holds for it,
+    # and the reference scan when every character of it is a regex \s.
+    space = re.compile(r"\s")
+    assert [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() != bool(space.match(c))] == []
 
 
 @given(scan_texts)
@@ -326,7 +334,7 @@ def test_the_node_list_has_every_node_class():
 
 @pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
 def test_nodes_are_frozen_slotted_and_picklable(node):
-    for name in (*(f.name for f in dataclasses.fields(node)), "extra"):
+    for name in (*type(node).__match_args__, "extra"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(node, name, _x)
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -335,6 +343,48 @@ def test_nodes_are_frozen_slotted_and_picklable(node):
     for copied in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
         assert type(copied) is type(node)
         assert copied == node and hash(copied) == hash(node) and repr(copied) == repr(node)
+
+
+def test_node_fields_in_order():
+    assert {type(node).__name__: type(node).__match_args__ for node in NODES} == {
+        "Variable": ("name",), "Numeral": ("value",), "Sum": ("left", "right"), "V2App": ("arg",),
+        "Eq": ("left", "right"), "Lt": ("left", "right"), "CongMod": ("modulus", "left", "right"),
+        "Not": ("body",), "And": ("left", "right"), "Or": ("left", "right"), "Implies": ("left", "right"),
+        "ForAll": ("var", "body"), "Exists": ("var", "body"),
+    }
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+def test_nodes_compare_and_hash_by_their_fields(node):
+    values = tuple(getattr(node, name) for name in type(node).__match_args__)
+    assert hash(node) == hash(values)
+    assert node == type(node)(*values) and not node != type(node)(*values)
+    assert node != "x" and not node == "x"
+    assert node.__eq__(values) is NotImplemented
+
+
+def test_nodes_destructure_with_match():
+    match parse_formula("x + 1 == y mod 4"):
+        case CongMod(n, Sum(Variable(a), Numeral(k)), right):
+            assert (n, a, k, right) == (4, "x", 1, _y)
+        case _:
+            pytest.fail("CongMod did not match")
+    match Sum(_x, _y):
+        case Sum(left=left, right=Variable(name=name)):
+            assert (left, name) == (_x, "y")
+        case _:
+            pytest.fail("Sum did not match")
+
+
+def test_nested_node_repr():
+    assert repr(parse_formula("forall x. ~ (V2(x) + 1 < 2 | x == y mod 3)")) == (
+        "ForAll(var='x', body=Not(body=Or(left=Lt(left=Sum(left=V2App(arg=Variable(name='x')), "
+        "right=Numeral(value=1)), right=Numeral(value=2)), right=CongMod(modulus=3, "
+        "left=Variable(name='x'), right=Variable(name='y')))))"
+    )
+    # repr takes about two frames per level, so a 400-link sum prints at the
+    # default recursion limit.
+    assert repr(nsum(_x, 400)).count("Sum(") == 399
 
 
 def test_node_checks():

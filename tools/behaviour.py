@@ -13,8 +13,10 @@ The inputs are 60,000 lines: the 30,000 ``repl-mix`` benchmark lines
 (``perfbench/mix.py``, seeds 0-2, chunks 0-9 of 1000 lines) and 30,000
 seeded fuzzed token strings, half of them mix lines with one or two tokens
 changed and half random token sequences.  Their vocabulary has tokens,
-literals, characters that start no token (a lone ``-``, ``*``, ``²``), a
-Unicode number and a Unicode space.  The readings are
+literals, characters that start no token (a lone ``-``, ``*``, ``²``, the
+control character U+007F), a Unicode number, and whitespace other than the
+space: a tab, U+0085 (next line), U+00A0 (no-break space) and U+3000
+(ideographic space).  The readings are
 
     tree<TAB>line<TAB>parse tree, or the parse error
     repl MODEL<TAB>line<TAB>what ``buchi2 repl --model MODEL`` prints
@@ -97,7 +99,7 @@ _PIECE_RE = re.compile(r"->|==|[()+=<>~&|.]|\d+|[A-Za-z_]\w*|\S")
 VOCABULARY = (
     "(", ")", "+", "=", "<", ">", "~", "&", "|", "->", "==", ".", "mod",
     "forall", "exists", "V2", "x", "y", "c", "0", "1", "2", "12", "2c+5", "3/5c",
-    "-", "*", "\u00b2", "\u0661\u0662", "\u3000",
+    "-", "*", "\u00b2", "\u0661\u0662", "\u3000", "\t", "\x85", "\xa0", "\x7f",
 )
 
 
