@@ -3,84 +3,42 @@
 Exact arithmetic on model elements (``nonstandard``), the standard-model
 oracle (``standard``), the componentwise-pairs model and its power-of-two
 impossibility refutation (``pairs``), a first-order formula language with
-parser and evaluator (``formulas``), and an axiom-checking harness
-(``axioms``).  The ``buchi2`` console script fronts all of it.
+parser and evaluator (``formulas``), its compiler (``compiled``), and an
+axiom-checking harness (``axioms``).  The ``buchi2`` console script fronts
+all of it.
+
+Importing the package loads none of them: a module loads when one of its
+names, or the module itself, is first read from the package (PEP 562).
 """
 
-from .axioms import (
-    AxiomSpec,
-    Report,
-    build_axioms,
-    check_axiom,
-    run_suite,
-)
-from .formulas import (
-    Formula,
-    Term,
-    compile_qf,
-    eval_qf,
-    eval_term,
-    format_formula,
-    format_term,
-    parse_formula,
-    parse_term,
-)
-from .nonstandard import (
-    C,
-    Element,
-    Model,
-    NegativeResultError,
-    NonstandardModel,
-    NotDivisibleError,
-    ONE,
-    Ordering,
-    ParseError,
-    ZERO,
-    add,
-    compare,
-    density_witnesses,
-    divide,
-    format_element,
-    is_hypernumber,
-    is_power_of_two,
-    is_standard,
-    next_power_of_two_above,
-    nu2,
-    parse_element,
-    pow2_cycle_mod,
-    residue_mod,
-    natural,
-    scalar_mul,
-    sub,
-    t_residue,
-    v2,
-)
-from .pairs import (
-    DivisibleByThree,
-    FiniteTwoDivisibility,
-    PairElement,
-    PairsModel,
-    Verdict,
-    p_add,
-    p_compare,
-    parse_pair,
-    refute_power2_candidate,
-    validate_verdict,
-)
-from .standard import StandardModel, embed, std_v2
+from importlib import import_module
 
-__all__ = [
-    "AxiomSpec", "Report", "build_axioms", "check_axiom", "run_suite",
-    "Formula", "Term", "compile_qf", "eval_qf", "eval_term", "format_formula",
-    "format_term", "parse_formula", "parse_term",
-    "C", "Element", "Model", "NegativeResultError", "NonstandardModel",
-    "NotDivisibleError", "ONE", "Ordering", "ParseError", "ZERO", "add",
-    "compare", "density_witnesses", "divide", "format_element",
-    "is_hypernumber", "is_power_of_two", "is_standard",
-    "next_power_of_two_above", "nu2", "parse_element", "pow2_cycle_mod",
-    "natural", "residue_mod", "scalar_mul", "sub", "t_residue", "v2",
-    "DivisibleByThree", "FiniteTwoDivisibility", "PairElement",
-    "PairsModel", "Verdict", "p_add", "p_compare", "parse_pair",
-    "refute_power2_candidate", "validate_verdict",
-    "StandardModel", "embed", "std_v2",
-]
+# Each module and the names the package exports from it.
+_EXPORTS = {
+    "axioms": "AxiomSpec Report build_axioms check_axiom run_suite",
+    "compiled": "compile_qf",
+    "formulas": "Formula Term eval_qf eval_term format_formula format_term parse_formula parse_term",
+    "nonstandard": """C Element Model NegativeResultError NonstandardModel NotDivisibleError ONE
+        Ordering ParseError ZERO add compare density_witnesses divide format_element is_hypernumber
+        is_power_of_two is_standard next_power_of_two_above nu2 parse_element pow2_cycle_mod natural
+        residue_mod scalar_mul sub t_residue v2""",
+    "pairs": """DivisibleByThree FiniteTwoDivisibility PairElement PairsModel Verdict p_add p_compare
+        parse_pair refute_power2_candidate validate_verdict""",
+    "standard": "StandardModel embed std_v2",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # importing a submodule binds it here
+        return import_module(f"{__name__}.{name}")
+    if name not in _HOME:  # ``from buchi2 import cli`` falls back to importing it
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_HOME})

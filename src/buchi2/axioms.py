@@ -12,13 +12,14 @@ quantifier-free checking matrix over sampled and derived variables:
 - schema axioms carry one matrix per value of their numeric parameter, up
   to a configured bound.
 
-An axiom's obligations are compiled (``compile_qf``) as one check, their
-conjunction, so a schema's obligations share their slots; it is kept on
-the spec for the last two model objects, looked up by identity.  A
-witness is a slot of the check, computed when a matrix first reads it.  A
-false check computes the witnesses it did not read, so the report lists
-every derived variable; the interpreter (``eval_qf``) then runs the
-obligations in order and reports the first false one, with its parameter.
+An axiom's obligations are compiled (``compiled.compile_qf``) as one
+check, their conjunction, so a schema's obligations share their slots; it
+is kept on the spec for the last two model objects, looked up by
+identity.  A witness is a slot of the check, computed when a matrix first
+reads it.  A false check computes the witnesses it did not read, so the
+report lists every derived variable; the interpreter (``eval_qf``) then
+runs the obligations in order and reports the first false one, with its
+parameter.
 
 A sampled check can only falsify an axiom, not prove it; the point of the
 harness is falsification power at a chosen scale.  Checks are
@@ -33,9 +34,10 @@ from dataclasses import dataclass, field, replace
 from functools import cache, reduce
 from typing import Callable, Collection, Optional
 
+from .compiled import compile_qf
 from .formulas import (
     And, CongMod, Eq, Formula, Implies, Not, Numeral, Or, Sum, V2App, Variable,
-    compile_qf, eval_qf, mentions, nsum, parse_formula,
+    eval_qf, mentions, nsum, parse_formula,
 )
 from .nonstandard import Model, Ordering, ParseError
 

@@ -9,19 +9,25 @@ makes the model, reads the operands and prints the row's answer.  Every
 subcommand but ``refute`` takes ``--model``.  ``build_parser`` builds the
 argument parser once per process.
 
+Each handler imports what it runs.  The element subcommands, ``eval`` and
+``repl`` load ``formulas`` and ``nonstandard``, and ``standard`` or
+``pairs`` for ``--model std`` or ``pairs``; ``axioms`` also loads
+``axioms`` and ``compiled``; ``refute`` loads ``pairs``.
+
 Exit codes: 0 success / all axioms pass, 1 some axiom fails, 2 parse
 error (a ``ParseError``), 3 evaluation error (any other ``ValueError``,
 which every failed model operation raises).  Output is byte-identical
-for identical arguments and seeds.
+for identical arguments and seeds.  A reader that closes stdout early
+stops the run quietly, with the exit code the full run would give.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
-from .axioms import FAIL, Report, run_suite
 from .formulas import (
     KEYWORDS,
     QUANTIFIERS,
@@ -34,16 +40,18 @@ from .formulas import (
     parse_term,
 )
 from .nonstandard import Model, NonstandardModel, ParseError
-from .pairs import PairsModel, FiniteTwoDivisibility, parse_pair, refute_power2_candidate
-from .standard import StandardModel
 
 
 def make_model(name: str, den_bound: int = 1000, offset_bound: int = 10**6) -> Model:
     if name == "nonstd":
         return NonstandardModel(den_bound=den_bound, offset_bound=offset_bound)
     if name == "std":
+        from .standard import StandardModel
+
         return StandardModel(offset_bound=offset_bound)
     if name == "pairs":
+        from .pairs import PairsModel
+
         return PairsModel(den_bound=den_bound, offset_bound=offset_bound)
     raise ValueError(f"unknown model {name!r}")
 
@@ -72,7 +80,9 @@ def _evaluate_expression(text: str, model: Model) -> str:
     return "true" if eval_qf(expr, {}, model) else "false"
 
 
-def _report_line(report: Report) -> str:
+def _report_line(report) -> str:
+    from .axioms import FAIL
+
     head = f"{report.axiom_id}\t{report.status}\t{report.cases}\t{report.seed}"
     if report.status != FAIL:
         return head
@@ -86,6 +96,8 @@ def _report_line(report: Report) -> str:
 
 
 def _format_verdict(verdict) -> str:
+    from .pairs import FiniteTwoDivisibility
+
     if isinstance(verdict, FiniteTwoDivisibility):
         chain = " -> ".join(str(p) for p in verdict.chain)
         return f"FINITE_TWO_DIVISIBILITY steps={verdict.max_steps} chain={chain}"
@@ -122,6 +134,8 @@ def cmd_model(args) -> int:
 
 
 def cmd_axioms(args) -> int:
+    from .axioms import FAIL, run_suite
+
     if min(args.cases, args.den_bound, args.offset_bound, args.schema_max) < 1:
         raise ValueError("suite bounds must be positive")
     model = make_model(args.model, args.den_bound, args.offset_bound)
@@ -132,12 +146,15 @@ def cmd_axioms(args) -> int:
         schema_max=args.schema_max,
         ids=None if args.axioms is None else tuple(args.axioms.split(",")),
     )
+    args.code = 1 if any(r.status == FAIL for r in reports) else 0  # also if stdout closes
     for report in reports:
         print(_report_line(report))
-    return 1 if any(r.status == FAIL for r in reports) else 0
+    return args.code
 
 
 def cmd_refute(args) -> int:
+    from .pairs import parse_pair, refute_power2_candidate
+
     print(_format_verdict(refute_power2_candidate(parse_pair(args.pair))))
     return 0
 
@@ -156,11 +173,12 @@ def cmd_repl(args) -> int:
         if line in (":q", ":quit", ":exit"):
             return 0
         try:
-            print(_evaluate_expression(line, model))
+            reply = _evaluate_expression(line, model)
         except ParseError as exc:
-            print(f"parse error: {exc}")
+            reply = f"parse error: {exc}"
         except ValueError as exc:
-            print(f"error: {exc}")
+            reply = f"error: {exc}"
+        print(reply, flush=True)  # input() ignores a closed stdout; this flush stops the loop
 
 
 @functools.cache
@@ -203,7 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        print(end="", flush=True)  # a closed stdout shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout: stop, with the full run's code
+        if sys.stdout is sys.__stdout__:  # so that the flush at exit writes nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return getattr(args, "code", 0)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -1,4 +1,4 @@
-"""Compiled evaluation of quantifier-free formulas (``formulas.compile_qf``).
+"""Compiled evaluation of quantifier-free formulas (``compile_qf``).
 
 This is hash-consing (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006) restricted to structural identity: no law of the

@@ -46,14 +46,15 @@ Evaluation is generic over ``Model`` (see ``nonstandard``); congruences
 are decided by residues, not by searching for the divisibility witness.
 ``eval_qf`` interprets a quantifier-free formula, walking the tree on every
 call; it is the reference, and the CLI uses it, since it evaluates each
-line once.  ``compile_qf`` (module ``compiled``) turns a formula into a
-check for one model that gives the same value, or raises the same error,
-on every assignment; the axiom harness, which checks each matrix on many
-assignments, uses it.  ``mentions`` says whether a tree has a node of a
-given kind, such as a quantifier or ``V2``.  ``identifiers`` gives the
-names in a line's text, from which the CLI reads, without walking the
-tree, whether a line that parsed is quantified, which variables it leaves
-unbound and whether it uses ``V2``.
+line once.  ``compiled.compile_qf`` turns a formula into a check for one
+model that gives the same value, or raises the same error, on every
+assignment; the axiom harness, which checks each matrix on many
+assignments, uses it, so the CLI loads it only for ``axioms``.
+``mentions`` says whether a tree has a node of a given kind, such as a
+quantifier or ``V2``.  ``identifiers`` gives the names in a line's text,
+from which the CLI reads, without walking the tree, whether a line that
+parsed is quantified, which variables it leaves unbound and whether it
+uses ``V2``.
 """
 
 from __future__ import annotations
@@ -630,19 +631,6 @@ def eval_qf(f: Formula, env: Mapping[str, object], model: Model) -> bool:
     if isinstance(f, (ForAll, Exists)):
         raise ValueError("quantifier in quantifier-free evaluation")
     raise TypeError(f"not a formula: {f!r}")
-
-
-def compile_qf(f: Formula, model: Model, derived=()):
-    """check(env) -> bool, equal to ``eval_qf(f, env, model)`` for every env.
-
-    ``derived`` names the variables the check binds in env itself, each
-    by a witness computed when first demanded (see ``compiled.compile_qf``).
-    The compiler lives in ``compiled``, loaded on the first call, so that
-    importing this module, as the CLI and the REPL do, does not load it.
-    """
-    from .compiled import compile_qf
-
-    return compile_qf(f, model, derived)
 
 
 def mentions(f: Formula | Term, kinds: type | tuple[type, ...]) -> bool:

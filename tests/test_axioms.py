@@ -28,7 +28,8 @@ from buchi2.axioms import (
     run_suite,
 )
 from buchi2.axioms import _congruence_matrix, _odd_indivisibility_matrix, _residue_cases_matrix
-from buchi2.formulas import And, Numeral, V2App, Variable, compile_qf, eval_qf, mentions, parse_formula
+from buchi2.compiled import compile_qf
+from buchi2.formulas import And, Numeral, V2App, Variable, eval_qf, mentions, parse_formula
 from buchi2.nonstandard import Model, NonstandardModel, NotDivisibleError, Ordering
 from buchi2.pairs import PairsModel
 from buchi2.standard import StandardModel

@@ -1,6 +1,9 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -251,6 +254,42 @@ def test_failing_axiom_reports_counterexample(capsys, monkeypatch):
 def test_fail_line_names_the_parameter_or_the_error(capsys, monkeypatch, model_class, axiom, line):
     monkeypatch.setattr(cli, "make_model", lambda name, *a, **k: model_class())
     assert run(capsys, "axioms", "--axioms", axiom, "--cases", "300") == (1, line, "")
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("model_class, code", [(ConstantV2Model, 1), (NonstandardModel, 0)])
+def test_a_closed_stdout_keeps_the_axioms_exit_code(capsys, monkeypatch, model_class, code):
+    monkeypatch.setattr(cli, "make_model", lambda name, *a, **k: model_class())
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["axioms", "--cases", "20"]) == code
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_closes_the_repl_stops_it_quietly(tmp_path, unbuffered):
+    # far more replies than a pipe holds, so the REPL writes after the reader has gone
+    lines = tmp_path / "lines"
+    lines.write_text("12345678901234567890\n" * 20000)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with lines.open() as stdin:
+        proc = subprocess.Popen([sys.executable, "-m", "buchi2.cli", "repl"], env=env, stdin=stdin,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"model nonstd; enter an expression, :q to quit\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (0, b"")
 
 
 def first_operand_chain(levels):

@@ -2,24 +2,21 @@
 
 import copy
 import dataclasses
-import os
 import pickle
 import random
 import re
-import subprocess
 import sys
 from functools import reduce
-from pathlib import Path
 from fractions import Fraction as F
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-import buchi2
 import buchi2.formulas as formulas_module
 
 from buchi2.axioms import MAX_SCHEMA
+from buchi2.compiled import compile_qf
 from buchi2.formulas import (
     MAX_DEPTH,
     And,
@@ -38,7 +35,6 @@ from buchi2.formulas import (
     Variable,
     _Parser,
     _TOKEN_RE,
-    compile_qf,
     eval_qf,
     eval_term,
     format_formula,
@@ -803,11 +799,3 @@ def test_a_faulty_constant_raises_where_the_chain_reaches_it(model, operation):
         for env in envs:
             assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, faulty_model))
     raises_as_the_interpreter()
-
-
-def test_importing_the_cli_does_not_load_the_compiler():
-    # formulas.compile_qf loads it on first use, which keeps start-up short
-    env = {**os.environ, "PYTHONPATH": str(Path(buchi2.__file__).parents[1])}
-    code = "import sys, buchi2.cli; print('buchi2.compiled' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert (done.stdout, done.stderr) == ("False\n", "")
