@@ -13,13 +13,13 @@ quantifier-free checking matrix over sampled and derived variables:
   to a configured bound.
 
 An axiom's obligations are compiled (``compiled.compile_qf``) as one
-check, their conjunction, so a schema's obligations share their slots; it
-is kept on the spec for the last two model objects, looked up by
-identity.  A witness is a slot of the check, computed when a matrix first
-reads it.  A false check computes the witnesses it did not read, so the
-report lists every derived variable; the interpreter (``eval_qf``) then
-runs the obligations in order and reports the first false one, with its
-parameter.
+check, their conjunction, a generated Python function in which a schema's
+obligations share their slots; it is kept on the spec for the last two
+model objects, looked up by identity.  A witness is a slot of the check,
+computed when a matrix first reads it.  A false check computes the
+witnesses it did not read, so the report lists every derived variable;
+the interpreter (``eval_qf``) then runs the obligations in order and
+reports the first false one, with its parameter.
 
 A sampled check can only falsify an axiom, not prove it; the point of the
 harness is falsification power at a chosen scale.  Checks are
@@ -46,10 +46,10 @@ FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 
 # The A4 conjunction and A11 disjunction chains are about as deep as the
-# schema bound, and so are A4's sums.  The compiled checks loop over the
-# chains, but they and eval_qf, which confirms every FAIL, both take one
-# stack frame per sum link: far past this bound a sum would overflow
-# Python's recursion limit.
+# schema bound, and so are A4's sums.  The compiled checks run the chains
+# and sums without recursion, but compiling them and eval_qf, which
+# confirms every FAIL, both take one stack frame per sum link: far past
+# this bound a sum would overflow Python's recursion limit.
 MAX_SCHEMA = 500
 
 

@@ -2,276 +2,177 @@
 
 This is hash-consing (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006) restricted to structural identity: no law of the
-model is assumed, so no sum is re-associated or commuted.  The axiom
-harness uses it; ``formulas.eval_qf`` stays the reference.
+model is assumed, so no sum is re-associated or commuted.  Each formula is
+compiled to the source of one Python function, generated code rather than
+a tree of closures (Feeley and Lapalme, "Using closures for code
+generation", 1987).  The axiom harness uses it; ``formulas.eval_qf`` stays
+the reference.
 """
 
 from __future__ import annotations
 
-import operator
-from typing import MutableMapping
-
 from .formulas import (
-    And, CongMod, Eq, Exists, ForAll, Formula, Implies, Lt, Not, Numeral, Or, Sum,
-    UnboundVariableError, V2App, Variable,
+    And, CongMod, Eq, Exists, ForAll, Implies, Lt, Not, Numeral, Or, Sum, UnboundVariableError, V2App, Variable,
 )
-from .nonstandard import Model, Ordering
+from .nonstandard import Ordering
 
-# A compiled formula is a DAG of functions fn(env, vals), one per distinct
-# subterm ("slot") and one per formula node.  ``vals`` holds this call's
-# slot values, None until first demanded; each reader checks it before
-# calling the slot's function, which stores its value there, so a slot
-# calls its operands' functions where eval_term would recurse into them.
-# The function of a variable-free slot also stores its value in ``kept``,
-# the list each call copies ``vals`` from; model operations are pure, so
-# two calls that both store a kept value store the same one.  Every
-# function takes its values as default arguments, so there are no closure
-# cells and no reference cycles.  A derived variable's slot is keyed like
-# the variable it binds; it calls its witness on its operand slots' values
-# and stores the result in env too, so the caller sees what a call derived.
-# A disjunction of congruences of one term against variable-free terms is
-# one lookup node instead of one atom per disjunct (see _residue_lookup).
+# The generated function keeps each distinct subterm ("slot") i in a local
+# s<i>, computed where a formula first demands it.  Code runs in the order
+# it is written, so the emitter knows at each demand which slots are
+# assigned on every path there (no test), on none (no test), or on some: a
+# test "if s<i> is None:", for which s<i> starts as None.  Such tests run
+# flat, operands first, because a slot with a value implies its operands
+# have one.  A slot that only one atom reads, through a sum, a residue or a
+# V2, is computed inside the atom's expression instead.  A variable-free
+# slot starts as its value in ``kept``, None until a call computes it
+# there (_Kept, in eval_term's order), and keeps it across calls.  Each
+# connective leaves its truth in the local r, and the operands of a chain
+# are flat "if r:" tests, so only a nested right operand indents its code;
+# past NESTING levels of indentation, or of calls in one expression, an
+# operand moves to a helper function or a slot to a local, which keeps
+# Python's limits on nesting (100 and 200) out of reach.  Formula text
+# never becomes source: names, numerals, moduli and model callables are
+# values of generated global names, in a namespace that holds no builtins
+# and, once compiled, not the check itself, so no reference cycle is left.
+NESTING = 40
 
-def _variable_slot(i, name, kept):
-    def slot(env, vals, i=i, name=name):
-        try:
-            v = vals[i] = env[name]
-        except KeyError:
-            raise UnboundVariableError(f"unbound variable {name!r}") from None
+
+class _Kept:
+    """The variable-free slots of one check, computed at most once."""
+
+    __slots__ = ("values", "ops", "model", "numeral", "add", "residue_mod")
+
+    def __init__(self, ops, model):
+        self.values = dict.fromkeys(ops)  # slot -> its value, None until computed
+        self.ops, self.model = ops, model  # slot -> its op
+        self.numeral, self.add, self.residue_mod = model.numeral, model.add, model.residue_mod
+
+    def value(self, i):
+        v = self.values[i]
+        if v is None:
+            kind, a, b = self.ops[i]
+            if kind == "num":
+                v = self.numeral(a)
+            elif kind == "v2":
+                v2 = self.model.v2  # before the operand, as in eval_term
+                v = v2(self.value(a))
+            elif kind == "+":
+                v = self.add(self.value(a), self.value(b))
+            else:  # "mod"
+                v = self.residue_mod(self.value(a), b)
+            self.values[i] = v
         return v
-    return slot
 
-
-def _numeral_slot(i, value, numeral, kept):
-    def slot(env, vals, i=i, value=value, numeral=numeral, kept=kept):
-        v = vals[i] = kept[i] = numeral(value)
-        return v
-    return slot
-
-
-def _v2_slot(i, a, fa, model, kept):
-    # model.v2 is looked up per call, before the operand is computed: on a
-    # model without V2 the error comes where eval_term raises it, not at
-    # compile time nor from the operand.
-    def slot(env, vals, i=i, a=a, fa=fa, model=model, kept=kept):
-        v2 = model.v2
-        x = vals[a]
-        if x is None:
-            x = fa(env, vals)
-        v = vals[i] = v2(x)
-        if kept is not None:
-            kept[i] = v
-        return v
-    return slot
-
-
-def _residue_slot(i, a, fa, n, residue_mod, kept):
-    def slot(env, vals, i=i, a=a, fa=fa, n=n, residue_mod=residue_mod, kept=kept):
-        x = vals[a]
-        if x is None:
-            x = fa(env, vals)
-        v = vals[i] = residue_mod(x, n)
-        if kept is not None:
-            kept[i] = v
-        return v
-    return slot
-
-
-def _sum_slot(i, a, fa, b, fb, add, kept):
-    def slot(env, vals, i=i, a=a, fa=fa, b=b, fb=fb, add=add, kept=kept):
-        x = vals[a]
-        if x is None:
-            x = fa(env, vals)
-        y = vals[b]
-        if y is None:
-            y = fb(env, vals)
-        v = vals[i] = add(x, y)
-        if kept is not None:
-            kept[i] = v
-        return v
-    return slot
-
-
-def _derived_slot(i, name, witness, param, model, reads, kept):
-    def slot(env, vals, i=i, name=name, witness=witness, param=param, model=model, reads=reads):
-        args = []
-        for a, fa in reads:
-            x = vals[a]
-            if x is None:
-                x = fa(env, vals)
-            args.append(x)
-        v = vals[i] = env[name] = witness(model, param, *args)
-        return v
-    return slot
-
-
-def _raising(error, message):
-    def fail(env, vals, error=error, message=message):
-        raise error(message)
-    return fail
-
-
-def _comparison(a, fa, b, fb, compare, want):
-    def atom(env, vals, a=a, fa=fa, b=b, fb=fb, compare=compare, want=want):
-        x = vals[a]
-        if x is None:
-            x = fa(env, vals)
-        y = vals[b]
-        if y is None:
-            y = fb(env, vals)
-        return compare(x, y) is want
-    return atom
-
-
-def _residue_lookup(a, fa, n, residue_mod, pending):
-    # t == k0 mod n | t == k1 mod n | ..., with a the slot of t's residue and
-    # every k variable-free.  pending holds the k slots not read yet, flat
-    # and last first: [..., fn of k1, k1, fn of k0, k0].  A k's residue
-    # moves from there to known only once computed, and both are kept
-    # across calls, like kept values; so known always holds the residues of
-    # a prefix of the chain, a hit in it is where eval_qf's scan stops, and
-    # a k whose residue raises raises again when a later call reaches it.
-    known = set()
-
-    def lookup(env, vals, a=a, fa=fa, n=n, residue_mod=residue_mod, pending=pending, known=known):
-        x = vals[a]
-        if x is None:
-            x = fa(env, vals)
-        if x in known:
-            return True
+    def lookup(self, x, n, pending, known):
+        # t == k0 mod n | t == k1 mod n | ..., where x is t's residue, on a
+        # miss in known.  pending holds the k slots not read yet, last first;
+        # a k's residue moves to known only once computed, and both are kept
+        # across calls, so known always holds the residues of a prefix of the
+        # chain, a hit in it is where eval_qf's scan stops, and a k whose
+        # residue raises raises again when a later call reaches it.
         while pending:
-            y = vals[pending[-1]]
-            if y is None:
-                y = pending[-2](env, vals)
-            y = residue_mod(y, n)
-            del pending[-2:]
+            y = self.residue_mod(self.value(pending[-1]), n)
+            pending.pop()
             known.add(y)
             if x == y:
                 return True
         return False
-    return lookup
 
 
-def _negation(body):
-    def neg(env, vals, body=body):
-        return not body(env, vals)
-    return neg
+class _Emitter:
+    """Builds the slots and formula nodes of one check, then writes its source."""
 
+    def __init__(self, model):
+        self.slots: dict[tuple, int] = {}  # its op, or a variable's for a derived one -> slot
+        self.ops: list[tuple] = []  # slot -> (kind, operand slots or values)
+        self.const: list[bool] = []  # slot -> whether it is variable-free
+        self.readers: list[int] = []  # slot -> how many slots, atoms and witnesses read it
+        self.names = {  # generated name -> its value: the generated code's globals
+            "__builtins__": {}, "model": model, "add": model.add, "compare": model.compare,
+            "residue_mod": model.residue_mod,
+        }
+        self.named: dict[int, str] = {}  # id of a value -> its name
+        self.lines: list[str] = []  # the function being written
+        self.depth = 1  # indentation of the next line
+        self.known: set[int] = set()  # slots assigned on every path to here
+        self.log: list[int] = []  # the order they joined known, to leave branches
+        self.seen: set[int] = set()  # slots assigned on some path to here
+        self.unset: set[int] = set()  # slots that start as None
+        self.assigned: set[int] = set()  # slots the function being written assigns
+        self.helpers: list[str] = []  # the source of each helper function
+        self.consts: set[int] = set()  # variable-free slots the code reads, from kept at the start
 
-def _implication(left, right):
-    def imp(env, vals, left=left, right=right):
-        return (not left(env, vals)) or right(env, vals)
-    return imp
+    # -- slots and formula nodes --------------------------------------------
 
+    def name(self, value) -> str:
+        n = self.named.get(id(value))
+        if n is None:
+            n = self.named[id(value)] = f"c{len(self.named)}"
+            self.names[n] = value
+        return n
 
-def _conjunction(parts):
-    def conj(env, vals, parts=parts):
-        for part in parts:
-            if not part(env, vals):
-                return False
-        return True
-    return conj
-
-
-def _disjunction(parts):
-    def disj(env, vals, parts=parts):
-        for part in parts:
-            if part(env, vals):
-                return True
-        return False
-    return disj
-
-
-def compile_qf(f: Formula, model: Model, derived=()):
-    """check(env) -> bool, equal to ``eval_qf(f, env, model)`` for every env.
-
-    Each distinct subterm is one slot, keyed by its kind and its operands'
-    slots, and is computed at most once per call, when first demanded, so
-    short-circuiting and the interpreter's first error (type and message)
-    are kept.  A variable-free slot keeps its value across calls.  Sharing
-    is structural only: ``x + y`` and ``y + x``, or ``(x + y) + z`` and
-    ``x + (y + z)``, are different slots.  ``And``/``Or`` chains run as
-    loops; terms are compiled and checked recursively, one stack frame per
-    term node as in ``eval_qf``, so sums as long as the catalog's
-    (``axioms.MAX_SCHEMA`` links) fit the default recursion limit.  A
-    congruence compares the two sides' residue slots.  An ``Or`` chain of
-    congruences ``t == k mod n`` with one modulus, one term ``t`` and every
-    ``k`` variable-free, such as A11's residue cases, is one node instead:
-    it looks ``t``'s residue up in the set of the ``k`` residues computed
-    so far, which it keeps across calls, and computes the next ones, in
-    chain order, only on a miss; so one check must not run in two threads
-    at once.  The model's ``numeral``, ``add``, ``compare`` and
-    ``residue_mod`` are looked up once, here.
-
-    Each ``(name, witness, param, reads)`` of ``derived`` binds ``name``
-    in env to ``witness(model, param, *values)``, the values of ``reads``:
-    terms (sampled or earlier derived variables), and ``(term, n)`` for a
-    term's residue mod n, sharing f's own slots.  It is computed when f
-    first demands ``name``; a false check then computes the rest, in
-    order, so env holds them all.  A witness's error propagates.  The
-    equality with ``eval_qf`` is for the env that the check leaves.
-    """
-    numeral, add, compare, residue_mod = model.numeral, model.add, model.compare, model.residue_mod
-    slots: dict[tuple, int] = {}  # (kind, operand slots or value) -> slot
-    fns: list = []  # slot -> its function
-    const: list[bool] = []  # slot -> whether it is variable-free
-    kept: list = []  # slot -> its kept value, None until computed
-
-    def slot(key, is_const, factory, *args) -> int:
-        # a factory takes the slot, its operands, and kept or, for a slot
-        # with variables, None
-        i = slots.get(key)
-        if i is None:
-            i = slots[key] = len(fns)
-            const.append(is_const)
-            kept.append(None)
-            fns.append(factory(i, *args, kept if is_const else None))
+    def read(self, i: int) -> int:
+        self.readers[i] += 1
         return i
 
-    def term(t) -> int:
+    def slot(self, op, is_const, reads=(), key=None) -> int:
+        key = op if key is None else key
+        i = self.slots.get(key)
+        if i is None:
+            i = self.slots[key] = len(self.ops)
+            self.ops.append(op)
+            self.const.append(is_const)
+            self.readers.append(0)
+            for a in reads:
+                self.read(a)
+        return i
+
+    def term(self, t) -> int:
         if isinstance(t, Sum):
-            a, b = term(t.left), term(t.right)
-            return slot(("+", a, b), const[a] and const[b], _sum_slot, a, fns[a], b, fns[b], add)
+            a, b = self.term(t.left), self.term(t.right)
+            return self.slot(("+", a, b), self.const[a] and self.const[b], (a, b))
         if isinstance(t, Variable):
-            return slot(("var", t.name), False, _variable_slot, t.name)
+            return self.slot(("var", t.name, None), False)
         if isinstance(t, Numeral):
-            return slot(("num", t.value), True, _numeral_slot, t.value, numeral)
+            return self.slot(("num", t.value, None), True)
         if isinstance(t, V2App):
-            a = term(t.arg)
-            return slot(("v2", a), const[a], _v2_slot, a, fns[a], model)
-        return slot(("bad", len(fns)), False, lambda i, kept: _raising(TypeError, f"not a term: {t!r}"))
+            a = self.term(t.arg)
+            return self.slot(("v2", a, None), self.const[a], (a,))
+        return self.slot(("bad", f"not a term: {t!r}", None), False)
 
-    def residue(t, n: int) -> int:
-        a = term(t)
-        return slot(("mod", a, n), const[a], _residue_slot, a, fns[a], n, residue_mod)
+    def residue(self, t, n: int) -> int:
+        a = self.term(t)
+        return self.slot(("mod", a, n), self.const[a], (a,))
 
-    def lookup(operands):
-        # the _residue_lookup node of a chain of congruences, or None
+    def derive(self, name, witness, param, reads) -> int:
+        operands = tuple(self.residue(*r) if isinstance(r, tuple) else self.term(r) for r in reads)
+        return self.slot(("derived", (name, witness, param), operands), False, operands, key=("var", name, None))
+
+    def lookup(self, operands):
+        # the lookup node of a chain of congruences of one term against
+        # variable-free terms, with one modulus, or None
         if not all(isinstance(h, CongMod) for h in operands):
             return None
         n = operands[0].modulus
         if any(h.modulus != n for h in operands):
             return None
-        a = term(operands[0].left)
-        if any(term(h.left) != a for h in operands):
+        a = self.term(operands[0].left)
+        if any(self.term(h.left) != a for h in operands):
             return None
-        ks = [term(h.right) for h in operands]
-        if not all(const[k] for k in ks):
+        ks = [self.term(h.right) for h in operands]
+        if not all(self.const[k] for k in ks):
             return None
-        pending = [v for k in reversed(ks) for v in (fns[k], k)]
-        a = residue(operands[0].left, n)
-        return _residue_lookup(a, fns[a], n, residue_mod, pending)
+        return ("lookup", self.read(self.residue(operands[0].left, n)), n, ks)
 
-    def formula(g):
+    def formula(self, g):
         if isinstance(g, (Eq, Lt)):
-            a, b = term(g.left), term(g.right)
-            want = Ordering.EQUAL if isinstance(g, Eq) else Ordering.LESS
-            return _comparison(a, fns[a], b, fns[b], compare, want)
+            a, b = self.read(self.term(g.left)), self.read(self.term(g.right))
+            return ("cmp", a, b, Ordering.EQUAL if isinstance(g, Eq) else Ordering.LESS)
         if isinstance(g, CongMod):
-            a, b = residue(g.left, g.modulus), residue(g.right, g.modulus)
-            return _comparison(a, fns[a], b, fns[b], operator.eq, True)
+            a, b = self.read(self.residue(g.left, g.modulus)), self.read(self.residue(g.right, g.modulus))
+            return ("cong", a, b)
         if isinstance(g, Not):
-            return _negation(formula(g.body))
+            return ("not", self.formula(g.body))
         if isinstance(g, (And, Or)):
             chain, operands, stack = type(g), [], [g]
             while stack:  # the operands, left to right, of the whole chain
@@ -281,29 +182,221 @@ def compile_qf(f: Formula, model: Model, derived=()):
                 else:
                     operands.append(h)
             if isinstance(g, And):
-                return _conjunction(tuple(formula(h) for h in operands))
-            return lookup(operands) or _disjunction(tuple(formula(h) for h in operands))
+                return ("and", [self.formula(h) for h in operands])
+            return self.lookup(operands) or ("or", [self.formula(h) for h in operands])
         if isinstance(g, Implies):
-            return _implication(formula(g.left), formula(g.right))
+            return ("imp", self.formula(g.left), self.formula(g.right))
         if isinstance(g, (ForAll, Exists)):
-            return _raising(ValueError, "quantifier in quantifier-free evaluation")
-        return _raising(TypeError, f"not a formula: {g!r}")
+            return ("raise", ValueError, "quantifier in quantifier-free evaluation")
+        return ("raise", TypeError, f"not a formula: {g!r}")
 
-    def derive(name, witness, param, reads) -> int:
-        operands = [residue(*r) if isinstance(r, tuple) else term(r) for r in reads]
-        return slot(("var", name), False, _derived_slot, name, witness, param, model,
-                    tuple((a, fns[a]) for a in operands))
+    # -- source ---------------------------------------------------------------
 
-    witnesses = tuple((i, fns[i]) for i in [derive(*d) for d in derived])
-    root = formula(f)
-    del slot, term, residue, lookup, formula, derive  # empty their cells, which form reference cycles
+    def line(self, text: str, guard=None) -> None:
+        self.lines.append(" " * self.depth + (text if guard is None else f"if s{guard} is None: {text}"))
 
-    def check(env: MutableMapping[str, object], root=root, kept=kept, witnesses=witnesses) -> bool:
-        vals = kept.copy()
-        if root(env, vals):
-            return True
-        for i, fn in witnesses:
-            if vals[i] is None:
-                fn(env, vals)
-        return False
-    return check
+    def block(self, texts, guard) -> None:
+        if guard is not None:
+            self.line(f"if s{guard} is None:")
+        self.depth += guard is not None
+        for text in texts:
+            self.line(text)
+        self.depth -= guard is not None
+
+    def assign(self, i: int) -> None:
+        self.known.add(i)
+        self.log.append(i)
+        self.seen.add(i)
+        self.assigned.add(i)
+
+    def leave(self, mark: int) -> None:
+        # forget what the code since mark assigned: it ran on some paths only
+        self.known.difference_update(self.log[mark:])
+        del self.log[mark:]
+
+    def value(self, i: int, nest: int = 0) -> str:
+        """An expression, in an atom, for slot i's value, after writing the code it needs.
+
+        A sum, residue or V2 that only the atom reads, through its operands
+        or itself, is written into the atom's expression instead of to s<i>;
+        an atom runs once, so such a slot is never demanded again.  A V2 is
+        written in only if its operand has its value, since the model's
+        ``v2`` is looked up first.
+        """
+        kind, a, b = self.ops[i]
+        if (self.readers[i] == 1 and i not in self.seen and not self.const[i] and nest < NESTING
+                and (kind in ("+", "mod") or kind == "v2" and a in self.known)):
+            if kind == "v2":
+                return f"model.v2(s{a})"
+            if kind == "mod":
+                return f"residue_mod({self.value(a, nest + 1)}, {self.name(b)})"
+            return f"add({', '.join(self.values((a, b), nest + 1))})"
+        return self.demand(i)
+
+    def values(self, operands, nest: int = 0) -> list[str]:
+        # the operands' expressions, in order; one is written into the
+        # expression only if no code follows it, for a later operand
+        return [self.value(a, nest) if all(b in self.known for b in operands[k + 1:]) else self.demand(a)
+                for k, a in enumerate(operands)]
+
+    def demand(self, i: int) -> str:
+        """Write code after which s<i> holds slot i's value; return "s<i>"."""
+        if i in self.known:
+            return f"s{i}"
+        kind, a, b = self.ops[i]
+        if self.const[i]:  # read from kept at the start
+            self.consts.add(i)
+            self.line(f"s{i} = constant({i})", guard=i)
+            self.assign(i)
+            return f"s{i}"
+        guard = i if i in self.seen else None
+        if guard is not None:
+            self.unset.add(i)
+        if kind == "var":
+            self.block([f"try: s{i} = env[{self.name(a)}]",
+                        f"except {self.name(KeyError)}: raise {self.name(UnboundVariableError)}"
+                        f"({self.name(f'unbound variable {a!r}')}) from None"], guard)
+        elif kind == "v2":  # model.v2 is looked up before the operand is computed
+            self.line(f"f{i} = model.v2", guard)
+            self.line(f"s{i} = f{i}({self.demand(a)})", guard)
+        elif kind == "mod":
+            self.line(f"s{i} = residue_mod({self.demand(a)}, {self.name(b)})", guard)
+        elif kind == "+":
+            # a left-nested sum whose inner links only their outer link reads,
+            # such as w + w + ... + w, is a loop over the same additions
+            links = 1
+            while self.ops[a][0] == "+" and self.ops[a][2] == b and self.readers[a] == 1:
+                a, links = self.ops[a][1], links + 1
+            self.demand(a)
+            self.demand(b)
+            if links == 1:
+                self.line(f"s{i} = add(s{a}, s{b})", guard)
+            else:
+                self.block([f"s{i} = add(s{a}, s{b})",
+                            f"for _ in {self.name(range(links - 1))}: s{i} = add(s{i}, s{b})"], guard)
+        elif kind == "derived":
+            name, witness, param = a
+            args = "".join(f", {self.demand(r)}" for r in b)
+            self.line(f"s{i} = env[{self.name(name)}] = {self.name(witness)}(model, {self.name(param)}{args})",
+                      guard)
+        else:  # "bad"
+            self.line(f"raise {self.name(TypeError)}({self.name(a)})")
+            return f"s{i}"
+        self.assign(i)
+        return f"s{i}"
+
+    def emit(self, node, negated=False) -> None:
+        """Write code after which r holds the node's truth value, or its negation."""
+        kind, no = node[0], "not " if negated else ""
+        if kind == "cmp":
+            _, a, b, want = node
+            x, y = self.values((a, b))
+            self.line(f"r = {no}compare({x}, {y}) is {self.name(want)}")
+        elif kind == "cong":
+            x, y = self.values(node[1:])
+            self.line(f"r = {no}{x} == {y}")
+        elif kind == "not":
+            self.emit(node[1], not negated)
+        elif kind == "imp":  # r = not left; if that is false, r = right
+            self.emit(node[1], True)
+            mark = len(self.log)
+            self.line("if not r:")
+            self.nested(node[2])
+            self.leave(mark)
+            if negated:
+                self.line("r = not r")
+        else:
+            if kind in ("and", "or"):
+                first, *rest = node[1]
+                self.emit(first)
+                mark = len(self.log)  # a later operand runs only if those before it did
+                for part in rest:
+                    self.line("if r:" if kind == "and" else "if not r:")
+                    self.nested(part)
+                self.leave(mark)
+            elif kind == "lookup":
+                _, a, n, ks = node
+                known = self.name(set())
+                pending = self.name(ks[::-1])
+                self.demand(a)
+                self.line(f"r = s{a} in {known}")
+                self.line(f"if not r: r = lookup(s{a}, {self.name(n)}, {pending}, {known})")
+            else:  # "raise"
+                self.line(f"raise {self.name(node[1])}({self.name(node[2])})")
+            if negated:
+                self.line("r = not r")
+
+    def nested(self, node) -> None:
+        self.depth += 1
+        if self.depth < NESTING:
+            self.emit(node)
+        else:  # the node's code starts again at the left margin of a helper
+            lines, depth, assigned = self.lines, self.depth, self.assigned
+            self.lines, self.depth, self.assigned = [], 2, set()
+            self.emit(node)
+            h = f"h{len(self.helpers)}"
+            nonlocal_ = ["  nonlocal " + ", ".join(f"s{i}" for i in sorted(self.assigned))] if self.assigned else []
+            self.helpers.append("\n".join([f" def {h}():", *nonlocal_, *self.lines, "  return r"]))
+            self.lines, self.depth, self.assigned = lines, depth, assigned
+            self.line(f"r = {h}()")
+        self.depth -= 1
+
+    def source(self, root, witnesses) -> str:
+        kept = _Kept({i: op for i, op in enumerate(self.ops) if self.const[i]}, self.names["model"])
+        self.names.update(kept=kept.values, constant=kept.value, lookup=kept.lookup)
+        self.emit(root)
+        self.line("if r: return True")
+        for i in witnesses:  # a false check computes the witnesses it did not read, in order
+            self.demand(i)
+        self.line("return False")
+        # a helper's slots are its check's locals, so the check assigns them all
+        unset = (self.seen if self.helpers else self.unset) - self.consts
+        start = [" " + " = ".join(f"s{i}" for i in sorted(unset)) + " = None"] if unset else []
+        start += [f" s{i} = kept[{i}]" for i in sorted(self.consts)]
+        return "\n".join(["def check(env):", *self.helpers, *start, *self.lines, ""])
+
+
+def _generate(f, model, derived=()):
+    """The source of f's check and the globals it runs with."""
+    emitter = _Emitter(model)
+    witnesses = [emitter.derive(*d) for d in derived]
+    root = emitter.formula(f)
+    return emitter.source(root, witnesses), emitter.names
+
+
+def compile_qf(f, model, derived=()):
+    """check(env) -> bool, equal to ``eval_qf(f, env, model)`` for every env.
+
+    The check is one generated Python function, which Python's compiler
+    compiles here: compile a formula once and check it many times.  Each
+    distinct subterm is one slot, keyed by its kind and its operands'
+    slots, and is computed at most once per call, when first demanded, so
+    short-circuiting and the interpreter's first error (type and message)
+    are kept, and so is the order of the model's operations.  A
+    variable-free slot keeps its value across calls.  Sharing is
+    structural only: ``x + y`` and ``y + x``, or ``(x + y) + z`` and
+    ``x + (y + z)``, are different slots.  A chain of ``And`` or ``Or`` is
+    a flat run of tests, and a sum ``t + t + ... + t`` whose inner links
+    nothing else reads is a loop, so a check's code grows with its formula;
+    nesting, however deep, is cut into helper functions.  A congruence
+    compares the two sides' residue slots.  An ``Or`` chain of congruences
+    ``t == k mod n`` with one modulus, one term ``t`` and every ``k``
+    variable-free, such as A11's residue cases, is one node instead: it
+    looks ``t``'s residue up in the set of the ``k`` residues computed so
+    far, which it keeps across calls, and computes the next ones, in chain
+    order, only on a miss; so one check must not run in two threads at
+    once.  The model's ``numeral``, ``add``, ``compare`` and
+    ``residue_mod`` are looked up once, here; ``v2`` whenever a call
+    computes a V2, before its operand, as ``eval_term`` does.
+
+    Each ``(name, witness, param, reads)`` of ``derived`` binds ``name``
+    in env to ``witness(model, param, *values)``, the values of ``reads``:
+    terms (sampled or earlier derived variables), and ``(term, n)`` for a
+    term's residue mod n, sharing f's own slots.  It is computed when f
+    first demands ``name``; a false check then computes the rest, in
+    order, so env holds them all.  A witness's error propagates.  The
+    equality with ``eval_qf`` is for the env that the check leaves.
+    """
+    source, names = _generate(f, model, derived)
+    exec(compile(source, "<compile_qf>", "exec"), names)
+    return names.pop("check")  # the check's globals must not hold it: no reference cycle

@@ -28,7 +28,7 @@ from buchi2.axioms import (
     run_suite,
 )
 from buchi2.axioms import _congruence_matrix, _odd_indivisibility_matrix, _residue_cases_matrix
-from buchi2.compiled import compile_qf
+from buchi2.compiled import _generate, compile_qf
 from buchi2.formulas import And, Numeral, V2App, Variable, eval_qf, mentions, parse_formula
 from buchi2.nonstandard import Model, NonstandardModel, NotDivisibleError, Ordering
 from buchi2.pairs import PairsModel
@@ -112,8 +112,10 @@ def test_schema_matrices_match_their_text():
 
 
 def test_schema_bound_is_not_capped_by_the_parser():
-    reports = run_suite(STD, cases=2, schema_max=MAX_SCHEMA, ids=("A4", "A11", "A17"))
-    assert [r.status for r in reports] == [PASS] * 3
+    # nor by the compiler: the schemata's checks compile at the largest bound
+    for model in (STD, NONSTD):
+        reports = run_suite(model, cases=2, schema_max=MAX_SCHEMA, ids=("A4", "A11", "A17"))
+        assert [r.status for r in reports] == [PASS] * 3
 
 
 def test_schema_max_too_small_rejected():
@@ -616,6 +618,16 @@ def test_residue_cases_compile_to_fewer_objects_than_disjuncts(model):
             gc.enable()
     assert check({"x": model.numeral(7)})
     assert created < disjuncts
+
+
+def test_the_code_of_a4_grows_linearly_with_the_schema():
+    # each w_n + ... + w_n is a loop, so a schema's code does not grow with its square
+    def lines(schema_max):
+        spec = by_id("A4", schema_max)
+        (_, matrix), = spec.obligations
+        return len(_generate(matrix, STD, spec.derived)[0].splitlines())
+    assert lines(24) < 2.5 * lines(12)
+    assert lines(48) < 2.5 * lines(24)
 
 
 # -- compiled checks are kept per model object ---------------------------------------

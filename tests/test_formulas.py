@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 import buchi2.formulas as formulas_module
 
 from buchi2.axioms import MAX_SCHEMA
-from buchi2.compiled import compile_qf
+from buchi2.compiled import _generate, compile_qf
 from buchi2.formulas import (
     MAX_DEPTH,
     And,
@@ -752,18 +752,79 @@ def test_compiled_chains_loop_and_sums_recurse_as_eval_qf():
     assert check({"x": 2}) is False
 
 
-def root_node(check):
-    # the name of the factory that made the compiled check's root node
-    root = check.__defaults__[0]
-    return root.__qualname__.split(".")[0]
-
-
-@pytest.mark.parametrize("spoiled, root", [(False, "_residue_lookup"), (True, "_disjunction")])
-def test_only_a_pure_residue_chain_compiles_to_a_lookup(spoiled, root):
+@pytest.mark.parametrize("spoiled", [False, True])
+def test_only_a_pure_residue_chain_compiles_to_a_lookup(spoiled):
+    # the check of a pure chain calls the lookup, one of a spoiled chain does not
     @given(residue_chains(spoiled=spoiled))
-    def compiles_to_root(f):
-        assert root_node(compile_qf(f, STD)) == root
-    compiles_to_root()
+    def compiles_to_a_lookup(f):
+        assert ("lookup" in compile_qf(f, STD).__code__.co_names) is not spoiled
+    compiles_to_a_lookup()
+
+
+# Variable names that mean something to the generated code or to Python, and names that are source text.
+AWKWARD_NAMES = [
+    "env", "vals", "kept", "add", "compare", "residue_mod", "numeral", "model", "constant", "lookup",
+    "check", "r", "s0", "s1", "f2", "c0", "c3", "h0", "_", "None", "True", "lambda", "import", "def",
+    "__builtins__", "__import__", "x\nimport os", "x'] = 1; import os; ['", "x\nraise SystemExit(7)",
+    "\\", '"""', "#", "\x00", "(", "é",
+]
+
+
+def test_names_and_numerals_never_become_source():
+    huge = 10 ** 4299  # 4,300 digits, as many as int() reads from text; the source never holds them
+    x = [Variable(name) for name in AWKWARD_NAMES]
+    parts = [Eq(Sum(x[i], Numeral(huge)), Sum(x[i - 1], Numeral(i))) for i in range(len(x))]
+    parts += [CongMod(huge + 2, x[i], V2App(x[i - 2])) for i in range(len(x))]
+    f = reduce(Or, [Lt(Numeral(huge), x[0]), *parts])
+    # a derived variable with an awkward name, bound by the check
+    derived = (("w\nimport sys", lambda model, param, a: model.add(a, a), None, (x[1],)),)
+    g = And(Lt(Variable("w\nimport sys"), Numeral(huge)), f)
+    for formula in (f, g):
+        source, _ = _generate(formula, STD, derived)
+        assert "import" not in source and "SystemExit" not in source and str(huge)[:20] not in source
+    check, checked = compile_qf(f, STD), compile_qf(g, STD, derived)
+    rng = random.Random(0)
+    for k in range(100):
+        env = {name: rng.choice([0, 1, 2, huge, huge + 1]) for name in AWKWARD_NAMES if rng.random() < 0.97}
+        assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, STD))
+        result = outcome(lambda: checked(env))  # which binds the derived variable, read first
+        if isinstance(result, bool):
+            assert result == eval_qf(g, env, STD)
+        else:
+            assert result[0] is UnboundVariableError
+    env = {name: 1 for name in AWKWARD_NAMES}
+    del env["x\nraise SystemExit(7)"]
+    assert outcome(lambda: check(env)) == (UnboundVariableError, "unbound variable 'x\\nraise SystemExit(7)'")
+
+
+def deepest(text):
+    """How deep, and the tree of, the deepest text(k) that parses, for text(k) nested k levels."""
+    k = 1
+    while True:
+        try:
+            parse_formula(text(k + 1))
+        except ParseError:
+            return k, parse_formula(text(k))
+        k += 1
+
+
+@pytest.mark.parametrize("text", [
+    lambda k: "~ " * k + "x = 0",
+    lambda k: "x = y -> " * k + "x = 0",
+    lambda k: "(" * k + "x = 0" + ")" * k,
+    lambda k: "V2(" * k + "x" + ")" * k + " = 0",
+    lambda k: "x + (" * k + "y" + ")" * k + " = 0",
+    lambda k: "".join("x = 0 & (" if i % 2 else "y = 1 | (" for i in range(k)) + "x = y" + ")" * k,
+], ids=["not", "implies", "parentheses", "V2", "sum", "and-or"])
+@pytest.mark.parametrize("model", [NONSTD, STD, PAIRS], ids=["nonstd", "std", "pairs"])
+def test_formulas_nested_to_max_depth_compile(model, text):
+    depth, f = deepest(text)
+    assert depth == MAX_DEPTH
+    check = compile_qf(f, model)
+    corners = model.corner_elements()
+    for x, y in zip(corners, corners[1:] + corners[:1]):
+        env = {"x": x, "y": y}
+        assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, model))
 
 
 def faulty(model, operation, bad):
