@@ -26,7 +26,8 @@ other ``(`` starts an atom.  A line that parses is scanned once, by one
 groups marked in one pass over them; only an error scans the line again,
 for its position.  A numeral longer than ``int()`` reads from text
 (``sys.get_int_max_str_digits()``) is a parse error.  Tree nodes are
-frozen, compare and hash by their fields, pickle and support ``match``.
+frozen as elements are (``nonstandard._Frozen``): they compare and hash
+by their fields, pickle and support ``match``.
 
 A quantifier binds as much as possible to its right, so in
 ``x = 0 | exists y. x = y + 1`` the existential's scope is the rest of the
@@ -60,67 +61,20 @@ uses ``V2``.
 from __future__ import annotations
 
 import re
-from dataclasses import FrozenInstanceError
-from operator import attrgetter
 from typing import Mapping
 
-from .nonstandard import Model, Ordering, ParseError, too_many_digits
+from .nonstandard import Model, Ordering, ParseError, _Frozen, too_many_digits
 
 
-class _Node:
-    """A frozen tree node; its fields are the slots along its MRO, outermost first.
-
-    ``__init_subclass__`` lists them as ``__match_args__``, for ``match``,
-    and builds ``_values``, which reads them as the tuple that ``==``,
-    ``hash``, ``repr`` (in the dataclass form), ``pickle``, ``copy`` and
-    ``mentions`` use.  ``__init__`` sets the fields through the slots' own
-    setters, which the frozen ``__setattr__`` does not block.
-    """
-
-    __slots__ = ()
-
-    def __init_subclass__(cls):
-        names = tuple(name for base in reversed(cls.__mro__) for name in base.__dict__.get("__slots__", ()))
-        cls.__match_args__ = names
-        if len(names) == 1:
-            get = attrgetter(*names)
-            cls._values = staticmethod(lambda node: (get(node),))
-        elif names:
-            cls._values = staticmethod(attrgetter(*names))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values(self) == other._values(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values(self))
-
-    def __repr__(self):
-        fields = []  # a loop, not a generator, so a deep tree costs no extra frame per level
-        for name, value in zip(self.__match_args__, self._values(self)):
-            fields.append(f"{name}={value!r}")
-        return f"{self.__class__.__qualname__}({', '.join(fields)})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._values(self)
-
-
-class Term(_Node):
+class Term(_Frozen):
     __slots__ = ()
 
 
-class Formula(_Node):
+class Formula(_Frozen):
     __slots__ = ()
 
 
-class _Binary(_Node):
+class _Binary(_Frozen):
     """The slots and ``__init__`` of Sum, Eq, Lt, And, Or and Implies."""
 
     __slots__ = ("left", "right")
@@ -130,7 +84,7 @@ class _Binary(_Node):
         _set_right(self, right)
 
 
-class _Quantifier(_Node):
+class _Quantifier(_Frozen):
     """The slots and ``__init__`` of ForAll and Exists."""
 
     __slots__ = ("var", "body")
@@ -638,6 +592,6 @@ def mentions(f: Formula | Term, kinds: type | tuple[type, ...]) -> bool:
     if isinstance(f, kinds):
         return True
     for child in f._values(f):
-        if isinstance(child, _Node) and mentions(child, kinds):
+        if isinstance(child, (Term, Formula)) and mentions(child, kinds):
             return True
     return False

@@ -51,11 +51,11 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd
+from operator import attrgetter
 from typing import Protocol
 
 
@@ -142,9 +142,56 @@ def nu2(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
+class _Frozen:
+    """A frozen value: elements, pairs and tree nodes name each field once, in ``__slots__``.
+
+    The fields are the slots along the MRO, outermost first, listed as
+    ``__match_args__``.  ``_values`` reads them as the tuple that ``==``,
+    ``hash``, ``repr`` (in the dataclass form), ``pickle`` and ``copy`` use,
+    so unpickling runs the class's checked ``__init__``, which sets the
+    fields through the slots' own setters.  Setting or deleting an
+    attribute raises a frozen dataclass's ``FrozenInstanceError``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        names = tuple(name for base in reversed(cls.__mro__) for name in base.__dict__.get("__slots__", ()))
+        cls.__match_args__ = names
+        if len(names) == 1:
+            get = attrgetter(*names)
+            cls._values = staticmethod(lambda value: (get(value),))
+        elif names:
+            cls._values = staticmethod(attrgetter(*names))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = []  # a loop, not a generator, so a deep tree costs no extra frame per level
+        for name, value in zip(self.__match_args__, self._values(self)):
+            fields.append(f"{name}={value!r}")
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError  # imported only to be raised
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+
 @total_ordering
-@dataclass(frozen=True, init=False, repr=False)
-class Element:
+class Element(_Frozen):
     """A model element base(p/q) + offset, stored as (p*c + w)/q in the three ints p, q, w.
 
     ``Element(galaxy, offset)`` checks its arguments: ``galaxy`` is a
@@ -155,15 +202,12 @@ class Element:
     w = q*offset - p*t(q), so a standard element stores its value in w, and
     ``offset`` gives back (w + p*t(q)) / q.
     Kernel results that are valid by construction skip the checks through
-    ``_element``.  Elements are frozen dataclasses (``==`` and ``hash`` read
-    the three ints); ``<`` is the model order (galaxies as rationals, ties
-    broken on w, which orders the offsets within a galaxy).
+    ``_element``.  Elements are ``_Frozen`` (``==`` and ``hash`` read the
+    three ints; ``repr`` and pickle use galaxy and offset); ``<`` is the
+    model order (galaxies as rationals, ties on w, which orders offsets).
     """
 
     __slots__ = ("p", "q", "w")
-    p: int
-    q: int
-    w: int
 
     def __init__(self, galaxy: Fraction | int, offset: int):
         if offset.__class__ is not int and (offset.__class__ is bool or not isinstance(offset, int)):

@@ -12,43 +12,44 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, total_ordering
 
 from .nonstandard import (
     NegativeResultError,
     NotDivisibleError,
     ParseError,
     _below,
+    _Frozen,
     compare as p_compare,
     too_many_digits,
 )
 
 
-@dataclass(frozen=True, order=True)
-class PairElement:
-    """A pair (g, n), frozen; field order makes dataclass ordering lexicographic."""
+@total_ordering
+class PairElement(_Frozen):
+    """A pair (g, n), ``_Frozen``, with g kept as a Fraction; ``<`` is lexicographic."""
 
     __slots__ = ("g", "n")
-    g: Fraction
-    n: int
 
-    def __post_init__(self):
-        g, n = self.g, self.n
+    def __init__(self, g: Fraction | int, n: int):
         if n.__class__ is not int and (n.__class__ is bool or not isinstance(n, int)):
             raise TypeError(f"second coordinate must be an int, got {n!r}")
         if g.__class__ is not Fraction and not isinstance(g, Fraction):
             if g.__class__ is bool or not isinstance(g, int):
                 raise TypeError(f"first coordinate must be an int or a Fraction, got {g!r}")
             g = Fraction(g)
-            _set_g(self, g)
         if g.numerator <= 0:
             if g.numerator < 0:
                 raise ValueError(f"first coordinate must be non-negative, got {g}")
             if n < 0:
                 raise ValueError(f"standard pairs are non-negative, got {n}")
+        _set_g(self, g)
+        _set_n(self, n)
 
-    def __reduce__(self):  # the frozen __setattr__ refuses a slot-by-slot restore
-        return PairElement, (self.g, self.n)
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.g, self.n) < (other.g, other.n)
 
     def __str__(self) -> str:
         return format_pair(self)
@@ -157,7 +158,7 @@ def validate_verdict(x: PairElement, verdict: Verdict) -> bool:
     """Re-check a verdict's witness from scratch."""
     if isinstance(verdict, FiniteTwoDivisibility):
         chain = verdict.chain
-        if len(chain) != verdict.max_steps + 1 or chain[0] != x:
+        if not chain or len(chain) != verdict.max_steps + 1 or chain[0] != x:
             return False
         for whole, half in zip(chain, chain[1:]):
             if not _is_multiple(2, whole, half):

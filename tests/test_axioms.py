@@ -1,5 +1,6 @@
 """Axiom catalog shape and harness behavior, including falsification power."""
 
+import builtins
 import gc
 import os
 import random
@@ -15,7 +16,7 @@ import pytest
 
 import buchi2
 
-from buchi2 import axioms
+from buchi2 import axioms, compiled
 from buchi2.axioms import (
     FAIL,
     MAX_SCHEMA,
@@ -701,6 +702,27 @@ def test_compiled_checks_are_kept_for_the_last_two_models():
         tracemalloc.stop()
     assert len(spec.compiled) <= 2
     assert grown < 100_000  # about 9 KB per kept entry when every entry is kept
+
+
+def test_a_check_compiles_once_for_every_model(monkeypatch):
+    # The generated source does not depend on the model, so one spec checked
+    # against fresh models is compiled once; each model keeps its own check.
+    sources = []
+    real = builtins.compile
+
+    def counting(source, filename, *args, **kwargs):
+        if filename == "<compile_qf>":
+            sources.append(source)
+        return real(source, filename, *args, **kwargs)
+
+    compiled._code.cache_clear()
+    monkeypatch.setattr(builtins, "compile", counting)
+    spec = by_id("A4", schema_max=3)
+    for model in (NonstandardModel(), NonstandardModel(), StandardModel(), PairsModel(), NonstandardModel()):
+        assert check_axiom(spec, model, cases=1).status == PASS
+    assert len(sources) == 1
+    (_, a), (_, b) = spec.compiled.values()
+    assert a.__code__ is b.__code__ and a.__globals__ is not b.__globals__
 
 
 # -- witnesses are computed on demand --------------------------------------------------

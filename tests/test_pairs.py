@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -53,10 +54,23 @@ def test_carrier():
     (Element(F(1, 3), 5), "p"), (Element(F(1, 3), 5), "foo"), (pe(1, 3, 5), "g"), (pe(1, 3, 5), "foo"),
 ], ids=["Element-field", "Element-other", "PairElement-field", "PairElement-other"])
 def test_elements_are_frozen(x, name):
-    with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+    with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$") as err:
         setattr(x, name, 1)
-    with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
+    assert err.type is FrozenInstanceError
+    with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$") as err:
         delattr(x, name)
+    assert err.type is FrozenInstanceError
+    fields = {Element: ("p", "q", "w"), PairElement: ("g", "n")}[type(x)]
+    values = tuple(getattr(x, field) for field in fields)
+    assert type(x).__match_args__ == fields
+    assert not hasattr(x, "__dict__") and hash(x) == hash(values)
+    match x:
+        case Element(p, q, w):
+            assert (p, q, w) == values
+        case PairElement(g, n):
+            assert (g, n) == values
+        case _:
+            pytest.fail(f"no case matched {x!r}")
 
 
 def test_pickle_and_copy():
@@ -128,6 +142,7 @@ def test_validate_rejects_wrong_witnesses():
     good = refute_power2_candidate(x)
     assert not validate_verdict(pe(5, 7, 4), good)
     assert not validate_verdict(x, FiniteTwoDivisibility(0, (x,)))
+    assert not validate_verdict(x, FiniteTwoDivisibility(max_steps=-1, chain=()))
     assert not validate_verdict(x, DivisibleByThree(pe(5, 21, 2)))
     y = pe(2, 1, 0)
     assert not validate_verdict(y, DivisibleByThree(pe(1, 3, 0)))
