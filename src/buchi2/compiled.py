@@ -24,18 +24,16 @@ from .nonstandard import Ordering
 # assigned on every path there (no test), on none (no test), or on some: a
 # test "if s<i> is None:", for which s<i> starts as None.  Such tests run
 # flat, operands first, because a slot with a value implies its operands
-# have one.  A slot that only one atom reads, through a sum, a residue or a
-# V2, is computed inside the atom's expression instead.  A variable-free
-# slot starts as its value in ``kept``, None until a call computes it
-# there (_Kept, in eval_term's order), and keeps it across calls.  Each
-# connective leaves its truth in the local r, and the operands of a chain
-# are flat "if r:" tests, so only a nested right operand indents its code;
-# past NESTING levels of indentation, or of calls in one expression, an
-# operand moves to a helper function or a slot to a local, which keeps
-# Python's limits on nesting (100 and 200) out of reach.  Formula text
-# never becomes source: names, numerals, moduli and model callables are
-# values of generated global names, in a namespace that holds no builtins
-# and, once compiled, not the check itself, so no reference cycle is left.
+# have one.  A variable-free slot starts as its value in ``kept``, None
+# until a call computes it there (_Kept, in eval_term's order), and keeps
+# it across calls.  Each connective leaves its truth in the local r, and
+# the operands of a chain are flat "if r:" tests, so only a nested right
+# operand indents its code; past NESTING levels of indentation an operand
+# moves to a helper function, which keeps Python's limit on nesting (100)
+# out of reach.  Formula text never becomes source: names, numerals,
+# moduli and model callables are values of generated global names, in a
+# namespace that holds no builtins and, once compiled, not the check
+# itself, so no reference cycle is left.
 NESTING = 40
 
 
@@ -44,10 +42,11 @@ class _Kept:
 
     __slots__ = ("values", "ops", "model", "numeral", "add", "residue_mod")
 
-    def __init__(self, ops, model):
+    def __init__(self, ops, names):
         self.values = dict.fromkeys(ops)  # slot -> its value, None until computed
-        self.ops, self.model = ops, model  # slot -> its op
-        self.numeral, self.add, self.residue_mod = model.numeral, model.add, model.residue_mod
+        self.ops = ops  # slot -> its op
+        self.model, self.numeral, self.add, self.residue_mod = (
+            names["model"], names["numeral"], names["add"], names["residue_mod"])
 
     def value(self, i):
         v = self.values[i]
@@ -90,8 +89,8 @@ class _Emitter:
         self.const: list[bool] = []  # slot -> whether it is variable-free
         self.readers: list[int] = []  # slot -> how many slots, atoms and witnesses read it
         self.names = {  # generated name -> its value: the generated code's globals
-            "__builtins__": {}, "model": model, "add": model.add, "compare": model.compare,
-            "residue_mod": model.residue_mod,
+            "__builtins__": {}, "model": model, "numeral": model.numeral, "add": model.add,
+            "compare": model.compare, "residue_mod": model.residue_mod,
         }
         self.named: dict[int, str] = {}  # id of a value -> its name
         self.lines: list[str] = []  # the function being written
@@ -216,31 +215,6 @@ class _Emitter:
         self.known.difference_update(self.log[mark:])
         del self.log[mark:]
 
-    def value(self, i: int, nest: int = 0) -> str:
-        """An expression, in an atom, for slot i's value, after writing the code it needs.
-
-        A sum, residue or V2 that only the atom reads, through its operands
-        or itself, is written into the atom's expression instead of to s<i>;
-        an atom runs once, so such a slot is never demanded again.  A V2 is
-        written in only if its operand has its value, since the model's
-        ``v2`` is looked up first.
-        """
-        kind, a, b = self.ops[i]
-        if (self.readers[i] == 1 and i not in self.seen and not self.const[i] and nest < NESTING
-                and (kind in ("+", "mod") or kind == "v2" and a in self.known)):
-            if kind == "v2":
-                return f"model.v2(s{a})"
-            if kind == "mod":
-                return f"residue_mod({self.value(a, nest + 1)}, {self.name(b)})"
-            return f"add({', '.join(self.values((a, b), nest + 1))})"
-        return self.demand(i)
-
-    def values(self, operands, nest: int = 0) -> list[str]:
-        # the operands' expressions, in order; one is written into the
-        # expression only if no code follows it, for a later operand
-        return [self.value(a, nest) if all(b in self.known for b in operands[k + 1:]) else self.demand(a)
-                for k, a in enumerate(operands)]
-
     def demand(self, i: int) -> str:
         """Write code after which s<i> holds slot i's value; return "s<i>"."""
         if i in self.known:
@@ -292,11 +266,10 @@ class _Emitter:
         kind, no = node[0], "not " if negated else ""
         if kind == "cmp":
             _, a, b, want = node
-            x, y = self.values((a, b))
-            self.line(f"r = {no}compare({x}, {y}) is {self.name(want)}")
+            self.line(f"r = {no}compare({self.demand(a)}, {self.demand(b)}) is {self.name(want)}")
         elif kind == "cong":
-            x, y = self.values(node[1:])
-            self.line(f"r = {no}{x} == {y}")
+            _, a, b = node
+            self.line(f"r = {no}{self.demand(a)} == {self.demand(b)}")
         elif kind == "not":
             self.emit(node[1], not negated)
         elif kind == "imp":  # r = not left; if that is false, r = right
@@ -344,7 +317,7 @@ class _Emitter:
         self.depth -= 1
 
     def source(self, root, witnesses) -> str:
-        kept = _Kept({i: op for i, op in enumerate(self.ops) if self.const[i]}, self.names["model"])
+        kept = _Kept({i: op for i, op in enumerate(self.ops) if self.const[i]}, self.names)
         self.names.update(kept=kept.values, constant=kept.value, lookup=kept.lookup)
         self.emit(root)
         self.line("if r: return True")

@@ -249,9 +249,13 @@ class Element(_Frozen):
         return compare_elements(self, other) is Ordering.LESS
 
     def __add__(self, other: "Element") -> "Element":
+        if other.__class__ is not Element:
+            return NotImplemented
         return add(self, other)
 
     def __sub__(self, other: "Element") -> "Element":
+        if other.__class__ is not Element:
+            return NotImplemented
         return sub(self, other)
 
 

@@ -31,7 +31,7 @@ from buchi2.axioms import (
 from buchi2.axioms import _congruence_matrix, _odd_indivisibility_matrix, _residue_cases_matrix
 from buchi2.compiled import _generate, compile_qf
 from buchi2.formulas import And, Numeral, V2App, Variable, eval_qf, mentions, parse_formula
-from buchi2.nonstandard import Model, NonstandardModel, NotDivisibleError, Ordering
+from buchi2.nonstandard import Model, NegativeResultError, NonstandardModel, NotDivisibleError, Ordering
 from buchi2.pairs import PairsModel
 from buchi2.standard import StandardModel
 
@@ -136,6 +136,10 @@ def test_models_provide_the_interface(model_class):
     for name in ("v2", "next_power_of_two"):
         assert hasattr(model, name) == model.has_v2, name
     assert model.corner_elements() is model_class().corner_elements()  # built once
+    with pytest.raises(NegativeResultError):
+        model.sub(model.numeral(1), model.numeral(2))
+    with pytest.raises(ValueError, match="must be positive"):
+        model_class(offset_bound=0)
 
 
 # -- passing runs -------------------------------------------------------------------

@@ -752,6 +752,24 @@ def test_compiled_chains_loop_and_sums_recurse_as_eval_qf():
     assert check({"x": 2}) is False
 
 
+def test_a_compilation_reads_each_model_operation_once():
+    # the check's code and its variable-free slots share one binding of each
+    # operation; v2 is read only when a call computes a V2
+    reads = {}
+
+    class Counted(StandardModel):
+        def __getattribute__(self, name):
+            reads[name] = reads.get(name, 0) + 1
+            return super().__getattribute__(name)
+
+    f = parse_formula("x + 1 < y & (x == 2 mod 3 | 2 + 3 == y mod 4) & V2(x) = V2(4)")
+    check = compile_qf(f, Counted())
+    assert {name: reads.get(name, 0) for name in ("numeral", "add", "compare", "residue_mod", "v2")} == {
+        "numeral": 1, "add": 1, "compare": 1, "residue_mod": 1, "v2": 0,
+    }
+    assert check({"x": 4, "y": 9}) is eval_qf(f, {"x": 4, "y": 9}, STD) is True
+
+
 @pytest.mark.parametrize("spoiled", [False, True])
 def test_only_a_pure_residue_chain_compiles_to_a_lookup(spoiled):
     # the check of a pure chain calls the lookup, one of a spoiled chain does not

@@ -39,6 +39,7 @@ from buchi2.nonstandard import (
     t_residue,
     v2,
 )
+from buchi2.pairs import PairElement
 
 
 def el(num, den=1, offset=0):
@@ -182,8 +183,10 @@ def test_failed_operations_raise_value_errors():
 
 def test_elements_compare_only_with_elements():
     assert natural(3) != 3 and not natural(3) == (0, 1, 3)
-    with pytest.raises(TypeError):
-        natural(3) < 4
+    for operate in (lambda: natural(3) < 4, lambda: natural(3) + 4, lambda: natural(3) - 4,
+                    lambda: C + PairElement(1, 0)):
+        with pytest.raises(TypeError):
+            operate()
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,8 @@ def test_carrier():
         with pytest.raises(TypeError):
             PairElement(g, n)
     assert pe(1, 2, -3).n == -3
+    with pytest.raises(TypeError):
+        pe(1, 2, 3) < 1
 
 
 @pytest.mark.parametrize("x, name", [
