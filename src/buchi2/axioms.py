@@ -3,8 +3,8 @@
 Each catalog entry pairs the axiom's first-order statement with a
 quantifier-free checking matrix over sampled and derived variables:
 
-- universally quantified variables are instantiated with corner cases and
-  seeded random samples from the target model;
+- universally quantified variables take the model's corner elements, one
+  case per corner, then seeded random samples from the target model;
 - existential quantifiers are discharged by witness functions (difference
   for order, predecessor, halving, congruence quotients, the next power of
   two); the witness value is never trusted, the matrix is re-evaluated on
@@ -39,7 +39,7 @@ from .formulas import (
     And, CongMod, Eq, Formula, Implies, Not, Numeral, Or, Sum, V2App, Variable,
     eval_qf, mentions, nsum, parse_formula,
 )
-from .nonstandard import Model, Ordering, ParseError
+from .nonstandard import EQUAL, GREATER, LESS, Model, ParseError
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -61,17 +61,17 @@ MAX_SCHEMA = 500
 # that leaves the matrix's guarding antecedent false.
 
 def _w_difference(model: Model, param, x, y, zero):
-    return model.sub(y, x) if model.compare(x, y) is Ordering.LESS else zero
+    return model.sub(y, x) if model.compare(x, y) is LESS else zero
 
 
 def _w_predecessor(model: Model, param, x, zero, one):
-    return zero if model.compare(x, zero) is Ordering.EQUAL else model.sub(x, one)
+    return zero if model.compare(x, zero) is EQUAL else model.sub(x, one)
 
 
 def _w_congruence_quotient(model: Model, param, x, y, x_residue, y_residue, zero):
     if x_residue != y_residue:
         return zero
-    if model.compare(x, y) is Ordering.LESS:
+    if model.compare(x, y) is LESS:
         x, y = y, x
     return model.divide(model.sub(x, y), param)
 
@@ -87,9 +87,9 @@ def _w_next_power_of_two(model: Model, param, x):
 def _w_power_gap_probe(model: Model, param, x, one, v2_x):
     # A point in the open interval (x, 2x) when x is a power of two > 1;
     # otherwise just x, which leaves the interval guard false.
-    if model.compare(x, one) is not Ordering.GREATER:
+    if model.compare(x, one) is not GREATER:
         return x
-    if model.compare(v2_x, x) is not Ordering.EQUAL:
+    if model.compare(v2_x, x) is not EQUAL:
         return x
     return model.add(x, model.divide(x, 2))
 
@@ -331,15 +331,6 @@ def build_axioms(schema_max: int = 12, ids: Optional[Collection[str]] = None) ->
     return tuple(spec for spec in specs if wanted is None or spec.id in wanted)
 
 
-def _sample_env(axiom: AxiomSpec, model: Model, rng, corners, case_index: int) -> dict:
-    if case_index < len(corners):
-        return {
-            var: corners[(case_index + j) % len(corners)]
-            for j, var in enumerate(axiom.sampled)
-        }
-    return {var: model.sample(rng) for var in axiom.sampled}
-
-
 def _format_env(model: Model, env: dict) -> tuple[tuple[str, str], ...]:
     return tuple((name, model.format(value)) for name, value in sorted(env.items()))
 
@@ -367,9 +358,15 @@ def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int 
     axiom.compiled[id(model)] = entry
     _, check = entry
     rng = random.Random(f"{seed}:{axiom.id}")
-    corners = model.corner_elements()
+    corners, sampled, sample = model.corner_elements(), axiom.sampled, model.sample
+    k = len(corners)
     for i in range(cases):
-        env = _sample_env(axiom, model, rng, corners, i)
+        if i < k:  # the first k cases rotate the corners through the sampled variables
+            env = {var: corners[(i + j) % k] for j, var in enumerate(sampled)}
+        else:
+            env = {}
+            for var in sampled:  # a loop, not a comprehension: no frame of its own
+                env[var] = sample(rng)
         try:
             if not check(env):  # env now holds every derived variable
                 for n, matrix in axiom.obligations:  # the interpreter must confirm it

@@ -16,7 +16,7 @@ from functools import lru_cache
 from .formulas import (
     And, CongMod, Eq, Exists, ForAll, Implies, Lt, Not, Numeral, Or, Sum, UnboundVariableError, V2App, Variable,
 )
-from .nonstandard import Ordering
+from .nonstandard import EQUAL, LESS
 
 # The generated function keeps each distinct subterm ("slot") i in a local
 # s<i>, computed where a formula first demands it.  Code runs in the order
@@ -168,7 +168,7 @@ class _Emitter:
     def formula(self, g):
         if isinstance(g, (Eq, Lt)):
             a, b = self.read(self.term(g.left)), self.read(self.term(g.right))
-            return ("cmp", a, b, Ordering.EQUAL if isinstance(g, Eq) else Ordering.LESS)
+            return ("cmp", a, b, EQUAL if isinstance(g, Eq) else LESS)
         if isinstance(g, CongMod):
             a, b = self.read(self.residue(g.left, g.modulus)), self.read(self.residue(g.right, g.modulus))
             return ("cong", a, b)

@@ -63,7 +63,7 @@ from __future__ import annotations
 import re
 from typing import Mapping
 
-from .nonstandard import Model, Ordering, ParseError, _Frozen, too_many_digits
+from .nonstandard import EQUAL, LESS, Model, ParseError, _Frozen, too_many_digits
 
 
 class Term(_Frozen):
@@ -567,9 +567,9 @@ def eval_term(t: Term, env: Mapping[str, object], model: Model):
 def eval_qf(f: Formula, env: Mapping[str, object], model: Model) -> bool:
     """Classical truth value of a quantifier-free formula, exactly."""
     if isinstance(f, Eq):
-        return model.compare(eval_term(f.left, env, model), eval_term(f.right, env, model)) is Ordering.EQUAL
+        return model.compare(eval_term(f.left, env, model), eval_term(f.right, env, model)) is EQUAL
     if isinstance(f, Lt):
-        return model.compare(eval_term(f.left, env, model), eval_term(f.right, env, model)) is Ordering.LESS
+        return model.compare(eval_term(f.left, env, model), eval_term(f.right, env, model)) is LESS
     if isinstance(f, CongMod):
         left = model.residue_mod(eval_term(f.left, env, model), f.modulus)
         right = model.residue_mod(eval_term(f.right, env, model), f.modulus)

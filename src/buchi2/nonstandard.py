@@ -89,6 +89,10 @@ class Ordering(Enum):
     GREATER = 1
 
 
+# A module global reads about ten times faster than an Enum class attribute.
+LESS, EQUAL, GREATER = Ordering
+
+
 class Model(Protocol):
     """One structure for the signature {0, 1, +, <, congruence mod n, V2}.
 
@@ -246,7 +250,7 @@ class Element(_Frozen):
     def __lt__(self, other):
         if other.__class__ is not Element:
             return NotImplemented
-        return compare_elements(self, other) is Ordering.LESS
+        return compare_elements(self, other) is LESS
 
     def __add__(self, other: "Element") -> "Element":
         if other.__class__ is not Element:
@@ -326,8 +330,8 @@ def compare(x, y) -> Ordering:
     answer on Elements.
     """
     if x == y:
-        return Ordering.EQUAL
-    return Ordering.LESS if x < y else Ordering.GREATER
+        return EQUAL
+    return LESS if x < y else GREATER
 
 
 def compare_elements(x: Element, y: Element) -> Ordering:
@@ -336,8 +340,8 @@ def compare_elements(x: Element, y: Element) -> Ordering:
     if a == b:
         a, b = x.w, y.w
         if a == b:
-            return Ordering.EQUAL
-    return Ordering.LESS if a < b else Ordering.GREATER
+            return EQUAL
+    return LESS if a < b else GREATER
 
 
 def scalar_mul(n: int, x: Element) -> Element:

@@ -13,7 +13,6 @@ from .nonstandard import (
     NegativeResultError,
     NotDivisibleError,
     ParseError,
-    _below,
     compare,
     natural,
     too_many_digits,
@@ -76,8 +75,13 @@ class StandardModel:
         return (0, 1, 2, 3, 4, 7, 8, 12, 15, 64, 96, 1024)
 
     def sample(self, rng) -> int:
-        # The draw of rng.randrange(self.offset_bound + 1).
-        return _below(rng.getrandbits, self.offset_bound + 1)
+        # The draws of rng.randrange(self.offset_bound + 1), inlined.
+        n = self.offset_bound + 1
+        k = n.bit_length()
+        r = rng.getrandbits(k)
+        while r >= n:
+            r = rng.getrandbits(k)
+        return r
 
     def parse(self, text: str) -> int:
         text = text.strip()

@@ -394,6 +394,16 @@ def bind_reference_witnesses(spec, model, env):
         env[name] = REFERENCE_WITNESSES[witness](model, env, param)
 
 
+def sample_env(spec, model, rng, corners, case_index):
+    """The env of one case: corner cases first, rotated per case, then seeded samples."""
+    if case_index < len(corners):
+        return {
+            var: corners[(case_index + j) % len(corners)]
+            for j, var in enumerate(spec.sampled)
+        }
+    return {var: model.sample(rng) for var in spec.sampled}
+
+
 def reference_check(spec, model, cases, seed):
     """check_axiom with eager witnesses and interpreted matrices."""
     if not model.has_v2 and any(mentions(matrix, V2App) for _, matrix in spec.obligations):
@@ -401,7 +411,7 @@ def reference_check(spec, model, cases, seed):
     rng = random.Random(f"{seed}:{spec.id}")
     corners = model.corner_elements()
     for i in range(cases):
-        env = axioms._sample_env(spec, model, rng, corners, i)
+        env = sample_env(spec, model, rng, corners, i)
         try:
             bind_reference_witnesses(spec, model, env)
             for n, matrix in spec.obligations:
@@ -430,7 +440,7 @@ def test_compiled_obligations_match_the_interpreter(model):
         for seed in range(10):
             rng = random.Random(f"{seed}:{spec.id}")
             for case in range(len(corners) + 5):
-                env = axioms._sample_env(spec, model, rng, corners, case)
+                env = sample_env(spec, model, rng, corners, case)
                 expected = dict(env)
                 error = outcome(lambda: bind_reference_witnesses(spec, model, expected))
                 for matrix, check in zip(obligations, checks):
@@ -450,13 +460,17 @@ def test_compiled_obligations_match_the_interpreter(model):
     ids=lambda c: c.__name__,
 )
 def test_reports_match_the_interpreting_harness(model_class):
+    # A run of k = len(corners) cases, or one either side of it, ends where
+    # the corner cases give way to seeded samples.
     statuses = set()
+    k = len(model_class().corner_elements())
     for schema_max in (3, 12):
         catalog = build_axioms(schema_max)
         for seed in range(5):
-            expected = [reference_check(spec, model_class(), 60, seed) for spec in catalog]
-            assert run_suite(model_class(), seed=seed, cases=60, schema_max=schema_max) == expected
-            statuses |= {r.status for r in expected}
+            for cases in (1, k - 1, k, k + 1, 60):
+                expected = [reference_check(spec, model_class(), cases, seed) for spec in catalog]
+                assert run_suite(model_class(), seed=seed, cases=cases, schema_max=schema_max) == expected
+                statuses |= {r.status for r in expected}
     assert (FAIL in statuses) is (model_class in (*PINNED_FAILS, *SEEDED_FAULT_FAILS))
 
 
@@ -798,7 +812,7 @@ def test_congruence_witnesses_read_the_matrix_residues():
     check = compile_qf(matrix, eager)  # the derived variables read from env
     rng, corners = random.Random(f"0:{spec.id}"), eager.corner_elements()
     for i in range(2000):
-        env = axioms._sample_env(spec, eager, rng, corners, i)
+        env = sample_env(spec, eager, rng, corners, i)
         bind_reference_witnesses(spec, eager, env)
         assert check(env)
     assert (lazy.calls["residue_mod"], eager.calls["residue_mod"]) == (33 * 2000, 55 * 2000)

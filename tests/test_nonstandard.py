@@ -9,6 +9,8 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
+import buchi2
+from buchi2 import nonstandard
 from buchi2.nonstandard import (
     C,
     Element,
@@ -253,6 +255,15 @@ def test_sub_examples():
     assert el(2, 3, 3) - el(1, 3, -2) == el(1, 3, 5)
     with pytest.raises(NegativeResultError, match="^1 < 2$"):
         ONE - natural(2)
+
+
+def test_ordering_members_are_module_globals():
+    # compare and its callers read the members as globals, not through the class.
+    assert nonstandard.LESS is Ordering.LESS
+    assert nonstandard.EQUAL is Ordering.EQUAL
+    assert nonstandard.GREATER is Ordering.GREATER
+    assert tuple(Ordering) == (nonstandard.LESS, nonstandard.EQUAL, nonstandard.GREATER)
+    assert not {"LESS", "EQUAL", "GREATER"} & set(buchi2.__all__)
 
 
 def test_compare_examples():

@@ -40,9 +40,10 @@ def test_check_ab_times_each_models_checks_against_a_revision():
     )
     assert (done.returncode, done.stderr) == (0, "")
     number = r"[0-9.]+"
-    for model, text in zip(("std", "nonstd"), done.stdout.splitlines(), strict=True):
+    labels = [f"{model} {kind}" for model in ("std", "nonstd") for kind in ("checks", "requests")]
+    for label, text in zip(labels, done.stdout.splitlines(), strict=True):
         match = re.fullmatch(
-            rf"{model}: HEAD {number} ms, this checkout {number} ms, ratio {number}; "
+            rf"{label}: HEAD {number} ms, this checkout {number} ms, ratio {number}; "
             r"faster in (\d+) rounds \(HEAD\) and (\d+) \(this checkout\) of 40", text,
         )
         assert match and int(match[1]) + int(match[2]) <= 40, text
