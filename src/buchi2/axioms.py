@@ -14,12 +14,12 @@ quantifier-free checking matrix over sampled and derived variables:
 
 An axiom's obligations are compiled (``compiled.compile_qf``) as one
 check, their conjunction, a generated Python function in which a schema's
-obligations share their slots; it is kept on the spec for the last two
-model objects, looked up by identity.  A witness is a slot of the check,
-computed when a matrix first reads it.  A false check computes the
-witnesses it did not read, so the report lists every derived variable;
-the interpreter (``eval_qf``) then runs the obligations in order and
-reports the first false one, with its parameter.
+obligations share their slots; it is kept in the spec's private
+``_compiled`` slot for the last two model objects, looked up by identity.
+A witness is a slot of the check, computed when a matrix first reads it.
+A false check computes the witnesses it did not read, so the report lists
+every derived variable; the interpreter (``eval_qf``) then runs the
+obligations in order and reports the first false one, with its parameter.
 
 A sampled check can only falsify an axiom, not prove it; the point of the
 harness is falsification power at a chosen scale.  Checks are
@@ -30,16 +30,15 @@ seeded by ``"<seed>:<axiom id>"``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from functools import cache, reduce
-from typing import Callable, Collection, Optional
+from typing import Collection, Optional
 
 from .compiled import compile_qf
 from .formulas import (
     And, CongMod, Eq, Formula, Implies, Not, Numeral, Or, Sum, V2App, Variable,
     eval_qf, mentions, nsum, parse_formula,
 )
-from .nonstandard import EQUAL, GREATER, LESS, Model, ParseError
+from .nonstandard import EQUAL, GREATER, LESS, Model, ParseError, _Frozen
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -94,9 +93,8 @@ def _w_power_gap_probe(model: Model, param, x, one, v2_x):
     return model.add(x, model.divide(x, 2))
 
 
-@dataclass(frozen=True)
-class AxiomSpec:
-    """One checkable axiom.
+class AxiomSpec(_Frozen):
+    """One checkable axiom, a frozen value (``nonstandard._Frozen``).
 
     ``text`` is the axiom's own statement.  ``obligations`` are the
     quantifier-free matrices actually evaluated, each paired with its
@@ -104,22 +102,21 @@ class AxiomSpec:
     one holds.  They range over ``sampled`` variables drawn from the model
     and the ``derived`` variables: each ``(name, witness, param, reads)``
     binds ``name`` to ``witness(model, param, *values of reads)`` when a
-    matrix first reads it (``compile_qf``'s ``derived``).  ``compiled`` maps
-    the ``id`` of the last two model objects checked to that model (held, so
-    the ``id`` stays its own) and the check of all the obligations.
+    matrix first reads it (``compile_qf``'s ``derived``).  ``_compiled``, a
+    private slot that copies start empty, maps the ``id`` of the last two
+    models checked to that model (held, so the ``id`` stays its own) and the
+    check of all the obligations.
     """
 
-    id: str
-    text: str
-    sampled: tuple[str, ...]
-    obligations: tuple[tuple[Optional[int], Formula], ...]
-    derived: tuple[tuple[str, Callable, Optional[int], tuple], ...] = ()
-    compiled: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    __slots__ = ("id", "text", "sampled", "obligations", "derived", "_compiled")
+
+    def __init__(self, id: str, text: str, sampled: tuple[str, ...],
+                 obligations: tuple[tuple[Optional[int], Formula], ...], derived: tuple[tuple, ...] = ()):
+        self._fill(id, text, sampled, obligations, derived, {})
 
 
-@dataclass(frozen=True)
-class Report:
-    """Outcome of checking one axiom against one model.
+class Report(_Frozen):
+    """Outcome of checking one axiom against one model, a frozen value.
 
     A FAIL report carries an assignment (variable -> printed element) that
     makes the checking matrix false on re-evaluation, plus the schema
@@ -128,13 +125,10 @@ class Report:
     variables computed before it.
     """
 
-    axiom_id: str
-    status: str
-    cases: int
-    seed: int
-    counterexample: tuple[tuple[str, str], ...] = ()
-    param: Optional[int] = None
-    error: str = ""
+    __slots__ = ("axiom_id", "status", "cases", "seed", "counterexample", "param", "error")
+
+    def __init__(self, axiom_id: str, status: str, cases: int, seed: int, counterexample=(), param=None, error=""):
+        self._fill(axiom_id, status, cases, seed, counterexample, param, error)
 
 
 def _one(text: str) -> tuple[tuple[None, Formula]]:
@@ -327,7 +321,7 @@ def build_axioms(schema_max: int = 12, ids: Optional[Collection[str]] = None) ->
         ),
     ]
     # The V2-induction block restates A12..A14 under its own ids.
-    specs += [replace(spec, id="V" + spec.id[1:]) for spec in specs[11:14]]
+    specs += [AxiomSpec("V" + s.id[1:], s.text, s.sampled, s.obligations, s.derived) for s in specs[11:14]]
     return tuple(spec for spec in specs if wanted is None or spec.id in wanted)
 
 
@@ -349,13 +343,13 @@ def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int 
         return Report(axiom.id, SKIPPED, 0, seed)
     if not axiom.obligations:
         return Report(axiom.id, PASS, cases, seed)
-    entry = axiom.compiled.pop(id(model), None)
+    entry = axiom._compiled.pop(id(model), None)
     if entry is None:
         matrices = (matrix for _, matrix in axiom.obligations)  # in catalog order
         entry = model, compile_qf(reduce(And, matrices), model, axiom.derived)
-        if len(axiom.compiled) > 1:  # keep the two most recently checked models
-            del axiom.compiled[next(iter(axiom.compiled))]
-    axiom.compiled[id(model)] = entry
+        if len(axiom._compiled) > 1:  # keep the two most recently checked models
+            del axiom._compiled[next(iter(axiom._compiled))]
+    axiom._compiled[id(model)] = entry
     _, check = entry
     rng = random.Random(f"{seed}:{axiom.id}")
     corners, sampled, sample = model.corner_elements(), axiom.sampled, model.sample

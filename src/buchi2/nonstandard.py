@@ -147,20 +147,20 @@ def nu2(m: int) -> int:
 
 
 class _Frozen:
-    """A frozen value: elements, pairs and tree nodes name each field once, in ``__slots__``.
+    """A frozen value: an element, pair, tree node, axiom spec, report or verdict.
 
-    The fields are the slots along the MRO, outermost first, listed as
-    ``__match_args__``.  ``_values`` reads them as the tuple that ``==``,
-    ``hash``, ``repr`` (in the dataclass form), ``pickle`` and ``copy`` use,
-    so unpickling runs the class's checked ``__init__``, which sets the
-    fields through the slots' own setters.  Setting or deleting an
-    attribute raises a frozen dataclass's ``FrozenInstanceError``.
+    Its fields are the slots along the MRO, outermost first, but for private
+    ``_name`` slots, listed as ``__match_args__``.  ``_values`` reads them as
+    the tuple that ``==``, ``hash``, ``repr``, ``pickle`` and ``copy`` use, so
+    unpickling runs the class's checked ``__init__``, which sets the fields
+    through the slots' own setters or ``_fill``.  Setting or deleting an
+    attribute raises ``FrozenInstanceError``.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        names = tuple(name for base in reversed(cls.__mro__) for name in base.__dict__.get("__slots__", ()))
+        names = tuple(n for base in reversed(cls.__mro__) for n in vars(base).get("__slots__", ()) if n[0] != "_")
         cls.__match_args__ = names
         if len(names) == 1:
             get = attrgetter(*names)
@@ -192,6 +192,10 @@ class _Frozen:
 
     def __reduce__(self):
         return self.__class__, self._values(self)
+
+    def _fill(self, *values):  # the constructors off the hot paths set their class's slots in order
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
 
 @total_ordering

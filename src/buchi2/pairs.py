@@ -10,7 +10,6 @@ and ``refute_power2_candidate`` produces the witnessing one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, total_ordering
 
@@ -99,8 +98,7 @@ def p_residue_mod(x: PairElement, n: int) -> int:
     return x.n % n
 
 
-@dataclass(frozen=True)
-class FiniteTwoDivisibility:
+class FiniteTwoDivisibility(_Frozen):
     """The candidate halves only max_steps times before going odd.
 
     ``chain`` lists the successive exact halves, starting at the candidate
@@ -108,15 +106,19 @@ class FiniteTwoDivisibility:
     is non-standard would have to keep halving forever.
     """
 
-    max_steps: int
-    chain: tuple[PairElement, ...]
+    __slots__ = ("max_steps", "chain")
+
+    def __init__(self, max_steps: int, chain: tuple[PairElement, ...]):
+        self._fill(max_steps, chain)
 
 
-@dataclass(frozen=True)
-class DivisibleByThree:
+class DivisibleByThree(_Frozen):
     """The candidate is three times ``quotient``; powers of two never are."""
 
-    quotient: PairElement
+    __slots__ = ("quotient",)
+
+    def __init__(self, quotient: PairElement):
+        self._fill(quotient)
 
 
 Verdict = FiniteTwoDivisibility | DivisibleByThree

@@ -2,7 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  All arithmetic is
 exact, so every comparison is bit-exact (tolerance 0); the stated runtime
-ceilings are asserted as part of the criteria.
+ceilings are asserted as part of the criteria.  They bound the process's
+CPU time (``time.process_time``), which other jobs on a shared host do
+not inflate as they do wall-clock time.
 """
 
 import random
@@ -42,7 +44,7 @@ def test_criterion_1_v2_closed_form_for_nonnegative_two_exponent():
     # galaxy a*2^k/b with a, b odd and coprime, k >= 0: the valuation of the
     # element with offset d must equal the standard valuation of b*d - a*2^k.
     rng = random.Random(1)
-    start = time.monotonic()
+    start = time.process_time()
     for _ in range(10_000):
         a = rng.randrange(1, 1000, 2)
         b = rng.randrange(3, 1000, 2)
@@ -53,7 +55,7 @@ def test_criterion_1_v2_closed_form_for_nonnegative_two_exponent():
         got = v2(Element(F(a * 2**k, b), d))
         want = embed(std_v2(abs(b * d - a * 2**k)))
         assert got == want, (a, b, k, d, got, want)
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     verdict(1, "closed-form valuation, k >= 0", elapsed <= 10.0, f"10000 samples, {elapsed:.1f}s <= 10s")
 
 
@@ -64,11 +66,11 @@ def test_criterion_2_worked_division_example():
 
 
 def test_criterion_3_axiom_suite_on_all_three_models():
-    start = time.monotonic()
+    start = time.process_time()
     nonstd = run_suite(NonstandardModel(), seed=0, cases=1000, schema_max=12)
     std = run_suite(StandardModel(), seed=0, cases=1000, schema_max=12)
     pairs = run_suite(PairsModel(), seed=0, cases=1000, schema_max=12)
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
 
     ok_nonstd = len(nonstd) == 20 and all(r.status == PASS for r in nonstd)
     ok_std = all(r.status == PASS for r in std)
@@ -98,7 +100,7 @@ def test_criterion_4_embedding_agrees_with_standard_oracle():
 
 
 def test_criterion_5_impossibility_theorem_exhaustive():
-    start = time.monotonic()
+    start = time.process_time()
     checked = 0
     for a in range(1, 51):
         for b in range(1, 51):
@@ -107,7 +109,7 @@ def test_criterion_5_impossibility_theorem_exhaustive():
                 x = PairElement(g, n)
                 assert validate_verdict(x, refute_power2_candidate(x)), x
                 checked += 1
-    elapsed = time.monotonic() - start
+    elapsed = time.process_time() - start
     ok = checked == 50 * 50 * 201 and elapsed <= 5.0
     verdict(5, "pairs-model impossibility", ok, f"{checked} candidates, {elapsed:.1f}s <= 5s")
 

@@ -1,8 +1,10 @@
 """Axiom catalog shape and harness behavior, including falsification power."""
 
 import builtins
+import copy
 import gc
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -700,7 +702,7 @@ def test_a_spec_compiles_once_per_model(monkeypatch):
     for model in (c, a, b):  # c takes b's place, the less recently checked
         assert check_axiom(spec, model, cases=10).status == PASS
     assert compiled == {id(a): 1, id(b): 2, id(c): 1}
-    assert list(spec.compiled) == [id(a), id(b)]
+    assert list(spec._compiled) == [id(a), id(b)]
 
 
 def test_compiled_checks_are_kept_for_the_last_two_models():
@@ -718,7 +720,7 @@ def test_compiled_checks_are_kept_for_the_last_two_models():
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(spec.compiled) <= 2
+    assert len(spec._compiled) <= 2
     assert grown < 100_000  # about 9 KB per kept entry when every entry is kept
 
 
@@ -739,8 +741,18 @@ def test_a_check_compiles_once_for_every_model(monkeypatch):
     for model in (NonstandardModel(), NonstandardModel(), StandardModel(), PairsModel(), NonstandardModel()):
         assert check_axiom(spec, model, cases=1).status == PASS
     assert len(sources) == 1
-    (_, a), (_, b) = spec.compiled.values()
+    (_, a), (_, b) = spec._compiled.values()
     assert a.__code__ is b.__code__ and a.__globals__ is not b.__globals__
+
+
+def test_a_checked_spec_pickles_and_copies_with_an_empty_cache():
+    spec = by_id("A8")
+    assert check_axiom(spec, STD, cases=5).status == PASS
+    for copied in (pickle.loads(pickle.dumps(spec)), copy.copy(spec), copy.deepcopy(spec)):
+        assert copied == spec and hash(copied) == hash(spec) and repr(copied) == repr(spec)
+        assert copied._compiled == {} and copied._compiled is not spec._compiled
+        assert check_axiom(copied, STD, cases=5) == check_axiom(spec, STD, cases=5)
+    assert len(spec._compiled) == 1
 
 
 # -- witnesses are computed on demand --------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import buchi2.formulas as formulas_module
 
-from buchi2.axioms import MAX_SCHEMA
+from buchi2.axioms import MAX_SCHEMA, AxiomSpec, Report, build_axioms
 from buchi2.compiled import _generate, compile_qf
 from buchi2.formulas import (
     MAX_DEPTH,
@@ -48,7 +48,7 @@ from buchi2.formulas import (
     parse_term,
 )
 from buchi2.nonstandard import Element, NonstandardModel, ParseError
-from buchi2.pairs import PairsModel
+from buchi2.pairs import DivisibleByThree, FiniteTwoDivisibility, PairElement, PairsModel
 from buchi2.standard import StandardModel
 
 NONSTD = NonstandardModel()
@@ -321,6 +321,14 @@ NODES = (
 )
 
 
+# The nodes and the other values on their frozen base: a spec, a report and the two verdicts.
+FROZEN = (
+    *NODES, build_axioms(ids=("A8",))[0], Report("A17", "FAIL", 4, 0, counterexample=(("x", "3"),), param=3),
+    FiniteTwoDivisibility(1, (PairElement(F(2, 3), 2), PairElement(F(1, 3), 1))),
+    DivisibleByThree(PairElement(F(1, 3), 0)),
+)
+
+
 def test_the_node_list_has_every_node_class():
     assert sorted(type(node).__name__ for node in NODES) == sorted((
         "Variable", "Numeral", "Sum", "V2App", "Eq", "Lt", "CongMod", "Not", "And", "Or", "Implies",
@@ -328,7 +336,7 @@ def test_the_node_list_has_every_node_class():
     ))
 
 
-@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+@pytest.mark.parametrize("node", FROZEN, ids=lambda node: type(node).__name__)
 def test_nodes_are_frozen_slotted_and_picklable(node):
     for name in (*type(node).__match_args__, "extra"):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -350,7 +358,7 @@ def test_node_fields_in_order():
     }
 
 
-@pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)
+@pytest.mark.parametrize("node", FROZEN, ids=lambda node: type(node).__name__)
 def test_nodes_compare_and_hash_by_their_fields(node):
     values = tuple(getattr(node, name) for name in type(node).__match_args__)
     assert hash(node) == hash(values)

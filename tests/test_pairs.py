@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from buchi2.axioms import AxiomSpec, Report
 from buchi2.nonstandard import Element, NegativeResultError, NotDivisibleError, Ordering, ParseError
 from buchi2.pairs import (
     DivisibleByThree,
@@ -52,9 +53,22 @@ def test_carrier():
         pe(1, 2, 3) < 1
 
 
+# The other values on the same frozen base: axiom specs, reports and the verdicts.
+REPORT = Report("A16", "FAIL", 4, 0, counterexample=(("x", "3"), ("y", "8")), error="3 is not divisible by 2")
+SPEC = AxiomSpec(id="E", text="forall x. x = x", sampled=("x",), obligations=())
+HALVES = FiniteTwoDivisibility(max_steps=1, chain=(pe(1, 1, 2), pe(1, 2, 1)))
+THIRD = DivisibleByThree(quotient=pe(1, 3, 0))
+
+
 @pytest.mark.parametrize("x, name", [
     (Element(F(1, 3), 5), "p"), (Element(F(1, 3), 5), "foo"), (pe(1, 3, 5), "g"), (pe(1, 3, 5), "foo"),
-], ids=["Element-field", "Element-other", "PairElement-field", "PairElement-other"])
+    (REPORT, "status"), (REPORT, "foo"), (SPEC, "obligations"), (SPEC, "_compiled"),
+    (HALVES, "chain"), (HALVES, "foo"), (THIRD, "quotient"), (THIRD, "foo"),
+], ids=[
+    "Element-field", "Element-other", "PairElement-field", "PairElement-other",
+    "Report-field", "Report-other", "AxiomSpec-field", "AxiomSpec-cache",
+    "FiniteTwoDivisibility-field", "FiniteTwoDivisibility-other", "DivisibleByThree-field", "DivisibleByThree-other",
+])
 def test_elements_are_frozen(x, name):
     with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$") as err:
         setattr(x, name, 1)
@@ -62,7 +76,12 @@ def test_elements_are_frozen(x, name):
     with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$") as err:
         delattr(x, name)
     assert err.type is FrozenInstanceError
-    fields = {Element: ("p", "q", "w"), PairElement: ("g", "n")}[type(x)]
+    fields = {
+        Element: ("p", "q", "w"), PairElement: ("g", "n"),
+        Report: ("axiom_id", "status", "cases", "seed", "counterexample", "param", "error"),
+        AxiomSpec: ("id", "text", "sampled", "obligations", "derived"),
+        FiniteTwoDivisibility: ("max_steps", "chain"), DivisibleByThree: ("quotient",),
+    }[type(x)]
     values = tuple(getattr(x, field) for field in fields)
     assert type(x).__match_args__ == fields
     assert not hasattr(x, "__dict__") and hash(x) == hash(values)
@@ -71,6 +90,18 @@ def test_elements_are_frozen(x, name):
             assert (p, q, w) == values
         case PairElement(g, n):
             assert (g, n) == values
+        case Report(axiom_id, status, cases, seed, counterexample, param, error):
+            assert (axiom_id, status, cases, seed, counterexample, param, error) == values
+            assert repr(x) == (  # the form a frozen dataclass prints
+                "Report(axiom_id='A16', status='FAIL', cases=4, seed=0, counterexample=(('x', '3'), ('y', '8')),"
+                " param=None, error='3 is not divisible by 2')"
+            )
+        case AxiomSpec(axiom_id, text, sampled, obligations, derived):
+            assert (axiom_id, text, sampled, obligations, derived) == values
+        case FiniteTwoDivisibility(max_steps, chain):
+            assert (max_steps, chain) == values
+        case DivisibleByThree(quotient):
+            assert (quotient,) == values
         case _:
             pytest.fail(f"no case matched {x!r}")
 
