@@ -9,6 +9,9 @@ makes the model, reads the operands and prints the row's answer.  Every
 subcommand but ``refute`` takes ``--model``.  ``build_parser`` builds the
 argument parser once per process.
 
+The ``--model`` choices are the keys of one table, ``MODELS``, which
+names the class of each; ``make_model`` builds the chosen one.
+
 Each handler imports what it runs.  The element subcommands, ``eval`` and
 ``repl`` load ``formulas`` and ``nonstandard``, and ``standard`` or
 ``pairs`` for ``--model std`` or ``pairs``; ``axioms`` also loads
@@ -39,21 +42,17 @@ from .formulas import (
     parse_formula,
     parse_term,
 )
-from .nonstandard import Model, NonstandardModel, ParseError
+from .nonstandard import Model, ParseError
+
+# Each ``--model`` choice and the class, exported by the package, that serves it.
+MODELS = {"nonstd": "NonstandardModel", "std": "StandardModel", "pairs": "PairsModel"}
 
 
 def make_model(name: str, den_bound: int = 1000, offset_bound: int = 10**6) -> Model:
-    if name == "nonstd":
-        return NonstandardModel(den_bound=den_bound, offset_bound=offset_bound)
-    if name == "std":
-        from .standard import StandardModel
-
-        return StandardModel(offset_bound=offset_bound)
-    if name == "pairs":
-        from .pairs import PairsModel
-
-        return PairsModel(den_bound=den_bound, offset_bound=offset_bound)
-    raise ValueError(f"unknown model {name!r}")
+    if name not in MODELS:
+        raise ValueError(f"unknown model {name!r}")
+    # Through this package's lazy exports, so only the chosen model's module loads.
+    return getattr(sys.modules[__package__], MODELS[name])(den_bound, offset_bound)
 
 
 def _evaluate_expression(text: str, model: Model) -> str:
@@ -214,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, p in sub.choices.items():
         if name != "refute":  # a refute candidate is always a pair
-            p.add_argument("--model", choices=("nonstd", "std", "pairs"), default="nonstd")
+            p.add_argument("--model", choices=MODELS, default="nonstd")
     return parser
 
 

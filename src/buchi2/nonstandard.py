@@ -43,6 +43,10 @@ NegativeResultError or NotDivisibleError (also ArithmeticErrors) where
 ``-`` or exact division has no result, a plain ValueError otherwise.  A
 wrong type raises TypeError.
 
+``Model`` is the base class of the three models the package serves: it
+declares their members once and holds the sampling bounds.
+``NonstandardModel`` makes the functions here a ``Model``.
+
 Everything here is immutable and pure; values can be shared freely across
 threads or processes.
 """
@@ -56,7 +60,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd
 from operator import attrgetter
-from typing import Protocol
+from collections.abc import Callable
 
 
 class NegativeResultError(ArithmeticError, ValueError):
@@ -91,32 +95,6 @@ class Ordering(Enum):
 
 # A module global reads about ten times faster than an Enum class attribute.
 LESS, EQUAL, GREATER = Ordering
-
-
-class Model(Protocol):
-    """One structure for the signature {0, 1, +, <, congruence mod n, V2}.
-
-    The evaluator, the axiom harness and the CLI see every model through
-    this interface: ``NonstandardModel`` below, ``StandardModel`` and
-    ``PairsModel``.  Operations are pure.  ``v2`` and ``next_power_of_two``
-    exist iff ``has_v2``.
-    """
-
-    name: str
-    has_v2: bool
-
-    def numeral(self, n: int): ...
-    def add(self, x, y): ...
-    def sub(self, x, y): ...  # the z with y + z = x; NegativeResultError if x < y
-    def divide(self, x, n: int): ...  # the y with n-fold y = x, else NotDivisibleError
-    def compare(self, x, y) -> Ordering: ...
-    def residue_mod(self, x, n: int) -> int: ...  # the j in [0, n) with x == j mod n
-    def v2(self, x): ...  # the largest power of two dividing x; v2(0) = 0
-    def next_power_of_two(self, x): ...  # a power of two strictly greater than x
-    def corner_elements(self) -> tuple: ...  # tried first by every sampled check
-    def sample(self, rng): ...  # a random element drawn from a random.Random
-    def format(self, x) -> str: ...
-    def parse(self, text: str): ...  # inverse of format; ParseError on bad text
 
 
 # Bounded: residues look up t(q*n/gcd(p, n)), an unbounded set of keys.
@@ -329,9 +307,9 @@ def sub(x: Element, y: Element) -> Element:
 def compare(x, y) -> Ordering:
     """The order of x and y as their type's ``<`` gives it.
 
-    The standard and pairs models bind this function; the non-standard
-    model binds the kernel ``compare_elements``, which gives the same
-    answer on Elements.
+    ``Model`` binds this function, and the standard and pairs models keep
+    it; the non-standard model binds the kernel ``compare_elements``,
+    which gives the same answer on Elements.
     """
     if x == y:
         return EQUAL
@@ -514,16 +492,6 @@ def format_element(x: Element) -> str:
     return f"{coef}{'+' if d > 0 else '-'}{abs(d)}"
 
 
-_CORNERS = (
-    ZERO, ONE, natural(2), natural(3), natural(8), natural(12),
-    C, Element(2, 0), Element(4, 0), Element(Fraction(1, 2), 0),
-    Element(Fraction(1, 4), 0), Element(Fraction(3, 2), 0), Element(3, 0),
-    Element(Fraction(1, 3), 0), Element(Fraction(1, 3), 5), Element(Fraction(1, 3), -5),
-    Element(Fraction(2, 3), 4), Element(Fraction(2, 5), 3), Element(Fraction(5, 6), -2),
-    Element(1, -7),
-)
-
-
 def _below(getrandbits, n: int) -> int:
     # rng.randrange(n) for n >= 1, drawn as CPython's Random draws it.
     k = n.bit_length()
@@ -533,11 +501,61 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-class NonstandardModel:
-    """The constructed model as a Model."""
+class Model:
+    """One structure for the signature {0, 1, +, <, congruence mod n, V2}.
+
+    The evaluator, the axiom harness and the CLI see every model through
+    these members: ``NonstandardModel`` below, ``StandardModel`` and
+    ``PairsModel`` subclass it and declare only what differs.  Operations
+    are pure.  ``v2`` and ``next_power_of_two`` exist iff ``has_v2``.
+    The harness and the evaluator take any object with these members; it
+    need not subclass ``Model`` or be hashable.
+
+    ``Model(den_bound, offset_bound)`` keeps the sampling bounds, which
+    ``sample`` reads; each is an int >= 1 (not a bool), else TypeError or
+    ValueError.  A model that draws no galaxies ignores ``den_bound``.
+    """
+
+    name: str
+    has_v2 = True
+    corners: tuple  # tried first by every sampled check
+    numeral: Callable  # (n) -> the standard element n
+    add: Callable  # (x, y) -> x + y
+    sub: Callable  # (x, y) -> the z with y + z = x; NegativeResultError if x < y
+    divide: Callable  # (x, n) -> the y with n-fold y = x, else NotDivisibleError
+    compare = staticmethod(compare)  # (x, y) -> Ordering
+    residue_mod: Callable  # (x, n) -> the j in [0, n) with x == j mod n
+    v2: Callable  # (x) -> the largest power of two dividing x; v2(0) = 0
+    next_power_of_two: Callable  # (x) -> a power of two strictly greater than x
+    sample: Callable  # (rng) -> a random element drawn from a random.Random
+    format: Callable  # (x) -> str
+    parse: Callable  # (text) -> the element; the inverse of format, ParseError on bad text
+
+    def __init__(self, den_bound: int = 1000, offset_bound: int = 10**6):
+        for bound in (den_bound, offset_bound):
+            if bound.__class__ is bool or not isinstance(bound, int):
+                raise TypeError(f"sampling bounds must be ints, got {bound!r}")
+        if den_bound < 1 or offset_bound < 1:
+            raise ValueError("sampling bounds must be positive")
+        self.den_bound = den_bound
+        self.offset_bound = offset_bound
+
+    def corner_elements(self) -> tuple:  # a method, so that a wrapping proxy can forward it
+        return self.corners
+
+
+class NonstandardModel(Model):
+    """The constructed model."""
 
     name = "nonstd"
-    has_v2 = True
+    corners = (
+        ZERO, ONE, natural(2), natural(3), natural(8), natural(12),
+        C, Element(2, 0), Element(4, 0), Element(Fraction(1, 2), 0),
+        Element(Fraction(1, 4), 0), Element(Fraction(3, 2), 0), Element(3, 0),
+        Element(Fraction(1, 3), 0), Element(Fraction(1, 3), 5), Element(Fraction(1, 3), -5),
+        Element(Fraction(2, 3), 4), Element(Fraction(2, 5), 3), Element(Fraction(5, 6), -2),
+        Element(1, -7),
+    )
     numeral = staticmethod(natural)
     add = staticmethod(add)
     sub = staticmethod(sub)
@@ -548,15 +566,6 @@ class NonstandardModel:
     next_power_of_two = staticmethod(next_power_of_two_above)
     format = staticmethod(format_element)
     parse = staticmethod(parse_element)
-
-    def __init__(self, den_bound: int = 1000, offset_bound: int = 10**6):
-        if den_bound < 1 or offset_bound < 1:
-            raise ValueError("sampling bounds must be positive")
-        self.den_bound = den_bound
-        self.offset_bound = offset_bound
-
-    def corner_elements(self) -> tuple[Element, ...]:
-        return _CORNERS
 
     def sample(self, rng) -> Element:
         # The draws of rng.randrange and rng.randint, in the same order.

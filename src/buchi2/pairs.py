@@ -5,6 +5,7 @@ Elements are pairs (g, n) with g a non-negative rational and n an integer
 satisfies all of Presburger arithmetic but admits no V2: every candidate
 non-standard power of two is refuted by one of two finite computations,
 and ``refute_power2_candidate`` produces the witnessing one.
+``PairsModel`` serves the pairs as a ``Model`` with ``has_v2`` false.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 from functools import partial, total_ordering
 
 from .nonstandard import (
+    Model,
     NegativeResultError,
     NotDivisibleError,
     ParseError,
@@ -194,36 +196,24 @@ def format_pair(x: PairElement) -> str:
     return f"({x.g}, {x.n})"
 
 
-_CORNERS = (
-    PairElement(0, 0), PairElement(0, 1), PairElement(0, 2),
-    PairElement(1, 0), PairElement(1, -3), PairElement(Fraction(1, 2), -3),
-    PairElement(2, 5), PairElement(Fraction(1, 3), 7), PairElement(Fraction(5, 7), 6),
-    PairElement(2, 0),
-)
-
-
-class PairsModel:
-    """The pairs model as a Model; it has no V2."""
+class PairsModel(Model):
+    """The pairs model; it has no V2."""
 
     name = "pairs"
     has_v2 = False
+    corners = (
+        PairElement(0, 0), PairElement(0, 1), PairElement(0, 2),
+        PairElement(1, 0), PairElement(1, -3), PairElement(Fraction(1, 2), -3),
+        PairElement(2, 5), PairElement(Fraction(1, 3), 7), PairElement(Fraction(5, 7), 6),
+        PairElement(2, 0),
+    )
     numeral = staticmethod(partial(PairElement, Fraction(0)))
     add = staticmethod(p_add)
     sub = staticmethod(p_sub)
     divide = staticmethod(p_divide)
-    compare = staticmethod(p_compare)
     residue_mod = staticmethod(p_residue_mod)
     format = staticmethod(format_pair)
     parse = staticmethod(parse_pair)
-
-    def __init__(self, den_bound: int = 1000, offset_bound: int = 10**6):
-        if den_bound < 1 or offset_bound < 1:
-            raise ValueError("sampling bounds must be positive")
-        self.den_bound = den_bound
-        self.offset_bound = offset_bound
-
-    def corner_elements(self) -> tuple[PairElement, ...]:
-        return _CORNERS
 
     def sample(self, rng) -> PairElement:
         # The draws of rng.randrange and rng.randint, in the same order.

@@ -1,8 +1,8 @@
 """The standard model (N; =, +, V2) on Python integers, used as an oracle.
 
-Elements are plain non-negative ints; every operation is exact.  The class
-at the bottom makes them a ``Model``, like the non-standard model, so the
-two can be cross-checked case for case.
+Elements are plain non-negative ints; every operation is exact.  The
+``Model`` subclass at the bottom serves them like the non-standard model,
+so the two can be cross-checked case for case.
 """
 
 from __future__ import annotations
@@ -10,10 +10,10 @@ from __future__ import annotations
 import operator
 
 from .nonstandard import (
+    Model,
     NegativeResultError,
     NotDivisibleError,
     ParseError,
-    compare,
     natural,
     too_many_digits,
 )
@@ -33,20 +33,14 @@ def std_v2(x: int) -> int:
 embed = natural  # the standard element x of the non-standard model
 
 
-class StandardModel:
-    """(N; =, +, V2) as a Model."""
+class StandardModel(Model):
+    """(N; =, +, V2); it draws no galaxies, so it ignores ``den_bound``."""
 
     name = "std"
-    has_v2 = True
+    corners = (0, 1, 2, 3, 4, 7, 8, 12, 15, 64, 96, 1024)
     add = staticmethod(operator.add)
-    compare = staticmethod(compare)
     v2 = staticmethod(std_v2)
     format = staticmethod(str)
-
-    def __init__(self, offset_bound: int = 10**6):
-        if offset_bound < 1:
-            raise ValueError("sampling bound must be positive")
-        self.offset_bound = offset_bound
 
     def numeral(self, n: int) -> int:
         return n
@@ -70,9 +64,6 @@ class StandardModel:
 
     def next_power_of_two(self, x: int) -> int:
         return 1 << x.bit_length()
-
-    def corner_elements(self) -> tuple[int, ...]:
-        return (0, 1, 2, 3, 4, 7, 8, 12, 15, 64, 96, 1024)
 
     def sample(self, rng) -> int:
         # The draws of rng.randrange(self.offset_bound + 1), inlined.

@@ -131,8 +131,9 @@ def test_schema_max_too_small_rejected():
 @pytest.mark.parametrize("model_class", [NonstandardModel, StandardModel, PairsModel])
 def test_models_provide_the_interface(model_class):
     members = {name for name in [*Model.__annotations__, *vars(Model)] if not name.startswith("_")}
-    assert len(members) == 14
+    assert len(members) == 15 and "corners" in members
     model = model_class()
+    assert isinstance(model, Model)
     for name in members - {"v2", "next_power_of_two"}:
         assert hasattr(model, name), name
     for name in ("v2", "next_power_of_two"):
@@ -142,6 +143,14 @@ def test_models_provide_the_interface(model_class):
         model.sub(model.numeral(1), model.numeral(2))
     with pytest.raises(ValueError, match="must be positive"):
         model_class(offset_bound=0)
+
+
+@pytest.mark.parametrize("model_class", [NonstandardModel, StandardModel, PairsModel])
+@pytest.mark.parametrize("bounds", [{"offset_bound": 1.5}, {"den_bound": True}, {"offset_bound": False},
+                                    {"den_bound": "10"}])
+def test_sampling_bounds_must_be_ints(model_class, bounds):
+    with pytest.raises(TypeError, match="^sampling bounds must be ints, got "):
+        model_class(**bounds)
 
 
 # -- passing runs -------------------------------------------------------------------

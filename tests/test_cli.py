@@ -45,6 +45,18 @@ def test_eval_expressions(capsys):
     assert run(capsys, "eval", "12", "--model", "std") == (0, "12\n", "")
 
 
+@pytest.mark.parametrize("name", ["nonstd", "std", "pairs"])  # the choices in HELP_USAGE below
+def test_make_model_builds_each_model_choice(name):
+    assert cli.build_parser().parse_args(["repl", "--model", name]).model == name
+    model = cli.make_model(name, 7, 9)
+    assert (model.name, model.den_bound, model.offset_bound) == (name, 7, 9)
+
+
+def test_make_model_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="^unknown model 'x'$"):
+        cli.make_model("x")
+
+
 def test_std_model_ops(capsys):
     assert run(capsys, "v2", "48", "--model", "std") == (0, "16\n", "")
     assert run(capsys, "add", "20", "22", "--model", "std") == (0, "42\n", "")

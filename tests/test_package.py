@@ -61,6 +61,8 @@ def test_each_entry_point_loads_only_what_it_runs():
     assert loaded_after("import buchi2") == ([], False, False)
     assert loaded_after("import buchi2.cli") == (repl, False, True)
     assert loaded_after("from buchi2.cli import main; main(['repl', '--model', 'nonstd'])") == (repl, False, True)
+    std = sorted(repl + ["buchi2.standard"])
+    assert loaded_after("from buchi2.cli import main; main(['repl', '--model', 'std'])") == (std, False, True)
     axioms = "from buchi2.cli import main; main(['axioms', '--model', 'std', '--axioms', 'A1', '--cases', '1'])"
     assert loaded_after(axioms) == (sorted(repl + ["buchi2.axioms", "buchi2.compiled", "buchi2.standard"]), False, True)
     pairs = repl + ["buchi2.pairs"]

@@ -2,11 +2,13 @@
 
     python3 tools/check_ab.py REV
 
-Extracts REV with ``behaviour_diff.extract`` and imports its ``src/buchi2``
-as a second package, ``buchi2_rev`` (the package imports itself by
-relative imports only), beside this checkout's ``buchi2``.  Per model,
-``std`` and ``nonstd``, it times two things over ROUNDS rounds each, with
-no tracing proxy and the garbage collector off:
+Extracts REV with ``behaviour_diff.extract`` and imports the two trees'
+``src/buchi2`` the same way, as the packages ``buchi2_rev`` and
+``buchi2_this`` (the package imports itself by relative imports only), so
+that neither tree is favoured by how it was loaded.  Each tree builds its
+models with its own ``cli.make_model``.  Per model, ``std`` and
+``nonstd``, it times two things over ROUNDS rounds each, with no tracing
+proxy and the garbage collector off:
 
 - checks: each tree compiles the schema-12 catalog and samples the same
   seeded envs, ENVS per axiom, and runs the compiled checks alone on them;
@@ -40,7 +42,6 @@ from functools import partial, reduce
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tools"))
 
 from behaviour_diff import extract  # noqa: E402
@@ -49,7 +50,7 @@ SCHEMA = 12
 ENVS = 400
 ROUNDS = 40
 CASES = (50, 150)  # cases per check_axiom request, as in the benchmark
-MODELS = {"std": ("standard", "StandardModel"), "nonstd": ("nonstandard", "NonstandardModel")}
+TIMED = ("std", "nonstd")  # the ``--model`` names of the models timed
 
 
 def load(name: str, src: Path):
@@ -63,8 +64,7 @@ def load(name: str, src: Path):
 
 def suite(package: str, model_name: str):
     """(axioms module, a fresh model, the schema-12 catalog) of the package."""
-    module, cls = MODELS[model_name]
-    model = getattr(importlib.import_module(f"{package}.{module}"), cls)()
+    model = importlib.import_module(f"{package}.cli").make_model(model_name)
     axioms = importlib.import_module(f"{package}.axioms")
     return axioms, model, axioms.build_axioms(SCHEMA)
 
@@ -147,9 +147,10 @@ def main(argv: list[str]) -> int:
     rev = parser.parse_args(argv).rev
     with tempfile.TemporaryDirectory(prefix="check-ab-") as tmp:
         extract(rev, Path(tmp))
+        sides = {rev: "buchi2_rev", "this checkout": "buchi2_this"}
         load("buchi2_rev", Path(tmp) / "src" / "buchi2")
-        sides = {rev: "buchi2_rev", "this checkout": "buchi2"}
-        for model_name in MODELS:
+        load("buchi2_this", ROOT / "src" / "buchi2")
+        for model_name in TIMED:
             work = {side: workload(package, model_name) for side, package in sides.items()}
             if answers(work[rev]) != answers(work["this checkout"]):
                 print(f"{model_name}: the two trees' checks answer differently", file=sys.stderr)
