@@ -11,12 +11,13 @@ the reference.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .formulas import (
     And, CongMod, Eq, Exists, ForAll, Implies, Lt, Not, Numeral, Or, Sum, UnboundVariableError, V2App, Variable,
 )
-from .nonstandard import EQUAL, LESS
+from .nonstandard import EQUAL, LESS, compare, remainder
 
 # The generated function keeps each distinct subterm ("slot") i in a local
 # s<i>, computed where a formula first demands it.  Code runs in the order
@@ -92,6 +93,11 @@ class _Emitter:
             "__builtins__": {}, "model": model, "numeral": model.numeral, "add": model.add,
             "compare": model.compare, "residue_mod": model.residue_mod,
         }
+        # Where the model binds one of these functions, its calls are written
+        # as the Python operations the function runs, in the same order.
+        self.plus = self.names["add"] is operator.add
+        self.order = self.names["compare"] is compare
+        self.mod = self.names["residue_mod"] is remainder
         self.named: dict[int, str] = {}  # id of a value -> its name
         self.lines: list[str] = []  # the function being written
         self.depth = 1  # indentation of the next line
@@ -236,7 +242,9 @@ class _Emitter:
             self.line(f"f{i} = model.v2", guard)
             self.line(f"s{i} = f{i}({self.demand(a)})", guard)
         elif kind == "mod":
-            self.line(f"s{i} = residue_mod({self.demand(a)}, {self.name(b)})", guard)
+            x, n = self.demand(a), self.name(b)
+            templated = self.mod and type(b) is int and b >= 1  # remainder's test of n, made once here
+            self.line(f"s{i} = {x} % {n}" if templated else f"s{i} = residue_mod({x}, {n})", guard)
         elif kind == "+":
             # a left-nested sum whose inner links only their outer link reads,
             # such as w + w + ... + w, is a loop over the same additions
@@ -245,11 +253,12 @@ class _Emitter:
                 a, links = self.ops[a][1], links + 1
             self.demand(a)
             self.demand(b)
+            plus = "{} + {}" if self.plus else "add({}, {})"
+            first, more = plus.format(f"s{a}", f"s{b}"), plus.format(f"s{i}", f"s{b}")
             if links == 1:
-                self.line(f"s{i} = add(s{a}, s{b})", guard)
+                self.line(f"s{i} = {first}", guard)
             else:
-                self.block([f"s{i} = add(s{a}, s{b})",
-                            f"for _ in {self.name(range(links - 1))}: s{i} = add(s{i}, s{b})"], guard)
+                self.block([f"s{i} = {first}", f"for _ in {self.name(range(links - 1))}: s{i} = {more}"], guard)
         elif kind == "derived":
             name, witness, param = a
             args = "".join(f", {self.demand(r)}" for r in b)
@@ -266,7 +275,13 @@ class _Emitter:
         kind, no = node[0], "not " if negated else ""
         if kind == "cmp":
             _, a, b, want = node
-            self.line(f"r = {no}compare({self.demand(a)}, {self.demand(b)}) is {self.name(want)}")
+            x, y = self.demand(a), self.demand(b)
+            if not self.order:
+                self.line(f"r = {no}compare({x}, {y}) is {self.name(want)}")
+            elif want is EQUAL:  # compare tests == and, if that is false, <
+                self.line(f"r = {no}({x} == {y} or {x} < {y} and False)")
+            else:
+                self.line(f"r = {no}(not {x} == {y} and {x} < {y})")
         elif kind == "cong":
             _, a, b = node
             self.line(f"r = {no}{self.demand(a)} == {self.demand(b)}")
@@ -339,10 +354,12 @@ def _generate(f, model, derived=()):
     return emitter.source(root, witnesses), emitter.names
 
 
-# The source names every model value by a global, so it does not depend on
-# the model: each distinct source is compiled once, for every model.  The
-# bound holds the catalog's 20 checks at one schema bound, and then some.
-@lru_cache(maxsize=32)
+# The source names every model value by a global, so it depends on the model
+# only through the operations written as Python operators: each distinct
+# source is compiled once, for every model that writes it.  The bound holds
+# the catalog's 20 checks at one schema bound for all three models (46
+# distinct sources), and then some.
+@lru_cache(maxsize=64)
 def _code(source: str):
     return compile(source, "<compile_qf>", "exec")
 
@@ -351,8 +368,9 @@ def compile_qf(f, model, derived=()):
     """check(env) -> bool, equal to ``eval_qf(f, env, model)`` for every env.
 
     The check is one generated Python function with globals of its own.
-    Python's compiler compiles each distinct source text once, whatever the
-    model: compile a formula once and check it many times.
+    Python's compiler compiles each distinct source text once, for every
+    model that writes that text: compile a formula once and check it many
+    times.
     Each distinct subterm is one slot, keyed by its kind and its operands'
     slots, and is computed at most once per call, when first demanded, so
     short-circuiting and the interpreter's first error (type and message)
@@ -371,7 +389,13 @@ def compile_qf(f, model, derived=()):
     order, only on a miss; so one check must not run in two threads at
     once.  The model's ``numeral``, ``add``, ``compare`` and
     ``residue_mod`` are looked up once, here; ``v2`` whenever a call
-    computes a V2, before its operand, as ``eval_term`` does.
+    computes a V2, before its operand, as ``eval_term`` does.  Where the
+    model binds ``operator.add``, the generic ``nonstandard.compare`` or
+    ``nonstandard.remainder``, as the standard model does, the check writes
+    ``a + b``, ``==`` then ``<``, or ``a % n`` (for an int n >= 1) in place
+    of the call: the Python operations the function runs, in its order, so
+    values and errors are the call's.  Variable-free slots, the residue
+    lookup and the witnesses still call the model.
 
     Each ``(name, witness, param, reads)`` of ``derived`` binds ``name``
     in env to ``witness(model, param, *values)``, the values of ``reads``:

@@ -316,6 +316,17 @@ def compare(x, y) -> Ordering:
     return LESS if x < y else GREATER
 
 
+def remainder(x, n: int):
+    """x mod n as its type's ``%`` gives it, for a modulus n >= 1.
+
+    ``Model`` binds this function and the standard model keeps it; the
+    other two bind their own ``residue_mod``.
+    """
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    return x % n
+
+
 def compare_elements(x: Element, y: Element) -> Ordering:
     """The model order of two Elements: galaxies as rationals, then w."""
     a, b = x.p * y.q, y.p * x.q
@@ -524,7 +535,7 @@ class Model:
     sub: Callable  # (x, y) -> the z with y + z = x; NegativeResultError if x < y
     divide: Callable  # (x, n) -> the y with n-fold y = x, else NotDivisibleError
     compare = staticmethod(compare)  # (x, y) -> Ordering
-    residue_mod: Callable  # (x, n) -> the j in [0, n) with x == j mod n
+    residue_mod = staticmethod(remainder)  # (x, n) -> the j in [0, n) with x == j mod n
     v2: Callable  # (x) -> the largest power of two dividing x; v2(0) = 0
     next_power_of_two: Callable  # (x) -> a power of two strictly greater than x
     sample: Callable  # (rng) -> a random element drawn from a random.Random

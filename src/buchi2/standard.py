@@ -2,7 +2,10 @@
 
 Elements are plain non-negative ints; every operation is exact.  The
 ``Model`` subclass at the bottom serves them like the non-standard model,
-so the two can be cross-checked case for case.
+so the two can be cross-checked case for case.  It binds ``operator.add``
+and keeps ``Model``'s generic ``compare`` and ``remainder``, so its compiled
+checks write ``+``, ``==``, ``<`` and ``%`` in place of those calls
+(``compiled.compile_qf``).
 """
 
 from __future__ import annotations
@@ -56,11 +59,6 @@ class StandardModel(Model):
         if x % n:
             raise NotDivisibleError(f"{x} is not divisible by {n}")
         return x // n
-
-    def residue_mod(self, x: int, n: int) -> int:
-        if n < 1:
-            raise ValueError(f"modulus must be positive, got {n}")
-        return x % n
 
     def next_power_of_two(self, x: int) -> int:
         return 1 << x.bit_length()

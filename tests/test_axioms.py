@@ -733,9 +733,9 @@ def test_compiled_checks_are_kept_for_the_last_two_models():
     assert grown < 100_000  # about 9 KB per kept entry when every entry is kept
 
 
-def test_a_check_compiles_once_for_every_model(monkeypatch):
-    # The generated source does not depend on the model, so one spec checked
-    # against fresh models is compiled once; each model keeps its own check.
+@pytest.fixture
+def compiles(monkeypatch):
+    """The source of each compilation of a check from here on, in order."""
     sources = []
     real = builtins.compile
 
@@ -746,12 +746,33 @@ def test_a_check_compiles_once_for_every_model(monkeypatch):
 
     compiled._code.cache_clear()
     monkeypatch.setattr(builtins, "compile", counting)
+    return sources
+
+
+def test_a_check_compiles_once_for_every_model(compiles):
+    # The source depends on the model only through the operations written as
+    # Python operators, so one spec checked against fresh models is compiled
+    # once per set of those: nonstd instances share one code object, and
+    # std, pairs and nonstd each have their own; each model keeps its check.
     spec = by_id("A4", schema_max=3)
-    for model in (NonstandardModel(), NonstandardModel(), StandardModel(), PairsModel(), NonstandardModel()):
+    checks = []
+    for model in (NonstandardModel(), StandardModel(), PairsModel()) * 2:
         assert check_axiom(spec, model, cases=1).status == PASS
-    assert len(sources) == 1
-    (_, a), (_, b) = spec._compiled.values()
-    assert a.__code__ is b.__code__ and a.__globals__ is not b.__globals__
+        checks.append(spec._compiled[id(model)][1])
+    assert len(compiles) == len(set(compiles)) == 3
+    firsts, seconds = checks[:3], checks[3:]
+    assert all(a.__code__ is b.__code__ and a.__globals__ is not b.__globals__ for a, b in zip(firsts, seconds))
+    assert len({id(check.__code__) for check in firsts}) == 3
+
+
+def test_the_code_cache_holds_the_catalog_for_every_model(compiles):
+    # Each spec keeps the checks of its last two models, so cycling three
+    # models generates every source again; none compiles again.
+    catalog = build_axioms(12)
+    for model in (NonstandardModel(), StandardModel(), PairsModel()) * 2:
+        for spec in catalog:
+            check_axiom(spec, model, cases=1)
+    assert len(compiles) == len(set(compiles))
 
 
 def test_a_checked_spec_pickles_and_copies_with_an_empty_cache():

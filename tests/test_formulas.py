@@ -745,6 +745,20 @@ def test_compiled_errors_are_the_interpreters():
     )
 
 
+@pytest.mark.parametrize("model", [STD, PAIRS], ids=["std", "pairs"])
+def test_compiled_operators_fail_where_the_models_calls_do(model):
+    # where a check writes Python operators in place of the model's calls,
+    # they answer and raise as the calls do, also on values no model holds
+    texts = ("x = y", "x < y", "~ x = y", "~ x < y", "x + y = y", "x + 1 < y", "x == y mod 3", "x + y == 1 mod 4")
+    values = (None, "a", 1.5, -3, True, (1, 2), model.numeral(2))
+    for f in map(parse_formula, texts):
+        check = compile_qf(f, model)
+        for x in values:
+            for y in values:
+                env = {"x": x, "y": y}
+                assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, model)), (f, env)
+
+
 def test_compiled_chains_loop_and_sums_recurse_as_eval_qf():
     # a disjunction far deeper than MAX_DEPTH runs as a loop; a sum recurses
     # once per link, as in eval_qf, and the catalog's longest sums fit
