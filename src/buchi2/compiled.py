@@ -12,10 +12,11 @@ the reference.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .formulas import (
     And, CongMod, Eq, Exists, ForAll, Implies, Lt, Not, Numeral, Or, Sum, UnboundVariableError, V2App, Variable,
+    eval_term,
 )
 from .nonstandard import EQUAL, LESS, compare, remainder
 
@@ -26,59 +27,38 @@ from .nonstandard import EQUAL, LESS, compare, remainder
 # test "if s<i> is None:", for which s<i> starts as None.  Such tests run
 # flat, operands first, because a slot with a value implies its operands
 # have one.  A variable-free slot starts as its value in ``kept``, None
-# until a call computes it there (_Kept, in eval_term's order), and keeps
-# it across calls.  Each connective leaves its truth in the local r, and
-# the operands of a chain are flat "if r:" tests, so only a nested right
-# operand indents its code; past NESTING levels of indentation an operand
-# moves to a helper function, which keeps Python's limit on nesting (100)
-# out of reach.  Formula text never becomes source: names, numerals,
+# until a call computes it, so it is always tested, and its one assignment
+# stores through, "s<i> = kept[i] = ...", which keeps the value across
+# calls (a loop stores only its final value).  Each connective leaves its
+# truth in the local r, and the operands of a chain are flat "if r:"
+# tests, so only a nested right operand indents its code; past NESTING
+# levels of indentation an operand moves to a helper function, which keeps
+# Python's limit on nesting (100) out of reach.  Formula text never becomes source: names, numerals,
 # moduli and model callables are values of generated global names, in a
 # namespace that holds no builtins and, once compiled, not the check
 # itself, so no reference cycle is left.
 NESTING = 40
 
 
-class _Kept:
-    """The variable-free slots of one check, computed at most once."""
-
-    __slots__ = ("values", "ops", "model", "numeral", "add", "residue_mod")
-
-    def __init__(self, ops, names):
-        self.values = dict.fromkeys(ops)  # slot -> its value, None until computed
-        self.ops = ops  # slot -> its op
-        self.model, self.numeral, self.add, self.residue_mod = (
-            names["model"], names["numeral"], names["add"], names["residue_mod"])
-
-    def value(self, i):
-        v = self.values[i]
+def _lookup(model, residue_mod, kept, terms, x, n, pending, known):
+    # t == k0 mod n | t == k1 mod n | ..., where x is t's residue, on a miss
+    # in known.  pending holds the k slots not read yet, last first; a k
+    # with no kept value yet is computed by eval_term, the reference, and
+    # kept.  A k's residue moves to known only once computed, and both are
+    # kept across calls, so known always holds the residues of a prefix of
+    # the chain, a hit in it is where eval_qf's scan stops, and a k whose
+    # value or residue raises raises again when a later call reaches it.
+    while pending:
+        k = pending[-1]
+        v = kept[k]
         if v is None:
-            kind, a, b = self.ops[i]
-            if kind == "num":
-                v = self.numeral(a)
-            elif kind == "v2":
-                v2 = self.model.v2  # before the operand, as in eval_term
-                v = v2(self.value(a))
-            elif kind == "+":
-                v = self.add(self.value(a), self.value(b))
-            else:  # "mod"
-                v = self.residue_mod(self.value(a), b)
-            self.values[i] = v
-        return v
-
-    def lookup(self, x, n, pending, known):
-        # t == k0 mod n | t == k1 mod n | ..., where x is t's residue, on a
-        # miss in known.  pending holds the k slots not read yet, last first;
-        # a k's residue moves to known only once computed, and both are kept
-        # across calls, so known always holds the residues of a prefix of the
-        # chain, a hit in it is where eval_qf's scan stops, and a k whose
-        # residue raises raises again when a later call reaches it.
-        while pending:
-            y = self.residue_mod(self.value(pending[-1]), n)
-            pending.pop()
-            known.add(y)
-            if x == y:
-                return True
-        return False
+            v = kept[k] = eval_term(terms[k], {}, model)
+        y = residue_mod(v, n)
+        pending.pop()
+        known.add(y)
+        if x == y:
+            return True
+    return False
 
 
 class _Emitter:
@@ -104,10 +84,10 @@ class _Emitter:
         self.known: set[int] = set()  # slots assigned on every path to here
         self.log: list[int] = []  # the order they joined known, to leave branches
         self.seen: set[int] = set()  # slots assigned on some path to here
-        self.unset: set[int] = set()  # slots that start as None
+        self.unset: set[int] = set()  # tested slots: those not variable-free start as None
         self.assigned: set[int] = set()  # slots the function being written assigns
         self.helpers: list[str] = []  # the source of each helper function
-        self.consts: set[int] = set()  # variable-free slots the code reads, from kept at the start
+        self.terms: dict[int, object] = {}  # slot -> its term, for the constants of residue lookups
 
     # -- slots and formula nodes --------------------------------------------
 
@@ -169,6 +149,7 @@ class _Emitter:
         ks = [self.term(h.right) for h in operands]
         if not all(self.const[k] for k in ks):
             return None
+        self.terms.update(zip(ks, (h.right for h in operands)))
         return ("lookup", self.read(self.residue(operands[0].left, n)), n, ks)
 
     def formula(self, g):
@@ -226,25 +207,23 @@ class _Emitter:
         if i in self.known:
             return f"s{i}"
         kind, a, b = self.ops[i]
-        if self.const[i]:  # read from kept at the start
-            self.consts.add(i)
-            self.line(f"s{i} = constant({i})", guard=i)
-            self.assign(i)
-            return f"s{i}"
-        guard = i if i in self.seen else None
+        guard = i if self.const[i] or i in self.seen else None
         if guard is not None:
             self.unset.add(i)
+        store = f"s{i} = kept[{i}]" if self.const[i] else f"s{i}"
         if kind == "var":
             self.block([f"try: s{i} = env[{self.name(a)}]",
                         f"except {self.name(KeyError)}: raise {self.name(UnboundVariableError)}"
                         f"({self.name(f'unbound variable {a!r}')}) from None"], guard)
+        elif kind == "num":
+            self.line(f"{store} = numeral({self.name(a)})", guard)
         elif kind == "v2":  # model.v2 is looked up before the operand is computed
             self.line(f"f{i} = model.v2", guard)
-            self.line(f"s{i} = f{i}({self.demand(a)})", guard)
+            self.line(f"{store} = f{i}({self.demand(a)})", guard)
         elif kind == "mod":
             x, n = self.demand(a), self.name(b)
             templated = self.mod and type(b) is int and b >= 1  # remainder's test of n, made once here
-            self.line(f"s{i} = {x} % {n}" if templated else f"s{i} = residue_mod({x}, {n})", guard)
+            self.line(f"{store} = {x} % {n}" if templated else f"{store} = residue_mod({x}, {n})", guard)
         elif kind == "+":
             # a left-nested sum whose inner links only their outer link reads,
             # such as w + w + ... + w, is a loop over the same additions
@@ -256,9 +235,12 @@ class _Emitter:
             plus = "{} + {}" if self.plus else "add({}, {})"
             first, more = plus.format(f"s{a}", f"s{b}"), plus.format(f"s{i}", f"s{b}")
             if links == 1:
-                self.line(f"s{i} = {first}", guard)
+                self.line(f"{store} = {first}", guard)
             else:
-                self.block([f"s{i} = {first}", f"for _ in {self.name(range(links - 1))}: s{i} = {more}"], guard)
+                loop = [f"s{i} = {first}", f"for _ in {self.name(range(links - 1))}: s{i} = {more}"]
+                if self.const[i]:
+                    loop.append(f"kept[{i}] = s{i}")
+                self.block(loop, guard)
         elif kind == "derived":
             name, witness, param = a
             args = "".join(f", {self.demand(r)}" for r in b)
@@ -332,17 +314,19 @@ class _Emitter:
         self.depth -= 1
 
     def source(self, root, witnesses) -> str:
-        kept = _Kept({i: op for i, op in enumerate(self.ops) if self.const[i]}, self.names)
-        self.names.update(kept=kept.values, constant=kept.value, lookup=kept.lookup)
+        kept = [None] * len(self.ops)  # slot -> its value once computed, for variable-free slots
+        self.names.update(kept=kept, lookup=partial(_lookup, self.names["model"], self.names["residue_mod"], kept,
+                                                    self.terms))
         self.emit(root)
         self.line("if r: return True")
         for i in witnesses:  # a false check computes the witnesses it did not read, in order
             self.demand(i)
         self.line("return False")
         # a helper's slots are its check's locals, so the check assigns them all
-        unset = (self.seen if self.helpers else self.unset) - self.consts
+        consts = sorted(i for i in self.seen if self.const[i])
+        unset = (self.seen if self.helpers else self.unset).difference(consts)
         start = [" " + " = ".join(f"s{i}" for i in sorted(unset)) + " = None"] if unset else []
-        start += [f" s{i} = kept[{i}]" for i in sorted(self.consts)]
+        start += [f" s{i} = kept[{i}]" for i in consts]
         return "\n".join(["def check(env):", *self.helpers, *start, *self.lines, ""])
 
 
@@ -375,7 +359,8 @@ def compile_qf(f, model, derived=()):
     slots, and is computed at most once per call, when first demanded, so
     short-circuiting and the interpreter's first error (type and message)
     are kept, and so is the order of the model's operations.  A
-    variable-free slot keeps its value across calls.  Sharing is
+    variable-free slot is computed by the same generated code, at most
+    once over all calls, and keeps its value across them.  Sharing is
     structural only: ``x + y`` and ``y + x``, or ``(x + y) + z`` and
     ``x + (y + z)``, are different slots.  A chain of ``And`` or ``Or`` is
     a flat run of tests, and a sum ``t + t + ... + t`` whose inner links
@@ -387,15 +372,17 @@ def compile_qf(f, model, derived=()):
     looks ``t``'s residue up in the set of the ``k`` residues computed so
     far, which it keeps across calls, and computes the next ones, in chain
     order, only on a miss; so one check must not run in two threads at
-    once.  The model's ``numeral``, ``add``, ``compare`` and
+    once.  A ``k`` that has no kept value yet is computed there by
+    ``eval_term``, which reads the model's operations on that miss.
+    Otherwise the model's ``numeral``, ``add``, ``compare`` and
     ``residue_mod`` are looked up once, here; ``v2`` whenever a call
     computes a V2, before its operand, as ``eval_term`` does.  Where the
     model binds ``operator.add``, the generic ``nonstandard.compare`` or
     ``nonstandard.remainder``, as the standard model does, the check writes
     ``a + b``, ``==`` then ``<``, or ``a % n`` (for an int n >= 1) in place
-    of the call: the Python operations the function runs, in its order, so
-    values and errors are the call's.  Variable-free slots, the residue
-    lookup and the witnesses still call the model.
+    of the call, variable-free slots included: the Python operations the
+    function runs, in its order, so values and errors are the call's.  The
+    residue lookup and the witnesses still call the model.
 
     Each ``(name, witness, param, reads)`` of ``derived`` binds ``name``
     in env to ``witness(model, param, *values)``, the values of ``reads``:

@@ -662,9 +662,15 @@ def environments(model):
 
 
 def constant_terms():
-    # numerals, sums of constants and V2 of constants
+    # numerals, sums of constants and V2 of constants, with sums k + ... + k
+    # of 3 to 6 links, which compile to a loop, and nests V2(V2(...k))
     def extend(inner):
-        return st.one_of(st.tuples(inner, inner).map(lambda p: Sum(*p)), inner.map(V2App))
+        return st.one_of(
+            st.tuples(inner, inner).map(lambda p: Sum(*p)),
+            inner.map(V2App),
+            st.tuples(inner, st.integers(3, 6)).map(lambda p: nsum(*p)),
+            st.tuples(inner, st.integers(2, 3)).map(lambda p: reduce(lambda t, _: V2App(t), range(p[1]), p[0])),
+        )
     return st.recursive(st.integers(0, 15).map(Numeral), extend, max_leaves=3)
 
 
@@ -749,7 +755,11 @@ def test_compiled_errors_are_the_interpreters():
 def test_compiled_operators_fail_where_the_models_calls_do(model):
     # where a check writes Python operators in place of the model's calls,
     # they answer and raise as the calls do, also on values no model holds
-    texts = ("x = y", "x < y", "~ x = y", "~ x < y", "x + y = y", "x + 1 < y", "x == y mod 3", "x + y == 1 mod 4")
+    # (constants included, and the constants a residue lookup computes)
+    texts = (
+        "x = y", "x < y", "~ x = y", "~ x < y", "x + y = y", "x + 1 < y", "x == y mod 3", "x + y == 1 mod 4",
+        "1 + 1 + 1 = x", "2 + 3 == x mod 4", "x == 1 + 1 mod 3 | x == V2(4) mod 3 | x == 0 mod 3",
+    )
     values = (None, "a", 1.5, -3, True, (1, 2), model.numeral(2))
     for f in map(parse_formula, texts):
         check = compile_qf(f, model)
@@ -868,25 +878,44 @@ def test_formulas_nested_to_max_depth_compile(model, text):
 
 
 def faulty(model, operation, bad):
-    """model, except that its numeral or residue_mod raises on the numeral bad."""
+    """model, except that one operation raises on the numeral bad: numeral on
+    bad itself, residue_mod and v2 on the element bad, add on the sum bad."""
     class Faulty(type(model)):
+        def fails(self, name, x):
+            if operation == name and x == super().numeral(bad):
+                raise ArithmeticError(f"{name} fails on {bad}")
+            return x
+
         def numeral(self, n):
             if operation == "numeral" and n == bad:
                 raise ArithmeticError(f"numeral fails on {bad}")
             return super().numeral(n)
 
+        def add(self, x, y):
+            return self.fails("add", super().add(x, y))
+
         def residue_mod(self, x, n):
-            if operation == "residue_mod" and x == super().numeral(bad):
-                raise ArithmeticError(f"residue_mod fails on {bad}")
-            return super().residue_mod(x, n)
+            return super().residue_mod(self.fails("residue_mod", x), n)
+
+        if model.has_v2:
+            def v2(self, x):
+                return super().v2(self.fails("v2", x))
     return Faulty()
 
 
-@pytest.mark.parametrize("operation", ["numeral", "residue_mod"])
-@pytest.mark.parametrize("model", [NONSTD, STD, PAIRS], ids=["nonstd", "std", "pairs"])
+# each chain's constant k_j is computed by the faulty operation, which fails for j = 3 only
+FAULTY_CONSTANTS = {"numeral": Numeral, "residue_mod": Numeral, "add": lambda j: Sum(Numeral(0), Numeral(j)),
+                    "v2": lambda j: V2App(Numeral(j))}
+
+
+@pytest.mark.parametrize("model, operation", [
+    pytest.param(model, operation, id=f"{name}-{operation}")
+    for name, model in (("nonstd", NONSTD), ("std", STD), ("pairs", PAIRS))
+    for operation in FAULTY_CONSTANTS if operation != "v2" or model.has_v2
+])
 def test_a_faulty_constant_raises_where_the_chain_reaches_it(model, operation):
     faulty_model = faulty(model, operation, 3)
-    f = reduce(Or, (CongMod(5, Variable("x"), Numeral(j)) for j in range(5)))
+    f = reduce(Or, (CongMod(5, Variable("x"), FAULTY_CONSTANTS[operation](j)) for j in range(5)))
     check = compile_qf(f, faulty_model)
     for j in (4, 1, 3, 0, 2, 4, 1):  # x == j mod 5, never x = 3 itself
         env = {"x": faulty_model.numeral(j + 5)}
@@ -900,3 +929,16 @@ def test_a_faulty_constant_raises_where_the_chain_reaches_it(model, operation):
         for env in envs:
             assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, faulty_model))
     raises_as_the_interpreter()
+
+
+@pytest.mark.parametrize("model", [NONSTD, STD, PAIRS], ids=["nonstd", "std", "pairs"])
+def test_a_constant_sum_that_fails_keeps_no_partial_sum(model):
+    # 1 + 1 + 1 + 1 is a loop whose third addition fails; the check must
+    # raise on every call, not take the sum so far as its value on the next
+    faulty_model = faulty(model, "add", 4)
+    f = parse_formula("x = 1 + 1 + 1 + 1")
+    check = compile_qf(f, faulty_model)
+    env = {"x": faulty_model.numeral(3)}
+    for _ in range(3):
+        assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, faulty_model)) == (
+            ArithmeticError, "add fails on 4")
