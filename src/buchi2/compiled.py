@@ -211,6 +211,8 @@ class _Emitter:
         if guard is not None:
             self.unset.add(i)
         store = f"s{i} = kept[{i}]" if self.const[i] else f"s{i}"
+        if i in self.terms:  # a lookup may have kept its value since the check read kept
+            self.line(f"s{i} = kept[{i}]", guard)
         if kind == "var":
             self.block([f"try: s{i} = env[{self.name(a)}]",
                         f"except {self.name(KeyError)}: raise {self.name(UnboundVariableError)}"

@@ -22,9 +22,13 @@ one name, can only be a term.  The same rule picks the ``primary`` branch
 without backtracking: a ``(`` whose group, up to its matching ``)`` or the
 end of input, contains one of these opens ``'(' formula ')'``, and any
 other ``(`` starts an atom.  A line that parses is scanned once, by one
-``split`` whose tokens are strings, and a line with a ``(`` has its
-groups marked in one pass over them; only an error scans the line again,
-for its position.  A numeral longer than ``int()`` reads from text
+``split`` whose tokens are strings, and read by four rule functions, one
+per binding level (top-down operator precedence, Pratt 1973, written as
+recursive descent), that never backtrack.  A ``(`` is decided where the
+parser meets one in formula position, by a look ahead to its ``)`` or
+its first formula-only token that decides every ``(`` it passes, so no
+token is looked at twice; only an error scans the line again, for its
+position.  A numeral longer than ``int()`` reads from text
 (``sys.get_int_max_str_digits()``) is a parse error.  Tree nodes are
 frozen as elements are (``nonstandard._Frozen``): they compare and hash
 by their fields, pickle and support ``match``.
@@ -219,7 +223,7 @@ _FORMULA_ONLY_TOKENS = frozenset(("=", "<", ">", "~", "&", "|", "==", "->")) | Q
 def is_formula_text(text: str) -> bool:
     """Whether text can only be a formula; any other text can only be a term.
 
-    On text that scans, this is the rule by which ``_scan`` marks a group.
+    On text that scans, this is the rule by which ``_opens_formula`` decides a group.
     """
     if _FORMULA_SYMBOL_RE.search(text):
         return True
@@ -251,230 +255,225 @@ def _positions(text: str) -> list[int]:
     return out
 
 
-def _scan(text: str) -> tuple[list[str], set[int]]:
-    """The tokens of text, ending in the empty ``end`` token, and its formula groups.
+def _scan(text: str) -> list[str]:
+    """The tokens of text, ending in the empty ``end`` token.
 
     A line that parses is scanned once, by one ``split``; only an error
     scans it again, in ``_positions``, for its position.  The gaps between
     the tokens must be whitespace, which is skipped: any other character
-    starts no token and is an error.  The formula groups are the indices of
-    the '(' that open one.
-    A group runs to its matching ')', or to the end of input if it is left
-    open, and is a formula group when it contains a formula-only token, the
-    rule of ``is_formula_text``; any other group can only hold a term.
+    starts no token and is an error.
     """
     parts = _SPLIT_RE.split(text)
     gaps = "".join(parts[::2])
     if gaps and not gaps.isspace():
         _positions(text)  # raises at the first character that starts no token
     tokens = parts[1::2]
-    groups: set[int] = set()
-    if "(" in text:
-        open_groups: list[int] = []
-        for i, value in enumerate(tokens):
-            if value == "(":
-                open_groups.append(i)
-            elif value == ")" and open_groups:
-                open_groups.pop()
-            elif value in _FORMULA_ONLY_TOKENS:
-                # The marked open groups are the outermost ones, so marking
-                # stops at the first marked group and each is marked once.
-                for j in reversed(open_groups):
-                    if j in groups:
-                        break
-                    groups.add(j)
     tokens.append("")
-    return tokens, groups
+    return tokens
 
 
-class _Parser:
-    # ``depth`` counts the parentheses, V2(, ~, quantifiers and -> open at
-    # the current token, which bounds the parser's own recursion;
-    # ``height`` is the number of levels of the node parsed last, which
-    # bounds the recursion of every walker over the tree.
+class _Open(str):
+    """A decided '(' in a token list; it equals '(' in every other test and message."""
 
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens, self.formula_groups = _scan(text)
-        self.i = 0
-        self.depth = 0
-        self.height = 0
 
-    # The methods read ``self.tokens[self.i]`` directly and step ``i`` by
-    # one.  An error scans the text again for its token's position.
+_FORMULA_GROUP, _TERM_GROUP = _Open("("), _Open("(")
 
-    def expect(self, want: str, kind=None) -> str:
-        """Step over the next token: the symbol want, or a token that kind accepts."""
-        i = self.i
-        tok = self.tokens[i]
-        self.i = i + 1
-        if not (kind(tok) if kind else tok == want):
-            raise ParseError(f"expected {want!r}, found {tok or 'end of input'!r}", _positions(self.text)[i])
-        return tok
 
-    def descend(self, i: int) -> None:
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise NestingError(f"nested deeper than {MAX_DEPTH} levels", _positions(self.text)[i])
+def _opens_formula(tokens: list[str], i: int) -> bool:
+    """Whether the undecided '(' at tokens[i] opens a formula group.
 
-    def grow(self, height: int) -> None:
-        if height > MAX_DEPTH:
-            raise NestingError(f"nested deeper than {MAX_DEPTH} levels", _positions(self.text)[self.i])
-        self.height = height
-
-    # -- formulas ----------------------------------------------------------
-
-    def formula(self) -> Formula:
-        i = self.i
-        value = self.tokens[i]
-        if value == "forall" or value == "exists":
-            self.i = i + 1
-            self.descend(i)
-            var = self.expect("ident", str.isidentifier)
-            if var in KEYWORDS:
-                raise ParseError(f"{var!r} cannot be a variable name", _positions(self.text)[i + 1])
-            self.expect(".")
-            body = self.formula()
-            self.depth -= 1
-            self.grow(self.height + 1)
-            return (ForAll if value == "forall" else Exists)(var, body)
-        return self.implication()
-
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.tokens[self.i] == "->":
-            self.i += 1
-            height = self.height
-            self.descend(self.i)
-            right = self.implication()
-            self.depth -= 1
-            self.grow(max(height, self.height) + 1)
-            return Implies(left, right)
-        return left
-
-    def chain(self, operand, sym: str, node):
-        """Left-associative operands joined by sym; n operands take n - 1 levels."""
-        out = operand()
-        tokens = self.tokens
-        while tokens[self.i] == sym:
-            self.i += 1
-            height = self.height
-            out = node(out, operand())
-            self.grow(max(height, self.height) + 1)
-        return out
-
-    def disjunction(self) -> Formula:
-        return self.chain(self.conjunction, "|", Or)
-
-    def conjunction(self) -> Formula:
-        return self.chain(self.negation, "&", And)
-
-    def negation(self) -> Formula:
-        i = self.i
-        value = self.tokens[i]
-        if value == "~":
-            self.i = i + 1
-            self.descend(i)
-            body = self.negation()
-            self.depth -= 1
-            self.grow(self.height + 1)
-            return Not(body)
-        if value == "forall" or value == "exists":
-            return self.formula()  # quantifier absorbs the rest of this branch
-        return self.primary()
-
-    def primary(self) -> Formula:
-        i = self.i
-        if i not in self.formula_groups:
-            return self.atom()
-        self.i = i + 1
-        self.descend(i)
-        body = self.formula()
-        self.expect(")")
-        self.depth -= 1
-        return body
-
-    def atom(self) -> Formula:
-        left = self.term()
-        height = self.height
-        i = self.i
-        value = self.tokens[i]
-        self.i = i + 1
-        if value == "=":
-            out = Eq(left, self.term())
-        elif value == "<":
-            out = Lt(left, self.term())
-        elif value == ">":
-            out = Lt(self.term(), left)
-        elif value == "==":
-            right = self.term()
-            if self.expect("ident", str.isidentifier) != "mod":
-                raise ParseError("expected 'mod'", _positions(self.text)[self.i - 1])
-            nat = self.expect("nat", str.isdecimal)
-            try:
-                n = int(nat)
-            except ValueError:  # more digits than int() reads from text
-                raise too_many_digits(_positions(self.text)[self.i - 1]) from None
-            if n < 2:
-                raise ParseError(f"congruence modulus must be >= 2, got {n}", _positions(self.text)[self.i - 1])
-            out = CongMod(n, left, right)
-        else:
-            raise ParseError(f"expected a comparison, found {value or 'end of input'!r}", _positions(self.text)[i])
-        self.height = max(height, self.height)
-        return out
-
-    # -- terms -------------------------------------------------------------
-
-    def term(self) -> Term:
-        return self.chain(self.factor, "+", Sum)
-
-    def factor(self) -> Term:
-        i = self.i
-        value = self.tokens[i]
-        self.i = i + 1
-        if value.isdecimal():
-            self.height = 0
-            try:
-                return Numeral(int(value))
-            except ValueError:  # more digits than int() reads from text
-                raise too_many_digits(_positions(self.text)[i]) from None
-        if value.isidentifier():
-            if value == "V2":
-                self.descend(i)
-                self.expect("(")
-                arg = self.term()
-                self.expect(")")
-                self.depth -= 1
-                self.grow(self.height + 1)
-                return V2App(arg)
-            if value in KEYWORDS:
-                raise ParseError(f"{value!r} cannot be a variable name", _positions(self.text)[i])
-            self.height = 0
-            return Variable(value)
+    Its group, up to its matching ')' or the end of input, is a formula
+    group when it has a formula-only token (``is_formula_text``).  The look
+    reads ahead to the first of these, deciding every '(' it passes in the
+    token list: one still open there opens a formula group, any other a
+    term group.  The parser looks only from an undecided '(', so no token
+    is read by two looks.
+    """
+    opened = [i]
+    for j in range(i + 1, len(tokens)):
+        value = tokens[j]
         if value == "(":
-            self.descend(i)
-            inner = self.term()
-            self.expect(")")
-            self.depth -= 1
-            return inner
-        raise ParseError(f"expected a term, found {value or 'end of input'!r}", _positions(self.text)[i])
+            opened.append(j)
+        elif value == ")":
+            tokens[opened.pop()] = _TERM_GROUP
+            if not opened:
+                return False
+        elif value in _FORMULA_ONLY_TOKENS:
+            for j in opened:
+                tokens[j] = _FORMULA_GROUP
+            return True
+    for j in opened:  # left open to the end of input
+        tokens[j] = _TERM_GROUP
+    return False
+
+
+# Each rule takes (tokens, i, depth) and returns (node, next i, height):
+# ``depth`` counts the parentheses, V2(, ~, quantifiers and -> open at
+# tokens[i], ``height`` is the node's number of levels (see the module
+# docstring).  An error raises _At with its token's index.
+class _At(Exception):
+    """(token index, error factory, *message): ``_parse_whole`` raises the error at its position."""
+
+
+_NESTED = f"nested deeper than {MAX_DEPTH} levels"
+
+
+def _expected(want: str, tokens: list[str], i: int) -> _At:
+    return _At(i, ParseError, f"expected {want}, found {tokens[i] or 'end of input'!r}")
+
+
+def _formula(tokens: list[str], i: int, depth: int):
+    """'|' chains of '&' chains of ``_unary``, then '->' and a formula (right-associative)."""
+    disjunction = None  # the '|' chain so far and its height
+    while True:
+        out, i, height = _unary(tokens, i, depth)
+        while tokens[i] == "&":
+            right, i, h = _unary(tokens, i + 1, depth)
+            height = (height if height > h else h) + 1
+            if height > MAX_DEPTH:
+                raise _At(i, NestingError, _NESTED)
+            out = And(out, right)
+        if disjunction:
+            left, h = disjunction
+            height = (height if height > h else h) + 1
+            if height > MAX_DEPTH:
+                raise _At(i, NestingError, _NESTED)
+            out = Or(left, out)
+        if tokens[i] != "|":
+            break
+        disjunction = out, height
+        i += 1
+    if tokens[i] == "->":
+        i += 1
+        if depth >= MAX_DEPTH:
+            raise _At(i, NestingError, _NESTED)
+        right, i, h = _formula(tokens, i, depth + 1)
+        height = (height if height > h else h) + 1
+        if height > MAX_DEPTH:
+            raise _At(i, NestingError, _NESTED)
+        out = Implies(out, right)
+    return out, i, height
+
+
+def _unary(tokens: list[str], i: int, depth: int):
+    """'~' and its operand, a quantified formula, a formula group or an atom."""
+    value = tokens[i]
+    if value == "(":
+        if depth >= MAX_DEPTH:  # either reading of the group opens a level here
+            raise _At(i, NestingError, _NESTED)
+        if value is _FORMULA_GROUP or value is not _TERM_GROUP and _opens_formula(tokens, i):
+            body, i, height = _formula(tokens, i + 1, depth + 1)
+            if tokens[i] != ")":
+                raise _expected("')'", tokens, i)
+            return body, i + 1, height
+    elif value == "~" or value == "forall" or value == "exists":
+        if depth >= MAX_DEPTH:
+            raise _At(i, NestingError, _NESTED)
+        if value == "~":
+            body, i, height = _unary(tokens, i + 1, depth + 1)
+            node = Not(body)
+        else:  # the quantifier's scope is the rest of the formula
+            var = tokens[i + 1]
+            if not var.isidentifier():
+                raise _expected("'ident'", tokens, i + 1)
+            if var in KEYWORDS:
+                raise _At(i + 1, ParseError, f"{var!r} cannot be a variable name")
+            if tokens[i + 2] != ".":
+                raise _expected("'.'", tokens, i + 2)
+            body, i, height = _formula(tokens, i + 3, depth + 1)
+            node = (ForAll if value == "forall" else Exists)(var, body)
+        if height >= MAX_DEPTH:
+            raise _At(i, NestingError, _NESTED)
+        return node, i, height + 1
+    left, i, height = _term(tokens, i, depth)
+    value = tokens[i]
+    if value != "=" and value != "<" and value != ">" and value != "==":
+        raise _expected("a comparison", tokens, i)
+    right, i, h = _term(tokens, i + 1, depth)
+    if h > height:
+        height = h
+    if value == "=":
+        return Eq(left, right), i, height
+    if value == "<":
+        return Lt(left, right), i, height
+    if value == ">":
+        return Lt(right, left), i, height
+    if not tokens[i].isidentifier():
+        raise _expected("'ident'", tokens, i)
+    if tokens[i] != "mod":
+        raise _At(i, ParseError, "expected 'mod'")
+    nat = tokens[i + 1]
+    if not nat.isdecimal():
+        raise _expected("'nat'", tokens, i + 1)
+    try:
+        n = int(nat)
+    except ValueError:  # more digits than int() reads from text
+        raise _At(i + 1, too_many_digits) from None
+    if n < 2:
+        raise _At(i + 1, ParseError, f"congruence modulus must be >= 2, got {n}")
+    return CongMod(n, left, right), i + 2, height
+
+
+def _term(tokens: list[str], i: int, depth: int):
+    """``_factor``s joined by '+', left-associative."""
+    out, i, height = _factor(tokens, i, depth)
+    while tokens[i] == "+":
+        right, i, h = _factor(tokens, i + 1, depth)
+        height = (height if height > h else h) + 1
+        if height > MAX_DEPTH:
+            raise _At(i, NestingError, _NESTED)
+        out = Sum(out, right)
+    return out, i, height
+
+
+def _factor(tokens: list[str], i: int, depth: int):
+    """A numeral, a variable, 'V2' '(' term ')' or '(' term ')'."""
+    value = tokens[i]
+    if value.isdecimal():
+        try:
+            return Numeral(int(value)), i + 1, 0
+        except ValueError:  # more digits than int() reads from text
+            raise _At(i, too_many_digits) from None
+    if value.isidentifier() and value != "V2":
+        if value in KEYWORDS:
+            raise _At(i, ParseError, f"{value!r} cannot be a variable name")
+        return Variable(value), i + 1, 0
+    if value != "(" and value != "V2":
+        raise _expected("a term", tokens, i)
+    if depth >= MAX_DEPTH:
+        raise _At(i, NestingError, _NESTED)
+    if value == "V2":
+        i += 1
+        if tokens[i] != "(":
+            raise _expected("'('", tokens, i)
+    inner, i, height = _term(tokens, i + 1, depth + 1)
+    if tokens[i] != ")":
+        raise _expected("')'", tokens, i)
+    if value == "(":
+        return inner, i + 1, height
+    if height >= MAX_DEPTH:
+        raise _At(i + 1, NestingError, _NESTED)
+    return V2App(inner), i + 1, height + 1
 
 
 def _parse_whole(text: str, rule):
-    parser = _Parser(text)
-    out = rule(parser)
-    value = parser.tokens[parser.i]
-    if value:
-        raise ParseError(f"trailing input {value!r}", _positions(text)[parser.i])
+    tokens = _scan(text)
+    try:
+        out, i, _ = rule(tokens, 0, 0)
+        if tokens[i]:
+            raise _At(i, ParseError, f"trailing input {tokens[i]!r}")
+    except _At as at:
+        i, error, *message = at.args
+        raise error(*message, _positions(text)[i]) from None
     return out
 
 
 def parse_term(text: str) -> Term:
-    return _parse_whole(text, _Parser.term)
+    return _parse_whole(text, _term)
 
 
 def parse_formula(text: str) -> Formula:
-    return _parse_whole(text, _Parser.formula)
+    return _parse_whole(text, _formula)
 
 
 def free_variables(f: Formula | Term) -> frozenset[str]:

@@ -526,6 +526,18 @@ def test_residue_cases_share_the_residue_and_keep_the_constants():
     assert model.calls == {"residue_mod": 1}
 
 
+def test_a_lookup_constant_that_the_check_also_reads_is_computed_once():
+    # The lookup computes 1, then 2, where x's residue is found; y = 1 then
+    # reads the 1 the lookup kept, and a second call computes no numeral.
+    model = CountingModel()
+    check = compile_qf(parse_formula("(x == 1 mod 3 | x == 2 mod 3) & y = 1"), model)
+    env = {"x": model.numeral(2), "y": model.numeral(1)}
+    for numerals in (2, 0):
+        model.calls.clear()
+        assert check(dict(env))
+        assert model.calls["numeral"] == numerals
+
+
 def test_each_numeral_is_computed_once_over_many_checks():
     model = CountingModel()
     (_, a3), = by_id("A3").obligations  # the numerals 0 and 1, each written 4 times

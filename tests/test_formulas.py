@@ -26,6 +26,7 @@ from buchi2.formulas import (
     ForAll,
     Implies,
     Lt,
+    NestingError,
     Not,
     Numeral,
     Or,
@@ -33,8 +34,6 @@ from buchi2.formulas import (
     UnboundVariableError,
     V2App,
     Variable,
-    _Parser,
-    _TOKEN_RE,
     eval_qf,
     eval_term,
     format_formula,
@@ -50,6 +49,7 @@ from buchi2.formulas import (
 from buchi2.nonstandard import Element, NonstandardModel, ParseError
 from buchi2.pairs import DivisibleByThree, FiniteTwoDivisibility, PairElement, PairsModel
 from buchi2.standard import StandardModel
+from reference_parser import Parser, reference_parse, reference_scan
 
 NONSTD = NonstandardModel()
 STD = StandardModel()
@@ -187,53 +187,58 @@ def test_bound_variables_parse_as_written():
     assert free_variables(f) == {"x", "y"}
 
 
+class Reads(list):
+    """A token list that records the index of each read."""
+
+    def __init__(self, tokens, reads):
+        super().__init__(tokens)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads.append(i)
+        return super().__getitem__(i)
+
+
+def recording_reads(monkeypatch):
+    """The list to which every parse from now on appends the index of each token it reads."""
+    reads, scan = [], formulas_module._scan
+    monkeypatch.setattr(formulas_module, "_scan", lambda text: Reads(scan(text), reads))
+    return reads
+
+
 @pytest.mark.parametrize("text", [
     "(" * 99 + "1 = 1" + ")" * 99,
     "(x + 1) = y & ((x = 1))",
 ], ids=["99 parentheses", "term and formula groups"])
 def test_parse_reads_each_token_once(monkeypatch, text):
-    # Every assignment to the token index steps it by one, and the parser
-    # stops at the `end` token, which is only read: no token is read twice.
-    count = len(_Parser(text).tokens)
-    assigned = []
+    # The parser never backtracks: each rule call starts at or after the
+    # token where the call before it started.  The looks that decide the
+    # groups read ahead, but no token twice over all the looks of a line.
+    starts, looked = [], []
+    reads = recording_reads(monkeypatch)
 
-    def assign(self, value):
-        assigned.append(value)
-        self.__dict__["i"] = value
+    def recording(rule):
+        def call(tokens, i, depth):
+            starts.append(i)
+            return rule(tokens, i, depth)
+        return call
 
-    monkeypatch.setattr(_Parser, "i", property(lambda self: self.__dict__["i"], assign), raising=False)
+    def look(tokens, i, opens_formula=formulas_module._opens_formula):
+        mark = len(reads)
+        out = opens_formula(tokens, i)
+        looked.extend(reads[mark:])
+        return out
+
+    for name in ("_formula", "_unary", "_term", "_factor"):
+        monkeypatch.setattr(formulas_module, name, recording(getattr(formulas_module, name)))
+    monkeypatch.setattr(formulas_module, "_opens_formula", look)
     parse_formula(text)
-    assert assigned == list(range(count))
-
-
-# The reference scanner: one loop over _TOKEN_RE.finditer that keeps each
-# token's position and marks the formula groups on every line.
-_FORMULA_ONLY = {"=", "<", ">", "~", "&", "|", "==", "->", "forall", "exists"}
-
-
-def reference_scan(text):
-    tokens, groups, open_groups = [], set(), []
-    for m in _TOKEN_RE.finditer(text):
-        value = m.group()
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {value!r}", m.start())
-        if value == "(":
-            open_groups.append(len(tokens))
-        elif value == ")" and open_groups:
-            open_groups.pop()
-        elif value in _FORMULA_ONLY:
-            for j in reversed(open_groups):
-                if j in groups:
-                    break
-                groups.add(j)
-        tokens.append((value, m.start()))
-    tokens.append(("", len(text)))
-    return tokens, groups
+    assert starts == sorted(starts)
+    assert looked and len(looked) == len(set(looked))
 
 
 def reference_tokens(text):
-    tokens, groups = reference_scan(text)
-    return [value for value, _ in tokens], groups
+    return [value for value, _ in reference_scan(text)[0]]
 
 
 def scan_answer(call, text):
@@ -290,6 +295,16 @@ def test_parse_errors_match_the_reference_scan(text):
         assert scan_answer(parse, text) == reference_answer(parse, text)
 
 
+def parse_answers(text):
+    """What parse_formula and parse_term answer on text."""
+    return [scan_answer(parse, text) for parse in (parse_formula, parse_term)]
+
+
+def reference_parse_answers(text):
+    """What the reference parser answers on text, as parse_formula and as parse_term."""
+    return [scan_answer(lambda text: reference_parse(text, rule), text) for rule in (Parser.formula, Parser.term)]
+
+
 @pytest.mark.parametrize("text, error", [
     ("x - y", "unexpected character '-' (at position 2)"),
     ("x --> y", "unexpected character '-' (at position 2)"),
@@ -309,6 +324,7 @@ def test_parse_error_examples(text, error):
     with pytest.raises(ParseError) as err:
         parse_formula(text)
     assert str(err.value) == error
+    assert parse_answers(text) == reference_parse_answers(text)
 
 
 # -- tree nodes ----------------------------------------------------------------
@@ -470,6 +486,28 @@ def test_term_round_trip(t):
     assert parse_term(format_term(t)) == t
 
 
+@given(st.one_of(scan_texts, formulas().map(format_formula), terms().map(format_term)))
+def test_parse_matches_the_reference_parser(text):
+    assert parse_answers(text) == reference_parse_answers(text)
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 10000 + "1 = 1",
+    "(" * 99 + "1" + " + 1" * 2999 + " = 1" + ")" * 99,
+    "(" * 100 + "1" + " + 1" * 2999 + " =",
+], ids=["10000 open groups", "99 formula groups around a long sum", "100 groups decided by the last token"])
+def test_parse_reads_a_line_in_linear_time(monkeypatch, text):
+    # The looks that decide the groups never read a token twice, and the
+    # rules read each token a few times, so a parse reads a few times as
+    # many tokens as the line has, however deep its groups nest.
+    expected = reference_parse_answers(text)
+    assert all(answer[0] is NestingError for answer in expected)
+    count = len(formulas_module._scan(text))
+    reads = recording_reads(monkeypatch)
+    assert parse_answers(text) == expected
+    assert len(reads) <= 4 * count
+
+
 @given(formulas())
 def test_formula_text_is_formula_text(f):
     assert is_formula_text(format_formula(f))
@@ -481,7 +519,35 @@ def test_term_text_is_not_formula_text(t):
 
 
 def opens_formula_group(text):
-    return 0 in _Parser("(" + text + ")").formula_groups
+    """Whether the on-demand rule reads "(" + text + ")" as a formula group,
+    which must be how reference_scan marks it."""
+    text = "(" + text + ")"
+    answer = formulas_module._opens_formula(formulas_module._scan(text), 0)
+    assert answer == (0 in reference_scan(text)[1])
+    return answer
+
+
+@given(scan_texts)
+def test_group_rule_decides_each_group_as_the_eager_marking(text):
+    try:
+        scanned, groups = reference_scan(text)
+    except ParseError:
+        return
+    tokens = [value for value, _ in scanned]
+    opens = [i for i, value in enumerate(tokens) if value == "("]
+    for i in opens:  # a look from each group, on a token list of its own
+        assert formulas_module._opens_formula(list(tokens), i) == (i in groups)
+
+    def decision(value):  # the decided '(' equal "(", so they are told apart by identity
+        formula_group, term_group = formulas_module._FORMULA_GROUP, formulas_module._TERM_GROUP
+        return True if value is formula_group else False if value is term_group else None
+
+    # as the parser looks, from each undecided group in turn on one list:
+    # every group a look passes is decided as the eager marking decides it
+    for i in opens:
+        if decision(tokens[i]) is None:
+            assert formulas_module._opens_formula(tokens, i) == (i in groups)
+    assert [decision(tokens[i]) for i in opens] == [i in groups for i in opens]
 
 
 @given(st.one_of(formulas().map(format_formula), terms().map(format_term)))

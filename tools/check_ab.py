@@ -1,4 +1,4 @@
-"""Time the axiom checks and check_axiom requests of this checkout against a git revision's.
+"""Time the axiom checks, check_axiom requests and REPL sessions of this checkout against a git revision's.
 
     python3 tools/check_ab.py REV
 
@@ -17,14 +17,20 @@ proxy and the garbage collector off:
   with seed k and a seeded CASES[0]..CASES[1] cases, so the harness loop
   and the sampler are timed too.
 
-In each round the two trees take each axiom in turn, and which tree goes
-first alternates from axiom to axiom and from round to round, so that a
-burst of load on a shared host skews both trees alike.  Per model and
-kind it prints each tree's median time per round, the median over rounds
-of the ratio this checkout / REV, and how many rounds each tree was
+Then it times REPL requests: round k runs one whole
+``cli.main(["repl", "--model", "nonstd"])`` session of each tree on
+REPL_LINES lines of chunk k of the benchmark's seeded ``repl-mix`` lines
+(``perfbench/mix.py``, which it only reads).
+
+In each round the two trees take each axiom, or the session, in turn, and
+which tree goes first alternates from axiom to axiom and from round to
+round, so that a burst of load on a shared host skews both trees alike.
+Per line it prints each tree's median time per round, the median over
+rounds of the ratio this checkout / REV, and how many rounds each tree was
 faster in.  Exits 1 if the two trees' checks answer differently on an
-env, or their requests return different Reports, so that the timings
-compare the same work, and 2 if REV cannot be extracted.
+env, their requests return different Reports, or their REPL sessions
+print different replies, so that the timings compare the same work, and 2
+if REV cannot be extracted.
 """
 
 from __future__ import annotations
@@ -33,7 +39,9 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import io
 import random
+import runpy
 import statistics
 import sys
 import tempfile
@@ -51,6 +59,7 @@ ENVS = 400
 ROUNDS = 40
 CASES = (50, 150)  # cases per check_axiom request, as in the benchmark
 TIMED = ("std", "nonstd")  # the ``--model`` names of the models timed
+REPL_LINES = 250  # lines per timed REPL session
 
 
 def load(name: str, src: Path):
@@ -112,6 +121,24 @@ def request_jobs(suites: dict, k: int) -> list[dict]:
     return jobs
 
 
+def repl_session(cli, text: str) -> str:
+    """What a ``repl --model nonstd`` session of the cli module prints, given text on stdin."""
+    saved = sys.stdin, sys.stdout
+    sys.stdin, sys.stdout = io.StringIO(text), io.StringIO()
+    try:
+        cli.main(["repl", "--model", "nonstd"])
+        return sys.stdout.getvalue()
+    finally:
+        sys.stdin, sys.stdout = saved
+
+
+def repl_jobs(sides: dict, repl_lines, k: int) -> list[dict]:
+    """Each side's REPL session of round k: chunk k of the seeded repl-mix lines."""
+    text = "".join(f"{line}\n" for line, _ in repl_lines(0, k, REPL_LINES))
+    return [{side: partial(repl_session, importlib.import_module(f"{package}.cli"), text)
+             for side, package in sides.items()}]
+
+
 def one_round(jobs: list[dict], k: int) -> tuple[dict, dict]:
     """Each side's seconds for one call of every job, and the repr of what each call returned."""
     seconds = {side: 0.0 for side in jobs[0]}
@@ -167,6 +194,16 @@ def main(argv: list[str]) -> int:
                     return 1
                 rounds.append(seconds)
             print(summary(f"{model_name} requests", rev, rounds))
+        repl_lines = runpy.run_path(str(ROOT / "perfbench" / "mix.py"))["repl_lines"]
+        one_round(repl_jobs(sides, repl_lines, ROUNDS), 0)  # untimed: the first session loads the model
+        rounds = []
+        for k in range(ROUNDS):
+            seconds, replies = one_round(repl_jobs(sides, repl_lines, k), k)
+            if replies[rev] != replies["this checkout"]:
+                print("repl: the two trees' sessions print different replies", file=sys.stderr)
+                return 1
+            rounds.append(seconds)
+        print(summary("repl requests", rev, rounds))
     return 0
 
 
