@@ -12,14 +12,17 @@ quantifier-free checking matrix over sampled and derived variables:
 - schema axioms carry one matrix per value of their numeric parameter, up
   to a configured bound.
 
-An axiom's obligations are compiled (``compiled.compile_qf``) as one
-check, their conjunction, a generated Python function in which a schema's
-obligations share their slots; it is kept in the spec's private
-``_compiled`` slot for the last two model objects, looked up by identity.
-A witness is a slot of the check, computed when a matrix first reads it.
-A false check computes the witnesses it did not read, so the report lists
-every derived variable; the interpreter (``eval_qf``) then runs the
-obligations in order and reports the first false one, with its parameter.
+An axiom's obligations are compiled (``compiled.compile_run``) as one
+check, their conjunction, inside a generated case loop, a Python function
+in which a schema's obligations share their slots and the sampled
+variables are locals, drawn inline for the standard model's own sampler;
+it is kept in the spec's private ``_compiled`` slot for the last two
+model objects, looked up by identity.  A witness is a slot of the check,
+computed when a matrix first reads it.  The loop builds an env only for
+the case that fails.  A false check computes the witnesses it did not
+read, so the report lists every derived variable; the interpreter
+(``eval_qf``) then runs the obligations in order and reports the first
+false one, with its parameter.
 
 A sampled check can only falsify an axiom, not prove it; the point of the
 harness is falsification power at a chosen scale.  Checks are
@@ -33,7 +36,7 @@ import random
 from functools import cache, reduce
 from typing import Collection, Optional
 
-from .compiled import compile_qf
+from .compiled import compile_run
 from .formulas import (
     And, CongMod, Eq, Formula, Implies, Not, Numeral, Or, Sum, V2App, Variable,
     eval_qf, mentions, nsum, parse_formula,
@@ -329,14 +332,22 @@ def _format_env(model: Model, env: dict) -> tuple[tuple[str, str], ...]:
     return tuple((name, model.format(value)) for name, value in sorted(env.items()))
 
 
+def _check_ints(**values) -> None:
+    for name, value in values.items():
+        if value.__class__ is bool or not isinstance(value, int):
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int = 0) -> Report:
     """Check one axiom against one model; deterministic for a fixed seed.
 
-    ``cases`` must be positive; a case whose check raises a ValueError,
-    also in a witness the check reads, fails the axiom.  A false check
-    reports the first obligation ``eval_qf`` finds false, or raises
-    AssertionError if there is none.
+    ``cases`` and ``seed`` must be ints (else TypeError) and ``cases``
+    positive; a case whose check raises a ValueError, also in a witness the
+    check reads, fails the axiom.  A false check reports the first
+    obligation ``eval_qf`` finds false, or raises AssertionError if there is
+    none.
     """
+    _check_ints(cases=cases, seed=seed)
     if cases < 1:
         raise ValueError(f"cases must be positive, got {cases}")
     if not model.has_v2 and any(mentions(matrix, V2App) for _, matrix in axiom.obligations):
@@ -346,36 +357,24 @@ def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int 
     entry = axiom._compiled.pop(id(model), None)
     if entry is None:
         matrices = (matrix for _, matrix in axiom.obligations)  # in catalog order
-        entry = model, compile_qf(reduce(And, matrices), model, axiom.derived)
+        entry = model, compile_run(reduce(And, matrices), model, axiom.sampled, axiom.derived)
         if len(axiom._compiled) > 1:  # keep the two most recently checked models
             del axiom._compiled[next(iter(axiom._compiled))]
     axiom._compiled[id(model)] = entry
-    _, check = entry
-    rng = random.Random(f"{seed}:{axiom.id}")
-    corners, sampled, sample = model.corner_elements(), axiom.sampled, model.sample
-    k = len(corners)
-    for i in range(cases):
-        if i < k:  # the first k cases rotate the corners through the sampled variables
-            env = {var: corners[(i + j) % k] for j, var in enumerate(sampled)}
-        else:
-            env = {}
-            for var in sampled:  # a loop, not a comprehension: no frame of its own
-                env[var] = sample(rng)
-        try:
-            if not check(env):  # env now holds every derived variable
-                for n, matrix in axiom.obligations:  # the interpreter must confirm it
-                    if not eval_qf(matrix, env, model):
-                        return Report(
-                            axiom.id, FAIL, i + 1, seed,
-                            counterexample=_format_env(model, env), param=n,
-                        )
-                raise AssertionError(f"{axiom.id}: the compiled check and eval_qf disagree")
-        except ValueError as exc:
-            return Report(
-                axiom.id, FAIL, i + 1, seed,
-                counterexample=_format_env(model, env), error=str(exc),
-            )
-    return Report(axiom.id, PASS, cases, seed)
+    _, run = entry
+    failed = run(random.Random(f"{seed}:{axiom.id}"), cases, model.corner_elements())
+    if failed is None:
+        return Report(axiom.id, PASS, cases, seed)
+    case, env, error = failed  # env holds the sampled variables and the derived ones computed
+    try:
+        if error is None:
+            for n, matrix in axiom.obligations:  # the interpreter must confirm a false check
+                if not eval_qf(matrix, env, model):
+                    return Report(axiom.id, FAIL, case, seed, counterexample=_format_env(model, env), param=n)
+            raise AssertionError(f"{axiom.id}: the compiled check and eval_qf disagree")
+    except ValueError as exc:
+        error = exc
+    return Report(axiom.id, FAIL, case, seed, counterexample=_format_env(model, env), error=str(error))
 
 
 def run_suite(
@@ -390,8 +389,10 @@ def run_suite(
 
     Schema matrices are built for the requested ids only.  Empty or
     unknown ids raise ParseError, a ValueError, after the schema bound's
-    own errors.
+    own errors; a ``seed`` or ``cases`` that is not an int raises
+    TypeError first.
     """
+    _check_ints(cases=cases, seed=seed)
     catalog = build_axioms(schema_max, ids)
     if ids is not None:
         if "" in ids:

@@ -5,13 +5,15 @@ hash-consing", 2006) restricted to structural identity: no law of the
 model is assumed, so no sum is re-associated or commuted.  Each formula is
 compiled to the source of one Python function, generated code rather than
 a tree of closures (Feeley and Lapalme, "Using closures for code
-generation", 1987).  The axiom harness uses it; ``formulas.eval_qf`` stays
-the reference.
+generation", 1987).  The axiom harness runs the same code inside a
+generated case loop (``compile_run``); ``formulas.eval_qf`` stays the
+reference.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from functools import lru_cache, partial
 
 from .formulas import (
@@ -64,7 +66,7 @@ def _lookup(model, residue_mod, kept, terms, x, n, pending, known):
 class _Emitter:
     """Builds the slots and formula nodes of one check, then writes its source."""
 
-    def __init__(self, model):
+    def __init__(self, model, sampled=None):
         self.slots: dict[tuple, int] = {}  # its op, or a variable's for a derived one -> slot
         self.ops: list[tuple] = []  # slot -> (kind, operand slots or values)
         self.const: list[bool] = []  # slot -> whether it is variable-free
@@ -88,6 +90,22 @@ class _Emitter:
         self.assigned: set[int] = set()  # slots the function being written assigns
         self.helpers: list[str] = []  # the source of each helper function
         self.terms: dict[int, object] = {}  # slot -> its term, for the constants of residue lookups
+        # With sampled variables the source is a case loop, run(rng, cases,
+        # corners), whose prologue assigns them: their slots are known
+        # throughout, and no variable is read from an env.
+        self.given: dict[int, str] | None = None  # the sampled variables' slots -> their names
+        self.sampled: list[int] = []  # their slots in draw order, a repeated name repeated
+        if sampled is not None:
+            self.sampled = [self.term(Variable(v)) for v in sampled]
+            self.given = dict(zip(self.sampled, sampled))
+            for i in self.given:
+                self.assign(i)
+            sample = self.names["sample"] = model.sample
+            standard = sys.modules.get(f"{__package__}.standard")  # unless imported, no model samples as it does
+            if standard and getattr(sample, "__func__", None) is standard.StandardModel.sample:  # drawn inline
+                n = sample.__self__.offset_bound + 1
+                self.names.update(bound=n, bits=n.bit_length())
+            self.names.update(len=len, range=range)
 
     # -- slots and formula nodes --------------------------------------------
 
@@ -213,6 +231,9 @@ class _Emitter:
         store = f"s{i} = kept[{i}]" if self.const[i] else f"s{i}"
         if i in self.terms:  # a lookup may have kept its value since the check read kept
             self.line(f"s{i} = kept[{i}]", guard)
+        if kind == "var" and self.given is not None:  # neither sampled nor derived
+            self.line(f"raise {self.name(UnboundVariableError)}({self.name(f'unbound variable {a!r}')})")
+            return f"s{i}"
         if kind == "var":
             self.block([f"try: s{i} = env[{self.name(a)}]",
                         f"except {self.name(KeyError)}: raise {self.name(UnboundVariableError)}"
@@ -246,8 +267,8 @@ class _Emitter:
         elif kind == "derived":
             name, witness, param = a
             args = "".join(f", {self.demand(r)}" for r in b)
-            self.line(f"s{i} = env[{self.name(name)}] = {self.name(witness)}(model, {self.name(param)}{args})",
-                      guard)
+            store = f"s{i}" if self.given is not None else f"s{i} = env[{self.name(name)}]"
+            self.line(f"{store} = {self.name(witness)}(model, {self.name(param)}{args})", guard)
         else:  # "bad"
             self.line(f"raise {self.name(TypeError)}({self.name(a)})")
             return f"s{i}"
@@ -319,32 +340,57 @@ class _Emitter:
         kept = [None] * len(self.ops)  # slot -> its value once computed, for variable-free slots
         self.names.update(kept=kept, lookup=partial(_lookup, self.names["model"], self.names["residue_mod"], kept,
                                                     self.terms))
+        loop = self.given is not None
+        self.depth = 3 if loop else 1
         self.emit(root)
-        self.line("if r: return True")
+        self.line("if r: continue" if loop else "if r: return True")
         for i in witnesses:  # a false check computes the witnesses it did not read, in order
             self.demand(i)
-        self.line("return False")
         # a helper's slots are its check's locals, so the check assigns them all
         consts = sorted(i for i in self.seen if self.const[i])
         unset = (self.seen if self.helpers else self.unset).difference(consts)
-        start = [" " + " = ".join(f"s{i}" for i in sorted(unset)) + " = None"] if unset else []
-        start += [f" s{i} = kept[{i}]" for i in consts]
-        return "\n".join(["def check(env):", *self.helpers, *start, *self.lines, ""])
+        if not loop:
+            self.line("return False")
+            start = [" " + " = ".join(f"s{i}" for i in sorted(unset)) + " = None"] if unset else []
+            start += [f" s{i} = kept[{i}]" for i in consts]
+            return "\n".join(["def check(env):", *self.helpers, *start, *self.lines, ""])
+        # the case loop: the sampled variables take the corners, rotated, in
+        # the first k cases, then draws; a failed case returns its number, the
+        # sampled variables and the derived ones it computed, and its error
+        derived = {i: self.ops[i][1][0] for i in witnesses}
+        unset = sorted(unset.union(derived).difference(self.given))
+        pairs = [f"{self.name(v)}: s{i}" for i, v in (*self.given.items(), *derived.items())]
+        self.line(f"return i + 1, {{{', '.join(pairs)}}}, None")
+        draw = ["s{0} = draw(bits)", "while s{0} >= bound: s{0} = draw(bits)"] if "bits" in self.names else \
+            ["s{0} = sample(rng)"]
+        rotate = [f"   s{i} = corners[(i + {j}) % k]" if j else f"   s{i} = corners[i]"
+                  for j, i in enumerate(self.sampled)]
+        draws = ["   " + d.format(i) for i in self.sampled for d in draw]
+        return "\n".join([
+            "def run(rng, cases, corners):", *self.helpers, *(f" s{i} = kept[{i}]" for i in consts),
+            " k = len(corners)", " draw = rng.getrandbits", " for i in range(cases):",
+            *(["  if i < k:", *rotate, "  else:", *draws] if self.sampled else []),
+            *(["  " + " = ".join(f"s{i}" for i in unset) + " = None"] if unset else []),
+            "  try:", *self.lines, f"  except {self.name(ValueError)} as e:",
+            f"   env = {{{', '.join(pairs[:len(self.given)])}}}",
+            *(f"   if s{i} is not None: env[{self.name(v)}] = s{i}" for i, v in derived.items()),
+            "   return i + 1, env, e", "",
+        ])
 
 
-def _generate(f, model, derived=()):
-    """The source of f's check and the globals it runs with."""
-    emitter = _Emitter(model)
+def _generate(f, model, derived=(), sampled=None):
+    """The source of f's check, or with sampled variables its case loop, and the globals it runs with."""
+    emitter = _Emitter(model, sampled)
     witnesses = [emitter.derive(*d) for d in derived]
     root = emitter.formula(f)
     return emitter.source(root, witnesses), emitter.names
 
 
 # The source names every model value by a global, so it depends on the model
-# only through the operations written as Python operators: each distinct
-# source is compiled once, for every model that writes it.  The bound holds
-# the catalog's 20 checks at one schema bound for all three models (46
-# distinct sources), and then some.
+# only through the operations written as Python operators and the inline
+# draws: each distinct source is compiled once, for every model that writes
+# it.  The bound holds the catalog's 20 case loops at one schema bound for
+# all three models (44 distinct sources), and then some.
 @lru_cache(maxsize=64)
 def _code(source: str):
     return compile(source, "<compile_qf>", "exec")
@@ -353,10 +399,11 @@ def _code(source: str):
 def compile_qf(f, model, derived=()):
     """check(env) -> bool, equal to ``eval_qf(f, env, model)`` for every env.
 
-    The check is one generated Python function with globals of its own.
-    Python's compiler compiles each distinct source text once, for every
-    model that writes that text: compile a formula once and check it many
-    times.
+    The check is one generated Python function with globals of its own;
+    ``compile_run`` writes the same code inside the axiom harness's case
+    loop, with the variables as locals in place of env.  Python's compiler
+    compiles each distinct source text once, for every model that writes
+    that text: compile a formula once and check it many times.
     Each distinct subterm is one slot, keyed by its kind and its operands'
     slots, and is computed at most once per call, when first demanded, so
     short-circuiting and the interpreter's first error (type and message)
@@ -397,3 +444,19 @@ def compile_qf(f, model, derived=()):
     source, names = _generate(f, model, derived)
     exec(_code(source), names)
     return names.pop("check")  # the check's globals must not hold it: no reference cycle
+
+
+def compile_run(f, model, sampled, derived=()):
+    """run(rng, cases, corners), the axiom harness's case loop for f.
+
+    Case i assigns the ``sampled`` variables, as locals, the corners
+    rotated by i while i < len(corners), then one ``model.sample(rng)``
+    each, written inline where that is ``StandardModel.sample``, and runs
+    ``compile_qf``'s check of f and ``derived`` on them.  ``run`` returns
+    None, or for the first case that is false or raises a ValueError: its
+    number from 1, an env of the sampled variables and the derived ones it
+    computed (on a false case, all of them), and the error or None.
+    """
+    source, names = _generate(f, model, derived, sampled)
+    exec(_code(source), names)
+    return names.pop("run")

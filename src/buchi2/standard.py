@@ -64,7 +64,8 @@ class StandardModel(Model):
         return 1 << x.bit_length()
 
     def sample(self, rng) -> int:
-        # The draws of rng.randrange(self.offset_bound + 1), inlined.
+        # The draws of rng.randrange(self.offset_bound + 1), inlined.  The
+        # case loops of compiled.compile_run write these same draws.
         n = self.offset_bound + 1
         k = n.bit_length()
         r = rng.getrandbits(k)

@@ -6,6 +6,7 @@ import gc
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -30,8 +31,8 @@ from buchi2.axioms import (
     check_axiom,
     run_suite,
 )
-from buchi2.axioms import _congruence_matrix, _odd_indivisibility_matrix, _residue_cases_matrix
-from buchi2.compiled import _generate, compile_qf
+from buchi2.axioms import _congruence_matrix, _odd_indivisibility_matrix, _one, _residue_cases_matrix
+from buchi2.compiled import _generate, compile_qf, compile_run
 from buchi2.formulas import And, Numeral, V2App, Variable, eval_qf, mentions, parse_formula
 from buchi2.nonstandard import Model, NegativeResultError, NonstandardModel, NotDivisibleError, Ordering
 from buchi2.pairs import PairsModel
@@ -211,6 +212,21 @@ def test_cases_must_be_positive(cases):
         run_suite(PAIRS, cases=cases, ids=("V12",))
 
 
+@pytest.mark.parametrize("name, value", [
+    ("cases", True), ("cases", 5.0), ("cases", "5"), ("seed", False), ("seed", 1.5), ("seed", None), ("seed", "x"),
+])
+def test_cases_and_seed_must_be_ints(name, value):
+    message = f"^{name} must be an int, got {re.escape(repr(value))}$"
+    spec = by_id("A1")
+    with pytest.raises(TypeError, match=message):
+        check_axiom(spec, STD, **{name: value})
+    assert spec._compiled == {}  # raised before anything is compiled
+    with pytest.raises(TypeError, match=message):
+        run_suite(STD, ids=(), **{name: value})
+    with pytest.raises(TypeError, match=message):  # before a model without V2 skips it
+        run_suite(PAIRS, ids=("V12",), **{name: value})
+
+
 def test_build_axioms_filters_by_id_in_catalog_order():
     assert build_axioms(ids=()) == ()
     picked = build_axioms(ids=("A17", "V12", "A4", "B9"))
@@ -300,12 +316,14 @@ def test_seeded_kernel_fault_is_caught(model_class):
     assert [r.axiom_id for r in reports if r.status == FAIL] == SEEDED_FAULT_FAILS[model_class]
 
 
-# A compiled check that is always false: every FAIL it reports must be
-# refused by the interpreter, also when asserts are stripped.
+# A compiled case loop whose first case is always false: every FAIL it
+# reports must be refused by the interpreter, also when asserts are stripped.
 UNCONFIRMED_FAIL = """
 from buchi2 import axioms
 from buchi2.standard import StandardModel
-axioms.compile_qf = lambda f, model, derived: lambda env: False
+def compile_run(f, model, sampled, derived):
+    return lambda rng, cases, corners: (1, dict(zip(sampled, corners)), None)
+axioms.compile_run = compile_run
 try:
     axioms.run_suite(StandardModel(), cases=3, ids=("A9",))
 except AssertionError as exc:
@@ -433,6 +451,72 @@ def reference_check(spec, model, cases, seed):
     return Report(spec.id, PASS, cases, seed)
 
 
+class CountingModel(NonstandardModel):
+    """The non-standard model, counting calls of the operations a matrix or a witness uses."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = Counter()
+
+    def numeral(self, n):
+        self.calls["numeral"] += 1
+        return super().numeral(n)
+
+    def add(self, x, y):
+        self.calls["add"] += 1
+        return super().add(x, y)
+
+    def residue_mod(self, x, n):
+        self.calls["residue_mod"] += 1
+        return super().residue_mod(x, n)
+
+    def sub(self, x, y):
+        self.calls["sub"] += 1
+        return super().sub(x, y)
+
+    def divide(self, x, n):
+        self.calls["divide"] += 1
+        return super().divide(x, n)
+
+    def v2(self, x):
+        self.calls["v2"] += 1
+        return super().v2(x)
+
+
+class FifteenFirstModel(IdentityV2Model):
+    """Identity V2, with 15 tried first: a power of two to the model, divisible by 3 and 5."""
+
+    def corner_elements(self):
+        return (self.numeral(15), *super().corner_elements())
+
+
+class SampleCountingModel(StandardModel):
+    """The standard model with a sample of its own, which counts its calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.draws = 0
+
+    def sample(self, rng):
+        self.draws += 1
+        return super().sample(rng)
+
+
+class ForwardingModel:
+    """A proxy that forwards every member to a standard model and counts its own sample calls."""
+
+    def __init__(self):
+        self._model = StandardModel()
+        self.draws = 0
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+    def sample(self, rng):
+        self.draws += 1
+        return self._model.sample(rng)
+
+
 CHECKED_MODELS = [NONSTD, STD, PAIRS, ConstantV2Model(), IdentityV2Model(), CarrylessAddModel()]
 
 
@@ -465,9 +549,13 @@ def test_compiled_obligations_match_the_interpreter(model):
                         assert result in (True, error)
 
 
+FAULTY_MODELS = (*PINNED_FAILS, *SEEDED_FAULT_FAILS, FifteenFirstModel)
+
+
 @pytest.mark.parametrize(
     "model_class",
-    [NonstandardModel, StandardModel, PairsModel, *PINNED_FAILS, *SEEDED_FAULT_FAILS],
+    [NonstandardModel, StandardModel, PairsModel, CountingModel, SampleCountingModel, ForwardingModel,
+     *FAULTY_MODELS],
     ids=lambda c: c.__name__,
 )
 def test_reports_match_the_interpreting_harness(model_class):
@@ -482,39 +570,7 @@ def test_reports_match_the_interpreting_harness(model_class):
                 expected = [reference_check(spec, model_class(), cases, seed) for spec in catalog]
                 assert run_suite(model_class(), seed=seed, cases=cases, schema_max=schema_max) == expected
                 statuses |= {r.status for r in expected}
-    assert (FAIL in statuses) is (model_class in (*PINNED_FAILS, *SEEDED_FAULT_FAILS))
-
-
-class CountingModel(NonstandardModel):
-    """The non-standard model, counting calls of the operations a matrix or a witness uses."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = Counter()
-
-    def numeral(self, n):
-        self.calls["numeral"] += 1
-        return super().numeral(n)
-
-    def add(self, x, y):
-        self.calls["add"] += 1
-        return super().add(x, y)
-
-    def residue_mod(self, x, n):
-        self.calls["residue_mod"] += 1
-        return super().residue_mod(x, n)
-
-    def sub(self, x, y):
-        self.calls["sub"] += 1
-        return super().sub(x, y)
-
-    def divide(self, x, n):
-        self.calls["divide"] += 1
-        return super().divide(x, n)
-
-    def v2(self, x):
-        self.calls["v2"] += 1
-        return super().v2(x)
+    assert (FAIL in statuses) is (model_class in FAULTY_MODELS)
 
 
 def test_residue_cases_share_the_residue_and_keep_the_constants():
@@ -602,13 +658,6 @@ def test_a_schemas_obligations_share_their_slots(axiom_id, calls):
     assert model.calls == calls
 
 
-class FifteenFirstModel(IdentityV2Model):
-    """Identity V2, with 15 tried first: a power of two to the model, divisible by 3 and 5."""
-
-    def corner_elements(self):
-        return (self.numeral(15), *super().corner_elements())
-
-
 def test_a_false_check_reports_the_first_false_obligation():
     model, spec = FifteenFirstModel(), by_id("A17")
     env = {"x": model.numeral(15)}
@@ -624,8 +673,8 @@ def test_a_spec_without_obligations_passes():
 
 
 def test_a_compilation_leaves_no_reference_cycle():
-    # With the collector off, a dropped check must be freed by its
-    # reference counts alone.
+    # With the collector off, a dropped check or case loop must be freed
+    # by its reference counts alone, also once it has run.
     spec = by_id("A4")
     (_, matrix), = spec.obligations
     enabled = gc.isenabled()
@@ -633,6 +682,8 @@ def test_a_compilation_leaves_no_reference_cycle():
     try:
         gc.collect()
         compile_qf(matrix, NONSTD, spec.derived)
+        assert gc.collect() == 0
+        compile_run(matrix, NONSTD, spec.sampled, spec.derived)(random.Random(0), 30, NONSTD.corner_elements())
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -711,11 +762,11 @@ def test_equal_models_get_their_own_checks():
 def test_a_spec_compiles_once_per_model(monkeypatch):
     compiled = Counter()
 
-    def counted(f, model, derived):
+    def counted(f, model, sampled, derived):
         compiled[id(model)] += 1
-        return compile_qf(f, model, derived)
+        return compile_run(f, model, sampled, derived)
 
-    monkeypatch.setattr(axioms, "compile_qf", counted)
+    monkeypatch.setattr(axioms, "compile_run", counted)
     spec, a, b, c = by_id("A11"), StandardModel(), StandardModel(), StandardModel()
     for model in (a, b, a, b, a):
         assert check_axiom(spec, model, cases=10).status == PASS
@@ -795,6 +846,78 @@ def test_a_checked_spec_pickles_and_copies_with_an_empty_cache():
         assert copied._compiled == {} and copied._compiled is not spec._compiled
         assert check_axiom(copied, STD, cases=5) == check_axiom(spec, STD, cases=5)
     assert len(spec._compiled) == 1
+
+
+# -- the case loop ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("offset_bound", [1, 2, 3, 2**20 - 1, 2**20, 10**6, 10**23])
+def test_inline_draws_are_the_standard_models_draws(offset_bound):
+    # Each edge of the rejection loop, and a draw wider than 64 bits; a
+    # second model with another bound shares the code but not the bound.
+    false, true = parse_formula("~ (x = x & y = y)"), parse_formula("x = x")
+    runs = []
+    for bound in (offset_bound, 2 * offset_bound):
+        model = StandardModel(offset_bound=bound)
+        run = compile_run(false, model, ("x", "y"))
+        inline, called = random.Random(bound), random.Random(bound)
+        drawn = []
+        for _ in range(100):  # a false first case returns what it drew
+            case, env, error = run(inline, 1, ())
+            assert (case, error) == (1, None)
+            assert env == {"x": model.sample(called), "y": model.sample(called)}
+            assert inline.getstate() == called.getstate()
+            drawn += env.values()
+        assert max(drawn) <= bound
+        if bound < 5:
+            assert set(drawn) == set(range(bound + 1))
+        assert compile_run(true, model, ("x", "y"))(inline, 300, ()) is None
+        for _ in range(600):
+            model.sample(called)
+        assert inline.getstate() == called.getstate()
+        runs.append(run)
+    first, second = runs
+    assert first.__code__ is second.__code__ and first.__globals__ is not second.__globals__
+
+
+@pytest.mark.parametrize("model_class", [SampleCountingModel, ForwardingModel], ids=lambda c: c.__name__)
+def test_a_sample_of_its_own_is_called_once_per_draw(model_class):
+    spec, model = by_id("A7"), model_class()
+    cases = len(model.corner_elements()) + 50
+    assert check_axiom(spec, model, cases=cases) == check_axiom(spec, StandardModel(), cases=cases)
+    assert model.draws == 3 * 50
+
+
+def test_a_repeated_sampled_name_is_drawn_each_time():
+    # The last draw, or rotated corner, of a repeated name is its value.
+    spec = AxiomSpec("R", "forall x. forall y. ~ x = y", sampled=("x", "y", "x"), obligations=_one("~ x = y"))
+    model = StandardModel(offset_bound=3)
+    report = check_axiom(spec, model, cases=100)
+    assert report.status == FAIL and report.cases > len(model.corner_elements())
+    assert report == reference_check(spec, model, 100, 0)
+
+
+def _same(model, param, x):
+    return x
+
+
+def _zero_only(model, param, x):
+    if x != 0:
+        raise ValueError(f"{x} is not zero")
+    return x
+
+
+@pytest.mark.parametrize("matrix", ["(x = 0 -> a = x) & b = x", "b + a = x + x"])
+def test_a_failed_case_reports_only_the_witnesses_it_computed(matrix):
+    # Case 1 (x = 0) computes a and b; case 2 (x = 1) raises in b and does
+    # not compute a: it does not read a, or would read it after b.  So a is
+    # not in its counterexample.
+    x = Variable("x")
+    spec = AxiomSpec(
+        "W", f"forall x. exists a. exists b. ({matrix})", sampled=("x",), obligations=_one(matrix),
+        derived=(("a", _same, None, (x,)), ("b", _zero_only, None, (x,))),
+    )
+    report = check_axiom(spec, STD, cases=5)
+    assert report == Report("W", FAIL, 2, 0, counterexample=(("x", "1"),), error="1 is not zero")
 
 
 # -- witnesses are computed on demand --------------------------------------------------
