@@ -18,7 +18,6 @@ from functools import lru_cache, partial
 
 from .formulas import (
     And, CongMod, Eq, Exists, ForAll, Implies, Lt, Not, Numeral, Or, Sum, UnboundVariableError, V2App, Variable,
-    eval_term,
 )
 from .nonstandard import EQUAL, LESS, compare, remainder
 
@@ -28,34 +27,46 @@ from .nonstandard import EQUAL, LESS, compare, remainder
 # assigned on every path there (no test), on none (no test), or on some: a
 # test "if s<i> is None:", for which s<i> starts as None.  Such tests run
 # flat, operands first, because a slot with a value implies its operands
-# have one.  A variable-free slot starts as its value in ``kept``, None
-# until a call computes it, so it is always tested, and its one assignment
-# stores through, "s<i> = kept[i] = ...", which keeps the value across
-# calls (a loop stores only its final value).  Each connective leaves its
-# truth in the local r, and the operands of a chain are flat "if r:"
-# tests, so only a nested right operand indents its code; past NESTING
-# levels of indentation an operand moves to a helper function, which keeps
-# Python's limit on nesting (100) out of reach.  Formula text never becomes source: names, numerals,
-# moduli and model callables are values of generated global names, in a
-# namespace that holds no builtins and, once compiled, not the check
-# itself, so no reference cycle is left.
+# have one.  A variable-free slot starts as its value in ``kept``, which
+# ``_constant`` computes and keeps across calls, so its demand is always
+# the one line "if s<i> is None: s<i> = constant(i)".  Each connective
+# leaves its truth in the local r, and the operands of a chain are flat
+# "if r:" tests, so only a nested right operand indents its code; past
+# NESTING levels of indentation an operand moves to a helper function,
+# which keeps Python's limit on nesting (100) out of reach.  Formula text
+# never becomes source: names, numerals, moduli and model callables are
+# values of generated global names, in a namespace that holds no builtins
+# and, once compiled, not the check itself, so no reference cycle is left.
 NESTING = 40
 
 
-def _lookup(model, residue_mod, kept, terms, x, n, pending, known):
+def _constant(model, numeral, add, residue_mod, ops, kept, i):
+    # variable-free slot i's value: kept, or computed in eval_term's order and kept unless it raises
+    v = kept[i]
+    if v is None:
+        kind, a, b = ops[i]
+        here = model, numeral, add, residue_mod, ops, kept
+        if kind == "num":
+            v = numeral(a)
+        elif kind == "v2":  # model.v2 is looked up before the operand is computed, as in eval_term
+            v = model.v2(_constant(*here, a))
+        elif kind == "+":
+            v = add(_constant(*here, a), _constant(*here, b))
+        else:  # "mod"
+            v = residue_mod(_constant(*here, a), b)
+        kept[i] = v
+    return v
+
+
+def _lookup(constant, residue_mod, x, n, pending, known):
     # t == k0 mod n | t == k1 mod n | ..., where x is t's residue, on a miss
-    # in known.  pending holds the k slots not read yet, last first; a k
-    # with no kept value yet is computed by eval_term, the reference, and
-    # kept.  A k's residue moves to known only once computed, and both are
-    # kept across calls, so known always holds the residues of a prefix of
-    # the chain, a hit in it is where eval_qf's scan stops, and a k whose
-    # value or residue raises raises again when a later call reaches it.
+    # in known.  pending holds the k slots not read yet, last first.  A k's
+    # residue moves to known only once computed, so known holds the residues
+    # of a prefix of the chain, a hit in it is where eval_qf's scan stops,
+    # and a k that raises raises again when a later call reaches it.
     while pending:
         k = pending[-1]
-        v = kept[k]
-        if v is None:
-            v = kept[k] = eval_term(terms[k], {}, model)
-        y = residue_mod(v, n)
+        y = residue_mod(constant(k), n)
         pending.pop()
         known.add(y)
         if x == y:
@@ -89,7 +100,6 @@ class _Emitter:
         self.unset: set[int] = set()  # tested slots: those not variable-free start as None
         self.assigned: set[int] = set()  # slots the function being written assigns
         self.helpers: list[str] = []  # the source of each helper function
-        self.terms: dict[int, object] = {}  # slot -> its term, for the constants of residue lookups
         # With sampled variables the source is a case loop, run(rng, cases,
         # corners), whose prologue assigns them: their slots are known
         # throughout, and no variable is read from an env.
@@ -156,10 +166,8 @@ class _Emitter:
     def lookup(self, operands):
         # the lookup node of a chain of congruences of one term against
         # variable-free terms, with one modulus, or None
-        if not all(isinstance(h, CongMod) for h in operands):
-            return None
-        n = operands[0].modulus
-        if any(h.modulus != n for h in operands):
+        n = getattr(operands[0], "modulus", None)
+        if not all(isinstance(h, CongMod) and h.modulus == n for h in operands):
             return None
         a = self.term(operands[0].left)
         if any(self.term(h.left) != a for h in operands):
@@ -167,7 +175,6 @@ class _Emitter:
         ks = [self.term(h.right) for h in operands]
         if not all(self.const[k] for k in ks):
             return None
-        self.terms.update(zip(ks, (h.right for h in operands)))
         return ("lookup", self.read(self.residue(operands[0].left, n)), n, ks)
 
     def formula(self, g):
@@ -225,28 +232,25 @@ class _Emitter:
         if i in self.known:
             return f"s{i}"
         kind, a, b = self.ops[i]
-        guard = i if self.const[i] or i in self.seen else None
+        guard = i if i in self.seen else None
         if guard is not None:
             self.unset.add(i)
-        store = f"s{i} = kept[{i}]" if self.const[i] else f"s{i}"
-        if i in self.terms:  # a lookup may have kept its value since the check read kept
-            self.line(f"s{i} = kept[{i}]", guard)
         if kind == "var" and self.given is not None:  # neither sampled nor derived
             self.line(f"raise {self.name(UnboundVariableError)}({self.name(f'unbound variable {a!r}')})")
             return f"s{i}"
-        if kind == "var":
+        if self.const[i]:  # s<i> starts as its kept value, None until computed
+            self.line(f"s{i} = constant({i})", i)
+        elif kind == "var":
             self.block([f"try: s{i} = env[{self.name(a)}]",
                         f"except {self.name(KeyError)}: raise {self.name(UnboundVariableError)}"
                         f"({self.name(f'unbound variable {a!r}')}) from None"], guard)
-        elif kind == "num":
-            self.line(f"{store} = numeral({self.name(a)})", guard)
         elif kind == "v2":  # model.v2 is looked up before the operand is computed
             self.line(f"f{i} = model.v2", guard)
-            self.line(f"{store} = f{i}({self.demand(a)})", guard)
+            self.line(f"s{i} = f{i}({self.demand(a)})", guard)
         elif kind == "mod":
             x, n = self.demand(a), self.name(b)
             templated = self.mod and type(b) is int and b >= 1  # remainder's test of n, made once here
-            self.line(f"{store} = {x} % {n}" if templated else f"{store} = residue_mod({x}, {n})", guard)
+            self.line(f"s{i} = {x} % {n}" if templated else f"s{i} = residue_mod({x}, {n})", guard)
         elif kind == "+":
             # a left-nested sum whose inner links only their outer link reads,
             # such as w + w + ... + w, is a loop over the same additions
@@ -258,12 +262,9 @@ class _Emitter:
             plus = "{} + {}" if self.plus else "add({}, {})"
             first, more = plus.format(f"s{a}", f"s{b}"), plus.format(f"s{i}", f"s{b}")
             if links == 1:
-                self.line(f"{store} = {first}", guard)
+                self.line(f"s{i} = {first}", guard)
             else:
-                loop = [f"s{i} = {first}", f"for _ in {self.name(range(links - 1))}: s{i} = {more}"]
-                if self.const[i]:
-                    loop.append(f"kept[{i}] = s{i}")
-                self.block(loop, guard)
+                self.block([f"s{i} = {first}", f"for _ in {self.name(range(links - 1))}: s{i} = {more}"], guard)
         elif kind == "derived":
             name, witness, param = a
             args = "".join(f", {self.demand(r)}" for r in b)
@@ -338,8 +339,9 @@ class _Emitter:
 
     def source(self, root, witnesses) -> str:
         kept = [None] * len(self.ops)  # slot -> its value once computed, for variable-free slots
-        self.names.update(kept=kept, lookup=partial(_lookup, self.names["model"], self.names["residue_mod"], kept,
-                                                    self.terms))
+        ops = {i: op for i, op in enumerate(self.ops) if self.const[i]}  # all that _constant reads
+        constant = partial(_constant, *map(self.names.get, ("model", "numeral", "add", "residue_mod")), ops, kept)
+        self.names.update(kept=kept, constant=constant, lookup=partial(_lookup, constant, self.names["residue_mod"]))
         loop = self.given is not None
         self.depth = 3 if loop else 1
         self.emit(root)
@@ -347,13 +349,12 @@ class _Emitter:
         for i in witnesses:  # a false check computes the witnesses it did not read, in order
             self.demand(i)
         # a helper's slots are its check's locals, so the check assigns them all
-        consts = sorted(i for i in self.seen if self.const[i])
-        unset = (self.seen if self.helpers else self.unset).difference(consts)
+        reads = [f" s{i} = kept[{i}]" for i in sorted(self.seen) if self.const[i]]
+        unset = {i for i in (self.seen if self.helpers else self.unset) if not self.const[i]}
         if not loop:
             self.line("return False")
             start = [" " + " = ".join(f"s{i}" for i in sorted(unset)) + " = None"] if unset else []
-            start += [f" s{i} = kept[{i}]" for i in consts]
-            return "\n".join(["def check(env):", *self.helpers, *start, *self.lines, ""])
+            return "\n".join(["def check(env):", *self.helpers, *start, *reads, *self.lines, ""])
         # the case loop: the sampled variables take the corners, rotated, in
         # the first k cases, then draws; a failed case returns its number, the
         # sampled variables and the derived ones it computed, and its error
@@ -367,7 +368,7 @@ class _Emitter:
                   for j, i in enumerate(self.sampled)]
         draws = ["   " + d.format(i) for i in self.sampled for d in draw]
         return "\n".join([
-            "def run(rng, cases, corners):", *self.helpers, *(f" s{i} = kept[{i}]" for i in consts),
+            "def run(rng, cases, corners):", *self.helpers, *reads,
             " k = len(corners)", " draw = rng.getrandbits", " for i in range(cases):",
             *(["  if i < k:", *rotate, "  else:", *draws] if self.sampled else []),
             *(["  " + " = ".join(f"s{i}" for i in unset) + " = None"] if unset else []),
@@ -408,30 +409,29 @@ def compile_qf(f, model, derived=()):
     slots, and is computed at most once per call, when first demanded, so
     short-circuiting and the interpreter's first error (type and message)
     are kept, and so is the order of the model's operations.  A
-    variable-free slot is computed by the same generated code, at most
-    once over all calls, and keeps its value across them.  Sharing is
-    structural only: ``x + y`` and ``y + x``, or ``(x + y) + z`` and
-    ``x + (y + z)``, are different slots.  A chain of ``And`` or ``Or`` is
-    a flat run of tests, and a sum ``t + t + ... + t`` whose inner links
-    nothing else reads is a loop, so a check's code grows with its formula;
-    nesting, however deep, is cut into helper functions.  A congruence
-    compares the two sides' residue slots.  An ``Or`` chain of congruences
-    ``t == k mod n`` with one modulus, one term ``t`` and every ``k``
-    variable-free, such as A11's residue cases, is one node instead: it
-    looks ``t``'s residue up in the set of the ``k`` residues computed so
-    far, which it keeps across calls, and computes the next ones, in chain
-    order, only on a miss; so one check must not run in two threads at
-    once.  A ``k`` that has no kept value yet is computed there by
-    ``eval_term``, which reads the model's operations on that miss.
-    Otherwise the model's ``numeral``, ``add``, ``compare`` and
-    ``residue_mod`` are looked up once, here; ``v2`` whenever a call
-    computes a V2, before its operand, as ``eval_term`` does.  Where the
-    model binds ``operator.add``, the generic ``nonstandard.compare`` or
-    ``nonstandard.remainder``, as the standard model does, the check writes
-    ``a + b``, ``==`` then ``<``, or ``a % n`` (for an int n >= 1) in place
-    of the call, variable-free slots included: the Python operations the
-    function runs, in its order, so values and errors are the call's.  The
-    residue lookup and the witnesses still call the model.
+    variable-free slot is computed at most once over all calls, by one
+    function that the check and its residue lookups share, in
+    ``eval_term``'s order.  Sharing is structural only: ``x + y`` and
+    ``y + x``, or ``(x + y) + z`` and ``x + (y + z)``, are different slots.
+    A chain of ``And`` or ``Or`` is a flat run of tests, and a sum
+    ``t + t + ... + t`` whose inner links nothing else reads is a loop, so
+    a check's code grows with its formula; nesting, however deep, is cut
+    into helper functions.  A congruence compares the two sides' residue
+    slots.  An ``Or`` chain of congruences ``t == k mod n`` with one
+    modulus, one term ``t`` and every ``k`` variable-free, such as A11's
+    residue cases, is one node instead: it looks ``t``'s residue up in the
+    set of the ``k`` residues computed so far, which it keeps across calls,
+    and computes the next ones, in chain order, only on a miss; so one
+    check must not run in two threads at once.  The model's ``numeral``,
+    ``add``, ``compare`` and ``residue_mod`` are looked up once, here;
+    ``v2`` whenever a call computes a V2, before its operand, as
+    ``eval_term`` does.  Where the model binds ``operator.add``, the
+    generic ``nonstandard.compare`` or ``nonstandard.remainder``, as the
+    standard model does, the check's own code writes ``a + b``, ``==``
+    then ``<``, or ``a % n`` (for an int n >= 1) in place of the call: the
+    Python operations the function runs, in its order, so values and
+    errors are the call's.  Variable-free slots, the residue lookup and
+    the witnesses still call the model.
 
     Each ``(name, witness, param, reads)`` of ``derived`` binds ``name``
     in env to ``witness(model, param, *values)``, the values of ``reads``:

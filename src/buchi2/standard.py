@@ -3,9 +3,9 @@
 Elements are plain non-negative ints; every operation is exact.  The
 ``Model`` subclass at the bottom serves them like the non-standard model,
 so the two can be cross-checked case for case.  It binds ``operator.add``
-and keeps ``Model``'s generic ``compare`` and ``remainder``, so its compiled
-checks write ``+``, ``==``, ``<`` and ``%`` in place of those calls
-(``compiled.compile_qf``).
+and keeps ``Model``'s generic ``compare`` and ``remainder``, so a compiled
+check writes ``+``, ``==``, ``<`` and ``%`` in place of those calls on the
+slots that read a variable; its constants call them (``compiled.compile_qf``).
 """
 
 from __future__ import annotations
