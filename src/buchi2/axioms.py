@@ -58,7 +58,7 @@ MAX_SCHEMA = 500
 # -- witness functions -------------------------------------------------------
 #
 # Signature: fn(model, param, *values) -> element, where values are the
-# slot values of the reads its derived variable declares (see compile_qf).
+# slot values of the reads its derived variable declares (see compile_run).
 # Where no genuine witness exists the functions return a dummy (zero, or x)
 # that leaves the matrix's guarding antecedent false.
 
@@ -105,7 +105,7 @@ class AxiomSpec(_Frozen):
     one holds.  They range over ``sampled`` variables drawn from the model
     and the ``derived`` variables: each ``(name, witness, param, reads)``
     binds ``name`` to ``witness(model, param, *values of reads)`` when a
-    matrix first reads it (``compile_qf``'s ``derived``).  ``_compiled``, a
+    matrix first reads it (``compile_run``'s ``derived``).  ``_compiled``, a
     private slot that copies start empty, maps the ``id`` of the last two
     models checked to that model (held, so the ``id`` stays its own) and the
     check of all the obligations.
@@ -183,8 +183,12 @@ def build_axioms(schema_max: int = 12, ids: Optional[Collection[str]] = None) ->
 
     With ``ids``, only the specs with those ids, in catalog order; ids not
     in the catalog are ignored.  A schema's obligations, which grow with
-    ``schema_max``, are built only for the specs returned.
+    ``schema_max``, are built only for the specs returned.  A ``schema_max``
+    that is not an int, or ``ids`` given as one str, raises TypeError.
     """
+    _check_ints(schema_max=schema_max)
+    if isinstance(ids, str):  # a str is a collection of one-letter ids, and "" is in every str
+        raise TypeError(f"ids must be a collection of axiom ids, not a str, got {ids!r}")
     if schema_max < 3:
         raise ValueError(f"schema bound must be at least 3, got {schema_max}")
     if schema_max > MAX_SCHEMA:
@@ -389,8 +393,8 @@ def run_suite(
 
     Schema matrices are built for the requested ids only.  Empty or
     unknown ids raise ParseError, a ValueError, after the schema bound's
-    own errors; a ``seed`` or ``cases`` that is not an int raises
-    TypeError first.
+    own errors; a ``seed``, ``cases`` or ``schema_max`` that is not an int,
+    or ``ids`` given as one str, raises TypeError first.
     """
     _check_ints(cases=cases, seed=seed)
     catalog = build_axioms(schema_max, ids)

@@ -1,13 +1,12 @@
-"""Compiled evaluation of quantifier-free formulas (``compile_qf``).
+"""Compiled evaluation of quantifier-free formulas (``compile_run``).
 
 This is hash-consing (Filliâtre and Conchon, "Type-safe modular
 hash-consing", 2006) restricted to structural identity: no law of the
 model is assumed, so no sum is re-associated or commuted.  Each formula is
-compiled to the source of one Python function, generated code rather than
-a tree of closures (Feeley and Lapalme, "Using closures for code
-generation", 1987).  The axiom harness runs the same code inside a
-generated case loop (``compile_run``); ``formulas.eval_qf`` stays the
-reference.
+compiled to the source of one Python function, the axiom harness's case
+loop over sampled variables: generated code rather than a tree of closures
+(Feeley and Lapalme, "Using closures for code generation", 1987).
+``formulas.eval_qf`` stays the reference.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from .formulas import (
 )
 from .nonstandard import EQUAL, LESS, compare, remainder
 
-# The generated function keeps each distinct subterm ("slot") i in a local
+# The generated case loop keeps each distinct subterm ("slot") i in a local
 # s<i>, computed where a formula first demands it.  Code runs in the order
 # it is written, so the emitter knows at each demand which slots are
 # assigned on every path there (no test), on none (no test), or on some: a
@@ -36,7 +35,7 @@ from .nonstandard import EQUAL, LESS, compare, remainder
 # which keeps Python's limit on nesting (100) out of reach.  Formula text
 # never becomes source: names, numerals, moduli and model callables are
 # values of generated global names, in a namespace that holds no builtins
-# and, once compiled, not the check itself, so no reference cycle is left.
+# and, once compiled, not the loop itself, so no reference cycle is left.
 NESTING = 40
 
 
@@ -75,9 +74,9 @@ def _lookup(constant, residue_mod, x, n, pending, known):
 
 
 class _Emitter:
-    """Builds the slots and formula nodes of one check, then writes its source."""
+    """Builds the slots and formula nodes of one check, then writes its case loop's source."""
 
-    def __init__(self, model, sampled=None):
+    def __init__(self, model, sampled):
         self.slots: dict[tuple, int] = {}  # its op, or a variable's for a derived one -> slot
         self.ops: list[tuple] = []  # slot -> (kind, operand slots or values)
         self.const: list[bool] = []  # slot -> whether it is variable-free
@@ -93,29 +92,25 @@ class _Emitter:
         self.mod = self.names["residue_mod"] is remainder
         self.named: dict[int, str] = {}  # id of a value -> its name
         self.lines: list[str] = []  # the function being written
-        self.depth = 1  # indentation of the next line
+        self.depth = 3  # indentation of the next line: the loop's try block
         self.known: set[int] = set()  # slots assigned on every path to here
         self.log: list[int] = []  # the order they joined known, to leave branches
         self.seen: set[int] = set()  # slots assigned on some path to here
         self.unset: set[int] = set()  # tested slots: those not variable-free start as None
         self.assigned: set[int] = set()  # slots the function being written assigns
         self.helpers: list[str] = []  # the source of each helper function
-        # With sampled variables the source is a case loop, run(rng, cases,
-        # corners), whose prologue assigns them: their slots are known
-        # throughout, and no variable is read from an env.
-        self.given: dict[int, str] | None = None  # the sampled variables' slots -> their names
-        self.sampled: list[int] = []  # their slots in draw order, a repeated name repeated
-        if sampled is not None:
-            self.sampled = [self.term(Variable(v)) for v in sampled]
-            self.given = dict(zip(self.sampled, sampled))
-            for i in self.given:
-                self.assign(i)
-            sample = self.names["sample"] = model.sample
-            standard = sys.modules.get(f"{__package__}.standard")  # unless imported, no model samples as it does
-            if standard and getattr(sample, "__func__", None) is standard.StandardModel.sample:  # drawn inline
-                n = sample.__self__.offset_bound + 1
-                self.names.update(bound=n, bits=n.bit_length())
-            self.names.update(len=len, range=range)
+        # The case loop's prologue assigns the sampled variables: their slots
+        # are known throughout.
+        self.sampled = [self.term(Variable(v)) for v in sampled]  # in draw order, a repeated name repeated
+        self.given = dict(zip(self.sampled, sampled))  # the sampled variables' slots -> their names
+        for i in self.given:
+            self.assign(i)
+        sample = self.names["sample"] = model.sample
+        standard = sys.modules.get(f"{__package__}.standard")  # unless imported, no model samples as it does
+        if standard and getattr(sample, "__func__", None) is standard.StandardModel.sample:  # drawn inline
+            n = sample.__self__.offset_bound + 1
+            self.names.update(bound=n, bits=n.bit_length())
+        self.names.update(len=len, range=range)
 
     # -- slots and formula nodes --------------------------------------------
 
@@ -235,15 +230,12 @@ class _Emitter:
         guard = i if i in self.seen else None
         if guard is not None:
             self.unset.add(i)
-        if kind == "var" and self.given is not None:  # neither sampled nor derived
-            self.line(f"raise {self.name(UnboundVariableError)}({self.name(f'unbound variable {a!r}')})")
+        if kind in ("var", "bad"):  # a variable neither sampled nor derived, or not a term
+            error, message = (UnboundVariableError, f"unbound variable {a!r}") if kind == "var" else (TypeError, a)
+            self.line(f"raise {self.name(error)}({self.name(message)})")
             return f"s{i}"
         if self.const[i]:  # s<i> starts as its kept value, None until computed
             self.line(f"s{i} = constant({i})", i)
-        elif kind == "var":
-            self.block([f"try: s{i} = env[{self.name(a)}]",
-                        f"except {self.name(KeyError)}: raise {self.name(UnboundVariableError)}"
-                        f"({self.name(f'unbound variable {a!r}')}) from None"], guard)
         elif kind == "v2":  # model.v2 is looked up before the operand is computed
             self.line(f"f{i} = model.v2", guard)
             self.line(f"s{i} = f{i}({self.demand(a)})", guard)
@@ -265,14 +257,10 @@ class _Emitter:
                 self.line(f"s{i} = {first}", guard)
             else:
                 self.block([f"s{i} = {first}", f"for _ in {self.name(range(links - 1))}: s{i} = {more}"], guard)
-        elif kind == "derived":
-            name, witness, param = a
+        else:  # "derived"
+            _, witness, param = a
             args = "".join(f", {self.demand(r)}" for r in b)
-            store = f"s{i}" if self.given is not None else f"s{i} = env[{self.name(name)}]"
-            self.line(f"{store} = {self.name(witness)}(model, {self.name(param)}{args})", guard)
-        else:  # "bad"
-            self.line(f"raise {self.name(TypeError)}({self.name(a)})")
-            return f"s{i}"
+            self.line(f"s{i} = {self.name(witness)}(model, {self.name(param)}{args})", guard)
         self.assign(i)
         return f"s{i}"
 
@@ -342,22 +330,15 @@ class _Emitter:
         ops = {i: op for i, op in enumerate(self.ops) if self.const[i]}  # all that _constant reads
         constant = partial(_constant, *map(self.names.get, ("model", "numeral", "add", "residue_mod")), ops, kept)
         self.names.update(kept=kept, constant=constant, lookup=partial(_lookup, constant, self.names["residue_mod"]))
-        loop = self.given is not None
-        self.depth = 3 if loop else 1
         self.emit(root)
-        self.line("if r: continue" if loop else "if r: return True")
+        self.line("if r: continue")
         for i in witnesses:  # a false check computes the witnesses it did not read, in order
             self.demand(i)
-        # a helper's slots are its check's locals, so the check assigns them all
+        # a helper's slots are its loop's locals, so the loop assigns them all
         reads = [f" s{i} = kept[{i}]" for i in sorted(self.seen) if self.const[i]]
         unset = {i for i in (self.seen if self.helpers else self.unset) if not self.const[i]}
-        if not loop:
-            self.line("return False")
-            start = [" " + " = ".join(f"s{i}" for i in sorted(unset)) + " = None"] if unset else []
-            return "\n".join(["def check(env):", *self.helpers, *start, *reads, *self.lines, ""])
-        # the case loop: the sampled variables take the corners, rotated, in
-        # the first k cases, then draws; a failed case returns its number, the
-        # sampled variables and the derived ones it computed, and its error
+        # a failed case returns its number, the sampled variables and the
+        # derived ones it computed, and its error
         derived = {i: self.ops[i][1][0] for i in witnesses}
         unset = sorted(unset.union(derived).difference(self.given))
         pairs = [f"{self.name(v)}: s{i}" for i, v in (*self.given.items(), *derived.items())]
@@ -379,8 +360,8 @@ class _Emitter:
         ])
 
 
-def _generate(f, model, derived=(), sampled=None):
-    """The source of f's check, or with sampled variables its case loop, and the globals it runs with."""
+def _generate(f, model, derived, sampled):
+    """The source of f's case loop over the sampled variables, and the globals it runs with."""
     emitter = _Emitter(model, sampled)
     witnesses = [emitter.derive(*d) for d in derived]
     root = emitter.formula(f)
@@ -394,56 +375,7 @@ def _generate(f, model, derived=(), sampled=None):
 # all three models (44 distinct sources), and then some.
 @lru_cache(maxsize=64)
 def _code(source: str):
-    return compile(source, "<compile_qf>", "exec")
-
-
-def compile_qf(f, model, derived=()):
-    """check(env) -> bool, equal to ``eval_qf(f, env, model)`` for every env.
-
-    The check is one generated Python function with globals of its own;
-    ``compile_run`` writes the same code inside the axiom harness's case
-    loop, with the variables as locals in place of env.  Python's compiler
-    compiles each distinct source text once, for every model that writes
-    that text: compile a formula once and check it many times.
-    Each distinct subterm is one slot, keyed by its kind and its operands'
-    slots, and is computed at most once per call, when first demanded, so
-    short-circuiting and the interpreter's first error (type and message)
-    are kept, and so is the order of the model's operations.  A
-    variable-free slot is computed at most once over all calls, by one
-    function that the check and its residue lookups share, in
-    ``eval_term``'s order.  Sharing is structural only: ``x + y`` and
-    ``y + x``, or ``(x + y) + z`` and ``x + (y + z)``, are different slots.
-    A chain of ``And`` or ``Or`` is a flat run of tests, and a sum
-    ``t + t + ... + t`` whose inner links nothing else reads is a loop, so
-    a check's code grows with its formula; nesting, however deep, is cut
-    into helper functions.  A congruence compares the two sides' residue
-    slots.  An ``Or`` chain of congruences ``t == k mod n`` with one
-    modulus, one term ``t`` and every ``k`` variable-free, such as A11's
-    residue cases, is one node instead: it looks ``t``'s residue up in the
-    set of the ``k`` residues computed so far, which it keeps across calls,
-    and computes the next ones, in chain order, only on a miss; so one
-    check must not run in two threads at once.  The model's ``numeral``,
-    ``add``, ``compare`` and ``residue_mod`` are looked up once, here;
-    ``v2`` whenever a call computes a V2, before its operand, as
-    ``eval_term`` does.  Where the model binds ``operator.add``, the
-    generic ``nonstandard.compare`` or ``nonstandard.remainder``, as the
-    standard model does, the check's own code writes ``a + b``, ``==``
-    then ``<``, or ``a % n`` (for an int n >= 1) in place of the call: the
-    Python operations the function runs, in its order, so values and
-    errors are the call's.  Variable-free slots, the residue lookup and
-    the witnesses still call the model.
-
-    Each ``(name, witness, param, reads)`` of ``derived`` binds ``name``
-    in env to ``witness(model, param, *values)``, the values of ``reads``:
-    terms (sampled or earlier derived variables), and ``(term, n)`` for a
-    term's residue mod n, sharing f's own slots.  It is computed when f
-    first demands ``name``; a false check then computes the rest, in
-    order, so env holds them all.  A witness's error propagates.  The
-    equality with ``eval_qf`` is for the env that the check leaves.
-    """
-    source, names = _generate(f, model, derived)
-    exec(_code(source), names)
-    return names.pop("check")  # the check's globals must not hold it: no reference cycle
+    return compile(source, "<compile_run>", "exec")
 
 
 def compile_run(f, model, sampled, derived=()):
@@ -452,11 +384,37 @@ def compile_run(f, model, sampled, derived=()):
     Case i assigns the ``sampled`` variables, as locals, the corners
     rotated by i while i < len(corners), then one ``model.sample(rng)``
     each, written inline where that is ``StandardModel.sample``, and runs
-    ``compile_qf``'s check of f and ``derived`` on them.  ``run`` returns
-    None, or for the first case that is false or raises a ValueError: its
+    f on them as ``eval_qf`` does.  ``run`` returns None, or for the first
+    case that is false or raises a ValueError, such as the
+    UnboundVariableError of a variable neither sampled nor derived: its
     number from 1, an env of the sampled variables and the derived ones it
     computed (on a false case, all of them), and the error or None.
+
+    Each distinct subterm is one slot, computed at most once per case, when
+    first demanded, so the interpreter's short-circuits, first error (type
+    and message) and order of model operations are kept.  Sharing is
+    structural only: ``x + y`` and ``y + x`` are different slots.  A
+    variable-free slot is computed at most once over all calls.  An ``Or``
+    chain of congruences ``t == k mod n`` with one modulus, one term ``t``
+    and every ``k`` variable-free, such as A11's residue cases, looks
+    ``t``'s residue up in the set of the ``k`` residues computed so far,
+    kept across calls, and computes the next ones, in chain order, only on
+    a miss; so one loop must not run in two threads at once.  The model's
+    ``numeral``, ``add``, ``compare``, ``residue_mod`` and ``sample`` are
+    looked up once, here; ``v2`` whenever a case computes a V2, before its
+    operand, as ``eval_term`` does.  Where the model binds
+    ``operator.add``, the generic ``nonstandard.compare`` or
+    ``nonstandard.remainder``, as the standard model does, the loop writes
+    ``a + b``, ``==`` then ``<``, or ``a % n`` (for an int n >= 1) on the
+    slots that read a variable: the Python operations the call runs, in
+    its order, so values and errors are the call's.
+
+    Each ``(name, witness, param, reads)`` of ``derived`` binds ``name`` to
+    ``witness(model, param, *values)``, the values of ``reads``: terms
+    (sampled or earlier derived variables), and ``(term, n)`` for a term's
+    residue mod n, sharing f's own slots.  It is computed when f first
+    demands ``name``; a false case then computes the rest, in order.
     """
     source, names = _generate(f, model, derived, sampled)
     exec(_code(source), names)
-    return names.pop("run")
+    return names.pop("run")  # the loop's globals must not hold it: no reference cycle

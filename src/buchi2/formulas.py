@@ -51,10 +51,11 @@ Evaluation is generic over ``Model`` (see ``nonstandard``); congruences
 are decided by residues, not by searching for the divisibility witness.
 ``eval_qf`` interprets a quantifier-free formula, walking the tree on every
 call; it is the reference, and the CLI uses it, since it evaluates each
-line once.  ``compiled.compile_qf`` turns a formula into a check for one
-model that gives the same value, or raises the same error, on every
-assignment; the axiom harness, which checks each matrix on many
-assignments, uses it, so the CLI loads it only for ``axioms``.
+line once.  ``compiled.compile_run`` turns a formula into a case loop for
+one model that gives the same value, or raises the same error, on every
+assignment of the sampled variables; the axiom harness, which checks each
+matrix on many assignments, runs it, so the CLI loads it only for
+``axioms``.
 ``mentions`` says whether a tree has a node of a given kind, such as a
 quantifier or ``V2``.  ``identifiers`` gives the names in a line's text,
 from which the CLI reads, without walking the tree, whether a line that

@@ -5,7 +5,7 @@ Elements are plain non-negative ints; every operation is exact.  The
 so the two can be cross-checked case for case.  It binds ``operator.add``
 and keeps ``Model``'s generic ``compare`` and ``remainder``, so a compiled
 check writes ``+``, ``==``, ``<`` and ``%`` in place of those calls on the
-slots that read a variable; its constants call them (``compiled.compile_qf``).
+slots that read a variable; its constants call them (``compiled.compile_run``).
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from buchi2.axioms import (
     run_suite,
 )
 from buchi2.axioms import _congruence_matrix, _odd_indivisibility_matrix, _one, _residue_cases_matrix
-from buchi2.compiled import _generate, compile_qf, compile_run
+from buchi2.compiled import _generate, compile_run
 from buchi2.formulas import And, Numeral, V2App, Variable, eval_qf, mentions, parse_formula
 from buchi2.nonstandard import Model, NegativeResultError, NonstandardModel, NotDivisibleError, Ordering
 from buchi2.pairs import PairsModel
@@ -45,6 +45,7 @@ from fault_models import (
     OffByOneAddModel,
     OffByOneResidueModel,
 )
+from test_formulas import answer, one_case
 
 NONSTD = NonstandardModel()
 STD = StandardModel()
@@ -225,6 +226,27 @@ def test_cases_and_seed_must_be_ints(name, value):
         run_suite(STD, ids=(), **{name: value})
     with pytest.raises(TypeError, match=message):  # before a model without V2 skips it
         run_suite(PAIRS, ids=("V12",), **{name: value})
+
+
+@pytest.mark.parametrize("value", [12.0, True, "12", None])
+def test_schema_max_must_be_an_int(value):
+    # checked before the bound's ValueErrors, which would compare a bool or
+    # a float as a number
+    message = f"^schema_max must be an int, got {re.escape(repr(value))}$"
+    with pytest.raises(TypeError, match=message):
+        build_axioms(value)
+    with pytest.raises(TypeError, match=message):
+        run_suite(STD, schema_max=value, ids=("A1",))
+
+
+@pytest.mark.parametrize("ids", ["A11", ""])
+def test_ids_must_not_be_a_str(ids):
+    # a str is a collection of its letters, and "" is in every str
+    message = f"^ids must be a collection of axiom ids, not a str, got {re.escape(repr(ids))}$"
+    with pytest.raises(TypeError, match=message):
+        build_axioms(ids=ids)
+    with pytest.raises(TypeError, match=message):
+        run_suite(STD, ids=ids)
 
 
 def test_build_axioms_filters_by_id_in_catalog_order():
@@ -522,25 +544,31 @@ CHECKED_MODELS = [NONSTD, STD, PAIRS, ConstantV2Model(), IdentityV2Model(), Carr
 
 @pytest.mark.parametrize("model", CHECKED_MODELS, ids=lambda m: type(m).__name__)
 def test_compiled_obligations_match_the_interpreter(model):
-    # The checks bind the derived variables they demand, and on a false
-    # check all of them, to the reference witnesses' values; where a
-    # reference witness raises, a check either does not demand it or
+    # A false or failed case returns the derived variables it computed, and
+    # a false case all of them, with the reference witnesses' values; where
+    # a reference witness raises, a case either does not demand it or
     # raises the same error.
     corners = model.corner_elements()
     for spec in build_axioms():
         obligations = [m for _, m in spec.obligations]
         if not model.has_v2 and any(mentions(m, V2App) for m in obligations):
             continue  # SKIPPED by the harness
-        checks = [compile_qf(m, model, spec.derived) for m in obligations]
+        runs = [compile_run(m, model, spec.sampled, spec.derived) for m in obligations]
         for seed in range(10):
             rng = random.Random(f"{seed}:{spec.id}")
             for case in range(len(corners) + 5):
                 env = sample_env(spec, model, rng, corners, case)
                 expected = dict(env)
                 error = outcome(lambda: bind_reference_witnesses(spec, model, expected))
-                for matrix, check in zip(obligations, checks):
-                    got = dict(env)
-                    result = outcome(lambda: check(got))
+                for matrix, run in zip(obligations, runs):
+                    failed = outcome(lambda: run(random.Random(0), 1, tuple(env.values())))
+                    if failed is None:
+                        result, got = True, env
+                    elif isinstance(failed[1], dict):  # (case, env, error or None)
+                        _, got, e = failed
+                        result = False if e is None else (type(e), str(e))
+                    else:  # an error the loop does not catch
+                        result, got = failed, env
                     if error is None:
                         assert result == outcome(lambda: eval_qf(matrix, expected, model))
                         assert got.items() <= expected.items()
@@ -575,10 +603,10 @@ def test_reports_match_the_interpreting_harness(model_class):
 
 def test_residue_cases_share_the_residue_and_keep_the_constants():
     model = CountingModel()
-    check = compile_qf(dict(by_id("A11").obligations)[12], model)
-    assert check({"x": model.numeral(11)})  # the last disjunct: every residue computed
+    run = compile_run(dict(by_id("A11").obligations)[12], model, ("x",))
+    assert answer(run, (model.numeral(11),))  # the last disjunct: every residue computed
     model.calls.clear()
-    assert check({"x": model.parse("1/3c+2")})
+    assert answer(run, (model.parse("1/3c+2"),))
     assert model.calls == {"residue_mod": 1}
 
 
@@ -591,29 +619,29 @@ def test_a_lookup_constant_that_the_check_also_reads_is_computed_once():
     for text, y, numerals in (("(x == 1 mod 3 | x == 2 mod 3) & y = 1", 1, 2),
                               ("(x == 1 + 1 mod 3 | x == 0 mod 3) & y = 1 + 1", 2, 1)):
         model = CountingModel()
-        check = compile_qf(parse_formula(text), model)
-        env = {"x": model.numeral(2), "y": model.numeral(y)}
+        run = compile_run(parse_formula(text), model, ("x", "y"))
+        values = (model.numeral(2), model.numeral(y))
         for count in (numerals, 0):
             model.calls.clear()
-            assert check(dict(env))
+            assert answer(run, values)
             assert model.calls["numeral"] == count, text
 
 
 def test_each_numeral_is_computed_once_over_many_checks():
     model = CountingModel()
     (_, a3), = by_id("A3").obligations  # the numerals 0 and 1, each written 4 times
-    check = compile_qf(a3, model)
+    run = compile_run(a3, model, ("x", "z"))
     corners = model.corner_elements()
     for k in range(10):
-        check({"x": corners[k], "z": corners[k + 1]})
+        answer(run, (corners[k], corners[k + 1]))
     assert model.calls["numeral"] == 2
 
 
 def test_a_constant_sum_is_computed_once_over_many_checks():
     model = CountingModel()
-    check = compile_qf(parse_formula("x = 1 + 1 + 1"), model)
+    run = compile_run(parse_formula("x = 1 + 1 + 1"), model, ("x",))
     for x in model.corner_elements()[:5]:
-        check({"x": x})
+        answer(run, (x,))
     assert model.calls["add"] == 2
 
 
@@ -622,10 +650,10 @@ def test_sums_are_not_rewritten(axiom_id, adds):
     # (x + y) + z and x + (y + z), x + y and y + x: different sums, each computed
     model = CountingModel()
     (_, matrix), = by_id(axiom_id).obligations
-    check = compile_qf(matrix, model)
+    run = compile_run(matrix, model, ("x", "y", "z"))
     for x in model.corner_elements()[:5]:
         model.calls.clear()
-        assert check({"x": x, "y": model.parse("c-3"), "z": model.parse("2/7c")})
+        assert answer(run, (x, model.parse("c-3"), model.parse("2/7c")))
         assert model.calls["add"] == adds
 
 
@@ -638,12 +666,12 @@ def test_congruence_schema_add_count():
     (_, matrix), = spec.obligations
     model = CountingModel()
     env = {"x": model.numeral(12), "y": model.numeral(0), "u": model.parse("c+1")}
-    check = compile_qf(matrix, model, spec.derived)
+    run = compile_run(matrix, model, tuple(env), spec.derived)
     for _ in range(2):
         model.calls.clear()
-        assert check(env)
+        assert answer(run, env.values())
         assert model.calls["add"] == (2 + 3 + 4 + 6 + 12) + 2 * 11 == 49
-        assert sorted(name for name in env if name.startswith("w")) == ["w12", "w2", "w3", "w4", "w6"]
+    bind_reference_witnesses(spec, model, env)
     model.calls.clear()
     assert eval_qf(matrix, env, model)
     assert model.calls["add"] == (2 + 3 + 4 + 6 + 12) + sum(range(2, 13)) == 104
@@ -678,9 +706,9 @@ def test_a_spec_without_obligations_passes():
 
 
 def test_a_compilation_leaves_no_reference_cycle():
-    # With the collector off, a dropped check or case loop must be freed
-    # by its reference counts alone, also once it has run; A11's and L's
-    # residue lookups keep their constants in per-check state.
+    # With the collector off, a dropped case loop must be freed by its
+    # reference counts alone, also once it has run; A11's and L's residue
+    # lookups keep their constants in per-loop state.
     specs = (by_id("A4"), by_id("A11"),
              AxiomSpec("L", "", sampled=("x", "y"), obligations=_one("(x == 1 + 1 mod 3 | x == 0 mod 3) & y = 1 + 1")))
     corners = NONSTD.corner_elements()
@@ -690,12 +718,6 @@ def test_a_compilation_leaves_no_reference_cycle():
         for spec in specs:
             matrix = reduce(And, (m for _, m in spec.obligations))
             gc.collect()
-            check = compile_qf(matrix, NONSTD, spec.derived)
-            for case in range(len(corners)):
-                env = {v: corners[(case + j) % len(corners)] for j, v in enumerate(spec.sampled)}
-                assert check(env) in (True, False)
-            del check
-            assert gc.collect() == 0, spec.id
             compile_run(matrix, NONSTD, spec.sampled, spec.derived)(random.Random(0), 30, corners)
             assert gc.collect() == 0, spec.id
     finally:
@@ -716,13 +738,13 @@ def test_residue_cases_compile_to_fewer_objects_than_disjuncts(model):
     try:
         gc.collect()
         before = len(gc.get_objects())
-        check = compile_qf(matrix, model, spec.derived)
+        run = compile_run(matrix, model, spec.sampled, spec.derived)
         gc.collect()
         created = len(gc.get_objects()) - before
     finally:
         if enabled:
             gc.enable()
-    assert check({"x": model.numeral(7)})
+    assert answer(run, (model.numeral(7),))
     assert created < disjuncts
 
 
@@ -731,7 +753,7 @@ def test_the_code_of_a4_grows_linearly_with_the_schema():
     def lines(schema_max):
         spec = by_id("A4", schema_max)
         (_, matrix), = spec.obligations
-        return len(_generate(matrix, STD, spec.derived)[0].splitlines())
+        return len(_generate(matrix, STD, spec.derived, spec.sampled)[0].splitlines())
     assert lines(24) < 2.5 * lines(12)
     assert lines(48) < 2.5 * lines(24)
 
@@ -825,7 +847,7 @@ def compiles(monkeypatch):
     real = builtins.compile
 
     def counting(source, filename, *args, **kwargs):
-        if filename == "<compile_qf>":
+        if filename == "<compile_run>":
             sources.append(source)
         return real(source, filename, *args, **kwargs)
 
@@ -950,17 +972,12 @@ def _never_called(model, param, *values):
 
 def test_a_witness_behind_a_false_antecedent_is_never_called():
     derived = (("w", _never_called, None, (Variable("x"),)),)
-    check = compile_qf(parse_formula("x = 0 -> x = w + x"), STD, derived)
-    env = {"x": 5}
-    assert check(env) is True
-    assert env == {"x": 5}
+    assert one_case(parse_formula("x = 0 -> x = w + x"), STD, {"x": 5}, derived) is True
     # A4 on two elements that agree modulo no n in 2..12: no witness runs.
     spec = by_id("A4")
     (_, matrix), = spec.obligations
     derived = tuple((name, _never_called, n, reads) for name, _, n, reads in spec.derived)
-    env = {"x": 0, "y": 1, "u": 7}
-    assert compile_qf(matrix, STD, derived)(env) is True
-    assert sorted(env) == ["u", "x", "y"]
+    assert one_case(matrix, STD, {"x": 0, "y": 1, "u": 7}, derived) is True
 
 
 def test_a_demanded_witness_error_is_the_reference_witness_error():
@@ -969,8 +986,8 @@ def test_a_demanded_witness_error_is_the_reference_witness_error():
     env = {"x": model.numeral(3), "y": model.numeral(8)}
     error = outcome(lambda: bind_reference_witnesses(spec, model, dict(env)))
     assert error == (NotDivisibleError, "3 is not divisible by 2")
-    assert outcome(lambda: compile_qf(matrix, model, spec.derived)(env)) == error
-    assert sorted(env) == ["x", "y"]
+    case, bound, e = compile_run(matrix, model, tuple(env), spec.derived)(random.Random(0), 1, tuple(env.values()))
+    assert (case, bound, (type(e), str(e))) == (1, env, error)
 
 
 def test_a_false_check_computes_the_witnesses_it_did_not_demand_in_order():
@@ -985,16 +1002,19 @@ def test_a_false_check_computes_the_witnesses_it_did_not_demand_in_order():
         return model.add(x, x)
 
     x = Variable("x")
-    check = compile_qf(parse_formula("x = 1 & b = x + x"), STD, (("a", halve, None, (x,)), ("b", double, None, (x,))))
-    for value, result, bound, order in [
-        (1, True, {"b": 2}, ["b"]),  # a is not demanded
-        (4, False, {"a": 2, "b": 8}, ["a", "b"]),  # a false check computes both, in order
-        (3, (NotDivisibleError, "3 is not divisible by 2"), {}, ["a"]),
+    derived = (("a", halve, None, (x,)), ("b", double, None, (x,)))
+    run = compile_run(parse_formula("x = 1 & b = x + x"), STD, ("x",), derived)
+    for value, failed, order in [
+        (1, None, ["b"]),  # a true case: a is not demanded
+        (4, (1, {"x": 4, "a": 2, "b": 8}, None), ["a", "b"]),  # a false case computes both, in order
+        (3, (1, {"x": 3}, (NotDivisibleError, "3 is not divisible by 2")), ["a"]),
     ]:
-        env = {"x": value}
         computed.clear()
-        assert outcome(lambda: check(env)) == result
-        assert env == {"x": value, **bound}
+        result = run(random.Random(0), 1, (value,))
+        if result is not None:
+            case, env, error = result
+            result = case, env, error and (type(error), str(error))
+        assert result == failed
         assert computed == order
 
 
@@ -1008,12 +1028,12 @@ def test_congruence_witnesses_read_the_matrix_residues():
     (_, matrix), = spec.obligations
     lazy, eager = CountingModel(), CountingModel()
     assert check_axiom(spec, lazy, cases=2000, seed=0).status == PASS
-    check = compile_qf(matrix, eager)  # the derived variables read from env
+    run = compile_run(matrix, eager, (*spec.sampled, *(name for name, *_ in spec.derived)))  # witnesses sampled
     rng, corners = random.Random(f"0:{spec.id}"), eager.corner_elements()
     for i in range(2000):
         env = sample_env(spec, eager, rng, corners, i)
         bind_reference_witnesses(spec, eager, env)
-        assert check(env)
+        assert answer(run, env.values())
     assert (lazy.calls["residue_mod"], eager.calls["residue_mod"]) == (33 * 2000, 55 * 2000)
     assert lazy.calls["numeral"] == 1 < eager.calls["numeral"]
     for op in ("add", "sub", "divide"):

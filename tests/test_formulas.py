@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 import buchi2.formulas as formulas_module
 
 from buchi2.axioms import MAX_SCHEMA, AxiomSpec, Report, build_axioms
-from buchi2.compiled import _generate, compile_qf
+from buchi2.compiled import _generate, compile_run
 from buchi2.formulas import (
     MAX_DEPTH,
     And,
@@ -718,6 +718,22 @@ def outcome(evaluate):
         return type(exc), str(exc)
 
 
+def answer(run, values):
+    """What a compiled case loop answers on one case whose sampled variables
+    take values: True, False, or the error it returns, raised."""
+    failed = run(random.Random(0), 1, tuple(values))
+    if failed is None:
+        return True
+    if failed[2] is not None:
+        raise failed[2]
+    return False
+
+
+def one_case(f, model, env, derived=()):
+    """f on env, compiled: one case of f's case loop over env's names, on env's values."""
+    return answer(compile_run(f, model, tuple(env), derived), env.values())
+
+
 def environments(model):
     # subsets of the names, so unbound variables occur too
     values = st.one_of(
@@ -778,9 +794,8 @@ def qf_formulas(v2=True):
 def test_compiled_matches_interpreter(model):
     @given(qf_formulas(v2=model.has_v2), environments(model))
     def compiled_matches(f, envs):
-        check = compile_qf(f, model)  # one check over several calls: kept values are reused
         for env in envs:
-            assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, model))
+            assert outcome(lambda: one_case(f, model, env)) == outcome(lambda: eval_qf(f, env, model))
     compiled_matches()
 
 
@@ -789,37 +804,47 @@ def test_compiled_runs_the_interpreters_operations_in_order(f, envs):
     # The compiled check skips repeated operations, so the two logs must
     # agree on the first run of each; a failed operation is logged too.
     compiled, interpreted = LoggedModel(), LoggedModel()
-    check = compile_qf(f, compiled)
     for env in envs:
-        assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, interpreted))
+        assert outcome(lambda: one_case(f, compiled, env)) == outcome(lambda: eval_qf(f, env, interpreted))
     assert list(dict.fromkeys(compiled.log)) == list(dict.fromkeys(interpreted.log))
 
 
 @given(formulas(), environments(STD))
 def test_compiled_quantifiers_raise_where_the_interpreter_does(f, envs):
-    check = compile_qf(f, STD)
     for env in envs:
-        assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, STD))
+        assert outcome(lambda: one_case(f, STD, env)) == outcome(lambda: eval_qf(f, env, STD))
 
 
 def test_compiled_errors_are_the_interpreters():
     env = {"x": 3}
     for f in (parse_formula("x = 1 -> forall y. y = y"), Eq(Variable("x"), "x"), Not(Variable("x"))):
-        assert outcome(lambda: compile_qf(f, STD)(env)) == outcome(lambda: eval_qf(f, env, STD))
-    assert compile_qf(parse_formula("x = 2 & forall y. y = y"), STD)(env) is False
-    assert outcome(lambda: compile_qf(parse_formula("y + z = x"), STD)(env)) == (
+        assert outcome(lambda: one_case(f, STD, env)) == outcome(lambda: eval_qf(f, env, STD))
+    assert one_case(parse_formula("x = 2 & forall y. y = y"), STD, env) is False
+    assert outcome(lambda: one_case(parse_formula("y + z = x"), STD, env)) == (
         UnboundVariableError, "unbound variable 'y'",
     )
     # without V2, V2 fails before its operand is computed, as in eval_term
     f = parse_formula("V2(y) = x")
-    assert outcome(lambda: compile_qf(f, PAIRS)(env)) == outcome(lambda: eval_qf(f, env, PAIRS)) == (
+    assert outcome(lambda: one_case(f, PAIRS, env)) == outcome(lambda: eval_qf(f, env, PAIRS)) == (
         AttributeError, "'PairsModel' object has no attribute 'v2'",
     )
 
 
+def test_a_variable_the_loop_does_not_sample_raises_where_it_is_read():
+    # y is neither sampled nor derived: as in eval_qf, a case raises its
+    # UnboundVariableError only where the formula reads y, and the loop
+    # returns that error with the case that raised it
+    f = parse_formula("x = 1 & y = 2")
+    run = compile_run(f, STD, ("x",))
+    for x, expected in ((0, False), (1, (UnboundVariableError, "unbound variable 'y'"))):
+        assert outcome(lambda: answer(run, (x,))) == outcome(lambda: eval_qf(f, {"x": x}, STD)) == expected
+    case, env, error = run(random.Random(0), 1, (1,))
+    assert (case, env, type(error)) == (1, {"x": 1}, UnboundVariableError)
+
+
 @pytest.mark.parametrize("model", [STD, PAIRS], ids=["std", "pairs"])
 def test_compiled_operators_fail_where_the_models_calls_do(model):
-    # where a check writes Python operators in place of the model's calls,
+    # where a case loop writes Python operators in place of the model's calls,
     # they answer and raise as the calls do, also on values no model holds
     # (constants included, and the constants a residue lookup computes)
     texts = (
@@ -828,11 +853,11 @@ def test_compiled_operators_fail_where_the_models_calls_do(model):
     )
     values = (None, "a", 1.5, -3, True, (1, 2), model.numeral(2))
     for f in map(parse_formula, texts):
-        check = compile_qf(f, model)
+        run = compile_run(f, model, ("x", "y"))
         for x in values:
             for y in values:
                 env = {"x": x, "y": y}
-                assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, model)), (f, env)
+                assert outcome(lambda: answer(run, (x, y))) == outcome(lambda: eval_qf(f, env, model)), (f, env)
 
 
 def test_compiled_chains_loop_and_sums_recurse_as_eval_qf():
@@ -841,18 +866,18 @@ def test_compiled_chains_loop_and_sums_recurse_as_eval_qf():
     x, n = Variable("x"), 3000
     total = Eq(nsum(x, MAX_SCHEMA), Numeral(MAX_SCHEMA))
     for value in (1, 2):
-        assert compile_qf(total, STD)({"x": value}) is eval_qf(total, {"x": value}, STD)
+        assert one_case(total, STD, {"x": value}) is eval_qf(total, {"x": value}, STD)
     f = Or(total, Lt(x, x))
     for _ in range(n):
         f = Or(f, Lt(x, x))
-    check = compile_qf(f, STD)
-    assert check({"x": 1}) is True
-    assert check({"x": 2}) is False
+    run = compile_run(f, STD, ("x",))
+    assert answer(run, (1,)) is True
+    assert answer(run, (2,)) is False
 
 
 def test_a_compilation_reads_each_model_operation_once():
-    # the check's code and its variable-free slots share one binding of each
-    # operation; v2 is read only when a call computes a V2
+    # the loop's code and its variable-free slots share one binding of each
+    # operation, the sampler included; v2 is read only when a case computes a V2
     reads = {}
 
     class Counted(StandardModel):
@@ -861,25 +886,27 @@ def test_a_compilation_reads_each_model_operation_once():
             return super().__getattribute__(name)
 
     f = parse_formula("x + 1 < y & (x == 2 mod 3 | 2 + 3 == y mod 4) & V2(x) = V2(4)")
-    check = compile_qf(f, Counted())
-    assert {name: reads.get(name, 0) for name in ("numeral", "add", "compare", "residue_mod", "v2")} == {
-        "numeral": 1, "add": 1, "compare": 1, "residue_mod": 1, "v2": 0,
+    run = compile_run(f, Counted(), ("x", "y"))
+    assert {name: reads.get(name, 0) for name in ("numeral", "add", "compare", "residue_mod", "sample", "v2")} == {
+        "numeral": 1, "add": 1, "compare": 1, "residue_mod": 1, "sample": 1, "v2": 0,
     }
-    assert check({"x": 4, "y": 9}) is eval_qf(f, {"x": 4, "y": 9}, STD) is True
+    assert answer(run, (4, 9)) is eval_qf(f, {"x": 4, "y": 9}, STD) is True
 
 
 @pytest.mark.parametrize("spoiled", [False, True])
 def test_only_a_pure_residue_chain_compiles_to_a_lookup(spoiled):
-    # the check of a pure chain calls the lookup, one of a spoiled chain does not
+    # the loop of a pure chain calls the lookup, one of a spoiled chain does not
     @given(residue_chains(spoiled=spoiled))
     def compiles_to_a_lookup(f):
-        assert ("lookup" in compile_qf(f, STD).__code__.co_names) is not spoiled
+        run = compile_run(f, STD, tuple(sorted(free_variables(f))))
+        assert ("lookup" in run.__code__.co_names) is not spoiled
     compiles_to_a_lookup()
 
 
 # Variable names that mean something to the generated code or to Python, and names that are source text.
 AWKWARD_NAMES = [
     "env", "vals", "kept", "add", "compare", "residue_mod", "numeral", "model", "constant", "lookup",
+    "run", "rng", "cases", "corners", "draw", "sample", "k", "i", "e", "len", "range",
     "check", "r", "s0", "s1", "f2", "c0", "c3", "h0", "_", "None", "True", "lambda", "import", "def",
     "__builtins__", "__import__", "x\nimport os", "x'] = 1; import os; ['", "x\nraise SystemExit(7)",
     "\\", '"""', "#", "\x00", "(", "é",
@@ -892,25 +919,25 @@ def test_names_and_numerals_never_become_source():
     parts = [Eq(Sum(x[i], Numeral(huge)), Sum(x[i - 1], Numeral(i))) for i in range(len(x))]
     parts += [CongMod(huge + 2, x[i], V2App(x[i - 2])) for i in range(len(x))]
     f = reduce(Or, [Lt(Numeral(huge), x[0]), *parts])
-    # a derived variable with an awkward name, bound by the check
+    # a derived variable with an awkward name, bound by the loop; half the names sampled, half unbound
     derived = (("w\nimport sys", lambda model, param, a: model.add(a, a), None, (x[1],)),)
     g = And(Lt(Variable("w\nimport sys"), Numeral(huge)), f)
     for formula in (f, g):
-        source, _ = _generate(formula, STD, derived)
+        source, _ = _generate(formula, STD, derived, AWKWARD_NAMES[::2])
         assert "import" not in source and "SystemExit" not in source and str(huge)[:20] not in source
-    check, checked = compile_qf(f, STD), compile_qf(g, STD, derived)
     rng = random.Random(0)
     for k in range(100):
         env = {name: rng.choice([0, 1, 2, huge, huge + 1]) for name in AWKWARD_NAMES if rng.random() < 0.97}
-        assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, STD))
-        result = outcome(lambda: checked(env))  # which binds the derived variable, read first
-        if isinstance(result, bool):
-            assert result == eval_qf(g, env, STD)
+        assert outcome(lambda: one_case(f, STD, env)) == outcome(lambda: eval_qf(f, env, STD))
+        result = outcome(lambda: one_case(g, STD, env, derived))  # which reads the derived variable first
+        if x[1].name in env:
+            assert result == outcome(lambda: eval_qf(g, {**env, "w\nimport sys": 2 * env[x[1].name]}, STD))
         else:
-            assert result[0] is UnboundVariableError
+            assert result == (UnboundVariableError, f"unbound variable {x[1].name!r}")
     env = {name: 1 for name in AWKWARD_NAMES}
     del env["x\nraise SystemExit(7)"]
-    assert outcome(lambda: check(env)) == (UnboundVariableError, "unbound variable 'x\\nraise SystemExit(7)'")
+    assert outcome(lambda: one_case(f, STD, env)) == (
+        UnboundVariableError, "unbound variable 'x\\nraise SystemExit(7)'")
 
 
 def deepest(text):
@@ -936,11 +963,11 @@ def deepest(text):
 def test_formulas_nested_to_max_depth_compile(model, text):
     depth, f = deepest(text)
     assert depth == MAX_DEPTH
-    check = compile_qf(f, model)
+    run = compile_run(f, model, ("x", "y"))
     corners = model.corner_elements()
     for x, y in zip(corners, corners[1:] + corners[:1]):
         env = {"x": x, "y": y}
-        assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, model))
+        assert outcome(lambda: answer(run, (x, y))) == outcome(lambda: eval_qf(f, env, model))
 
 
 def faulty(model, operation, bad):
@@ -982,29 +1009,28 @@ FAULTY_CONSTANTS = {"numeral": Numeral, "residue_mod": Numeral, "add": lambda j:
 def test_a_faulty_constant_raises_where_the_chain_reaches_it(model, operation):
     faulty_model = faulty(model, operation, 3)
     f = reduce(Or, (CongMod(5, Variable("x"), FAULTY_CONSTANTS[operation](j)) for j in range(5)))
-    check = compile_qf(f, faulty_model)
+    run = compile_run(f, faulty_model, ("x",))  # one loop over several calls: the lookup keeps its residues
     for j in (4, 1, 3, 0, 2, 4, 1):  # x == j mod 5, never x = 3 itself
         env = {"x": faulty_model.numeral(j + 5)}
         expected = True if j < 3 else (ArithmeticError, f"{operation} fails on 3")
-        assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, faulty_model)) == expected
+        assert outcome(lambda: answer(run, env.values())) == outcome(lambda: eval_qf(f, env, faulty_model)) == expected
 
     @given(residue_chains(model.has_v2), st.integers(0, 15), environments(model))
     def raises_as_the_interpreter(f, bad, envs):
         faulty_model = faulty(model, operation, bad)
-        check = compile_qf(f, faulty_model)
         for env in envs:
-            assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, faulty_model))
+            assert outcome(lambda: one_case(f, faulty_model, env)) == outcome(lambda: eval_qf(f, env, faulty_model))
     raises_as_the_interpreter()
 
 
 @pytest.mark.parametrize("model", [NONSTD, STD, PAIRS], ids=["nonstd", "std", "pairs"])
 def test_a_constant_sum_that_fails_keeps_no_partial_sum(model):
-    # 1 + 1 + 1 + 1 is a loop whose third addition fails; the check must
+    # 1 + 1 + 1 + 1 is a loop whose third addition fails; the case loop must
     # raise on every call, not take the sum so far as its value on the next
     faulty_model = faulty(model, "add", 4)
     f = parse_formula("x = 1 + 1 + 1 + 1")
-    check = compile_qf(f, faulty_model)
+    run = compile_run(f, faulty_model, ("x",))
     env = {"x": faulty_model.numeral(3)}
     for _ in range(3):
-        assert outcome(lambda: check(env)) == outcome(lambda: eval_qf(f, env, faulty_model)) == (
+        assert outcome(lambda: answer(run, env.values())) == outcome(lambda: eval_qf(f, env, faulty_model)) == (
             ArithmeticError, "add fails on 4")

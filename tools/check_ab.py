@@ -1,4 +1,4 @@
-"""Time the axiom checks, check_axiom requests and REPL sessions of this checkout against a git revision's.
+"""Time the check_axiom requests and REPL sessions of this checkout against a git revision's.
 
     python3 tools/check_ab.py REV
 
@@ -7,15 +7,12 @@ Extracts REV with ``behaviour_diff.extract`` and imports the two trees'
 ``buchi2_this`` (the package imports itself by relative imports only), so
 that neither tree is favoured by how it was loaded.  Each tree builds its
 models with its own ``cli.make_model``.  Per model, ``std`` and
-``nonstd``, it times two things over ROUNDS rounds each, with no tracing
-proxy and the garbage collector off:
-
-- checks: each tree compiles the schema-12 catalog and samples the same
-  seeded envs, ENVS per axiom, and runs the compiled checks alone on them;
-- requests: each tree runs whole ``check_axiom`` requests on the same
-  catalog, shaped as the benchmark's rounds: round k checks every axiom
-  with seed k and a seeded CASES[0]..CASES[1] cases, so the harness loop
-  and the sampler are timed too.
+``nonstd``, it times requests over ROUNDS rounds, with no tracing proxy
+and the garbage collector off: each tree runs whole ``check_axiom``
+requests on the schema-12 catalog, shaped as the benchmark's rounds:
+round k checks every axiom with seed k and a seeded CASES[0]..CASES[1]
+cases, so the compiled case loop, the harness and the sampler are timed
+together.
 
 Then it times REPL requests: round k runs one whole
 ``cli.main(["repl", "--model", "nonstd"])`` session of each tree on
@@ -27,10 +24,9 @@ which tree goes first alternates from axiom to axiom and from round to
 round, so that a burst of load on a shared host skews both trees alike.
 Per line it prints each tree's median time per round, the median over
 rounds of the ratio this checkout / REV, and how many rounds each tree was
-faster in.  Exits 1 if the two trees' checks answer differently on an
-env, their requests return different Reports, or their REPL sessions
-print different replies, so that the timings compare the same work, and 2
-if REV cannot be extracted.
+faster in.  Exits 1 if the two trees' requests return different Reports
+or their REPL sessions print different replies, so that the timings
+compare the same work, and 2 if REV cannot be extracted.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ import statistics
 import sys
 import tempfile
 import time
-from functools import partial, reduce
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,7 +51,6 @@ sys.path.insert(0, str(ROOT / "tools"))
 from behaviour_diff import extract  # noqa: E402
 
 SCHEMA = 12
-ENVS = 400
 ROUNDS = 40
 CASES = (50, 150)  # cases per check_axiom request, as in the benchmark
 TIMED = ("std", "nonstd")  # the ``--model`` names of the models timed
@@ -76,38 +71,6 @@ def suite(package: str, model_name: str):
     model = importlib.import_module(f"{package}.cli").make_model(model_name)
     axioms = importlib.import_module(f"{package}.axioms")
     return axioms, model, axioms.build_axioms(SCHEMA)
-
-
-def workload(package: str, model_name: str):
-    """(check, envs) for each catalog axiom with obligations, compiled for a fresh model."""
-    _, model, catalog = suite(package, model_name)
-    compiled = importlib.import_module(f"{package}.compiled")
-    And = importlib.import_module(f"{package}.formulas").And
-    work = []
-    for spec in catalog:
-        if not spec.obligations:
-            continue
-        matrix = reduce(And, (matrix for _, matrix in spec.obligations))
-        rng = random.Random(f"0:{spec.id}")
-        envs = [{var: model.sample(rng) for var in spec.sampled} for _ in range(ENVS)]
-        work.append((compiled.compile_qf(matrix, model, spec.derived), envs))
-    return work
-
-
-def answers(work) -> list[bool]:
-    return [check(dict(env)) for check, envs in work for env in envs]
-
-
-def run(check, envs) -> None:
-    """One pass of a check over its envs."""
-    for env in envs:
-        check(env)
-
-
-def check_jobs(work: dict) -> list[dict]:
-    """Per axiom, each side's pass of its check; each call gets a fresh env."""
-    return [{side: partial(run, check, [dict(env) for env in envs]) for side, (check, envs) in zip(work, pair)}
-            for pair in zip(*work.values())]
 
 
 def request_jobs(suites: dict, k: int) -> list[dict]:
@@ -169,7 +132,7 @@ def summary(label: str, rev: str, rounds: list[dict]) -> str:
 
 
 def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description="A/B the axiom checks and requests against a git revision.")
+    parser = argparse.ArgumentParser(description="A/B the axiom and REPL requests against a git revision.")
     parser.add_argument("rev", help="the git revision to compare with, e.g. HEAD~1")
     rev = parser.parse_args(argv).rev
     with tempfile.TemporaryDirectory(prefix="check-ab-") as tmp:
@@ -178,12 +141,6 @@ def main(argv: list[str]) -> int:
         load("buchi2_rev", Path(tmp) / "src" / "buchi2")
         load("buchi2_this", ROOT / "src" / "buchi2")
         for model_name in TIMED:
-            work = {side: workload(package, model_name) for side, package in sides.items()}
-            if answers(work[rev]) != answers(work["this checkout"]):
-                print(f"{model_name}: the two trees' checks answer differently", file=sys.stderr)
-                return 1
-            rounds = [one_round(check_jobs(work), k)[0] for k in range(ROUNDS)]
-            print(summary(f"{model_name} checks", rev, rounds))
             suites = {side: suite(package, model_name) for side, package in sides.items()}
             one_round(request_jobs(suites, ROUNDS), 0)  # untimed: the first request of an axiom compiles its check
             rounds = []
