@@ -230,9 +230,11 @@ class _Emitter:
         guard = i if i in self.seen else None
         if guard is not None:
             self.unset.add(i)
-        if kind in ("var", "bad"):  # a variable neither sampled nor derived, or not a term
-            error, message = (UnboundVariableError, f"unbound variable {a!r}") if kind == "var" else (TypeError, a)
-            self.line(f"raise {self.name(error)}({self.name(message)})")
+        if kind == "var":  # neither sampled nor derived
+            self.line(f"raise {self.name(UnboundVariableError)}({self.name(f'unbound variable {a!r}')})")
+            return f"s{i}"
+        if kind == "bad":  # not a term
+            self.line(f"raise {self.name(TypeError)}({self.name(a)})")
             return f"s{i}"
         if self.const[i]:  # s<i> starts as its kept value, None until computed
             self.line(f"s{i} = constant({i})", i)

@@ -38,6 +38,7 @@ from buchi2.nonstandard import Model, NegativeResultError, NonstandardModel, Not
 from buchi2.pairs import PairsModel
 from buchi2.standard import StandardModel
 
+from case_loops import answer, one_case
 from fault_models import (
     CarrylessAddModel,
     ConstantV2Model,
@@ -45,7 +46,6 @@ from fault_models import (
     OffByOneAddModel,
     OffByOneResidueModel,
 )
-from test_formulas import answer, one_case
 
 NONSTD = NonstandardModel()
 STD = StandardModel()

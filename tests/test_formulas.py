@@ -49,6 +49,7 @@ from buchi2.formulas import (
 from buchi2.nonstandard import Element, NonstandardModel, ParseError
 from buchi2.pairs import DivisibleByThree, FiniteTwoDivisibility, PairElement, PairsModel
 from buchi2.standard import StandardModel
+from case_loops import answer, one_case
 from reference_parser import Parser, reference_parse, reference_scan
 
 NONSTD = NonstandardModel()
@@ -718,22 +719,6 @@ def outcome(evaluate):
         return type(exc), str(exc)
 
 
-def answer(run, values):
-    """What a compiled case loop answers on one case whose sampled variables
-    take values: True, False, or the error it returns, raised."""
-    failed = run(random.Random(0), 1, tuple(values))
-    if failed is None:
-        return True
-    if failed[2] is not None:
-        raise failed[2]
-    return False
-
-
-def one_case(f, model, env, derived=()):
-    """f on env, compiled: one case of f's case loop over env's names, on env's values."""
-    return answer(compile_run(f, model, tuple(env), derived), env.values())
-
-
 def environments(model):
     # subsets of the names, so unbound variables occur too
     values = st.one_of(
@@ -794,8 +779,9 @@ def qf_formulas(v2=True):
 def test_compiled_matches_interpreter(model):
     @given(qf_formulas(v2=model.has_v2), environments(model))
     def compiled_matches(f, envs):
+        runs = {}  # one loop per set of names over several calls: kept values are reused
         for env in envs:
-            assert outcome(lambda: one_case(f, model, env)) == outcome(lambda: eval_qf(f, env, model))
+            assert outcome(lambda: one_case(f, model, env, runs=runs)) == outcome(lambda: eval_qf(f, env, model))
     compiled_matches()
 
 
@@ -803,16 +789,17 @@ def test_compiled_matches_interpreter(model):
 def test_compiled_runs_the_interpreters_operations_in_order(f, envs):
     # The compiled check skips repeated operations, so the two logs must
     # agree on the first run of each; a failed operation is logged too.
-    compiled, interpreted = LoggedModel(), LoggedModel()
+    compiled, interpreted, runs = LoggedModel(), LoggedModel(), {}
     for env in envs:
-        assert outcome(lambda: one_case(f, compiled, env)) == outcome(lambda: eval_qf(f, env, interpreted))
+        assert outcome(lambda: one_case(f, compiled, env, runs=runs)) == outcome(lambda: eval_qf(f, env, interpreted))
     assert list(dict.fromkeys(compiled.log)) == list(dict.fromkeys(interpreted.log))
 
 
 @given(formulas(), environments(STD))
 def test_compiled_quantifiers_raise_where_the_interpreter_does(f, envs):
+    runs = {}
     for env in envs:
-        assert outcome(lambda: one_case(f, STD, env)) == outcome(lambda: eval_qf(f, env, STD))
+        assert outcome(lambda: one_case(f, STD, env, runs=runs)) == outcome(lambda: eval_qf(f, env, STD))
 
 
 def test_compiled_errors_are_the_interpreters():
@@ -925,11 +912,11 @@ def test_names_and_numerals_never_become_source():
     for formula in (f, g):
         source, _ = _generate(formula, STD, derived, AWKWARD_NAMES[::2])
         assert "import" not in source and "SystemExit" not in source and str(huge)[:20] not in source
-    rng = random.Random(0)
+    rng, runs_f, runs_g = random.Random(0), {}, {}  # one loop per set of names: kept values are reused
     for k in range(100):
         env = {name: rng.choice([0, 1, 2, huge, huge + 1]) for name in AWKWARD_NAMES if rng.random() < 0.97}
-        assert outcome(lambda: one_case(f, STD, env)) == outcome(lambda: eval_qf(f, env, STD))
-        result = outcome(lambda: one_case(g, STD, env, derived))  # which reads the derived variable first
+        assert outcome(lambda: one_case(f, STD, env, runs=runs_f)) == outcome(lambda: eval_qf(f, env, STD))
+        result = outcome(lambda: one_case(g, STD, env, derived, runs_g))  # which reads the derived variable first
         if x[1].name in env:
             assert result == outcome(lambda: eval_qf(g, {**env, "w\nimport sys": 2 * env[x[1].name]}, STD))
         else:
@@ -1017,9 +1004,10 @@ def test_a_faulty_constant_raises_where_the_chain_reaches_it(model, operation):
 
     @given(residue_chains(model.has_v2), st.integers(0, 15), environments(model))
     def raises_as_the_interpreter(f, bad, envs):
-        faulty_model = faulty(model, operation, bad)
+        faulty_model, runs = faulty(model, operation, bad), {}  # a loop keeps its residues after a failed call
         for env in envs:
-            assert outcome(lambda: one_case(f, faulty_model, env)) == outcome(lambda: eval_qf(f, env, faulty_model))
+            expected = outcome(lambda: eval_qf(f, env, faulty_model))
+            assert outcome(lambda: one_case(f, faulty_model, env, runs=runs)) == expected
     raises_as_the_interpreter()
 
 
