@@ -15,7 +15,7 @@ quantifier-free checking matrix over sampled and derived variables:
 An axiom's obligations are compiled (``compiled.compile_run``) as one
 check, their conjunction, inside a generated case loop, a Python function
 in which a schema's obligations share their slots and the sampled
-variables are locals, drawn inline for the standard model's own sampler;
+variables are locals, drawn inline for ``Model``'s own sampler;
 it is kept in the spec's private ``_compiled`` slot for the last two
 model objects, looked up by identity.  A witness is a slot of the check,
 computed when a matrix first reads it.  The loop builds an env only for

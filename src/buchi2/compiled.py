@@ -11,14 +11,12 @@ loop over sampled variables: generated code rather than a tree of closures
 
 from __future__ import annotations
 
-import operator
-import sys
 from functools import lru_cache, partial
 
 from .formulas import (
     And, CongMod, Eq, Exists, ForAll, Implies, Lt, Not, Numeral, Or, Sum, UnboundVariableError, V2App, Variable,
 )
-from .nonstandard import EQUAL, LESS, compare, remainder
+from .nonstandard import EQUAL, LESS, Model
 
 # The generated case loop keeps each distinct subterm ("slot") i in a local
 # s<i>, computed where a formula first demands it.  Code runs in the order
@@ -85,11 +83,11 @@ class _Emitter:
             "__builtins__": {}, "model": model, "numeral": model.numeral, "add": model.add,
             "compare": model.compare, "residue_mod": model.residue_mod,
         }
-        # Where the model binds one of these functions, its calls are written
-        # as the Python operations the function runs, in the same order.
-        self.plus = self.names["add"] is operator.add
-        self.order = self.names["compare"] is compare
-        self.mod = self.names["residue_mod"] is remainder
+        # Where the model keeps Model's add, compare, residue_mod or sample,
+        # its calls are written as the Python operations they run, in order.
+        self.plus = self.names["add"] is Model.add
+        self.order = self.names["compare"] is Model.compare
+        self.mod = self.names["residue_mod"] is Model.residue_mod
         self.named: dict[int, str] = {}  # id of a value -> its name
         self.lines: list[str] = []  # the function being written
         self.depth = 3  # indentation of the next line: the loop's try block
@@ -106,8 +104,7 @@ class _Emitter:
         for i in self.given:
             self.assign(i)
         sample = self.names["sample"] = model.sample
-        standard = sys.modules.get(f"{__package__}.standard")  # unless imported, no model samples as it does
-        if standard and getattr(sample, "__func__", None) is standard.StandardModel.sample:  # drawn inline
+        if getattr(sample, "__func__", None) is Model.sample:  # drawn inline
             n = sample.__self__.offset_bound + 1
             self.names.update(bound=n, bits=n.bit_length())
         self.names.update(len=len, range=range)
@@ -156,7 +153,10 @@ class _Emitter:
 
     def derive(self, name, witness, param, reads) -> int:
         operands = tuple(self.residue(*r) if isinstance(r, tuple) else self.term(r) for r in reads)
-        return self.slot(("derived", (name, witness, param), operands), False, operands, key=("var", name, None))
+        key = ("var", name, None)
+        if key in self.slots:  # its slot would be that variable's, and the witness would never run
+            raise ValueError(f"derived variable {name!r} is sampled, derived twice or read before it is derived")
+        return self.slot(("derived", (name, witness, param), operands), False, operands, key=key)
 
     def lookup(self, operands):
         # the lookup node of a chain of congruences of one term against
@@ -385,7 +385,7 @@ def compile_run(f, model, sampled, derived=()):
 
     Case i assigns the ``sampled`` variables, as locals, the corners
     rotated by i while i < len(corners), then one ``model.sample(rng)``
-    each, written inline where that is ``StandardModel.sample``, and runs
+    each, written inline where that is ``Model.sample``, and runs
     f on them as ``eval_qf`` does.  ``run`` returns None, or for the first
     case that is false or raises a ValueError, such as the
     UnboundVariableError of a variable neither sampled nor derived: its
@@ -404,18 +404,19 @@ def compile_run(f, model, sampled, derived=()):
     a miss; so one loop must not run in two threads at once.  The model's
     ``numeral``, ``add``, ``compare``, ``residue_mod`` and ``sample`` are
     looked up once, here; ``v2`` whenever a case computes a V2, before its
-    operand, as ``eval_term`` does.  Where the model binds
-    ``operator.add``, the generic ``nonstandard.compare`` or
-    ``nonstandard.remainder``, as the standard model does, the loop writes
-    ``a + b``, ``==`` then ``<``, or ``a % n`` (for an int n >= 1) on the
-    slots that read a variable: the Python operations the call runs, in
-    its order, so values and errors are the call's.
+    operand, as ``eval_term`` does.  Where the model keeps ``Model``'s
+    ``add``, ``compare`` or ``residue_mod``, the loop writes ``a + b``,
+    ``==`` then ``<``, or ``a % n`` (for an int n >= 1) on the slots that
+    read a variable: the Python operations the call runs, in its order, so
+    values and errors are the call's.
 
     Each ``(name, witness, param, reads)`` of ``derived`` binds ``name`` to
     ``witness(model, param, *values)``, the values of ``reads``: terms
     (sampled or earlier derived variables), and ``(term, n)`` for a term's
     residue mod n, sharing f's own slots.  It is computed when f first
-    demands ``name``; a false case then computes the rest, in order.
+    demands ``name``; a false case then computes the rest, in order.  A
+    ``name`` that is sampled, derived twice or read by an earlier witness
+    raises ValueError.
     """
     source, names = _generate(f, model, derived, sampled)
     exec(_code(source), names)

@@ -53,6 +53,7 @@ threads or processes.
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from enum import Enum
@@ -307,9 +308,9 @@ def sub(x: Element, y: Element) -> Element:
 def compare(x, y) -> Ordering:
     """The order of x and y as their type's ``<`` gives it.
 
-    ``Model`` binds this function, and the standard and pairs models keep
-    it; the non-standard model binds the kernel ``compare_elements``,
-    which gives the same answer on Elements.
+    ``Model``'s default ``compare``; the non-standard model binds the
+    kernel ``compare_elements`` instead, which gives the same answer on
+    Elements.
     """
     if x == y:
         return EQUAL
@@ -319,8 +320,8 @@ def compare(x, y) -> Ordering:
 def remainder(x, n: int):
     """x mod n as its type's ``%`` gives it, for a modulus n >= 1.
 
-    ``Model`` binds this function and the standard model keeps it; the
-    other two bind their own ``residue_mod``.
+    ``Model``'s default ``residue_mod``; the non-standard and pairs models
+    bind their own.
     """
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
@@ -525,20 +526,23 @@ class Model:
     ``Model(den_bound, offset_bound)`` keeps the sampling bounds, which
     ``sample`` reads; each is an int >= 1 (not a bool), else TypeError or
     ValueError.  A model that draws no galaxies ignores ``den_bound``.
+
+    The defaults ``add``, ``compare``, ``residue_mod`` and ``sample`` are
+    Python's ``+``, ``==`` then ``<``, ``%`` and ``randrange`` on ints; a
+    compiled case loop writes them inline (``compiled.compile_run``).
     """
 
     name: str
     has_v2 = True
     corners: tuple  # tried first by every sampled check
     numeral: Callable  # (n) -> the standard element n
-    add: Callable  # (x, y) -> x + y
+    add = staticmethod(operator.add)  # (x, y) -> x + y
     sub: Callable  # (x, y) -> the z with y + z = x; NegativeResultError if x < y
     divide: Callable  # (x, n) -> the y with n-fold y = x, else NotDivisibleError
     compare = staticmethod(compare)  # (x, y) -> Ordering
     residue_mod = staticmethod(remainder)  # (x, n) -> the j in [0, n) with x == j mod n
     v2: Callable  # (x) -> the largest power of two dividing x; v2(0) = 0
     next_power_of_two: Callable  # (x) -> a power of two strictly greater than x
-    sample: Callable  # (rng) -> a random element drawn from a random.Random
     format: Callable  # (x) -> str
     parse: Callable  # (text) -> the element; the inverse of format, ParseError on bad text
 
@@ -550,6 +554,9 @@ class Model:
             raise ValueError("sampling bounds must be positive")
         self.den_bound = den_bound
         self.offset_bound = offset_bound
+
+    def sample(self, rng):  # -> a random element; here the int rng.randrange(offset_bound + 1), as CPython draws it
+        return _below(rng.getrandbits, self.offset_bound + 1)
 
     def corner_elements(self) -> tuple:  # a method, so that a wrapping proxy can forward it
         return self.corners

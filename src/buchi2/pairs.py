@@ -60,15 +60,6 @@ class PairElement(_Frozen):
 _set_g, _set_n = PairElement.__dict__["g"].__set__, PairElement.__dict__["n"].__set__
 
 
-def _pair(g: Fraction, n: int) -> PairElement:
-    # The trusted constructor: the caller guarantees a valid pair whose g
-    # is a Fraction.
-    x = object.__new__(PairElement)
-    _set_g(x, g)
-    _set_n(x, n)
-    return x
-
-
 def p_add(x: PairElement, y: PairElement) -> PairElement:
     return PairElement(x.g + y.g, x.n + y.n)
 
@@ -147,7 +138,7 @@ def refute_power2_candidate(x: PairElement) -> Verdict:
             else:
                 b *= 2
             n //= 2
-            chain.append(_pair(Fraction(a, b), n))
+            chain.append(PairElement(Fraction(a, b), n))
         return FiniteTwoDivisibility(max_steps=len(chain) - 1, chain=tuple(chain))
     return DivisibleByThree(quotient=PairElement(x.g / 3, 0))
 

@@ -2,15 +2,12 @@
 
 Elements are plain non-negative ints; every operation is exact.  The
 ``Model`` subclass at the bottom serves them like the non-standard model,
-so the two can be cross-checked case for case.  It binds ``operator.add``
-and keeps ``Model``'s generic ``compare`` and ``remainder``, so a compiled
-check writes ``+``, ``==``, ``<`` and ``%`` in place of those calls on the
-slots that read a variable; its constants call them (``compiled.compile_run``).
+so the two can be cross-checked case for case.  It keeps ``Model``'s
+``add``, ``compare``, ``residue_mod`` and ``sample``, which a compiled
+case loop writes inline (``compiled.compile_run``).
 """
 
 from __future__ import annotations
-
-import operator
 
 from .nonstandard import (
     Model,
@@ -41,7 +38,6 @@ class StandardModel(Model):
 
     name = "std"
     corners = (0, 1, 2, 3, 4, 7, 8, 12, 15, 64, 96, 1024)
-    add = staticmethod(operator.add)
     v2 = staticmethod(std_v2)
     format = staticmethod(str)
 
@@ -62,16 +58,6 @@ class StandardModel(Model):
 
     def next_power_of_two(self, x: int) -> int:
         return 1 << x.bit_length()
-
-    def sample(self, rng) -> int:
-        # The draws of rng.randrange(self.offset_bound + 1), inlined.  The
-        # case loops of compiled.compile_run write these same draws.
-        n = self.offset_bound + 1
-        k = n.bit_length()
-        r = rng.getrandbits(k)
-        while r >= n:
-            r = rng.getrandbits(k)
-        return r
 
     def parse(self, text: str) -> int:
         text = text.strip()

@@ -940,6 +940,59 @@ def test_a_repeated_sampled_name_is_drawn_each_time():
     assert report == reference_check(spec, model, 100, 0)
 
 
+class BareModel(Model):
+    """A model on ints that declares only what a case loop's source reads and ``Model`` has no default for."""
+
+    name = "bare"
+    corners = StandardModel.corners
+
+    def numeral(self, n):
+        return n
+
+
+# Each operation's inline form in a case loop's source, and its call.
+INLINE_AND_CALL = {
+    "add": (r"s\d+ \+ s\d+", r"\badd\("),
+    "compare": (r"s\d+ < s\d+", r"\bcompare\("),
+    "residue_mod": (r"s\d+ % c\d+", r"\bresidue_mod\("),
+    "sample": (r"draw\(bits\)", r"\bsample\(rng\)"),
+}
+
+
+def catalog_sources(model):
+    return [
+        _generate(reduce(And, (matrix for _, matrix in spec.obligations)), model, spec.derived, spec.sampled)[0]
+        for spec in build_axioms(12) if spec.obligations
+    ]
+
+
+def test_a_model_that_keeps_models_operations_runs_the_standard_models_code():
+    # The loop inlines Model's own operations, not the standard model's:
+    # a model that keeps them all compiles to the standard model's code.
+    for bare, std in zip(catalog_sources(BareModel()), catalog_sources(STD), strict=True):
+        assert compiled._code(bare) is compiled._code(std)
+
+
+@pytest.mark.parametrize("op", list(INLINE_AND_CALL))
+def test_a_model_that_overrides_one_operation_calls_it_and_inlines_the_rest(op):
+    class Overriding(BareModel):
+        calls = 0
+
+    def counted(self, *args):  # Model's own operation, counted
+        self.calls += 1
+        return getattr(super(Overriding, self), op)(*args)
+
+    setattr(Overriding, op, counted)
+    source = "\n".join(catalog_sources(Overriding()))
+    for name, (inline, call) in INLINE_AND_CALL.items():
+        written, unwritten = (call, inline) if name == op else (inline, call)
+        assert re.search(written, source) and not re.search(unwritten, source), name
+    model, f = Overriding(), parse_formula("x + y = y + x & (x < x + y | y = 0) & x + y == y + x mod 3")
+    cases = len(model.corners) + 20
+    assert compile_run(f, model, ("x", "y"))(random.Random(0), cases, model.corners) is None
+    assert model.calls == 2 * 20 if op == "sample" else model.calls > 0
+
+
 def _same(model, param, x):
     return x
 
@@ -962,6 +1015,20 @@ def test_a_failed_case_reports_only_the_witnesses_it_computed(matrix):
     )
     report = check_axiom(spec, STD, cases=5)
     assert report == Report("W", FAIL, 2, 0, counterexample=(("x", "1"),), error="1 is not zero")
+
+
+X = Variable("x")
+
+
+@pytest.mark.parametrize("sampled, derived", [
+    (("x", "w"), (("w", _same, None, (X,)),)),
+    (("x",), (("w", _same, None, (X,)), ("w", _same, None, (X,)))),
+    (("x",), (("v", _same, None, (Variable("w"),)), ("w", _same, None, (X,)))),
+], ids=["sampled", "derived twice", "read by an earlier witness"])
+def test_a_derived_name_that_is_already_a_variable_raises(sampled, derived):
+    # Its slot would be the other variable's, so its witness would never run.
+    with pytest.raises(ValueError, match="derived variable 'w' is sampled, derived twice or read before"):
+        compile_run(parse_formula("w = x + 1"), STD, sampled, derived)
 
 
 # -- witnesses are computed on demand --------------------------------------------------

@@ -6,7 +6,7 @@ Run it on two checkouts and diff the outputs: an empty diff means the two
 give the same parse trees, REPL replies, axiom reports and command
 outputs on these inputs.  ``tools/behaviour_diff.py REV`` does that for a
 git revision and this checkout.
-It takes no options; the output is 266,110 lines, about 33 MB, and takes
+It takes no options; the output is 268,254 lines, about 33 MB, and takes
 about 16 s on a shared 2-vCPU Xeon with Python 3.11.
 
 The inputs are 60,000 lines: the 30,000 ``repl-mix`` benchmark lines
@@ -37,11 +37,12 @@ deliberately broken kernel, which make the suite report ``FAIL``:
 ``OffByOneAddModel`` and ``OffByOneResidueModel``, all from
 ``tests/fault_models.py``.
 
-The kernel readings go through the ``Model`` interface of ``nonstd`` and
-``pairs``, on every pair of corner elements and on 2,000 seeded pairs of
-``sample``s.  The unary readings are ``residue_mod`` for n = 2-24,
-``divide`` for n = 2-7, and ``v2`` and ``next_power_of_two`` where the
-model has them.  Every element is printed formatted, on ``nonstd`` also
+The kernel readings go through the ``Model`` interface of ``nonstd``,
+``std`` and ``pairs``, on every pair of corner elements and on 2,000
+seeded pairs of ``sample``s; on ``std`` that reads ``Model``'s own ``add``
+and ``sample``, which the case loops write inline.  The unary readings are
+``residue_mod`` for n = 2-24, ``divide`` for n = 2-7, and ``v2`` and
+``next_power_of_two`` where the model has them.  Every element is printed formatted, on ``nonstd`` also
 with its ``repr``; a failed ``sub`` or ``divide`` prints its error.
 
 The refute readings are the verdict lines for the pairs ``(a/b, n)`` with
@@ -87,7 +88,7 @@ FAULT_MODELS = (ConstantV2Model, IdentityV2Model, CarrylessAddModel, OffByOneAdd
 CHUNKS = 10
 CHUNK_LINES = 1000
 FUZZED = 30_000
-KERNEL_MODELS = ("nonstd", "pairs")
+KERNEL_MODELS = ("nonstd", "std", "pairs")
 KERNEL_SAMPLES = 2000
 REFUTE_COEFFICIENTS = range(1, 21)
 REFUTE_OFFSETS = range(-20, 21)
