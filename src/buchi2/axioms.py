@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import random
 from functools import cache, reduce
-from typing import Collection, Optional
+from typing import Collection, Iterable, Optional
 
-from .compiled import compile_run
+from .compiled import _check_derived, compile_run
 from .formulas import (
     And, CongMod, Eq, Formula, Implies, Not, Numeral, Or, Sum, V2App, Variable,
     eval_qf, mentions, nsum, parse_formula,
@@ -105,7 +105,9 @@ class AxiomSpec(_Frozen):
     one holds.  They range over ``sampled`` variables drawn from the model
     and the ``derived`` variables: each ``(name, witness, param, reads)``
     binds ``name`` to ``witness(model, param, *values of reads)`` when a
-    matrix first reads it (``compile_run``'s ``derived``).  ``_compiled``, a
+    matrix first reads it (``compile_run``'s ``derived``).  A derived
+    ``name`` that is sampled, derived twice or read by its own or an
+    earlier witness raises ValueError here.  ``_compiled``, a
     private slot that copies start empty, maps the ``id`` of the last two
     models checked to that model (held, so the ``id`` stays its own) and the
     check of all the obligations.
@@ -115,6 +117,7 @@ class AxiomSpec(_Frozen):
 
     def __init__(self, id: str, text: str, sampled: tuple[str, ...],
                  obligations: tuple[tuple[Optional[int], Formula], ...], derived: tuple[tuple, ...] = ()):
+        _check_derived(sampled, derived)
         self._fill(id, text, sampled, obligations, derived, {})
 
 
@@ -387,16 +390,19 @@ def run_suite(
     seed: int = 0,
     cases: int = 1000,
     schema_max: int = 12,
-    ids: Optional[tuple[str, ...]] = None,
+    ids: Optional[Iterable[str]] = None,
 ) -> list[Report]:
     """Check every catalog axiom (or the given ids, in catalog order) against the model.
 
     Schema matrices are built for the requested ids only.  Empty or
     unknown ids raise ParseError, a ValueError, after the schema bound's
     own errors; a ``seed``, ``cases`` or ``schema_max`` that is not an int,
-    or ``ids`` given as one str, raises TypeError first.
+    or ``ids`` given as one str, raises TypeError first.  ``ids`` may be
+    any iterable, read once.
     """
     _check_ints(cases=cases, seed=seed)
+    if ids is not None and not isinstance(ids, str):  # an iterator would be empty at the second read
+        ids = tuple(ids)
     catalog = build_axioms(schema_max, ids)
     if ids is not None:
         if "" in ids:

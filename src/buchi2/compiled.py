@@ -15,25 +15,29 @@ from functools import lru_cache, partial
 
 from .formulas import (
     And, CongMod, Eq, Exists, ForAll, Implies, Lt, Not, Numeral, Or, Sum, UnboundVariableError, V2App, Variable,
+    free_variables,
 )
 from .nonstandard import EQUAL, LESS, Model
 
 # The generated case loop keeps each distinct subterm ("slot") i in a local
-# s<i>, computed where a formula first demands it.  Code runs in the order
-# it is written, so the emitter knows at each demand which slots are
-# assigned on every path there (no test), on none (no test), or on some: a
-# test "if s<i> is None:", for which s<i> starts as None.  Such tests run
-# flat, operands first, because a slot with a value implies its operands
-# have one.  A variable-free slot starts as its value in ``kept``, which
-# ``_constant`` computes and keeps across calls, so its demand is always
-# the one line "if s<i> is None: s<i> = constant(i)".  Each connective
-# leaves its truth in the local r, and the operands of a chain are flat
-# "if r:" tests, so only a nested right operand indents its code; past
-# NESTING levels of indentation an operand moves to a helper function,
-# which keeps Python's limit on nesting (100) out of reach.  Formula text
-# never becomes source: names, numerals, moduli and model callables are
-# values of generated global names, in a namespace that holds no builtins
-# and, once compiled, not the loop itself, so no reference cycle is left.
+# s<i>, computed where a formula first demands it; a variable neither
+# sampled nor derived, or a non-term, is a slot that raises its error where
+# it is demanded.  Code runs in the order it is written, so the emitter
+# knows at each demand which slots are assigned on every path there (no
+# test), on none (no test), or on some: a test "if s<i> is None:", for
+# which s<i> starts as None.  Such tests run flat, operands first, because
+# a slot with a value implies its operands have one.  A variable-free slot
+# starts as its value in ``kept``, which ``_constant`` computes and keeps
+# across calls, so its demand is always the one line "if s<i> is None:
+# s<i> = constant(i)".  Each connective leaves its truth in the local r,
+# and the operands of a chain are flat "if r:" tests, so only a nested
+# right operand indents its code; a -> b is the chain ~a | b, as eval_qf
+# reads it.  Past NESTING levels of indentation an operand moves to a
+# helper function, which keeps Python's limit on nesting (100) out of
+# reach.  Formula text never becomes source: names, numerals, moduli and
+# model callables are values of generated global names, in a namespace
+# that holds no builtins and, once compiled, not the loop itself, so no
+# reference cycle is left.
 NESTING = 40
 
 
@@ -71,6 +75,18 @@ def _lookup(constant, residue_mod, x, n, pending, known):
     return False
 
 
+def _check_derived(sampled, derived) -> None:
+    """Raise ValueError for a derived variable that is sampled, derived twice
+    or read by its own or an earlier witness: its slot would be that
+    variable's, so its witness would never run."""
+    named = set(sampled)
+    for name, _, _, reads in derived:
+        named.update(*(free_variables(r[0] if isinstance(r, tuple) else r) for r in reads))
+        if name in named:
+            raise ValueError(f"derived variable {name!r} is sampled, derived twice or read before it is derived")
+        named.add(name)
+
+
 class _Emitter:
     """Builds the slots and formula nodes of one check, then writes its case loop's source."""
 
@@ -95,11 +111,10 @@ class _Emitter:
         self.log: list[int] = []  # the order they joined known, to leave branches
         self.seen: set[int] = set()  # slots assigned on some path to here
         self.unset: set[int] = set()  # tested slots: those not variable-free start as None
-        self.assigned: set[int] = set()  # slots the function being written assigns
         self.helpers: list[str] = []  # the source of each helper function
         # The case loop's prologue assigns the sampled variables: their slots
         # are known throughout.
-        self.sampled = [self.term(Variable(v)) for v in sampled]  # in draw order, a repeated name repeated
+        self.sampled = [self.slot(("var", v, None), False) for v in sampled]  # in draw order, a repeated name repeated
         self.given = dict(zip(self.sampled, sampled))  # the sampled variables' slots -> their names
         for i in self.given:
             self.assign(i)
@@ -138,25 +153,23 @@ class _Emitter:
         if isinstance(t, Sum):
             a, b = self.term(t.left), self.term(t.right)
             return self.slot(("+", a, b), self.const[a] and self.const[b], (a, b))
-        if isinstance(t, Variable):
-            return self.slot(("var", t.name, None), False)
+        if isinstance(t, Variable):  # a new one is unbound: sampled and derived slots are made first
+            op = ("raise", UnboundVariableError, f"unbound variable {t.name!r}")
+            return self.slot(op, False, key=("var", t.name, None))
         if isinstance(t, Numeral):
             return self.slot(("num", t.value, None), True)
         if isinstance(t, V2App):
             a = self.term(t.arg)
             return self.slot(("v2", a, None), self.const[a], (a,))
-        return self.slot(("bad", f"not a term: {t!r}", None), False)
+        return self.slot(("raise", TypeError, f"not a term: {t!r}"), False)
 
     def residue(self, t, n: int) -> int:
         a = self.term(t)
         return self.slot(("mod", a, n), self.const[a], (a,))
 
-    def derive(self, name, witness, param, reads) -> int:
+    def derive(self, name, witness, param, reads) -> int:  # compile_run's _check_derived makes name's slot new
         operands = tuple(self.residue(*r) if isinstance(r, tuple) else self.term(r) for r in reads)
-        key = ("var", name, None)
-        if key in self.slots:  # its slot would be that variable's, and the witness would never run
-            raise ValueError(f"derived variable {name!r} is sampled, derived twice or read before it is derived")
-        return self.slot(("derived", (name, witness, param), operands), False, operands, key=key)
+        return self.slot(("derived", (name, witness, param), operands), False, operands, key=("var", name, None))
 
     def lookup(self, operands):
         # the lookup node of a chain of congruences of one term against
@@ -192,8 +205,8 @@ class _Emitter:
             if isinstance(g, And):
                 return ("and", [self.formula(h) for h in operands])
             return self.lookup(operands) or ("or", [self.formula(h) for h in operands])
-        if isinstance(g, Implies):
-            return ("imp", self.formula(g.left), self.formula(g.right))
+        if isinstance(g, Implies):  # ~left | right, as eval_qf reads it
+            return ("or", [("not", self.formula(g.left)), self.formula(g.right)])
         if isinstance(g, (ForAll, Exists)):
             return ("raise", ValueError, "quantifier in quantifier-free evaluation")
         return ("raise", TypeError, f"not a formula: {g!r}")
@@ -215,7 +228,6 @@ class _Emitter:
         self.known.add(i)
         self.log.append(i)
         self.seen.add(i)
-        self.assigned.add(i)
 
     def leave(self, mark: int) -> None:
         # forget what the code since mark assigned: it ran on some paths only
@@ -230,11 +242,8 @@ class _Emitter:
         guard = i if i in self.seen else None
         if guard is not None:
             self.unset.add(i)
-        if kind == "var":  # neither sampled nor derived
-            self.line(f"raise {self.name(UnboundVariableError)}({self.name(f'unbound variable {a!r}')})")
-            return f"s{i}"
-        if kind == "bad":  # not a term
-            self.line(f"raise {self.name(TypeError)}({self.name(a)})")
+        if kind == "raise":  # a variable neither sampled nor derived, or not a term
+            self.line(f"raise {self.name(a)}({self.name(b)})")
             return f"s{i}"
         if self.const[i]:  # s<i> starts as its kept value, None until computed
             self.line(f"s{i} = constant({i})", i)
@@ -283,14 +292,6 @@ class _Emitter:
             self.line(f"r = {no}{self.demand(a)} == {self.demand(b)}")
         elif kind == "not":
             self.emit(node[1], not negated)
-        elif kind == "imp":  # r = not left; if that is false, r = right
-            self.emit(node[1], True)
-            mark = len(self.log)
-            self.line("if not r:")
-            self.nested(node[2])
-            self.leave(mark)
-            if negated:
-                self.line("r = not r")
         else:
             if kind in ("and", "or"):
                 first, *rest = node[1]
@@ -317,13 +318,13 @@ class _Emitter:
         if self.depth < NESTING:
             self.emit(node)
         else:  # the node's code starts again at the left margin of a helper
-            lines, depth, assigned = self.lines, self.depth, self.assigned
-            self.lines, self.depth, self.assigned = [], 2, set()
+            lines, depth = self.lines, self.depth
+            self.lines, self.depth = [], 2
             self.emit(node)
-            h = f"h{len(self.helpers)}"
-            nonlocal_ = ["  nonlocal " + ", ".join(f"s{i}" for i in sorted(self.assigned))] if self.assigned else []
+            h = f"h{len(self.helpers)}"  # the loop assigns every slot seen as a local: h names them all nonlocal
+            nonlocal_ = ["  nonlocal " + ", ".join(f"s{i}" for i in sorted(self.seen))] if self.seen else []
             self.helpers.append("\n".join([f" def {h}():", *nonlocal_, *self.lines, "  return r"]))
-            self.lines, self.depth, self.assigned = lines, depth, assigned
+            self.lines, self.depth = lines, depth
             self.line(f"r = {h}()")
         self.depth -= 1
 
@@ -390,7 +391,9 @@ def compile_run(f, model, sampled, derived=()):
     case that is false or raises a ValueError, such as the
     UnboundVariableError of a variable neither sampled nor derived: its
     number from 1, an env of the sampled variables and the derived ones it
-    computed (on a false case, all of them), and the error or None.
+    computed (on a false case, all of them), and the error or None.  Such
+    a variable, or a non-term, raises only where f demands it, and
+    ``a -> b`` runs as ``~a | b``, as in ``eval_qf``.
 
     Each distinct subterm is one slot, computed at most once per case, when
     first demanded, so the interpreter's short-circuits, first error (type
@@ -415,9 +418,10 @@ def compile_run(f, model, sampled, derived=()):
     (sampled or earlier derived variables), and ``(term, n)`` for a term's
     residue mod n, sharing f's own slots.  It is computed when f first
     demands ``name``; a false case then computes the rest, in order.  A
-    ``name`` that is sampled, derived twice or read by an earlier witness
-    raises ValueError.
+    ``name`` that is sampled, derived twice or read by its own or an
+    earlier witness raises ValueError.
     """
+    _check_derived(sampled, derived)
     source, names = _generate(f, model, derived, sampled)
     exec(_code(source), names)
     return names.pop("run")  # the loop's globals must not hold it: no reference cycle

@@ -249,6 +249,17 @@ def test_ids_must_not_be_a_str(ids):
         run_suite(STD, ids=ids)
 
 
+def test_run_suite_reads_an_iterator_of_ids_once():
+    # the ids are checked after the specs are built, so an iterator read
+    # twice would be empty at the check and pass an unknown or empty id
+    reports = run_suite(STD, cases=5, ids=iter(["A1", "A15"]))
+    assert [(r.axiom_id, r.status) for r in reports] == [("A1", PASS), ("A15", PASS)]
+    with pytest.raises(ValueError, match="^unknown axiom ids: ZZ$"):
+        run_suite(STD, ids=iter(["A1", "ZZ"]))
+    with pytest.raises(ValueError, match="^empty axiom id$"):
+        run_suite(STD, ids=iter(["A1", ""]))
+
+
 def test_build_axioms_filters_by_id_in_catalog_order():
     assert build_axioms(ids=()) == ()
     picked = build_axioms(ids=("A17", "V12", "A4", "B9"))
@@ -1024,11 +1035,18 @@ X = Variable("x")
     (("x", "w"), (("w", _same, None, (X,)),)),
     (("x",), (("w", _same, None, (X,)), ("w", _same, None, (X,)))),
     (("x",), (("v", _same, None, (Variable("w"),)), ("w", _same, None, (X,)))),
-], ids=["sampled", "derived twice", "read by an earlier witness"])
+    (("x",), (("w", _same, None, ((Variable("w"), 2),)),)),
+], ids=["sampled", "derived twice", "read by an earlier witness", "read by its own witness"])
 def test_a_derived_name_that_is_already_a_variable_raises(sampled, derived):
     # Its slot would be the other variable's, so its witness would never run.
-    with pytest.raises(ValueError, match="derived variable 'w' is sampled, derived twice or read before"):
+    # A spec is refused when it is built, not at its first check on a model,
+    # so also where a model without V2 would skip every check of it.
+    message = "^derived variable 'w' is sampled, derived twice or read before it is derived$"
+    with pytest.raises(ValueError, match=message):
         compile_run(parse_formula("w = x + 1"), STD, sampled, derived)
+    for matrix in ("w = x + 1", "V2(w) = x"):
+        with pytest.raises(ValueError, match=message):
+            AxiomSpec("W", f"forall x. exists w. {matrix}", sampled=sampled, obligations=_one(matrix), derived=derived)
 
 
 # -- witnesses are computed on demand --------------------------------------------------

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 import buchi2.formulas as formulas_module
 
 from buchi2.axioms import MAX_SCHEMA, AxiomSpec, Report, build_axioms
-from buchi2.compiled import _generate, compile_run
+from buchi2.compiled import NESTING, _generate, compile_run
 from buchi2.formulas import (
     MAX_DEPTH,
     And,
@@ -955,6 +955,24 @@ def test_formulas_nested_to_max_depth_compile(model, text):
     for x, y in zip(corners, corners[1:] + corners[:1]):
         env = {"x": x, "y": y}
         assert outcome(lambda: answer(run, (x, y))) == outcome(lambda: eval_qf(f, env, model))
+
+
+def test_a_sum_a_helper_computes_is_read_again_after_it():
+    # Past NESTING levels the deepest operand runs in a helper function.
+    # The sum it computes is a local of the loop, so x + y = 8 after the
+    # helper reads it rather than adding again.
+    x, y = Variable("x"), Variable("y")
+    g = Eq(Sum(x, y), Numeral(7))
+    for level in range(NESTING):
+        g = And(Eq(y, Numeral(1)), g) if level % 2 else Or(Eq(x, Numeral(0)), g)
+    f = Or(g, Eq(Sum(x, y), Numeral(8)))
+    assert "def h0" in _generate(f, STD, (), ("x", "y"))[0]
+    model = LoggedModel()
+    run = compile_run(f, model, ("x", "y"))
+    for env in ({"x": a, "y": b} for a in range(8) for b in range(3)):
+        model.log.clear()
+        assert answer(run, (env["x"], env["y"])) is eval_qf(f, env, STD)
+        assert sum(entry[0] == "add" for entry in model.log) <= 1, env
 
 
 def faulty(model, operation, bad):

@@ -47,3 +47,17 @@ def test_check_ab_times_each_models_checks_against_a_revision():
             r"faster in (\d+) rounds \(HEAD\) and (\d+) \(this checkout\) of 40", text,
         )
         assert match and int(match[1]) + int(match[2]) <= 40, text
+
+
+@pytest.mark.skipif(not (ROOT / ".git").exists(), reason="needs the git history of this checkout")
+def test_loop_sources_compares_each_case_loop_with_a_revision():
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "loop_sources.py"), "HEAD"], capture_output=True, text=True, timeout=300,
+    )
+    first, *keys = done.stdout.splitlines()
+    match = re.fullmatch(r"(\d+) of 240 case-loop sources differ", first)
+    assert match, done.stdout
+    differing = int(match[1])  # 0 unless this checkout's emitter differs from HEAD's
+    assert (done.returncode, done.stderr) == (1 if differing else 0, "")
+    assert len(keys) == min(differing, 20)
+    assert all(re.fullmatch(r"  schema (3|12|50), (nonstd|std|std\(offset_bound=7\)|pairs), [AV]\d+", k) for k in keys)
