@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import random
 from functools import cache, reduce
+from threading import Lock
 from typing import Collection, Iterable, Optional
 
 from .compiled import _check_derived, compile_run
@@ -109,8 +110,9 @@ class AxiomSpec(_Frozen):
     ``name`` that is sampled, derived twice or read by its own or an
     earlier witness raises ValueError here.  ``_compiled``, a
     private slot that copies start empty, maps the ``id`` of the last two
-    models checked to that model (held, so the ``id`` stays its own) and the
-    check of all the obligations.
+    models checked to that model (held, so the ``id`` stays its own), the
+    check of all the obligations and the lock that ``check_axiom`` holds
+    while it runs the check, so that threads run it one at a time.
     """
 
     __slots__ = ("id", "text", "sampled", "obligations", "derived", "_compiled")
@@ -345,6 +347,10 @@ def _check_ints(**values) -> None:
             raise TypeError(f"{name} must be an int, got {value!r}")
 
 
+# Guards every spec's ``_compiled`` bookkeeping; each entry has a lock of its own for its loop.
+_CACHE = Lock()
+
+
 def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int = 0) -> Report:
     """Check one axiom against one model; deterministic for a fixed seed.
 
@@ -361,15 +367,18 @@ def check_axiom(axiom: AxiomSpec, model: Model, *, cases: int = 1000, seed: int 
         return Report(axiom.id, SKIPPED, 0, seed)
     if not axiom.obligations:
         return Report(axiom.id, PASS, cases, seed)
-    entry = axiom._compiled.pop(id(model), None)
+    with _CACHE:
+        entry = axiom._compiled.pop(id(model), None)
     if entry is None:
         matrices = (matrix for _, matrix in axiom.obligations)  # in catalog order
-        entry = model, compile_run(reduce(And, matrices), model, axiom.sampled, axiom.derived)
-        if len(axiom._compiled) > 1:  # keep the two most recently checked models
+        entry = model, compile_run(reduce(And, matrices), model, axiom.sampled, axiom.derived), Lock()
+    with _CACHE:
+        axiom._compiled[id(model)] = entry
+        if len(axiom._compiled) > 2:  # keep the two most recently checked models
             del axiom._compiled[next(iter(axiom._compiled))]
-    axiom._compiled[id(model)] = entry
-    _, run = entry
-    failed = run(random.Random(f"{seed}:{axiom.id}"), cases, model.corner_elements())
+    _, run, lock = entry
+    with lock:  # a loop keeps state across calls, so it runs one call at a time
+        failed = run(random.Random(f"{seed}:{axiom.id}"), cases, model.corner_elements())
     if failed is None:
         return Report(axiom.id, PASS, cases, seed)
     case, env, error = failed  # env holds the sampled variables and the derived ones computed

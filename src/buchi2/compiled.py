@@ -12,12 +12,13 @@ loop over sampled variables: generated code rather than a tree of closures
 from __future__ import annotations
 
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 from .formulas import (
     And, CongMod, Eq, Exists, ForAll, Implies, Lt, Not, Numeral, Or, Sum, UnboundVariableError, V2App, Variable,
     free_variables,
 )
-from .nonstandard import EQUAL, LESS, Model
+from .nonstandard import EQUAL, LESS, TRIPLES, Element, Model, _element
 
 # The generated case loop keeps each distinct subterm ("slot") i in a local
 # s<i>, computed where a formula first demands it; a variable neither
@@ -37,12 +38,16 @@ from .nonstandard import EQUAL, LESS, Model
 # reach.  Formula text never becomes source: names, numerals, moduli and
 # model callables are values of generated global names, in a namespace
 # that holds no builtins and, once compiled, not the loop itself, so no
-# reference cycle is left.
+# reference cycle is left.  A loop on the non-standard kernel's own
+# operations (``nonstandard.TRIPLES``) is unboxed: a slot holds an element's
+# (p, q, w), boxed as element(*s<i>) only as a witness's argument or in a
+# failing case's env, and values() unboxes a witness's result.
 NESTING = 40
 
 
 def _constant(model, numeral, add, residue_mod, ops, kept, i):
-    # variable-free slot i's value: kept, or computed in eval_term's order and kept unless it raises
+    # variable-free slot i's value: kept, or computed in eval_term's order and
+    # kept unless it raises; model.v2 computes a V2, on triples in an unboxed loop
     v = kept[i]
     if v is None:
         kind, a, b = ops[i]
@@ -57,6 +62,12 @@ def _constant(model, numeral, add, residue_mod, ops, kept, i):
             v = residue_mod(_constant(*here, a), b)
         kept[i] = v
     return v
+
+
+def _triples(corners):  # an unboxed loop's corners, unboxed once per call
+    if any(x.__class__ is not Element for x in corners):
+        raise TypeError(f"the corners of a loop on (p, q, w) triples must be Elements, got {corners!r}")
+    return tuple(map(Element._values, corners))
 
 
 def _lookup(constant, residue_mod, x, n, pending, known):
@@ -119,7 +130,14 @@ class _Emitter:
         for i in self.given:
             self.assign(i)
         sample = self.names["sample"] = model.sample
-        if getattr(sample, "__func__", None) is Model.sample:  # drawn inline
+        # Where the model keeps all of the kernel's own operations, the slots
+        # hold (p, q, w) triples and the loop calls the operations' triple forms.
+        self.triples = all(getattr(member, "__func__", member) is f for member, f in (
+            (self.names[op] if op in self.names else getattr(model, op, None), f) for op, (f, _) in TRIPLES.items()))
+        if self.triples:
+            self.names.update({op: raw for op, (_, raw) in TRIPLES.items()}, element=_element, values=Element._values,
+                              triples=_triples, sample=partial(TRIPLES["sample"][1], sample.__self__))
+        elif getattr(sample, "__func__", None) is Model.sample:  # drawn inline
             n = sample.__self__.offset_bound + 1
             self.names.update(bound=n, bits=n.bit_length())
         self.names.update(len=len, range=range)
@@ -247,6 +265,8 @@ class _Emitter:
             return f"s{i}"
         if self.const[i]:  # s<i> starts as its kept value, None until computed
             self.line(f"s{i} = constant({i})", i)
+        elif kind == "v2" and self.triples:
+            self.line(f"s{i} = v2({self.demand(a)})", guard)
         elif kind == "v2":  # model.v2 is looked up before the operand is computed
             self.line(f"f{i} = model.v2", guard)
             self.line(f"s{i} = f{i}({self.demand(a)})", guard)
@@ -270,10 +290,17 @@ class _Emitter:
                 self.block([f"s{i} = {first}", f"for _ in {self.name(range(links - 1))}: s{i} = {more}"], guard)
         else:  # "derived"
             _, witness, param = a
-            args = "".join(f", {self.demand(r)}" for r in b)
-            self.line(f"s{i} = {self.name(witness)}(model, {self.name(param)}{args})", guard)
+            for r in b:
+                self.demand(r)
+            args = "".join(f", {self.value(r)}" for r in b)
+            call = f"{self.name(witness)}(model, {self.name(param)}{args})"
+            self.line(f"s{i} = values({call})" if self.triples else f"s{i} = {call}", guard)
         self.assign(i)
         return f"s{i}"
+
+    def value(self, i: int) -> str:
+        """Slot i's value as the model's: a triple leaves the loop as an Element."""
+        return f"element(*s{i})" if self.triples and self.ops[i][0] != "mod" else f"s{i}"
 
     def emit(self, node, negated=False) -> None:
         """Write code after which r holds the node's truth value, or its negation."""
@@ -281,7 +308,9 @@ class _Emitter:
         if kind == "cmp":
             _, a, b, want = node
             x, y = self.demand(a), self.demand(b)
-            if not self.order:
+            if self.triples and want is EQUAL:  # equal triples are equal elements: (p, q, w) is canonical
+                self.line(f"r = {no}{x} == {y}")
+            elif not self.order:
                 self.line(f"r = {no}compare({x}, {y}) is {self.name(want)}")
             elif want is EQUAL:  # compare tests == and, if that is false, <
                 self.line(f"r = {no}({x} == {y} or {x} < {y} and False)")
@@ -331,7 +360,8 @@ class _Emitter:
     def source(self, root, witnesses) -> str:
         kept = [None] * len(self.ops)  # slot -> its value once computed, for variable-free slots
         ops = {i: op for i, op in enumerate(self.ops) if self.const[i]}  # all that _constant reads
-        constant = partial(_constant, *map(self.names.get, ("model", "numeral", "add", "residue_mod")), ops, kept)
+        v2_of = SimpleNamespace(v2=self.names["v2"]) if self.triples else self.names["model"]
+        constant = partial(_constant, v2_of, *map(self.names.get, ("numeral", "add", "residue_mod")), ops, kept)
         self.names.update(kept=kept, constant=constant, lookup=partial(_lookup, constant, self.names["residue_mod"]))
         self.emit(root)
         self.line("if r: continue")
@@ -344,7 +374,7 @@ class _Emitter:
         # derived ones it computed, and its error
         derived = {i: self.ops[i][1][0] for i in witnesses}
         unset = sorted(unset.union(derived).difference(self.given))
-        pairs = [f"{self.name(v)}: s{i}" for i, v in (*self.given.items(), *derived.items())]
+        pairs = [f"{self.name(v)}: {self.value(i)}" for i, v in (*self.given.items(), *derived.items())]
         self.line(f"return i + 1, {{{', '.join(pairs)}}}, None")
         draw = ["s{0} = draw(bits)", "while s{0} >= bound: s{0} = draw(bits)"] if "bits" in self.names else \
             ["s{0} = sample(rng)"]
@@ -353,12 +383,13 @@ class _Emitter:
         draws = ["   " + d.format(i) for i in self.sampled for d in draw]
         return "\n".join([
             "def run(rng, cases, corners):", *self.helpers, *reads,
+            *([" corners = triples(corners)"] if self.triples else []),
             " k = len(corners)", " draw = rng.getrandbits", " for i in range(cases):",
             *(["  if i < k:", *rotate, "  else:", *draws] if self.sampled else []),
             *(["  " + " = ".join(f"s{i}" for i in unset) + " = None"] if unset else []),
             "  try:", *self.lines, f"  except {self.name(ValueError)} as e:",
             f"   env = {{{', '.join(pairs[:len(self.given)])}}}",
-            *(f"   if s{i} is not None: env[{self.name(v)}] = s{i}" for i, v in derived.items()),
+            *(f"   if s{i} is not None: env[{self.name(v)}] = {self.value(i)}" for i, v in derived.items()),
             "   return i + 1, env, e", "",
         ])
 
@@ -404,14 +435,25 @@ def compile_run(f, model, sampled, derived=()):
     and every ``k`` variable-free, such as A11's residue cases, looks
     ``t``'s residue up in the set of the ``k`` residues computed so far,
     kept across calls, and computes the next ones, in chain order, only on
-    a miss; so one loop must not run in two threads at once.  The model's
-    ``numeral``, ``add``, ``compare``, ``residue_mod`` and ``sample`` are
-    looked up once, here; ``v2`` whenever a case computes a V2, before its
-    operand, as ``eval_term`` does.  Where the model keeps ``Model``'s
+    a miss; so one loop must not run in two threads at once: ``run`` is not
+    re-entrant.  The model's ``numeral``, ``add``, ``compare``,
+    ``residue_mod`` and ``sample`` are looked up once, here; ``v2``
+    whenever a case computes a V2, before its operand, as ``eval_term``
+    does, but in an unboxed loop.  Where the model keeps ``Model``'s
     ``add``, ``compare`` or ``residue_mod``, the loop writes ``a + b``,
     ``==`` then ``<``, or ``a % n`` (for an int n >= 1) on the slots that
     read a variable: the Python operations the call runs, in its order, so
     values and errors are the call's.
+
+    Where the model keeps all of the non-standard kernel's own ``numeral``,
+    ``add``, ``compare``, ``residue_mod``, ``v2`` and ``sample``
+    (``nonstandard.TRIPLES``), the loop is unboxed: its slots hold each
+    element's (p, q, w), it calls the triple forms that the kernel's own
+    functions call, looked up once here, ``v2`` included, and ``=``
+    compares the triples, which are canonical.  It unboxes the corners when
+    called, so one that is not an ``Element`` raises TypeError before the
+    first case, and returns its values in an env as Elements.  A subclass
+    or proxy that overrides any of the six gets a loop on its own values.
 
     Each ``(name, witness, param, reads)`` of ``derived`` binds ``name`` to
     ``witness(model, param, *values)``, the values of ``reads``: terms

@@ -36,7 +36,10 @@ and through ``Element.offset``.
 
 Kernel results are valid by construction and are built by the unchecked
 ``_element``; ``Element(galaxy, offset)`` is the checked constructor for
-everything else.
+everything else.  The arithmetic of ``natural``, ``add``, ``compare``,
+``residue_mod``, ``v2`` and ``sample`` is written once, on (p, q, w) int
+triples (``TRIPLES``), which the Element functions unbox with ``_values``
+and box with ``_element``; a compiled case loop calls the triple forms.
 
 Every bad value raises a ValueError: a ParseError for malformed text,
 NegativeResultError or NotDivisibleError (also ArithmeticErrors) where
@@ -47,8 +50,9 @@ wrong type raises TypeError.
 declares their members once and holds the sampling bounds.
 ``NonstandardModel`` makes the functions here a ``Model``.
 
-Everything here is immutable and pure; values can be shared freely across
-threads or processes.
+Values here are immutable and the functions pure: they can be shared
+across threads or processes.  A compiled case loop keeps state across
+calls, so one thread at a time may run it (``compiled.compile_run``).
 """
 
 from __future__ import annotations
@@ -249,6 +253,7 @@ class Element(_Frozen):
 # The slots' own setters; they bypass the frozen __setattr__.
 _set_p, _set_q, _set_w = (getattr(Element, name).__set__ for name in Element.__slots__)
 _new = object.__new__
+_values = Element._values  # an Element's (p, q, w)
 
 
 def _element(p: int, q: int, w: int) -> Element:
@@ -268,26 +273,35 @@ C = _element(1, 1, 0)
 
 def natural(n: int) -> Element:
     """Embed a natural number as the standard element n; n is an int, not a bool."""
+    return _element(*_natural(n))
+
+
+def _natural(n: int) -> tuple:
     if n.__class__ is not int and (n.__class__ is bool or not isinstance(n, int)):
         raise TypeError(f"standard numbers are ints, got {n!r}")
     if n < 0:
         raise ValueError(f"standard numbers are non-negative, got offset {n}")
-    return _element(0, 1, n)
+    return 0, 1, n
 
 
 def add(x: Element, y: Element) -> Element:
     """Model addition: (p1*c + w1)/q1 + (p2*c + w2)/q2 as fractions."""
-    p1, q1, p2, q2 = x.p, x.q, y.p, y.q
+    return _element(*_add(_values(x), _values(y)))
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    p1, q1, w1 = x
+    p2, q2, w2 = y
     if not p2:
-        return _element(p1, q1, x.w + q1 * y.w)
+        return p1, q1, w1 + q1 * w2
     if not p1:
-        return _element(p2, q2, y.w + q2 * x.w)
+        return p2, q2, w2 + q2 * w1
     if q1 == q2:
-        p, q, w = p1 + p2, q1, x.w + y.w
+        p, q, w = p1 + p2, q1, w1 + w2
     else:
-        p, q, w = p1 * q2 + p2 * q1, q1 * q2, x.w * q2 + y.w * q1
+        p, q, w = p1 * q2 + p2 * q1, q1 * q2, w1 * q2 + w2 * q1
     g = gcd(p, q)
-    return _element(p // g, q // g, w // g)
+    return p // g, q // g, w // g
 
 
 def sub(x: Element, y: Element) -> Element:
@@ -330,9 +344,15 @@ def remainder(x, n: int):
 
 def compare_elements(x: Element, y: Element) -> Ordering:
     """The model order of two Elements: galaxies as rationals, then w."""
-    a, b = x.p * y.q, y.p * x.q
+    return _compare(_values(x), _values(y))
+
+
+def _compare(x: tuple, y: tuple) -> Ordering:
+    p1, q1, w1 = x
+    p2, q2, w2 = y
+    a, b = p1 * q2, p2 * q1
     if a == b:
-        a, b = x.w, y.w
+        a, b = w1, w2
         if a == b:
             return EQUAL
     return LESS if a < b else GREATER
@@ -364,13 +384,16 @@ def divide(x: Element, n: int) -> Element:
 
 def residue_mod(x: Element, n: int) -> int:
     """The unique j in [0, n) such that x - j is divisible by n."""
+    return _residue_mod(_values(x), n)
+
+
+def _residue_mod(x: tuple, n: int) -> int:
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
-    p = x.p
+    p, q, w = x
     if not p:
-        return x.w % n
-    q = x.q
-    return (p * t_residue(q * n // gcd(p, n)) + x.w) // q % n
+        return w % n
+    return (p * t_residue(q * n // gcd(p, n)) + w) // q % n
 
 
 def v2(x: Element) -> Element:
@@ -384,10 +407,14 @@ def v2(x: Element) -> Element:
     (t(q) is 1 modulo q's odd part, which would divide p), so with
     ``m & -m`` = 2^nu2(m) that galaxy is (p & -p)/q.
     """
-    p, q, w = x.p, x.q, x.w
+    return _element(*_v2(_values(x)))
+
+
+def _v2(x: tuple) -> tuple:
+    p, q, w = x
     if w == 0 and p:
-        return _element(p & -p, q, 0)
-    return _element(0, 1, (w & -w) // (q & -q))
+        return p & -p, q, 0
+    return 0, 1, (w & -w) // (q & -q)
 
 
 def is_standard(x: Element) -> bool:
@@ -586,21 +613,34 @@ class NonstandardModel(Model):
     parse = staticmethod(parse_element)
 
     def sample(self, rng) -> Element:
-        # The draws of rng.randrange and rng.randint, in the same order.
-        bits = rng.getrandbits
-        roll = rng.random()
-        if roll < 0.25:
-            return _element(0, 1, _below(bits, self.offset_bound + 1))
-        den_bound = self.den_bound
-        num = 1 + _below(bits, den_bound)
-        if roll < 0.40:
-            # hypernumbers: binary-rational multiples of c, where w = 0
-            den = 1 << _below(bits, 11)
-            g = gcd(num, den)
-            return _element(num // g, den // g, 0)
-        den = 1 + _below(bits, den_bound)
-        offset_bound = self.offset_bound
-        offset = _below(bits, 2 * offset_bound + 1) - offset_bound
+        return _element(*_sample(self, rng))
+
+
+def _sample(model: Model, rng) -> tuple:
+    # The draws of rng.randrange and rng.randint, in the same order.
+    bits = rng.getrandbits
+    roll = rng.random()
+    if roll < 0.25:
+        return 0, 1, _below(bits, model.offset_bound + 1)
+    den_bound = model.den_bound
+    num = 1 + _below(bits, den_bound)
+    if roll < 0.40:
+        # hypernumbers: binary-rational multiples of c, where w = 0
+        den = 1 << _below(bits, 11)
         g = gcd(num, den)
-        p, q = num // g, den // g
-        return _element(p, q, q * offset - p * t_residue(q))
+        return num // g, den // g, 0
+    den = 1 + _below(bits, den_bound)
+    offset_bound = model.offset_bound
+    offset = _below(bits, 2 * offset_bound + 1) - offset_bound
+    g = gcd(num, den)
+    p, q = num // g, den // g
+    return p, q, q * offset - p * t_residue(q)
+
+
+# Model member -> (its kernel form, the triple form that calls): a case
+# loop whose model keeps every kernel form holds triples (compile_run).
+# v2 is last, so a loop reads it only from a model that keeps the others.
+TRIPLES = {
+    "numeral": (natural, _natural), "add": (add, _add), "compare": (compare_elements, _compare),
+    "residue_mod": (residue_mod, _residue_mod), "sample": (NonstandardModel.sample, _sample), "v2": (v2, _v2),
+}

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from dataclasses import dataclass, field
@@ -33,7 +34,7 @@ from buchi2.axioms import (
 )
 from buchi2.axioms import _congruence_matrix, _odd_indivisibility_matrix, _one, _residue_cases_matrix
 from buchi2.compiled import _generate, compile_run
-from buchi2.formulas import And, Numeral, V2App, Variable, eval_qf, mentions, parse_formula
+from buchi2.formulas import And, Not, Numeral, V2App, Variable, eval_qf, mentions, parse_formula
 from buchi2.nonstandard import Model, NegativeResultError, NonstandardModel, NotDivisibleError, Ordering
 from buchi2.pairs import PairsModel
 from buchi2.standard import StandardModel
@@ -903,6 +904,47 @@ def test_a_checked_spec_pickles_and_copies_with_an_empty_cache():
     assert len(spec._compiled) == 1
 
 
+def in_threads(n, call):
+    """call() in n threads that start together: each one's result, or the exception it raised."""
+    barrier, results = threading.Barrier(n, timeout=10), [None] * n
+
+    def work(j):
+        barrier.wait()
+        try:
+            results[j] = call()
+        except Exception as exc:
+            results[j] = exc
+
+    threads = [threading.Thread(target=work, args=(j,)) for j in range(n)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_check_axiom_may_be_called_from_several_threads():
+    # Four threads check one spec on one model at once, so they share the
+    # loop the spec keeps for it.  A11's residue lookup keeps its state
+    # across calls; with a 1 us switch interval, calls that ran one loop at
+    # once lost residues (AssertionError) or popped an empty list (IndexError).
+    interval = sys.getswitchinterval()
+    try:
+        for spec, trials in zip(build_axioms(40, ids=("A4", "A11")), (3, 50)):
+            for model_class in (StandardModel, NonstandardModel):
+                expected = check_axiom(copy.copy(spec), model_class(), cases=20)
+                sys.setswitchinterval(1e-6)
+                for _ in range(trials):
+                    shared, model = copy.copy(spec), model_class()  # a copy starts with no loop
+                    check_axiom(shared, model, cases=1)  # compiled here: the threads share its loop
+                    reports = in_threads(4, lambda: check_axiom(shared, model, cases=20))
+                    assert reports == [expected] * 4, (spec.id, model.name)
+                sys.setswitchinterval(interval)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # -- the case loop ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("offset_bound", [1, 2, 3, 2**20 - 1, 2**20, 10**6, 10**23])
@@ -949,6 +991,77 @@ def test_a_repeated_sampled_name_is_drawn_each_time():
     report = check_axiom(spec, model, cases=100)
     assert report.status == FAIL and report.cases > len(model.corner_elements())
     assert report == reference_check(spec, model, 100, 0)
+
+
+class BoxedModel(NonstandardModel):
+    """The non-standard model with a sample of its own, so that its case loops hold Elements."""
+
+    def sample(self, rng):
+        return super().sample(rng)
+
+
+def on_triples(run):
+    """Whether a case loop holds its slots as (p, q, w) triples."""
+    return "triples" in run.__code__.co_names
+
+
+@pytest.mark.parametrize("bounds", [(), (7, 3)], ids=["default bounds", "den_bound 7, offset_bound 3"])
+def test_a_loop_on_triples_draws_what_sample_draws(bounds):
+    # x < x is false, so a first case returns the two elements it drew.
+    # Small bounds draw the standard and the hypernumber branches' bounds too.
+    model = NonstandardModel(*bounds)
+    run = compile_run(parse_formula("x < x"), model, ("x", "y"))
+    assert on_triples(run)
+    branches = Counter()
+    for seed in range(2000):
+        drawn, called = random.Random(seed), random.Random(seed)
+        case, env, error = run(drawn, 1, ())
+        assert (case, error) == (1, None)
+        assert env == {"x": model.sample(called), "y": model.sample(called)}
+        assert drawn.getstate() == called.getstate()
+        branches.update("standard" if not x.p else "hypernumber" if not x.w else "galaxy" for x in env.values())
+    assert len(branches) == 3 and min(branches.values()) > 400
+
+
+@pytest.mark.parametrize("negated", [False, True], ids=["check", "negated check"])
+def test_a_loop_on_triples_returns_what_a_loop_on_elements_returns(negated):
+    # The negated check fails on nearly every case, so each case returns
+    # its sampled and derived variables, boxed, and any witness error.
+    unboxed, boxed = NonstandardModel(), BoxedModel()
+    corners = unboxed.corner_elements()
+
+    def result(failed):
+        return failed if failed is None else (*failed[:2], type(failed[2]), str(failed[2]))
+
+    for spec in build_axioms(12):
+        f = reduce(And, (matrix for _, matrix in spec.obligations))
+        f = Not(f) if negated else f
+        runs = [compile_run(f, model, spec.sampled, spec.derived) for model in (unboxed, boxed)]
+        assert [on_triples(run) for run in runs] == [True, False]
+        for seed in range(5):
+            rngs = [random.Random(seed) for _ in runs]
+            if not negated:
+                assert result(runs[0](rngs[0], 300, corners)) == result(runs[1](rngs[1], 300, corners)), spec.id
+                continue
+            for j in range(len(corners)):  # case 1 starts at each corner, then draws
+                rotated = corners[j:] + corners[:j]
+                assert result(runs[0](rngs[0], 1, rotated)) == result(runs[1](rngs[1], 1, rotated)), spec.id
+            for _ in range(30):
+                assert result(runs[0](rngs[0], 1, ())) == result(runs[1](rngs[1], 1, ())), spec.id
+            assert rngs[0].getstate() == rngs[1].getstate()
+
+
+@pytest.mark.parametrize("corner", [0, None, "c", BoxedModel.corners[6].galaxy])
+def test_a_loop_on_triples_takes_only_elements_as_corners(corner):
+    # It unboxes its corners on entry: one that is not an Element raises
+    # before the first case, though the formula never reads it.
+    run = compile_run(parse_formula("x = x"), NONSTD, ("x",))
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(TypeError, match="must be Elements"):
+        run(rng, 1, (NONSTD.corners[6], corner))
+    assert rng.getstate() == state
+    assert compile_run(parse_formula("x = x"), BoxedModel(), ("x",))(rng, 1, (NONSTD.corners[6], corner)) is None
 
 
 class BareModel(Model):
