@@ -106,6 +106,7 @@ class _Emitter:
         self.ops: list[tuple] = []  # slot -> (kind, operand slots or values)
         self.const: list[bool] = []  # slot -> whether it is variable-free
         self.readers: list[int] = []  # slot -> how many slots, atoms and witnesses read it
+        self.walked: dict[int, int] = {}  # id of a term node -> its slot; the caller holds the formula
         self.names = {  # generated name -> its value: the generated code's globals
             "__builtins__": {}, "model": model, "numeral": model.numeral, "add": model.add,
             "compare": model.compare, "residue_mod": model.residue_mod,
@@ -168,18 +169,27 @@ class _Emitter:
         return i
 
     def term(self, t) -> int:
+        # a node walked before has its slot in walked, so a shared subtree,
+        # such as A4's w + ... + w, is walked once; inline, as a wrapper would
+        # take two stack frames per sum link
+        i = self.walked.get(id(t))
+        if i is not None:
+            return i
         if isinstance(t, Sum):
             a, b = self.term(t.left), self.term(t.right)
-            return self.slot(("+", a, b), self.const[a] and self.const[b], (a, b))
-        if isinstance(t, Variable):  # a new one is unbound: sampled and derived slots are made first
+            i = self.slot(("+", a, b), self.const[a] and self.const[b], (a, b))
+        elif isinstance(t, Variable):  # a new one is unbound: sampled and derived slots are made first
             op = ("raise", UnboundVariableError, f"unbound variable {t.name!r}")
-            return self.slot(op, False, key=("var", t.name, None))
-        if isinstance(t, Numeral):
-            return self.slot(("num", t.value, None), True)
-        if isinstance(t, V2App):
+            i = self.slot(op, False, key=("var", t.name, None))
+        elif isinstance(t, Numeral):
+            i = self.slot(("num", t.value, None), True)
+        elif isinstance(t, V2App):
             a = self.term(t.arg)
-            return self.slot(("v2", a, None), self.const[a], (a,))
-        return self.slot(("raise", TypeError, f"not a term: {t!r}"), False)
+            i = self.slot(("v2", a, None), self.const[a], (a,))
+        else:
+            i = self.slot(("raise", TypeError, f"not a term: {t!r}"), False)
+        self.walked[id(t)] = i
+        return i
 
     def residue(self, t, n: int) -> int:
         a = self.term(t)
