@@ -131,8 +131,7 @@ class _Emitter:
         for i in self.given:
             self.assign(i)
         sample = self.names["sample"] = model.sample
-        # Where the model keeps all of the kernel's own operations, the slots
-        # hold (p, q, w) triples and the loop calls the operations' triple forms.
+        # a model that keeps every kernel form gets slots that hold (p, q, w) triples
         self.triples = all(getattr(member, "__func__", member) is f for member, f in (
             (self.names[op] if op in self.names else getattr(model, op, None), f) for op, (f, _) in TRIPLES.items()))
         if self.triples:
@@ -169,9 +168,8 @@ class _Emitter:
         return i
 
     def term(self, t) -> int:
-        # a node walked before has its slot in walked, so a shared subtree,
-        # such as A4's w + ... + w, is walked once; inline, as a wrapper would
-        # take two stack frames per sum link
+        # a shared subtree, such as A4's w + ... + w, is walked once; the memo is
+        # inline, as a wrapper would take two stack frames per sum link
         i = self.walked.get(id(t))
         if i is not None:
             return i

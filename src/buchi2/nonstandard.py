@@ -38,8 +38,9 @@ Kernel results are valid by construction and are built by the unchecked
 ``_element``; ``Element(galaxy, offset)`` is the checked constructor for
 everything else.  The arithmetic of ``natural``, ``add``, ``compare``,
 ``residue_mod``, ``v2`` and ``sample`` is written once, on (p, q, w) int
-triples (``TRIPLES``), which the Element functions unbox with ``_values``
-and box with ``_element``; a compiled case loop calls the triple forms.
+triples (``TRIPLES``): the Element functions unbox their arguments and
+box a result with ``_element``, and a compiled case loop calls the triple
+forms.
 
 Every bad value raises a ValueError: a ParseError for malformed text,
 NegativeResultError or NotDivisibleError (also ArithmeticErrors) where
@@ -253,7 +254,6 @@ class Element(_Frozen):
 # The slots' own setters; they bypass the frozen __setattr__.
 _set_p, _set_q, _set_w = (getattr(Element, name).__set__ for name in Element.__slots__)
 _new = object.__new__
-_values = Element._values  # an Element's (p, q, w)
 
 
 def _element(p: int, q: int, w: int) -> Element:
@@ -286,7 +286,7 @@ def _natural(n: int) -> tuple:
 
 def add(x: Element, y: Element) -> Element:
     """Model addition: (p1*c + w1)/q1 + (p2*c + w2)/q2 as fractions."""
-    return _element(*_add(_values(x), _values(y)))
+    return _element(*_add((x.p, x.q, x.w), (y.p, y.q, y.w)))
 
 
 def _add(x: tuple, y: tuple) -> tuple:
@@ -344,7 +344,7 @@ def remainder(x, n: int):
 
 def compare_elements(x: Element, y: Element) -> Ordering:
     """The model order of two Elements: galaxies as rationals, then w."""
-    return _compare(_values(x), _values(y))
+    return _compare((x.p, x.q, x.w), (y.p, y.q, y.w))
 
 
 def _compare(x: tuple, y: tuple) -> Ordering:
@@ -384,7 +384,7 @@ def divide(x: Element, n: int) -> Element:
 
 def residue_mod(x: Element, n: int) -> int:
     """The unique j in [0, n) such that x - j is divisible by n."""
-    return _residue_mod(_values(x), n)
+    return _residue_mod((x.p, x.q, x.w), n)
 
 
 def _residue_mod(x: tuple, n: int) -> int:
@@ -407,7 +407,7 @@ def v2(x: Element) -> Element:
     (t(q) is 1 modulo q's odd part, which would divide p), so with
     ``m & -m`` = 2^nu2(m) that galaxy is (p & -p)/q.
     """
-    return _element(*_v2(_values(x)))
+    return _element(*_v2((x.p, x.q, x.w)))
 
 
 def _v2(x: tuple) -> tuple:
@@ -637,8 +637,8 @@ def _sample(model: Model, rng) -> tuple:
     return p, q, q * offset - p * t_residue(q)
 
 
-# Model member -> (its kernel form, the triple form that calls): a case
-# loop whose model keeps every kernel form holds triples (compile_run).
+# Model member -> (the kernel's own form, the triple form that it calls): a
+# case loop whose model keeps every own form holds triples (compile_run).
 # v2 is last, so a loop reads it only from a model that keeps the others.
 TRIPLES = {
     "numeral": (natural, _natural), "add": (add, _add), "compare": (compare_elements, _compare),
