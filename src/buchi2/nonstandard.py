@@ -36,11 +36,10 @@ and through ``Element.offset``.
 
 Kernel results are valid by construction and are built by the unchecked
 ``_element``; ``Element(galaxy, offset)`` is the checked constructor for
-everything else.  The arithmetic of ``natural``, ``add``, ``compare``,
-``residue_mod``, ``v2`` and ``sample`` is written once, on (p, q, w) int
-triples (``TRIPLES``): the Element functions unbox their arguments and
-box a result with ``_element``, and a compiled case loop calls the triple
-forms.
+everything else.  The arithmetic of ``add``, ``compare``, ``residue_mod``,
+``v2`` and ``sample`` is written once, on (p, q, w) int triples
+(``TRIPLES``): the Element functions unbox their arguments and box a
+result with ``_element``, and a compiled case loop calls the triple forms.
 
 Every bad value raises a ValueError: a ParseError for malformed text,
 NegativeResultError or NotDivisibleError (also ArithmeticErrors) where
@@ -273,15 +272,15 @@ C = _element(1, 1, 0)
 
 def natural(n: int) -> Element:
     """Embed a natural number as the standard element n; n is an int, not a bool."""
-    return _element(*_natural(n))
-
-
-def _natural(n: int) -> tuple:
     if n.__class__ is not int and (n.__class__ is bool or not isinstance(n, int)):
         raise TypeError(f"standard numbers are ints, got {n!r}")
     if n < 0:
         raise ValueError(f"standard numbers are non-negative, got offset {n}")
-    return 0, 1, n
+    return _element(0, 1, n)
+
+
+def _natural(n: int) -> tuple:  # a loop computes numerals once, so this may box and unbox
+    return 0, 1, natural(n).w
 
 
 def add(x: Element, y: Element) -> Element:
@@ -637,8 +636,8 @@ def _sample(model: Model, rng) -> tuple:
     return p, q, q * offset - p * t_residue(q)
 
 
-# Model member -> (the kernel's own form, the triple form that it calls): a
-# case loop whose model keeps every own form holds triples (compile_run).
+# Model member -> (the kernel's own form, its form on triples): a case loop
+# whose model keeps every own form holds triples (compile_run).
 # v2 is last, so a loop reads it only from a model that keeps the others.
 TRIPLES = {
     "numeral": (natural, _natural), "add": (add, _add), "compare": (compare_elements, _compare),
