@@ -60,6 +60,8 @@ MAX_SCHEMA = 500
 #
 # Signature: fn(model, param, *values) -> element, where values are the
 # slot values of the reads its derived variable declares (see compile_run).
+# In a case loop on (p, q, w) triples, model is nonstandard.TRIPLE_VIEW and
+# the elements are triples, so these call only the model's members.
 # Where no genuine witness exists the functions return a dummy (zero, or x)
 # that leaves the matrix's guarding antecedent false.
 

@@ -12,13 +12,12 @@ loop over sampled variables: generated code rather than a tree of closures
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from types import SimpleNamespace
 
 from .formulas import (
     And, CongMod, Eq, Exists, ForAll, Implies, Lt, Not, Numeral, Or, Sum, UnboundVariableError, V2App, Variable,
     free_variables,
 )
-from .nonstandard import EQUAL, LESS, TRIPLES, Element, Model, _element
+from .nonstandard import EQUAL, LESS, TRIPLE_VIEW, TRIPLES, Element, Model, _element
 
 # The generated case loop keeps each distinct subterm ("slot") i in a local
 # s<i>, computed where a formula first demands it; a variable neither
@@ -40,14 +39,15 @@ from .nonstandard import EQUAL, LESS, TRIPLES, Element, Model, _element
 # that holds no builtins and, once compiled, not the loop itself, so no
 # reference cycle is left.  A loop on the non-standard kernel's own
 # operations (``nonstandard.TRIPLES``) is unboxed: a slot holds an element's
-# (p, q, w), boxed as element(*s<i>) only as a witness's argument or in a
-# failing case's env, and values() unboxes a witness's result.
+# (p, q, w), and is boxed as element(*s<i>) only in a failing case's env.
+# Its global ``model`` is ``nonstandard.TRIPLE_VIEW``, so its witnesses and
+# constants call the triple forms too.
 NESTING = 40
 
 
 def _constant(model, numeral, add, residue_mod, ops, kept, i):
     # variable-free slot i's value: kept, or computed in eval_term's order and
-    # kept unless it raises; model.v2 computes a V2, on triples in an unboxed loop
+    # kept unless it raises; model.v2 computes a V2
     v = kept[i]
     if v is None:
         kind, a, b = ops[i]
@@ -135,8 +135,8 @@ class _Emitter:
         self.triples = all(getattr(member, "__func__", member) is f for member, f in (
             (self.names[op] if op in self.names else getattr(model, op, None), f) for op, (f, _) in TRIPLES.items()))
         if self.triples:
-            self.names.update({op: raw for op, (_, raw) in TRIPLES.items()}, element=_element, values=Element._values,
-                              triples=_triples, sample=partial(TRIPLES["sample"][1], sample.__self__))
+            self.names.update(vars(TRIPLE_VIEW), model=TRIPLE_VIEW, element=_element, triples=_triples,
+                              sample=partial(TRIPLES["sample"][1], sample.__self__))
         elif getattr(sample, "__func__", None) is Model.sample:  # drawn inline
             n = sample.__self__.offset_bound + 1
             self.names.update(bound=n, bits=n.bit_length())
@@ -300,15 +300,14 @@ class _Emitter:
             _, witness, param = a
             for r in b:
                 self.demand(r)
-            args = "".join(f", {self.value(r)}" for r in b)
-            call = f"{self.name(witness)}(model, {self.name(param)}{args})"
-            self.line(f"s{i} = values({call})" if self.triples else f"s{i} = {call}", guard)
+            args = "".join(f", s{r}" for r in b)
+            self.line(f"s{i} = {self.name(witness)}(model, {self.name(param)}{args})", guard)
         self.assign(i)
         return f"s{i}"
 
     def value(self, i: int) -> str:
-        """Slot i's value as the model's: a triple leaves the loop as an Element."""
-        return f"element(*s{i})" if self.triples and self.ops[i][0] != "mod" else f"s{i}"
+        """Variable slot i's value in a failing case's env: a triple leaves the loop as an Element."""
+        return f"element(*s{i})" if self.triples else f"s{i}"
 
     def emit(self, node, negated=False) -> None:
         """Write code after which r holds the node's truth value, or its negation."""
@@ -368,8 +367,7 @@ class _Emitter:
     def source(self, root, witnesses) -> str:
         kept = [None] * len(self.ops)  # slot -> its value once computed, for variable-free slots
         ops = {i: op for i, op in enumerate(self.ops) if self.const[i]}  # all that _constant reads
-        v2_of = SimpleNamespace(v2=self.names["v2"]) if self.triples else self.names["model"]
-        constant = partial(_constant, v2_of, *map(self.names.get, ("numeral", "add", "residue_mod")), ops, kept)
+        constant = partial(_constant, *map(self.names.get, ("model", "numeral", "add", "residue_mod")), ops, kept)
         self.names.update(kept=kept, constant=constant, lookup=partial(_lookup, constant, self.names["residue_mod"]))
         self.emit(root)
         self.line("if r: continue")
@@ -454,22 +452,26 @@ def compile_run(f, model, sampled, derived=()):
     values and errors are the call's.
 
     Where the model keeps all of the non-standard kernel's own ``numeral``,
-    ``add``, ``compare``, ``residue_mod``, ``v2`` and ``sample``
-    (``nonstandard.TRIPLES``), the loop is unboxed: its slots hold each
-    element's (p, q, w), it calls the triple forms that the kernel's own
-    functions call, looked up once here, ``v2`` included, and ``=``
-    compares the triples, which are canonical.  It unboxes the corners when
-    called, so one that is not an ``Element`` raises TypeError before the
-    first case, and returns its values in an env as Elements.  A subclass
-    or proxy that overrides any of the six gets a loop on its own values.
+    ``add``, ``sub``, ``divide``, ``compare``, ``residue_mod``,
+    ``next_power_of_two``, ``sample`` and ``v2`` (``nonstandard.TRIPLES``),
+    the loop is unboxed: its slots hold each element's (p, q, w), it calls
+    the triple forms that the kernel's own functions call, looked up once
+    here, ``v2`` included, and ``=`` compares the triples, which are
+    canonical.  It unboxes the corners when called, so one that is not an
+    ``Element`` raises TypeError before the first case, and returns its
+    values in an env as Elements.  A subclass or proxy that overrides any of
+    the nine gets a loop on its own values.
 
     Each ``(name, witness, param, reads)`` of ``derived`` binds ``name`` to
     ``witness(model, param, *values)``, the values of ``reads``: terms
     (sampled or earlier derived variables), and ``(term, n)`` for a term's
-    residue mod n, sharing f's own slots.  It is computed when f first
-    demands ``name``; a false case then computes the rest, in order.  A
-    ``name`` that is sampled, derived twice or read by its own or an
-    earlier witness raises ValueError.
+    residue mod n, sharing f's own slots.  In an unboxed loop ``model`` is
+    ``nonstandard.TRIPLE_VIEW``, whose members are the triple forms, the
+    values of terms are triples, and the witness must return a triple; a
+    witness that needs Elements needs a model that overrides ``sample``.
+    It is computed when f first demands ``name``; a false case then
+    computes the rest, in order.  A ``name`` that is sampled, derived twice
+    or read by its own or an earlier witness raises ValueError.
     """
     _check_derived(sampled, derived)
     source, names = _generate(f, model, derived, sampled)

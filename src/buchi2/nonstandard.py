@@ -36,10 +36,14 @@ and through ``Element.offset``.
 
 Kernel results are valid by construction and are built by the unchecked
 ``_element``; ``Element(galaxy, offset)`` is the checked constructor for
-everything else.  The arithmetic of ``add``, ``compare``, ``residue_mod``,
-``v2`` and ``sample`` is written once, on (p, q, w) int triples
-(``TRIPLES``): the Element functions unbox their arguments and box a
-result with ``_element``, and a compiled case loop calls the triple forms.
+everything else.  The arithmetic of ``add``, ``sub``, ``divide``,
+``compare``, ``residue_mod``, ``next_power_of_two_above``, ``v2`` and
+``sample`` is written once, on (p, q, w) int triples (``TRIPLES``): the
+Element functions unbox their arguments and box a result with
+``_element``, and an error's message boxes and formats its operands only
+when it is raised.  A compiled case loop calls the triple forms, and passes
+its witnesses ``TRIPLE_VIEW``, a model whose members are those forms, so a
+witness there reads and returns triples.
 
 Every bad value raises a ValueError: a ParseError for malformed text,
 NegativeResultError or NotDivisibleError (also ArithmeticErrors) where
@@ -65,6 +69,7 @@ from fractions import Fraction
 from functools import lru_cache, total_ordering
 from math import gcd
 from operator import attrgetter
+from types import SimpleNamespace
 from collections.abc import Callable
 
 
@@ -305,17 +310,22 @@ def _add(x: tuple, y: tuple) -> tuple:
 
 def sub(x: Element, y: Element) -> Element:
     """The unique z with y + z = x; raises NegativeResultError if x < y."""
-    p1, q1, p2, q2 = x.p, x.q, y.p, y.q
+    return _element(*_sub((x.p, x.q, x.w), (y.p, y.q, y.w)))
+
+
+def _sub(x: tuple, y: tuple) -> tuple:
+    p1, q1, w1 = x
+    p2, q2, w2 = y
     a, b = p1 * q2, p2 * q1
-    if a < b or a == b and x.w < y.w:
-        raise NegativeResultError(f"{format_element(x)} < {format_element(y)}")
+    if a < b or a == b and w1 < w2:
+        raise NegativeResultError(f"{format_element(_element(*x))} < {format_element(_element(*y))}")
     if a == b:
-        return _element(0, 1, (x.w - y.w) // q1)
+        return 0, 1, (w1 - w2) // q1
     if not p2:
-        return _element(p1, q1, x.w - q1 * y.w)
-    p, q, w = a - b, q1 * q2, x.w * q2 - y.w * q1
+        return p1, q1, w1 - q1 * w2
+    p, q, w = a - b, q1 * q2, w1 * q2 - w2 * q1
     g = gcd(p, q)
-    return _element(p // g, q // g, w // g)
+    return p // g, q // g, w // g
 
 
 def compare(x, y) -> Ordering:
@@ -371,14 +381,18 @@ def divide(x: Element, n: int) -> Element:
 
     Raises NotDivisibleError when no such element exists; positive n only.
     """
+    return _element(*_divide((x.p, x.q, x.w), n))
+
+
+def _divide(x: tuple, n: int) -> tuple:
     if n < 1:
         raise ValueError(f"divisor must be positive, got {n}")
-    p, q, w = x.p, x.q, x.w
+    p, q, w = x
     g = gcd(p, n)
     L = q * n // g
     if ((p * t_residue(L) + w) // q if p else w) % n:
-        raise NotDivisibleError(f"{format_element(x)} is not divisible by {n}")
-    return _element(p // g, L, w // g)
+        raise NotDivisibleError(f"{format_element(_element(*x))} is not divisible by {n}")
+    return p // g, L, w // g
 
 
 def residue_mod(x: Element, n: int) -> int:
@@ -443,9 +457,14 @@ def next_power_of_two_above(x: Element) -> Element:
     not be the least power of two above x: c - 7 gives 2c, though c is
     above it, and c/3 and c/2 - 1 give 2c, though c/2 is above them.
     """
-    if x.p == 0:
-        return _element(0, 1, 1 << x.w.bit_length())
-    return _element(1 << (-(-x.p // x.q)).bit_length(), 1, 0)
+    return _element(*_next_power_of_two((x.p, x.q, x.w)))
+
+
+def _next_power_of_two(x: tuple) -> tuple:
+    p, q, w = x
+    if not p:
+        return 0, 1, 1 << w.bit_length()
+    return 1 << (-(-p // q)).bit_length(), 1, 0
 
 
 def density_witnesses(x: Element, y: Element) -> tuple[Element, Element, Element]:
@@ -640,6 +659,12 @@ def _sample(model: Model, rng) -> tuple:
 # whose model keeps every own form holds triples (compile_run).
 # v2 is last, so a loop reads it only from a model that keeps the others.
 TRIPLES = {
-    "numeral": (natural, _natural), "add": (add, _add), "compare": (compare_elements, _compare),
-    "residue_mod": (residue_mod, _residue_mod), "sample": (NonstandardModel.sample, _sample), "v2": (v2, _v2),
+    "numeral": (natural, _natural), "add": (add, _add), "sub": (sub, _sub), "divide": (divide, _divide),
+    "compare": (compare_elements, _compare), "residue_mod": (residue_mod, _residue_mod),
+    "next_power_of_two": (next_power_of_two_above, _next_power_of_two), "sample": (NonstandardModel.sample, _sample),
+    "v2": (v2, _v2),
 }
+
+# The model that a loop on triples passes to its witnesses and its constants:
+# every member of TRIPLES but sample, in its form on triples.
+TRIPLE_VIEW = SimpleNamespace(**{op: raw for op, (_, raw) in TRIPLES.items() if op != "sample"})

@@ -1064,6 +1064,65 @@ def test_a_loop_on_triples_takes_only_elements_as_corners(corner):
     assert compile_run(parse_formula("x = x"), BoxedModel(), ("x",))(rng, 1, (NONSTD.corners[6], corner)) is None
 
 
+def own(op):
+    """A NonstandardModel subclass with op of its own: the kernel's, counting its calls."""
+    kernel = getattr(NonstandardModel, op)
+
+    def counted(self, *args):
+        self.calls += 1
+        return kernel(*args)
+
+    return type(f"Own_{op}", (NonstandardModel,), {op: counted, "calls": 0})
+
+
+@pytest.mark.parametrize("op, ids", [
+    ("sub", ("A2", "A8")), ("divide", ("A4", "A14")), ("next_power_of_two", ("A15",)),
+])
+def test_a_model_that_overrides_an_operation_of_a_witness_gets_a_loop_on_elements(op, ids):
+    # The catalog witnesses call op: in a loop on triples they would call the
+    # kernel's triple form, not the override.
+    model = own(op)()
+    for spec in build_axioms(12, ids):
+        f = reduce(And, (matrix for _, matrix in spec.obligations))
+        assert not on_triples(compile_run(f, model, spec.sampled, spec.derived)), spec.id
+        calls = model.calls
+        assert check_axiom(spec, model, cases=300) == check_axiom(spec, NonstandardModel(), cases=300), spec.id
+        assert model.calls > calls, spec.id
+
+
+def _w_backwards(model, param, x, y):
+    return model.sub(y, x)
+
+
+def _w_third(model, param, x):
+    return model.divide(x, param)
+
+
+@pytest.mark.parametrize("matrix, derived, error", [
+    ("d = d", (("d", _w_backwards, None, (Variable("x"), Variable("y"))),), "1/2c < 4c"),
+    ("x = V2(x) | d = d", (("d", _w_third, 3, (Variable("x"),)),), "1/3c+5 is not divisible by 3"),
+], ids=["sub below zero", "divide with no quotient"])
+def test_a_witness_error_on_triples_is_the_error_on_elements(matrix, derived, error):
+    # No catalog witness raises on the kernel, so these reach the raise
+    # paths of the triple forms from a loop: first on the corners, then on
+    # drawn elements.
+    spec = AxiomSpec("E", f"forall x. forall y. exists d. {matrix}", sampled=("x", "y"), obligations=_one(matrix),
+                     derived=derived)
+    unboxed, boxed = NonstandardModel(), BoxedModel()
+    report = check_axiom(spec, unboxed, cases=100)
+    assert report.status == FAIL and report.error == error
+    assert report == check_axiom(spec, boxed, cases=100)
+    runs = [compile_run(parse_formula(matrix), model, spec.sampled, derived) for model in (unboxed, boxed)]
+    assert [on_triples(run) for run in runs] == [True, False]
+    errors = Counter()
+    for seed in range(300):
+        results = [run(random.Random(seed), 1, ()) for run in runs]
+        results = [failed and (*failed[:2], type(failed[2]), str(failed[2])) for failed in results]
+        assert results[0] == results[1]
+        errors[results[0] and results[0][2]] += 1
+    assert errors[NegativeResultError] + errors[NotDivisibleError] > 50
+
+
 class BareModel(Model):
     """A model on ints that declares only what a case loop's source reads and ``Model`` has no default for."""
 
