@@ -41,7 +41,9 @@ from .nonstandard import EQUAL, LESS, TRIPLE_VIEW, TRIPLES, Element, Model, _ele
 # operations (``nonstandard.TRIPLES``) is unboxed: a slot holds an element's
 # (p, q, w), and is boxed as element(*s<i>) only in a failing case's env.
 # Its global ``model`` is ``nonstandard.TRIPLE_VIEW``, so its witnesses and
-# constants call the triple forms too.
+# constants call the triple forms too.  A draw that would call a sampler
+# built from a template (``Model.sample``, an unboxed loop's ``_sample``)
+# is that template's lines, with its setup values as globals.
 NESTING = 40
 
 
@@ -135,11 +137,13 @@ class _Emitter:
         self.triples = all(getattr(member, "__func__", member) is f for member, f in (
             (self.names[op] if op in self.names else getattr(model, op, None), f) for op, (f, _) in TRIPLES.items()))
         if self.triples:
-            self.names.update(vars(TRIPLE_VIEW), model=TRIPLE_VIEW, element=_element, triples=_triples,
-                              sample=partial(TRIPLES["sample"][1], sample.__self__))
-        elif getattr(sample, "__func__", None) is Model.sample:  # drawn inline
-            n = sample.__self__.offset_bound + 1
-            self.names.update(bound=n, bits=n.bit_length())
+            self.names.update(vars(TRIPLE_VIEW), model=TRIPLE_VIEW, element=_element, triples=_triples)
+        # a draw that would call a sampler built from a template (in an unboxed loop, the
+        # triple form of the model's) is written inline, with the model's setup values as globals
+        sampler = TRIPLES["sample"][1] if self.triples else getattr(sample, "__func__", None)
+        self.template = getattr(sampler, "template", None)
+        if self.template is not None:
+            self.names.update(self.template.names, **self.template.values(sample.__self__))
         self.names.update(len=len, range=range)
 
     # -- slots and formula nodes --------------------------------------------
@@ -382,15 +386,18 @@ class _Emitter:
         unset = sorted(unset.union(derived).difference(self.given))
         pairs = [f"{self.name(v)}: {self.value(i)}" for i, v in (*self.given.items(), *derived.items())]
         self.line(f"return i + 1, {{{', '.join(pairs)}}}, None")
-        draw = ["s{0} = draw(bits)", "while s{0} >= bound: s{0} = draw(bits)"] if "bits" in self.names else \
-            ["s{0} = sample(rng)"]
+        if self.template is None:
+            calls, draw = {"draw": "getrandbits"}, ["{0} = sample(rng)"]
+        else:
+            calls, draw = self.template.calls, self.template.lines
         rotate = [f"   s{i} = corners[(i + {j}) % k]" if j else f"   s{i} = corners[i]"
                   for j, i in enumerate(self.sampled)]
-        draws = ["   " + d.format(i) for i in self.sampled for d in draw]
+        draws = ["   " + d.format(f"s{i}") for i in self.sampled for d in draw]
         return "\n".join([
             "def run(rng, cases, corners):", *self.helpers, *reads,
             *([" corners = triples(corners)"] if self.triples else []),
-            " k = len(corners)", " draw = rng.getrandbits", " for i in range(cases):",
+            " k = len(corners)", *(f" {local} = rng.{method}" for local, method in calls.items()),
+            " for i in range(cases):",
             *(["  if i < k:", *rotate, "  else:", *draws] if self.sampled else []),
             *(["  " + " = ".join(f"s{i}" for i in unset) + " = None"] if unset else []),
             "  try:", *self.lines, f"  except {self.name(ValueError)} as e:",
@@ -423,14 +430,19 @@ def compile_run(f, model, sampled, derived=()):
 
     Case i assigns the ``sampled`` variables, as locals, the corners
     rotated by i while i < len(corners), then one ``model.sample(rng)``
-    each, written inline where that is ``Model.sample``, and runs
-    f on them as ``eval_qf`` does.  ``run`` returns None, or for the first
-    case that is false or raises a ValueError, such as the
-    UnboundVariableError of a variable neither sampled nor derived: its
-    number from 1, an env of the sampled variables and the derived ones it
-    computed (on a false case, all of them), and the error or None.  Such
-    a variable, or a non-term, raises only where f demands it, and
-    ``a -> b`` runs as ``~a | b``, as in ``eval_qf``.
+    each, and runs f on them as ``eval_qf`` does.  Where that draw would
+    call a sampler built from a ``nonstandard.SamplerTemplate``, such as
+    ``Model.sample``, the loop writes the template's lines instead, with
+    its setup, such as the model's bounds, computed here: the same ``rng``
+    calls in the same order.  An override of ``sample`` is called.
+
+    ``run`` returns None, or for the first case that is false or raises a
+    ValueError, such as the UnboundVariableError of a variable neither
+    sampled nor derived: its number from 1, an env of the sampled
+    variables and the derived ones it computed (on a false case, all of
+    them), and the error or None.  Such a variable, or a non-term, raises
+    only where f demands it, and ``a -> b`` runs as ``~a | b``, as in
+    ``eval_qf``.
 
     Each distinct subterm is one slot, computed at most once per case, when
     first demanded, so the interpreter's short-circuits, first error (type
@@ -457,10 +469,11 @@ def compile_run(f, model, sampled, derived=()):
     the loop is unboxed: its slots hold each element's (p, q, w), it calls
     the triple forms that the kernel's own functions call, looked up once
     here, ``v2`` included, and ``=`` compares the triples, which are
-    canonical.  It unboxes the corners when called, so one that is not an
-    ``Element`` raises TypeError before the first case, and returns its
-    values in an env as Elements.  A subclass or proxy that overrides any of
-    the nine gets a loop on its own values.
+    canonical.  It draws inline, from the template of the triple sampler
+    that ``NonstandardModel.sample`` boxes.  It unboxes the corners when
+    called, so one that is not an ``Element`` raises TypeError before the
+    first case, and returns its values in an env as Elements.  A subclass
+    or proxy that overrides any of the nine gets a loop on its own values.
 
     Each ``(name, witness, param, reads)`` of ``derived`` binds ``name`` to
     ``witness(model, param, *values)``, the values of ``reads``: terms

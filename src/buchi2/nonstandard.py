@@ -43,7 +43,9 @@ Element functions unbox their arguments and box a result with
 ``_element``, and an error's message boxes and formats its operands only
 when it is raised.  A compiled case loop calls the triple forms, and passes
 its witnesses ``TRIPLE_VIEW``, a model whose members are those forms, so a
-witness there reads and returns triples.
+witness there reads and returns triples.  The sampler is declared once, as
+a ``SamplerTemplate``: ``_sample`` is built from it, and such a loop writes
+its draws inline from the same template.
 
 Every bad value raises a ValueError: a ParseError for malformed text,
 NegativeResultError or NotDivisibleError (also ArithmeticErrors) where
@@ -549,13 +551,32 @@ def format_element(x: Element) -> str:
     return f"{coef}{'+' if d > 0 else '-'}{abs(d)}"
 
 
-def _below(getrandbits, n: int) -> int:
-    # rng.randrange(n) for n >= 1, drawn as CPython's Random draws it.
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
+class SamplerTemplate:
+    """A model's draw of one element, declared once as source.
+
+    ``calls`` binds locals to methods of ``rng``; ``setup`` maps a name to
+    an expression over ``model`` and the names before it, such as a bound
+    and its bit length; ``lines`` assign the drawn element to ``{0}`` and
+    read ``names`` as globals, no builtins, and no local of the case loop
+    (``r``, ``i``, ``k``, ``e``, ``env``, ``corners``, a letter and digits).
+    ``sample(model, rng)``, which carries the template as ``.template``,
+    runs the three in that order; ``values(model)`` gives setup's names.  A
+    case loop that would call ``sample`` writes ``lines`` inline instead,
+    with setup's values as globals (``compiled.compile_run``).
+    """
+
+    def __init__(self, calls: dict, setup: dict, lines: str, **names):
+        self.calls, self.names = calls, names
+        self.lines = lines.strip("\n").split("\n")
+        assigns = [f" {name} = {value}" for name, value in setup.items()]
+        namespace = {"__builtins__": {}, "__name__": __name__, **names}
+        exec("\n".join([
+            "def sample(model, rng):", *(f" {local} = rng.{method}" for local, method in calls.items()),
+            *assigns, *(" " + line.format("value") for line in self.lines), " return value",
+            "def values(model):", *assigns, f" return {{{', '.join(f'{name!r}: {name}' for name in setup)}}}",
+        ]), namespace)
+        self.sample, self.values = namespace.pop("sample"), namespace.pop("values")
+        self.sample.template = self
 
 
 class Model:
@@ -575,6 +596,9 @@ class Model:
     The defaults ``add``, ``compare``, ``residue_mod`` and ``sample`` are
     Python's ``+``, ``==`` then ``<``, ``%`` and ``randrange`` on ints; a
     compiled case loop writes them inline (``compiled.compile_run``).
+    ``sample`` is built from a ``SamplerTemplate``, and a loop writes the
+    draw of any sampler so built inline; an override of ``sample`` is called
+    once per draw.
     """
 
     name: str
@@ -600,8 +624,11 @@ class Model:
         self.den_bound = den_bound
         self.offset_bound = offset_bound
 
-    def sample(self, rng):  # -> a random element; here the int rng.randrange(offset_bound + 1), as CPython draws it
-        return _below(rng.getrandbits, self.offset_bound + 1)
+    # (rng) -> a random element; here the int rng.randrange(offset_bound + 1), as CPython draws it
+    sample = SamplerTemplate(
+        {"draw": "getrandbits"}, {"bound": "model.offset_bound + 1", "bits": "bound.bit_length()"},
+        "{0} = draw(bits)\nwhile {0} >= bound: {0} = draw(bits)",
+    ).sample
 
     def corner_elements(self) -> tuple:  # a method, so that a wrapping proxy can forward it
         return self.corners
@@ -634,25 +661,45 @@ class NonstandardModel(Model):
         return _element(*_sample(self, rng))
 
 
-def _sample(model: Model, rng) -> tuple:
-    # The draws of rng.randrange and rng.randint, in the same order.
-    bits = rng.getrandbits
-    roll = rng.random()
-    if roll < 0.25:
-        return 0, 1, _below(bits, model.offset_bound + 1)
-    den_bound = model.den_bound
-    num = 1 + _below(bits, den_bound)
-    if roll < 0.40:
-        # hypernumbers: binary-rational multiples of c, where w = 0
-        den = 1 << _below(bits, 11)
-        g = gcd(num, den)
-        return num // g, den // g, 0
-    den = 1 + _below(bits, den_bound)
-    offset_bound = model.offset_bound
-    offset = _below(bits, 2 * offset_bound + 1) - offset_bound
-    g = gcd(num, den)
-    p, q = num // g, den // g
-    return p, q, q * offset - p * t_residue(q)
+# The draws of rng.randrange and rng.randint, in the same order: a quarter
+# standard, then a galaxy num/den, 15% hypernumbers (binary-rational
+# multiples of c, where w = 0) and the rest with an offset in
+# [-offset_bound, offset_bound].  The hypernumber's den is 2**randrange(11).
+_sample = SamplerTemplate(
+    {"draw": "getrandbits", "random": "random"},
+    {
+        "bound": "model.offset_bound + 1", "bits": "bound.bit_length()",
+        "den_bound": "model.den_bound", "den_bits": "den_bound.bit_length()",
+        "offset_bound": "model.offset_bound", "offsets": "2 * offset_bound + 1", "offset_bits": "offsets.bit_length()",
+    },
+    """
+roll = random()
+if roll < 0.25:
+ offset = draw(bits)
+ while offset >= bound: offset = draw(bits)
+ {0} = 0, 1, offset
+else:
+ num = draw(den_bits)
+ while num >= den_bound: num = draw(den_bits)
+ num += 1
+ if roll < 0.40:
+  den = draw(4)
+  while den >= 11: den = draw(4)
+  den = 1 << den
+  g = gcd(num, den)
+  {0} = num // g, den // g, 0
+ else:
+  den = draw(den_bits)
+  while den >= den_bound: den = draw(den_bits)
+  den += 1
+  offset = draw(offset_bits)
+  while offset >= offsets: offset = draw(offset_bits)
+  g = gcd(num, den)
+  num, den = num // g, den // g
+  {0} = num, den, den * (offset - offset_bound) - num * t_residue(den)
+""",
+    gcd=gcd, t_residue=t_residue,
+).sample
 
 
 # Model member -> (the kernel's own form, its form on triples): a case loop

@@ -19,7 +19,6 @@ from .nonstandard import (
     NegativeResultError,
     NotDivisibleError,
     ParseError,
-    _below,
     _Frozen,
     compare as p_compare,
     too_many_digits,
@@ -185,6 +184,15 @@ def parse_pair(text: str) -> PairElement:
 
 def format_pair(x: PairElement) -> str:
     return f"({x.g}, {x.n})"
+
+
+def _below(getrandbits, n: int) -> int:
+    # rng.randrange(n) for n >= 1, drawn as CPython's Random draws it.
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 class PairsModel(Model):

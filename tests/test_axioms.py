@@ -536,6 +536,18 @@ class SampleCountingModel(StandardModel):
         return super().sample(rng)
 
 
+class NonstandardSampleCountingModel(NonstandardModel):
+    """The non-standard model with a sample of its own, which counts its calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.draws = 0
+
+    def sample(self, rng):
+        self.draws += 1
+        return super().sample(rng)
+
+
 class ForwardingModel:
     """A proxy that forwards every member to a standard model and counts its own sample calls."""
 
@@ -976,11 +988,16 @@ def test_inline_draws_are_the_standard_models_draws(offset_bound):
     assert first.__code__ is second.__code__ and first.__globals__ is not second.__globals__
 
 
-@pytest.mark.parametrize("model_class", [SampleCountingModel, ForwardingModel], ids=lambda c: c.__name__)
+@pytest.mark.parametrize("model_class", [SampleCountingModel, ForwardingModel, NonstandardSampleCountingModel],
+                         ids=lambda c: c.__name__)
 def test_a_sample_of_its_own_is_called_once_per_draw(model_class):
+    # Its loop calls it for each draw; a non-standard one gets a loop on Elements.
     spec, model = by_id("A7"), model_class()
+    plain = NonstandardModel() if isinstance(model, NonstandardModel) else StandardModel()
+    run = compile_run(reduce(And, (matrix for _, matrix in spec.obligations)), model, spec.sampled)
+    assert "sample" in run.__code__.co_names and not on_triples(run)
     cases = len(model.corner_elements()) + 50
-    assert check_axiom(spec, model, cases=cases) == check_axiom(spec, StandardModel(), cases=cases)
+    assert check_axiom(spec, model, cases=cases) == check_axiom(spec, plain, cases=cases)
     assert model.draws == 3 * 50
 
 
@@ -1005,21 +1022,34 @@ def on_triples(run):
     return "triples" in run.__code__.co_names
 
 
-@pytest.mark.parametrize("bounds", [(), (7, 3)], ids=["default bounds", "den_bound 7, offset_bound 3"])
+DRAW_EDGES = [(den_bound, offset_bound) for den_bound in (1, 2**10 - 1, 2**10)
+              for offset_bound in (1, 2**20 - 1, 2**20, 10**23)]
+
+
+@pytest.mark.parametrize("bounds", [(), (7, 3), *DRAW_EDGES], ids=[
+    "default bounds", "den_bound 7, offset_bound 3", *(f"den_bound {d}, offset_bound {o}" for d, o in DRAW_EDGES)])
 def test_a_loop_on_triples_draws_what_sample_draws(bounds):
     # x < x is false, so a first case returns the two elements it drew.
-    # Small bounds draw the standard and the hypernumber branches' bounds too.
+    # Small bounds draw the standard and the hypernumber branches' bounds
+    # too; the edges are each rejection loop's bit-length edges, and 10**23
+    # draws offsets wider than 64 bits.  A second model with other bounds
+    # shares the loop's code but not its bounds.
     model = NonstandardModel(*bounds)
-    run = compile_run(parse_formula("x < x"), model, ("x", "y"))
-    assert on_triples(run)
+    other = NonstandardModel(model.den_bound + 1, 2 * model.offset_bound)
+    runs = [compile_run(parse_formula("x < x"), m, ("x", "y")) for m in (model, other)]
+    assert all(on_triples(run) and "sample" not in run.__code__.co_names for run in runs)  # drawn inline
+    first, second = runs
+    assert first.__code__ is second.__code__ and first.__globals__ is not second.__globals__
+    assert [run.__globals__["offset_bound"] for run in runs] == [model.offset_bound, other.offset_bound]
     branches = Counter()
     for seed in range(2000):
-        drawn, called = random.Random(seed), random.Random(seed)
-        case, env, error = run(drawn, 1, ())
-        assert (case, error) == (1, None)
-        assert env == {"x": model.sample(called), "y": model.sample(called)}
-        assert drawn.getstate() == called.getstate()
-        branches.update("standard" if not x.p else "hypernumber" if not x.w else "galaxy" for x in env.values())
+        for m, run in zip((model, other), runs):
+            drawn, called = random.Random(seed), random.Random(seed)
+            case, env, error = run(drawn, 1, ())
+            assert (case, error) == (1, None)
+            assert env == {"x": m.sample(called), "y": m.sample(called)}
+            assert drawn.getstate() == called.getstate()
+            branches.update("standard" if not x.p else "hypernumber" if not x.w else "galaxy" for x in env.values())
     assert len(branches) == 3 and min(branches.values()) > 400
 
 

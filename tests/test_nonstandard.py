@@ -648,7 +648,8 @@ def ref_sample(model, rng):
     return Element(F(num, den), offset)
 
 
-@pytest.mark.parametrize("den_bound, offset_bound", [(1000, 10**6), (1, 1), (7, 10**40)])
+@pytest.mark.parametrize("den_bound, offset_bound", [
+    (1000, 10**6), (1, 1), (7, 10**40), (2**10 - 1, 2**20 - 1), (2**10, 2**20)])
 def test_sampler_draws_as_randrange_does(den_bound, offset_bound):
     model = NonstandardModel(den_bound=den_bound, offset_bound=offset_bound)
     for seed in range(50):

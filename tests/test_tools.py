@@ -54,10 +54,16 @@ def test_loop_sources_compares_each_case_loop_with_a_revision():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "loop_sources.py"), "HEAD"], capture_output=True, text=True, timeout=300,
     )
-    first, *keys = done.stdout.splitlines()
-    match = re.fullmatch(r"(\d+) of 240 case-loop sources differ", first)
+    first, *lines = done.stdout.splitlines()
+    match = re.fullmatch(r"(\d+) of 300 case-loop sources differ", first)
     assert match, done.stdout
     differing = int(match[1])  # 0 unless this checkout's emitter differs from HEAD's
     assert (done.returncode, done.stderr) == (1 if differing else 0, "")
+    labels = ("nonstd", "nonstd(den_bound=7, offset_bound=3)", "std", "std(offset_bound=7)", "pairs")
+    counts, keys = lines[:len(labels)], lines[len(labels):]
+    per_label = [re.fullmatch(rf"{re.escape(label)}: (\d+) of 60 differ", line) for label, line in zip(labels, counts)]
+    assert all(per_label), done.stdout
+    assert sum(int(m[1]) for m in per_label) == differing
     assert len(keys) == min(differing, 20)
-    assert all(re.fullmatch(r"  schema (3|12|50), (nonstd|std|std\(offset_bound=7\)|pairs), [AV]\d+", k) for k in keys)
+    names = "|".join(map(re.escape, labels))
+    assert all(re.fullmatch(rf"  schema (3|12|50), ({names}), [AV]\d+", k) for k in keys)

@@ -9,10 +9,13 @@ SCHEMAS and, on each of the MODELS (``cli.make_model`` arguments), writes
 the spec's case loop with its own ``compiled._generate``: the conjunction
 of the obligations, over the sampled and derived variables, as
 ``check_axiom`` compiles it.  Only the sources are compared, not the
-values their globals hold.  Prints ``N of M case-loop sources differ``,
-where M counts the (schema, model, axiom id) keys of either tree, and then
-the first 20 differing keys.  Exits 0 only when N is 0, 1 when sources
-differ, and 2 when REV cannot be extracted or a tree fails to write a loop.
+values their globals hold, so ``nonstd(den_bound=7, offset_bound=3)``
+writes what ``nonstd`` writes: bounds are values.  Prints ``N of M
+case-loop sources differ``, where M counts the (schema, model, axiom id)
+keys of either tree, then one ``LABEL: N of M differ`` line per model
+label, and then the first 20 differing keys.  Exits 0 only when N is 0,
+1 when sources differ, and 2 when REV cannot be extracted or a tree fails
+to write a loop.
 """
 
 from __future__ import annotations
@@ -32,7 +35,10 @@ from behaviour_diff import extract  # noqa: E402
 from check_ab import load  # noqa: E402
 
 SCHEMAS = (3, 12, 50)
-MODELS = {"nonstd": ("nonstd",), "std": ("std",), "std(offset_bound=7)": ("std", 1000, 7), "pairs": ("pairs",)}
+MODELS = {
+    "nonstd": ("nonstd",), "nonstd(den_bound=7, offset_bound=3)": ("nonstd", 7, 3), "std": ("std",),
+    "std(offset_bound=7)": ("std", 1000, 7), "pairs": ("pairs",),
+}
 SHOWN = 20
 
 
@@ -71,6 +77,8 @@ def main(argv: list[str]) -> int:
     keys = [*old, *(key for key in new if key not in old)]
     differing = [key for key in keys if old.get(key) != new.get(key)]
     print(f"{len(differing)} of {len(keys)} case-loop sources differ")
+    for label in MODELS:
+        print(f"{label}: {sum(key[1] == label for key in differing)} of {sum(key[1] == label for key in keys)} differ")
     for schema, label, axiom_id in differing[:SHOWN]:
         print(f"  schema {schema}, {label}, {axiom_id}")
     return 1 if differing else 0
