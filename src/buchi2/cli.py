@@ -48,11 +48,11 @@ from .nonstandard import Model, ParseError
 MODELS = {"nonstd": "NonstandardModel", "std": "StandardModel", "pairs": "PairsModel"}
 
 
-def make_model(name: str, den_bound: int = 1000, offset_bound: int = 10**6) -> Model:
+def make_model(name: str, *bounds: int) -> Model:
     if name not in MODELS:
         raise ValueError(f"unknown model {name!r}")
     # Through this package's lazy exports, so only the chosen model's module loads.
-    return getattr(sys.modules[__package__], MODELS[name])(den_bound, offset_bound)
+    return getattr(sys.modules[__package__], MODELS[name])(*bounds)
 
 
 def _evaluate_expression(text: str, model: Model) -> str:
@@ -198,8 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="run the axiom suite, one TSV line per axiom")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--cases", type=int, default=1000)
-    p.add_argument("--den-bound", type=int, default=1000)
-    p.add_argument("--offset-bound", type=int, default=10**6)
+    for option, default in zip(("--den-bound", "--offset-bound"), Model.__init__.__defaults__):
+        p.add_argument(option, type=int, default=default)
     p.add_argument("--schema-max", type=int, default=12)
     p.add_argument("--axioms", default=None, help="comma-separated axiom ids, e.g. A15,V12")
     p.set_defaults(fn=cmd_axioms)

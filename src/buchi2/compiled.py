@@ -43,7 +43,7 @@ from .nonstandard import EQUAL, LESS, TRIPLE_VIEW, TRIPLES, Element, Model, _ele
 # Its global ``model`` is ``nonstandard.TRIPLE_VIEW``, so its witnesses and
 # constants call the triple forms too.  A draw that would call a sampler
 # built from a template (``Model.sample``, an unboxed loop's ``_sample``)
-# is that template's lines, with its setup values as globals.
+# is that template's lines, after its prologue, run once per call on ``self``.
 NESTING = 40
 
 
@@ -139,11 +139,11 @@ class _Emitter:
         if self.triples:
             self.names.update(vars(TRIPLE_VIEW), model=TRIPLE_VIEW, element=_element, triples=_triples)
         # a draw that would call a sampler built from a template (in an unboxed loop, the
-        # triple form of the model's) is written inline, with the model's setup values as globals
+        # triple form of the model's) is written inline; its prologue reads the sampler's model
         sampler = TRIPLES["sample"][1] if self.triples else getattr(sample, "__func__", None)
         self.template = getattr(sampler, "template", None)
         if self.template is not None:
-            self.names.update(self.template.names, **self.template.values(sample.__self__))
+            self.names.update(self.template.names, self=sample.__self__)
         self.names.update(len=len, range=range)
 
     # -- slots and formula nodes --------------------------------------------
@@ -386,17 +386,14 @@ class _Emitter:
         unset = sorted(unset.union(derived).difference(self.given))
         pairs = [f"{self.name(v)}: {self.value(i)}" for i, v in (*self.given.items(), *derived.items())]
         self.line(f"return i + 1, {{{', '.join(pairs)}}}, None")
-        if self.template is None:
-            calls, draw = {"draw": "getrandbits"}, ["{0} = sample(rng)"]
-        else:
-            calls, draw = self.template.calls, self.template.lines
+        prologue, draw = (self.template.prologue, self.template.lines) if self.template else ([], ["{0} = sample(rng)"])
         rotate = [f"   s{i} = corners[(i + {j}) % k]" if j else f"   s{i} = corners[i]"
                   for j, i in enumerate(self.sampled)]
         draws = ["   " + d.format(f"s{i}") for i in self.sampled for d in draw]
         return "\n".join([
             "def run(rng, cases, corners):", *self.helpers, *reads,
             *([" corners = triples(corners)"] if self.triples else []),
-            " k = len(corners)", *(f" {local} = rng.{method}" for local, method in calls.items()),
+            " k = len(corners)", *(" " + line for line in prologue),
             " for i in range(cases):",
             *(["  if i < k:", *rotate, "  else:", *draws] if self.sampled else []),
             *(["  " + " = ".join(f"s{i}" for i in unset) + " = None"] if unset else []),
@@ -432,9 +429,9 @@ def compile_run(f, model, sampled, derived=()):
     rotated by i while i < len(corners), then one ``model.sample(rng)``
     each, and runs f on them as ``eval_qf`` does.  Where that draw would
     call a sampler built from a ``nonstandard.SamplerTemplate``, such as
-    ``Model.sample``, the loop writes the template's lines instead, with
-    its setup, such as the model's bounds, computed here: the same ``rng``
-    calls in the same order.  An override of ``sample`` is called.
+    ``Model.sample``, the loop runs the template's prologue, which reads the
+    bounds, once per call and writes its lines for each draw: the same
+    ``rng`` calls in the same order.  An override of ``sample`` is called.
 
     ``run`` returns None, or for the first case that is false or raises a
     ValueError, such as the UnboundVariableError of a variable neither

@@ -45,7 +45,7 @@ when it is raised.  A compiled case loop calls the triple forms, and passes
 its witnesses ``TRIPLE_VIEW``, a model whose members are those forms, so a
 witness there reads and returns triples.  The sampler is declared once, as
 a ``SamplerTemplate``: ``_sample`` is built from it, and such a loop writes
-its draws inline from the same template.
+its draws inline, after the template's prologue, which reads the bounds.
 
 Every bad value raises a ValueError: a ParseError for malformed text,
 NegativeResultError or NotDivisibleError (also ArithmeticErrors) where
@@ -552,30 +552,25 @@ def format_element(x: Element) -> str:
 
 
 class SamplerTemplate:
-    """A model's draw of one element, declared once as source.
+    """A model's draw of one element, declared once as two pieces of source.
 
-    ``calls`` binds locals to methods of ``rng``; ``setup`` maps a name to
-    an expression over ``model`` and the names before it, such as a bound
-    and its bit length; ``lines`` assign the drawn element to ``{0}`` and
-    read ``names`` as globals, no builtins, and no local of the case loop
-    (``r``, ``i``, ``k``, ``e``, ``env``, ``corners``, a letter and digits).
-    ``sample(model, rng)``, which carries the template as ``.template``,
-    runs the three in that order; ``values(model)`` gives setup's names.  A
-    case loop that would call ``sample`` writes ``lines`` inline instead,
-    with setup's values as globals (``compiled.compile_run``).
+    ``prologue`` binds locals to methods of ``rng`` and reads the bounds
+    from the model ``self``; ``lines`` assign the drawn element to ``{0}``.
+    Both read ``names`` as globals, no builtins, and no local of the case
+    loop (``r``, ``i``, ``k``, ``e``, ``env``, ``corners``, a letter and
+    digits).  ``sample(self, rng)``, which carries the template as
+    ``.template``, runs the two.  A case loop that would call ``sample``
+    runs the prologue once per call and writes ``lines`` inline for each
+    draw (``compiled.compile_run``): both read the bounds when they run.
     """
 
-    def __init__(self, calls: dict, setup: dict, lines: str, **names):
-        self.calls, self.names = calls, names
-        self.lines = lines.strip("\n").split("\n")
-        assigns = [f" {name} = {value}" for name, value in setup.items()]
+    def __init__(self, prologue: str, lines: str, **names):
+        self.names = names
+        self.prologue, self.lines = (text.strip("\n").split("\n") for text in (prologue, lines))
         namespace = {"__builtins__": {}, "__name__": __name__, **names}
-        exec("\n".join([
-            "def sample(model, rng):", *(f" {local} = rng.{method}" for local, method in calls.items()),
-            *assigns, *(" " + line.format("value") for line in self.lines), " return value",
-            "def values(model):", *assigns, f" return {{{', '.join(f'{name!r}: {name}' for name in setup)}}}",
-        ]), namespace)
-        self.sample, self.values = namespace.pop("sample"), namespace.pop("values")
+        exec("\n".join(["def sample(self, rng):", *(" " + line for line in self.prologue),
+                        *(" " + line.format("value") for line in self.lines), " return value"]), namespace)
+        self.sample = namespace["sample"]
         self.sample.template = self
 
 
@@ -590,15 +585,16 @@ class Model:
     need not subclass ``Model`` or be hashable.
 
     ``Model(den_bound, offset_bound)`` keeps the sampling bounds, which
-    ``sample`` reads; each is an int >= 1 (not a bool), else TypeError or
-    ValueError.  A model that draws no galaxies ignores ``den_bound``.
+    ``sample``, or a loop that draws inline, reads when it runs; each is an
+    int >= 1 (not a bool), else TypeError or ValueError.  A model that
+    draws no galaxies ignores ``den_bound``.
 
     The defaults ``add``, ``compare``, ``residue_mod`` and ``sample`` are
     Python's ``+``, ``==`` then ``<``, ``%`` and ``randrange`` on ints; a
     compiled case loop writes them inline (``compiled.compile_run``).
     ``sample`` is built from a ``SamplerTemplate``, and a loop writes the
-    draw of any sampler so built inline; an override of ``sample`` is called
-    once per draw.
+    draw of any sampler so built inline, after the template's prologue; an
+    override of ``sample`` is called once per draw.
     """
 
     name: str
@@ -626,7 +622,7 @@ class Model:
 
     # (rng) -> a random element; here the int rng.randrange(offset_bound + 1), as CPython draws it
     sample = SamplerTemplate(
-        {"draw": "getrandbits"}, {"bound": "model.offset_bound + 1", "bits": "bound.bit_length()"},
+        "draw = rng.getrandbits\nbound = self.offset_bound + 1\nbits = bound.bit_length()",
         "{0} = draw(bits)\nwhile {0} >= bound: {0} = draw(bits)",
     ).sample
 
@@ -661,17 +657,21 @@ class NonstandardModel(Model):
         return _element(*_sample(self, rng))
 
 
+# The bounds of a draw of a standard number in [0, offset_bound], or of a
+# galaxy num/den in [1, den_bound] with an offset in [-offset_bound,
+# offset_bound]: the prologue of _sample and of pairs.PairsModel.sample.
+GALAXY_PROLOGUE = """
+draw, random, den_bound, offset_bound = rng.getrandbits, rng.random, self.den_bound, self.offset_bound
+bound, offsets = offset_bound + 1, 2 * offset_bound + 1
+bits, den_bits, offset_bits = bound.bit_length(), den_bound.bit_length(), offsets.bit_length()
+"""
+
 # The draws of rng.randrange and rng.randint, in the same order: a quarter
 # standard, then a galaxy num/den, 15% hypernumbers (binary-rational
 # multiples of c, where w = 0) and the rest with an offset in
 # [-offset_bound, offset_bound].  The hypernumber's den is 2**randrange(11).
 _sample = SamplerTemplate(
-    {"draw": "getrandbits", "random": "random"},
-    {
-        "bound": "model.offset_bound + 1", "bits": "bound.bit_length()",
-        "den_bound": "model.den_bound", "den_bits": "den_bound.bit_length()",
-        "offset_bound": "model.offset_bound", "offsets": "2 * offset_bound + 1", "offset_bits": "offsets.bit_length()",
-    },
+    GALAXY_PROLOGUE,
     """
 roll = random()
 if roll < 0.25:

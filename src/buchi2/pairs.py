@@ -15,10 +15,12 @@ from fractions import Fraction
 from functools import partial, total_ordering
 
 from .nonstandard import (
+    GALAXY_PROLOGUE,
     Model,
     NegativeResultError,
     NotDivisibleError,
     ParseError,
+    SamplerTemplate,
     _Frozen,
     compare as p_compare,
     too_many_digits,
@@ -186,17 +188,8 @@ def format_pair(x: PairElement) -> str:
     return f"({x.g}, {x.n})"
 
 
-def _below(getrandbits, n: int) -> int:
-    # rng.randrange(n) for n >= 1, drawn as CPython's Random draws it.
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 class PairsModel(Model):
-    """The pairs model; it has no V2."""
+    """The pairs model; it has no V2, and its draw is a template, which a case loop writes inline."""
 
     name = "pairs"
     has_v2 = False
@@ -214,11 +207,22 @@ class PairsModel(Model):
     format = staticmethod(format_pair)
     parse = staticmethod(parse_pair)
 
-    def sample(self, rng) -> PairElement:
-        # The draws of rng.randrange and rng.randint, in the same order.
-        bits, offset_bound = rng.getrandbits, self.offset_bound
-        if rng.random() < 0.3:
-            return PairElement(Fraction(0), _below(bits, offset_bound + 1))
-        num = 1 + _below(bits, self.den_bound)
-        den = 1 + _below(bits, self.den_bound)
-        return PairElement(Fraction(num, den), _below(bits, 2 * offset_bound + 1) - offset_bound)
+    # (rng) -> a random pair: the draws of rng.randrange and rng.randint, in the same order
+    sample = SamplerTemplate(
+        GALAXY_PROLOGUE,
+        """
+if random() < 0.3:
+ offset = draw(bits)
+ while offset >= bound: offset = draw(bits)
+ {0} = PairElement(Fraction(0), offset)
+else:
+ num = draw(den_bits)
+ while num >= den_bound: num = draw(den_bits)
+ den = draw(den_bits)
+ while den >= den_bound: den = draw(den_bits)
+ offset = draw(offset_bits)
+ while offset >= offsets: offset = draw(offset_bits)
+ {0} = PairElement(Fraction(num + 1, den + 1), offset - offset_bound)
+""",
+        PairElement=PairElement, Fraction=Fraction,
+    ).sample

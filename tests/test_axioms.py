@@ -785,10 +785,12 @@ def test_the_code_of_a4_grows_linearly_with_the_schema():
 def test_a_constant_residue_is_one_line_where_it_is_demanded():
     # Each A17 obligation compares x's residue with 0's: the code that
     # demands 0 mod n does not also test for, or compute, the numeral 0.
-    # 8,287 characters when each demand did.
+    # The case loop, from its first line on, has 6,296 characters; the
+    # whole source had 8,287 when each demand did.
     spec = by_id("A17", 50)
     matrix = reduce(And, (m for _, m in spec.obligations))
-    assert len(_generate(matrix, STD, spec.derived, spec.sampled)[0]) <= 6_760
+    source = _generate(matrix, STD, spec.derived, spec.sampled)[0]
+    assert len(source[source.index(" for i in range(cases):"):]) <= 6_296
 
 
 # -- compiled checks are kept per model object ---------------------------------------
@@ -1024,33 +1026,85 @@ def on_triples(run):
 
 DRAW_EDGES = [(den_bound, offset_bound) for den_bound in (1, 2**10 - 1, 2**10)
               for offset_bound in (1, 2**20 - 1, 2**20, 10**23)]
-
-
-@pytest.mark.parametrize("bounds", [(), (7, 3), *DRAW_EDGES], ids=[
+DRAW_BOUNDS = pytest.mark.parametrize("bounds", [(), (7, 3), *DRAW_EDGES], ids=[
     "default bounds", "den_bound 7, offset_bound 3", *(f"den_bound {d}, offset_bound {o}" for d, o in DRAW_EDGES)])
+
+
+def draws_as_sample(models, runs, seeds):
+    """Check that each loop's false first case draws x and y as its model's sample does; the draws."""
+    drawn = []
+    for seed in seeds:
+        for model, run in zip(models, runs):
+            inline, called = random.Random(seed), random.Random(seed)
+            case, env, error = run(inline, 1, ())
+            assert (case, error) == (1, None)
+            assert env == {"x": model.sample(called), "y": model.sample(called)}
+            assert inline.getstate() == called.getstate()
+            drawn += env.values()
+    return drawn
+
+
+def inline_loops(model, other):
+    """x < x's loops on two models of a class, drawn inline: one code, two sets of globals."""
+    runs = [compile_run(parse_formula("x < x"), m, ("x", "y")) for m in (model, other)]
+    assert all("sample" not in run.__code__.co_names for run in runs)  # a called sampler fails here
+    first, second = runs
+    assert first.__code__ is second.__code__ and first.__globals__ is not second.__globals__
+    return runs
+
+
+def swap_bounds(model, other):
+    (model.den_bound, model.offset_bound), (other.den_bound, other.offset_bound) = (
+        (other.den_bound, other.offset_bound), (model.den_bound, model.offset_bound))
+
+
+@DRAW_BOUNDS
 def test_a_loop_on_triples_draws_what_sample_draws(bounds):
     # x < x is false, so a first case returns the two elements it drew.
     # Small bounds draw the standard and the hypernumber branches' bounds
     # too; the edges are each rejection loop's bit-length edges, and 10**23
     # draws offsets wider than 64 bits.  A second model with other bounds
-    # shares the loop's code but not its bounds.
+    # shares the loop's code but not its globals; once the two swap their
+    # bounds, each loop draws with its model's new ones.
     model = NonstandardModel(*bounds)
     other = NonstandardModel(model.den_bound + 1, 2 * model.offset_bound)
-    runs = [compile_run(parse_formula("x < x"), m, ("x", "y")) for m in (model, other)]
-    assert all(on_triples(run) and "sample" not in run.__code__.co_names for run in runs)  # drawn inline
-    first, second = runs
-    assert first.__code__ is second.__code__ and first.__globals__ is not second.__globals__
-    assert [run.__globals__["offset_bound"] for run in runs] == [model.offset_bound, other.offset_bound]
-    branches = Counter()
-    for seed in range(2000):
-        for m, run in zip((model, other), runs):
-            drawn, called = random.Random(seed), random.Random(seed)
-            case, env, error = run(drawn, 1, ())
-            assert (case, error) == (1, None)
-            assert env == {"x": m.sample(called), "y": m.sample(called)}
-            assert drawn.getstate() == called.getstate()
-            branches.update("standard" if not x.p else "hypernumber" if not x.w else "galaxy" for x in env.values())
+    runs = inline_loops(model, other)
+    assert all(map(on_triples, runs))
+    drawn = draws_as_sample((model, other), runs, range(2000))
+    branches = Counter("standard" if not x.p else "hypernumber" if not x.w else "galaxy" for x in drawn)
     assert len(branches) == 3 and min(branches.values()) > 400
+    swap_bounds(model, other)
+    draws_as_sample((model, other), runs, range(200))
+
+
+@DRAW_BOUNDS
+def test_a_pairs_loop_draws_what_sample_draws(bounds):
+    # As on triples: the pairs model's loop draws its pairs inline.
+    model = PairsModel(*bounds)
+    other = PairsModel(model.den_bound + 1, 2 * model.offset_bound)
+    runs = inline_loops(model, other)
+    drawn = draws_as_sample((model, other), runs, range(2000))
+    branches = Counter("standard" if not x.g else "galaxy" for x in drawn)
+    assert len(branches) == 2 and min(branches.values()) > 400
+    swap_bounds(model, other)
+    draws_as_sample((model, other), runs, range(200))
+
+
+@pytest.mark.parametrize("model_class", [NonstandardModel, StandardModel, PairsModel], ids=lambda c: c.name)
+def test_a_checked_model_is_checked_with_the_bounds_it_has_now(model_class):
+    # x = y, neither 0, is false only on a repeated draw, which bounds of 1
+    # make likely.  A spec keeps its loop per model object, so the loop
+    # compiled under the default bounds must read the new ones when it
+    # runs, as sample does; so must a loop that compile_run wrote before.
+    text = "(x = 0 | y = 0) | ~ x = y"
+    spec = AxiomSpec("B", f"forall x. forall y. {text}", sampled=("x", "y"), obligations=_one(text))
+    model = model_class()
+    run = compile_run(parse_formula("x < x"), model, ("x", "y"))
+    assert check_axiom(spec, model, cases=100).status == PASS
+    model.offset_bound = model.den_bound = 1
+    report = check_axiom(spec, model, cases=100)
+    assert report == check_axiom(spec, model_class(1, 1), cases=100) and report.status == FAIL
+    draws_as_sample((model,), (run,), range(200))
 
 
 @pytest.mark.parametrize("negated", [False, True], ids=["check", "negated check"])

@@ -52,6 +52,13 @@ def test_make_model_builds_each_model_choice(name):
     assert (model.name, model.den_bound, model.offset_bound) == (name, 7, 9)
 
 
+def test_the_suite_bounds_default_to_the_models():
+    args = cli.build_parser().parse_args(["axioms"])
+    for name in cli.MODELS:
+        model = cli.make_model(name)
+        assert (args.den_bound, args.offset_bound) == (model.den_bound, model.offset_bound) == (1000, 10**6)
+
+
 def test_make_model_rejects_an_unknown_name():
     with pytest.raises(ValueError, match="^unknown model 'x'$"):
         cli.make_model("x")

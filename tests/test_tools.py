@@ -55,11 +55,12 @@ def test_loop_sources_compares_each_case_loop_with_a_revision():
         [sys.executable, str(ROOT / "tools" / "loop_sources.py"), "HEAD"], capture_output=True, text=True, timeout=300,
     )
     first, *lines = done.stdout.splitlines()
-    match = re.fullmatch(r"(\d+) of 300 case-loop sources differ", first)
+    match = re.fullmatch(r"(\d+) of 360 case-loop sources differ", first)
     assert match, done.stdout
     differing = int(match[1])  # 0 unless this checkout's emitter differs from HEAD's
     assert (done.returncode, done.stderr) == (1 if differing else 0, "")
-    labels = ("nonstd", "nonstd(den_bound=7, offset_bound=3)", "std", "std(offset_bound=7)", "pairs")
+    labels = ("nonstd", "nonstd(den_bound=7, offset_bound=3)", "std", "std(offset_bound=7)", "pairs",
+              "pairs(den_bound=7, offset_bound=3)")
     counts, keys = lines[:len(labels)], lines[len(labels):]
     per_label = [re.fullmatch(rf"{re.escape(label)}: (\d+) of 60 differ", line) for label, line in zip(labels, counts)]
     assert all(per_label), done.stdout

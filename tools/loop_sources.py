@@ -9,8 +9,9 @@ SCHEMAS and, on each of the MODELS (``cli.make_model`` arguments), writes
 the spec's case loop with its own ``compiled._generate``: the conjunction
 of the obligations, over the sampled and derived variables, as
 ``check_axiom`` compiles it.  Only the sources are compared, not the
-values their globals hold, so ``nonstd(den_bound=7, offset_bound=3)``
-writes what ``nonstd`` writes: bounds are values.  Prints ``N of M
+values their globals hold.  A loop reads the model's bounds when it runs,
+and they are not written into its source, so ``nonstd(den_bound=7,
+offset_bound=3)`` writes what ``nonstd`` writes.  Prints ``N of M
 case-loop sources differ``, where M counts the (schema, model, axiom id)
 keys of either tree, then one ``LABEL: N of M differ`` line per model
 label, and then the first 20 differing keys.  Exits 0 only when N is 0,
@@ -37,7 +38,7 @@ from check_ab import load  # noqa: E402
 SCHEMAS = (3, 12, 50)
 MODELS = {
     "nonstd": ("nonstd",), "nonstd(den_bound=7, offset_bound=3)": ("nonstd", 7, 3), "std": ("std",),
-    "std(offset_bound=7)": ("std", 1000, 7), "pairs": ("pairs",),
+    "std(offset_bound=7)": ("std", 1000, 7), "pairs": ("pairs",), "pairs(den_bound=7, offset_bound=3)": ("pairs", 7, 3),
 }
 SHOWN = 20
 
