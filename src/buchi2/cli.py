@@ -17,6 +17,16 @@ Each handler imports what it runs.  The element subcommands, ``eval`` and
 ``pairs`` for ``--model std`` or ``pairs``; ``axioms`` also loads
 ``axioms`` and ``compiled``; ``refute`` loads ``pairs``.
 
+``eval`` and ``repl`` evaluate terms and formulas on
+``nonstandard.TRIPLE_VIEW``, the kernel's forms on (p, q, w) int triples,
+when the model keeps every kernel form (``nonstandard.keeps_kernel``, the
+predicate that also picks the axiom harness's unboxed case loop), and box
+only a term's value, for ``model.format``; on any other model, such as
+one that overrides or wraps an operation, they evaluate on the model
+itself.  The REPL asks once per session and ``eval`` once per call.  The
+REPL calls ``parse_formula``, ``parse_term``, ``eval_qf`` and
+``eval_term`` through this module's globals.
+
 Exit codes: 0 success / all axioms pass, 1 some axiom fails, 2 parse
 error (a ``ParseError``), 3 evaluation error (any other ``ValueError``,
 which every failed model operation raises).  Output is byte-identical
@@ -42,7 +52,7 @@ from .formulas import (
     parse_formula,
     parse_term,
 )
-from .nonstandard import Model, ParseError
+from .nonstandard import TRIPLE_VIEW, Model, ParseError, _element, keeps_kernel
 
 # Each ``--model`` choice and the class, exported by the package, that serves it.
 MODELS = {"nonstd": "NonstandardModel", "std": "StandardModel", "pairs": "PairsModel"}
@@ -55,8 +65,21 @@ def make_model(name: str, *bounds: int) -> Model:
     return getattr(sys.modules[__package__], MODELS[name])(*bounds)
 
 
-def _evaluate_expression(text: str, model: Model) -> str:
-    """Element literal, closed term, or closed quantifier-free formula."""
+def _view(model: Model):
+    """What ``_evaluate_expression`` evaluates terms and formulas on.
+
+    ``nonstandard.TRIPLE_VIEW`` for a model that keeps every kernel form
+    (``nonstandard.keeps_kernel``), so that a line computes on (p, q, w)
+    triples and boxes only its value; else the model itself.
+    """
+    return TRIPLE_VIEW if keeps_kernel(model) else model
+
+
+def _evaluate_expression(text: str, model: Model, view=None) -> str:
+    """Element literal, closed term, or closed quantifier-free formula.
+
+    Terms and formulas are evaluated on ``view``, ``_view(model)`` if not given.
+    """
     if is_formula_text(text):  # no element literal has a formula-only symbol
         expr = parse_formula(text)
     else:
@@ -74,9 +97,12 @@ def _evaluate_expression(text: str, model: Model) -> str:
         raise ValueError(f"unbound variables: {', '.join(sorted(unbound))}")
     if not model.has_v2 and "V2" in names:
         raise ValueError(f"model {model.name!r} has no V2")
+    if view is None:
+        view = _view(model)
     if isinstance(expr, Term):
-        return model.format(eval_term(expr, {}, model))
-    return "true" if eval_qf(expr, {}, model) else "false"
+        value = eval_term(expr, {}, view)
+        return model.format(value if view is model else _element(*value))
+    return "true" if eval_qf(expr, {}, view) else "false"
 
 
 def _report_line(report) -> str:
@@ -160,6 +186,7 @@ def cmd_refute(args) -> int:
 
 def cmd_repl(args) -> int:
     model = make_model(args.model)
+    view = _view(model)  # once per session: the model's members are not replaced while it runs
     print(f"model {model.name}; enter an expression, :q to quit")
     while True:
         try:
@@ -172,12 +199,13 @@ def cmd_repl(args) -> int:
         if line in (":q", ":quit", ":exit"):
             return 0
         try:
-            reply = _evaluate_expression(line, model)
+            reply = _evaluate_expression(line, model, view)
         except ParseError as exc:
             reply = f"parse error: {exc}"
         except ValueError as exc:
             reply = f"error: {exc}"
-        print(reply, flush=True)  # input() ignores a closed stdout; this flush stops the loop
+        sys.stdout.write(reply + "\n")
+        sys.stdout.flush()  # input() ignores a closed stdout; this flush stops the loop
 
 
 @functools.cache

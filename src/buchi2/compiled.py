@@ -17,7 +17,7 @@ from .formulas import (
     And, CongMod, Eq, Exists, ForAll, Implies, Lt, Not, Numeral, Or, Sum, UnboundVariableError, V2App, Variable,
     free_variables,
 )
-from .nonstandard import EQUAL, LESS, TRIPLE_VIEW, TRIPLES, Element, Model, _element
+from .nonstandard import EQUAL, LESS, TRIPLE_VIEW, TRIPLES, Element, Model, _element, keeps_kernel
 
 # The generated case loop keeps each distinct subterm ("slot") i in a local
 # s<i>, computed where a formula first demands it; a variable neither
@@ -133,9 +133,7 @@ class _Emitter:
         for i in self.given:
             self.assign(i)
         sample = self.names["sample"] = model.sample
-        # a model that keeps every kernel form gets slots that hold (p, q, w) triples
-        self.triples = all(getattr(member, "__func__", member) is f for member, f in (
-            (self.names[op] if op in self.names else getattr(model, op, None), f) for op, (f, _) in TRIPLES.items()))
+        self.triples = keeps_kernel(model, self.names)  # then the slots hold (p, q, w) triples
         if self.triples:
             self.names.update(vars(TRIPLE_VIEW), model=TRIPLE_VIEW, element=_element, triples=_triples)
         # a draw that would call a sampler built from a template (in an unboxed loop, the
@@ -462,14 +460,16 @@ def compile_run(f, model, sampled, derived=()):
 
     Where the model keeps all of the non-standard kernel's own ``numeral``,
     ``add``, ``sub``, ``divide``, ``compare``, ``residue_mod``,
-    ``next_power_of_two``, ``sample`` and ``v2`` (``nonstandard.TRIPLES``),
-    the loop is unboxed: its slots hold each element's (p, q, w), it calls
-    the triple forms that the kernel's own functions call, looked up once
-    here, ``v2`` included, and ``=`` compares the triples, which are
-    canonical.  It draws inline, from the template of the triple sampler
-    that ``NonstandardModel.sample`` boxes.  It unboxes the corners when
-    called, so one that is not an ``Element`` raises TypeError before the
-    first case, and returns its values in an env as Elements.  A subclass
+    ``next_power_of_two``, ``sample`` and ``v2`` (``nonstandard.TRIPLES``;
+    the test is ``nonstandard.keeps_kernel``, which also decides whether
+    the CLI evaluates a line on triples), the loop is unboxed: its slots
+    hold each element's (p, q, w), it calls the triple forms that the
+    kernel's own functions call, looked up once here, ``v2`` included, and
+    ``=`` compares the triples, which are canonical.  It draws inline, from
+    the template of the triple sampler that ``NonstandardModel.sample``
+    boxes.  It unboxes the corners when called, so one that is not an
+    ``Element`` raises TypeError before the first case, and returns its
+    values in an env as Elements.  A subclass
     or proxy that overrides any of the nine gets a loop on its own values.
 
     Each ``(name, witness, param, reads)`` of ``derived`` binds ``name`` to

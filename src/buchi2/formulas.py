@@ -31,7 +31,10 @@ token is looked at twice; only an error scans the line again, for its
 position.  A numeral longer than ``int()`` reads from text
 (``sys.get_int_max_str_digits()``) is a parse error.  Tree nodes are
 frozen as elements are (``nonstandard._Frozen``): they compare and hash
-by their fields, pickle and support ``match``.
+by their fields, pickle and support ``match``.  The rules have checked
+every field they set, so they build nodes through the slots' own setters
+and run no ``__init__``, as ``nonstandard._element`` builds kernel results;
+the classes' checked constructors serve every other caller.
 
 A quantifier binds as much as possible to its right, so in
 ``x = 0 | exists y. x = y + 1`` the existential's scope is the rest of the
@@ -178,6 +181,16 @@ _set_var, _set_body = _Quantifier.var.__set__, _Quantifier.body.__set__
 _set_name, _set_value, _set_arg = Variable.name.__set__, Numeral.value.__set__, V2App.arg.__set__
 _set_negated = Not.body.__set__
 _set_modulus, _set_congruent_left, _set_congruent_right = (getattr(CongMod, n).__set__ for n in CongMod.__slots__)
+_new = object.__new__
+
+
+def _binary(cls, left, right):
+    # The parser's constructor of a Sum, Eq, Lt, And, Or or Implies; like the
+    # other nodes its rules build, through the slots' setters, it runs no __init__.
+    node = _new(cls)
+    _set_left(node, left)
+    _set_right(node, right)
+    return node
 
 
 def nsum(t: Term, n: int) -> Term:
@@ -333,13 +346,13 @@ def _formula(tokens: list[str], i: int, depth: int):
             height = (height if height > h else h) + 1
             if height > MAX_DEPTH:
                 raise _At(i, NestingError, _NESTED)
-            out = And(out, right)
+            out = _binary(And, out, right)
         if disjunction:
             left, h = disjunction
             height = (height if height > h else h) + 1
             if height > MAX_DEPTH:
                 raise _At(i, NestingError, _NESTED)
-            out = Or(left, out)
+            out = _binary(Or, left, out)
         if tokens[i] != "|":
             break
         disjunction = out, height
@@ -352,7 +365,7 @@ def _formula(tokens: list[str], i: int, depth: int):
         height = (height if height > h else h) + 1
         if height > MAX_DEPTH:
             raise _At(i, NestingError, _NESTED)
-        out = Implies(out, right)
+        out = _binary(Implies, out, right)
     return out, i, height
 
 
@@ -372,7 +385,8 @@ def _unary(tokens: list[str], i: int, depth: int):
             raise _At(i, NestingError, _NESTED)
         if value == "~":
             body, i, height = _unary(tokens, i + 1, depth + 1)
-            node = Not(body)
+            node = _new(Not)
+            _set_negated(node, body)
         else:  # the quantifier's scope is the rest of the formula
             var = tokens[i + 1]
             if not var.isidentifier():
@@ -382,7 +396,9 @@ def _unary(tokens: list[str], i: int, depth: int):
             if tokens[i + 2] != ".":
                 raise _expected("'.'", tokens, i + 2)
             body, i, height = _formula(tokens, i + 3, depth + 1)
-            node = (ForAll if value == "forall" else Exists)(var, body)
+            node = _new(ForAll if value == "forall" else Exists)
+            _set_var(node, var)
+            _set_body(node, body)
         if height >= MAX_DEPTH:
             raise _At(i, NestingError, _NESTED)
         return node, i, height + 1
@@ -394,11 +410,11 @@ def _unary(tokens: list[str], i: int, depth: int):
     if h > height:
         height = h
     if value == "=":
-        return Eq(left, right), i, height
+        return _binary(Eq, left, right), i, height
     if value == "<":
-        return Lt(left, right), i, height
+        return _binary(Lt, left, right), i, height
     if value == ">":
-        return Lt(right, left), i, height
+        return _binary(Lt, right, left), i, height
     if not tokens[i].isidentifier():
         raise _expected("'ident'", tokens, i)
     if tokens[i] != "mod":
@@ -412,7 +428,11 @@ def _unary(tokens: list[str], i: int, depth: int):
         raise _At(i + 1, too_many_digits) from None
     if n < 2:
         raise _At(i + 1, ParseError, f"congruence modulus must be >= 2, got {n}")
-    return CongMod(n, left, right), i + 2, height
+    node = _new(CongMod)
+    _set_modulus(node, n)
+    _set_congruent_left(node, left)
+    _set_congruent_right(node, right)
+    return node, i + 2, height
 
 
 def _term(tokens: list[str], i: int, depth: int):
@@ -423,22 +443,26 @@ def _term(tokens: list[str], i: int, depth: int):
         height = (height if height > h else h) + 1
         if height > MAX_DEPTH:
             raise _At(i, NestingError, _NESTED)
-        out = Sum(out, right)
+        out = _binary(Sum, out, right)
     return out, i, height
 
 
 def _factor(tokens: list[str], i: int, depth: int):
     """A numeral, a variable, 'V2' '(' term ')' or '(' term ')'."""
     value = tokens[i]
-    if value.isdecimal():
+    if value.isdecimal():  # a natural, so Numeral's check holds
+        node = _new(Numeral)
         try:
-            return Numeral(int(value)), i + 1, 0
+            _set_value(node, int(value))
         except ValueError:  # more digits than int() reads from text
             raise _At(i, too_many_digits) from None
+        return node, i + 1, 0
     if value.isidentifier() and value != "V2":
         if value in KEYWORDS:
             raise _At(i, ParseError, f"{value!r} cannot be a variable name")
-        return Variable(value), i + 1, 0
+        node = _new(Variable)
+        _set_name(node, value)
+        return node, i + 1, 0
     if value != "(" and value != "V2":
         raise _expected("a term", tokens, i)
     if depth >= MAX_DEPTH:
@@ -454,7 +478,9 @@ def _factor(tokens: list[str], i: int, depth: int):
         return inner, i + 1, height
     if height >= MAX_DEPTH:
         raise _At(i + 1, NestingError, _NESTED)
-    return V2App(inner), i + 1, height + 1
+    node = _new(V2App)
+    _set_arg(node, inner)
+    return node, i + 1, height + 1
 
 
 def _parse_whole(text: str, rule):

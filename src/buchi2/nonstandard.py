@@ -41,11 +41,15 @@ everything else.  The arithmetic of ``add``, ``sub``, ``divide``,
 ``sample`` is written once, on (p, q, w) int triples (``TRIPLES``): the
 Element functions unbox their arguments and box a result with
 ``_element``, and an error's message boxes and formats its operands only
-when it is raised.  A compiled case loop calls the triple forms, and passes
-its witnesses ``TRIPLE_VIEW``, a model whose members are those forms, so a
-witness there reads and returns triples.  The sampler is declared once, as
-a ``SamplerTemplate``: ``_sample`` is built from it, and such a loop writes
-its draws inline, after the template's prologue, which reads the bounds.
+when it is raised; ``natural`` boxes ``_natural`` in the same way.
+``keeps_kernel(model)`` says whether a model keeps every kernel form.  If
+it does, a compiled case loop calls the triple forms, and passes its
+witnesses ``TRIPLE_VIEW``, a model whose members are those forms, so a
+witness there reads and returns triples; and the CLI evaluates a REPL or
+``eval`` line on ``TRIPLE_VIEW``, boxing only the value it prints.  The
+sampler is declared once, as a ``SamplerTemplate``: ``_sample`` is built
+from it, and such a loop writes its draws inline, after the template's
+prologue, which reads the bounds.
 
 Every bad value raises a ValueError: a ParseError for malformed text,
 NegativeResultError or NotDivisibleError (also ArithmeticErrors) where
@@ -279,15 +283,15 @@ C = _element(1, 1, 0)
 
 def natural(n: int) -> Element:
     """Embed a natural number as the standard element n; n is an int, not a bool."""
+    return _element(*_natural(n))
+
+
+def _natural(n: int) -> tuple:
     if n.__class__ is not int and (n.__class__ is bool or not isinstance(n, int)):
         raise TypeError(f"standard numbers are ints, got {n!r}")
     if n < 0:
         raise ValueError(f"standard numbers are non-negative, got offset {n}")
-    return _element(0, 1, n)
-
-
-def _natural(n: int) -> tuple:  # a loop computes numerals once, so this may box and unbox
-    return 0, 1, natural(n).w
+    return 0, 1, n
 
 
 def add(x: Element, y: Element) -> Element:
@@ -712,6 +716,24 @@ TRIPLES = {
     "v2": (v2, _v2),
 }
 
-# The model that a loop on triples passes to its witnesses and its constants:
-# every member of TRIPLES but sample, in its form on triples.
+# The model that a loop on triples passes to its witnesses and its constants,
+# and that the CLI evaluates terms and formulas on: every member of TRIPLES
+# but sample, in its form on triples.
 TRIPLE_VIEW = SimpleNamespace(**{op: raw for op, (_, raw) in TRIPLES.items() if op != "sample"})
+
+
+def keeps_kernel(model, read=()) -> bool:
+    """Whether the model keeps every kernel form of ``TRIPLES``, so may compute on triples.
+
+    Each member is read from the model itself, so one that a subclass
+    overrides, that is assigned to the instance or that a proxy wraps is
+    not the kernel's.  A bound method counts by its ``__func__``.  ``read``
+    maps the name of a member that the caller has already read to its
+    value, which is used rather than read again.  ``v2`` is read last, only
+    from a model that keeps the others.
+    """
+    for op, (own, _) in TRIPLES.items():
+        member = read[op] if op in read else getattr(model, op, None)
+        if getattr(member, "__func__", member) is not own:
+            return False
+    return True

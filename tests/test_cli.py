@@ -1,18 +1,25 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import buchi2.cli as cli
+from buchi2 import nonstandard
 from buchi2.cli import main
-from buchi2.formulas import MAX_DEPTH
-from buchi2.nonstandard import NonstandardModel, ParseError
+from buchi2.formulas import MAX_DEPTH, format_formula, format_term
+from buchi2.nonstandard import Element, NonstandardModel, ParseError
 
 from fault_models import ConstantV2Model, IdentityV2Model
+from test_formulas import formulas, scan_texts, terms
 
 
 def run(capsys, *argv):
@@ -456,3 +463,114 @@ def test_a_line_without_formula_symbols_answers_the_term_error(capsys, argv, err
 ])
 def test_a_term_group_answers_the_atom_error(capsys, text, err):
     assert run(capsys, "eval", text) == (2, "", err)
+
+
+# -- lines on the kernel's triples ----------------------------------------------
+
+def outcome(argv, lines=()):
+    """main(argv)'s exit code, stdout and stderr, with lines as its stdin."""
+    feed = iter([*lines, ":q"])
+    with mock.patch("builtins.input", lambda prompt="": next(feed)), \
+            contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refused the arguments
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class OwnAddModel(NonstandardModel):
+    """The non-standard model with an add of its own, so that the CLI evaluates on its Elements."""
+
+    def add(self, x, y):
+        return nonstandard.add(x, y)
+
+
+_NAMES_RE = re.compile(r"\b[xyzuv]\b")  # the strategies' variable names
+
+
+def closed(text, numerals):
+    """text with each of the strategies' variables replaced by its numeral."""
+    return _NAMES_RE.sub(lambda m: str(numerals[m.group()]), text)
+
+
+closed_texts = st.builds(
+    closed,
+    st.one_of(formulas(quantified=False).map(format_formula), terms().map(format_term)),
+    st.fixed_dictionaries({name: st.integers(0, 2**70) for name in "xyzuv"}),
+)
+
+
+def reply(text, model):
+    try:
+        return cli._evaluate_expression(text, model)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(closed_texts)
+def test_a_line_on_triples_answers_as_a_line_on_elements(text):
+    assert cli._view(NonstandardModel()) is nonstandard.TRIPLE_VIEW
+    model = OwnAddModel()
+    assert cli._view(model) is model
+    assert reply(text, NonstandardModel()) == reply(text, model)
+
+
+@settings(max_examples=20)
+@given(st.lists(st.one_of(closed_texts, st.sampled_from(["2c+5", "c/3 - 1", "0c+3", "3/5c-2", "1 +", "x < 1"])),
+                max_size=20))
+def test_a_session_on_triples_builds_at_most_one_element_per_line(lines):
+    # an Element literal's line builds its Element, a term's line its value's
+    built = []
+
+    def new(cls, *args, new=nonstandard._new):
+        if cls is Element:
+            built.append(cls)
+        return new(cls, *args)
+
+    with mock.patch.object(nonstandard, "_new", new), \
+            mock.patch.object(Element, "__init__", side_effect=AssertionError("a checked Element")):
+        code, out, err = outcome(["repl"], lines)
+    assert (code, err, len(out.splitlines())) == (0, "", 1 + len(lines))
+    assert len(built) <= len(lines)
+
+
+# -- the contract of every line and argument ------------------------------------
+
+def is_value(line, model):
+    """Whether a reply line is a value: a truth value or an element in its canonical form."""
+    if line in ("true", "false"):
+        return True
+    try:
+        return model.format(model.parse(line)) == line
+    except ValueError:
+        return False
+
+
+model_names = st.sampled_from(sorted(cli.MODELS))
+any_texts = st.one_of(
+    scan_texts, formulas().map(format_formula), terms().map(format_term), closed_texts, st.text(max_size=30),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(any_texts, model_names)
+def test_every_eval_argument_gets_a_documented_answer(text, name):
+    code, out, err = outcome(["eval", text, "--model", name])
+    if code == 0:
+        assert err == "" and out.endswith("\n") and is_value(out[:-1], cli.make_model(name))
+    elif err.startswith("usage: buchi2 eval"):  # argparse read the text as an option
+        assert (code, out) == (2, "") and "buchi2 eval: error:" in err
+    else:  # a failed eval answers on stderr, in one line
+        assert out == "" and err.endswith("\n") and "\n" not in err[:-1]
+        assert err.startswith({2: "parse error: ", 3: "error: "}[code])
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(any_texts.filter(lambda text: "\n" not in text and "\r" not in text), max_size=8), model_names)
+def test_every_repl_line_gets_a_documented_answer(lines, name):
+    code, out, err = outcome(["repl", "--model", name], lines)
+    banner, *replies = out.removesuffix("\n").split("\n")
+    assert (code, err, banner) == (0, "", f"model {name}; enter an expression, :q to quit")
+    model = cli.make_model(name)
+    assert all(line.startswith(("parse error: ", "error: ")) or is_value(line, model) for line in replies)

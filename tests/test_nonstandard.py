@@ -155,6 +155,20 @@ def test_carrier_invariants():
     assert el(1, 3, -5).offset == -5  # negative offsets fine off the standard galaxy
 
 
+def test_the_triple_numeral_checks_as_natural_does():
+    # natural boxes _natural's triple, so the two raise and answer alike
+    def answer(embed, n):
+        try:
+            return embed(n)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    for n in (True, -1, 1.0, "1"):
+        assert answer(nonstandard._natural, n) == answer(natural, n) != answer(natural, 1)
+    for n in (0, 1, 10**40):
+        assert nonstandard._natural(n) == (0, 1, n) == Element._values(natural(n))
+
+
 def test_element_stores_its_galaxy_in_lowest_terms():
     x = Element(2, 5)  # an int galaxy
     assert (x.p, x.q, x.offset) == (2, 1, 5) and x == el(2, 1, 5)
