@@ -38,13 +38,18 @@ from .nonstandard import EQUAL, LESS, TRIPLE_VIEW, TRIPLES, Element, Model, _ele
 # model callables are values of generated global names, in a namespace
 # that holds no builtins and, once compiled, not the loop itself, so no
 # reference cycle is left.  A loop on the non-standard kernel's own
-# operations (``nonstandard.TRIPLES``) is unboxed: a slot holds an element's
-# (p, q, w), and is boxed as element(*s<i>) only in a failing case's env.
-# Its global ``model`` is ``nonstandard.TRIPLE_VIEW``, so its witnesses and
-# constants call the triple forms too.  A draw that would call a sampler
-# built from a template (``Model.sample``, an unboxed loop's ``_sample``)
-# is that template's lines, after its prologue, run once per call on ``self``.
+# operations (``nonstandard.TRIPLES``) is unboxed, and its global ``model`` is
+# ``nonstandard.TRIPLE_VIEW``.  Up to SCALAR_SLOTS slots an element slot is the
+# int locals p<i>, q<i> and w<i> (a test reads p<i>), and +, <, V2 and mod n
+# are the lines of the kernel's templates (``nonstandard.Template``) on them; a
+# longer loop holds (p, q, w) tuples and calls the triple forms.  A draw that
+# would call a sampler built from a template is that template's lines, after
+# its prologue, run once per call on ``self``.
 NESTING = 40
+# Scalar source is some four times as long, and compiling takes about 120
+# bytes a character: A4's loop at schema 12 (158 slots) would peak at 4.5 MB,
+# not 1.4, and raise a run's peak memory by a fifth.
+SCALAR_SLOTS = 64
 
 
 def _constant(model, numeral, add, residue_mod, ops, kept, i):
@@ -133,15 +138,20 @@ class _Emitter:
         for i in self.given:
             self.assign(i)
         sample = self.names["sample"] = model.sample
-        self.triples = keeps_kernel(model, self.names)  # then the slots hold (p, q, w) triples
+        self.triples = keeps_kernel(model, self.names)  # then the loop is unboxed
+        # The operations written inline, from their templates: in an unboxed loop
+        # the kernel's, read here, so that a template swapped in is seen; else a
+        # draw that would call a sampler built from a template.
         if self.triples:
             self.names.update(vars(TRIPLE_VIEW), model=TRIPLE_VIEW, element=_element, triples=_triples)
-        # a draw that would call a sampler built from a template (in an unboxed loop, the
-        # triple form of the model's) is written inline; its prologue reads the sampler's model
-        sampler = TRIPLES["sample"][1] if self.triples else getattr(sample, "__func__", None)
-        self.template = getattr(sampler, "template", None)
-        if self.template is not None:
-            self.names.update(self.template.names, self=sample.__self__)
+            self.templates = {op: TRIPLES[op][1].template for op in ("add", "compare", "residue_mod", "v2", "sample")}
+        else:
+            template = getattr(getattr(sample, "__func__", None), "template", None)
+            self.templates = {} if template is None else {"sample": template}
+        for template in self.templates.values():
+            self.names.update(template.names)
+        if "sample" in self.templates:  # its prologue reads the sampler's model
+            self.names["self"] = sample.__self__
         self.names.update(len=len, range=range)
 
     # -- slots and formula nodes --------------------------------------------
@@ -241,12 +251,37 @@ class _Emitter:
 
     # -- source ---------------------------------------------------------------
 
+    def scalars(self, i: int) -> tuple:
+        """The locals that hold slot i: p<i>, q<i> and w<i> for an element in a scalar loop, else s<i>."""
+        return (f"p{i}", f"q{i}", f"w{i}") if self.scalar and self.ops[i][0] != "mod" else (f"s{i}",)
+
+    def target(self, i: int) -> str:
+        return ", ".join(self.scalars(i))
+
+    def packed(self, i: int) -> str:
+        """Slot i as one value: an element's triple is packed, for a call."""
+        names = self.scalars(i)
+        return f"({', '.join(names)})" if len(names) > 1 else names[0]
+
+    def inline(self, op: str, i: int, *operands) -> list[str]:
+        """The lines of op's template that leave slot i's value on the operand slots'."""
+        return self.templates[op].inline(self.scalars(i), *(n for a in operands for n in self.scalars(a)))
+
+    def flag(self, i: int) -> str:
+        """The local that a test of slot i reads: None until the slot is computed."""
+        return self.scalars(i)[0]
+
+    def sum_of(self, a: int, b: int) -> str:  # s<a> + s<b> in a loop on Python values
+        return f"s{a} + s{b}" if self.plus else f"add(s{a}, s{b})"
+
     def line(self, text: str, guard=None) -> None:
-        self.lines.append(" " * self.depth + (text if guard is None else f"if s{guard} is None: {text}"))
+        self.lines.append(" " * self.depth + (text if guard is None else f"if {self.flag(guard)} is None: {text}"))
 
     def block(self, texts, guard) -> None:
+        if len(texts) == 1:
+            return self.line(texts[0], guard)
         if guard is not None:
-            self.line(f"if s{guard} is None:")
+            self.line(f"if {self.flag(guard)} is None:")
         self.depth += guard is not None
         for text in texts:
             self.line(text)
@@ -263,18 +298,21 @@ class _Emitter:
         del self.log[mark:]
 
     def demand(self, i: int) -> str:
-        """Write code after which s<i> holds slot i's value; return "s<i>"."""
+        """Write code after which slot i's locals hold its value; return it packed."""
         if i in self.known:
-            return f"s{i}"
+            return self.packed(i)
         kind, a, b = self.ops[i]
         guard = i if i in self.seen else None
         if guard is not None:
             self.unset.add(i)
         if kind == "raise":  # a variable neither sampled nor derived, or not a term
             self.line(f"raise {self.name(a)}({self.name(b)})")
-            return f"s{i}"
-        if self.const[i]:  # s<i> starts as its kept value, None until computed
-            self.line(f"s{i} = constant({i})", i)
+            return self.packed(i)
+        if self.const[i]:  # its locals start as its kept value, None until computed
+            self.line(f"{self.target(i)} = constant({i})", i)
+        elif kind == "v2" and self.scalar:
+            self.demand(a)
+            self.block(self.inline("v2", i, a), guard)
         elif kind == "v2" and self.triples:
             self.line(f"s{i} = v2({self.demand(a)})", guard)
         elif kind == "v2":  # model.v2 is looked up before the operand is computed
@@ -282,8 +320,12 @@ class _Emitter:
             self.line(f"s{i} = f{i}({self.demand(a)})", guard)
         elif kind == "mod":
             x, n = self.demand(a), self.name(b)
-            templated = self.mod and type(b) is int and b >= 1  # remainder's test of n, made once here
-            self.line(f"s{i} = {x} % {n}" if templated else f"s{i} = residue_mod({x}, {n})", guard)
+            templated = type(b) is int and b >= 1  # the modulus test of remainder and _residue_mod, made once here
+            if templated and self.scalar:
+                self.block(self.templates["residue_mod"].inline(self.scalars(i), *self.scalars(a), n), guard)
+            else:
+                templated = templated and self.mod
+                self.line(f"s{i} = {x} % {n}" if templated else f"s{i} = residue_mod({x}, {n})", guard)
         elif kind == "+":
             # a left-nested sum whose inner links only their outer link reads,
             # such as w + w + ... + w, is a loop over the same additions
@@ -292,24 +334,29 @@ class _Emitter:
                 a, links = self.ops[a][1], links + 1
             self.demand(a)
             self.demand(b)
-            plus = "{} + {}" if self.plus else "add({}, {})"
-            first, more = plus.format(f"s{a}", f"s{b}"), plus.format(f"s{i}", f"s{b}")
             if links == 1:
-                self.line(f"s{i} = {first}", guard)
+                self.block(self.inline("add", i, a, b) if self.scalar else [f"s{i} = {self.sum_of(a, b)}"], guard)
+            elif self.scalar:  # the template's lines once, on s<i> = s<i> + s<b>, which they keep right
+                loop = f"for _ in {self.name(range(links))}:"
+                more = self.inline("add", i, i, b)
+                self.block([f"{self.target(i)} = {self.target(a)}", loop, *(" " + t for t in more)], guard)
             else:
-                self.block([f"s{i} = {first}", f"for _ in {self.name(range(links - 1))}: s{i} = {more}"], guard)
+                loop = f"for _ in {self.name(range(links - 1))}:"
+                self.block([f"s{i} = {self.sum_of(a, b)}", f"{loop} s{i} = {self.sum_of(i, b)}"], guard)
         else:  # "derived"
             _, witness, param = a
             for r in b:
                 self.demand(r)
-            args = "".join(f", s{r}" for r in b)
-            self.line(f"s{i} = {self.name(witness)}(model, {self.name(param)}{args})", guard)
+            args = "".join(f", {self.packed(r)}" for r in b)
+            self.line(f"{self.target(i)} = {self.name(witness)}(model, {self.name(param)}{args})", guard)
         self.assign(i)
-        return f"s{i}"
+        return self.packed(i)
 
     def value(self, i: int) -> str:
         """Variable slot i's value in a failing case's env: a triple leaves the loop as an Element."""
-        return f"element(*s{i})" if self.triples else f"s{i}"
+        if self.triples:
+            return f"element({self.target(i)})" if self.scalar else f"element(*s{i})"
+        return f"s{i}"
 
     def emit(self, node, negated=False) -> None:
         """Write code after which r holds the node's truth value, or its negation."""
@@ -317,8 +364,17 @@ class _Emitter:
         if kind == "cmp":
             _, a, b, want = node
             x, y = self.demand(a), self.demand(b)
-            if self.triples and want is EQUAL:  # equal triples are equal elements: (p, q, w) is canonical
+            if self.scalar and want is EQUAL:  # equal triples are equal elements: (p, q, w) is canonical
+                same = " and ".join(f"{u} == {v}" for u, v in zip(self.scalars(a), self.scalars(b)))
+                self.line(f"r = not ({same})" if negated else f"r = {same}")
+            elif self.triples and want is EQUAL:
                 self.line(f"r = {no}{x} == {y}")
+            elif self.scalar:  # x < y exactly when the template leaves u < v
+                compare = self.templates["compare"]
+                for text in compare.inline(compare.results, *self.scalars(a), *self.scalars(b)):
+                    self.line(text)
+                u, v = compare.results
+                self.line(f"r = {no}{u} < {v}")
             elif not self.order:
                 self.line(f"r = {no}compare({x}, {y}) is {self.name(want)}")
             elif want is EQUAL:  # compare tests == and, if that is false, <
@@ -359,14 +415,15 @@ class _Emitter:
             lines, depth = self.lines, self.depth
             self.lines, self.depth = [], 2
             self.emit(node)
-            h = f"h{len(self.helpers)}"  # the loop assigns every slot seen as a local: h names them all nonlocal
-            nonlocal_ = ["  nonlocal " + ", ".join(f"s{i}" for i in sorted(self.seen))] if self.seen else []
+            h = f"h{len(self.helpers)}"  # the loop assigns every slot seen as locals: h names them all nonlocal
+            nonlocal_ = ["  nonlocal " + ", ".join(self.target(i) for i in sorted(self.seen))] if self.seen else []
             self.helpers.append("\n".join([f" def {h}():", *nonlocal_, *self.lines, "  return r"]))
             self.lines, self.depth = lines, depth
             self.line(f"r = {h}()")
         self.depth -= 1
 
     def source(self, root, witnesses) -> str:
+        self.scalar = self.triples and len(self.ops) <= SCALAR_SLOTS
         kept = [None] * len(self.ops)  # slot -> its value once computed, for variable-free slots
         ops = {i: op for i, op in enumerate(self.ops) if self.const[i]}  # all that _constant reads
         constant = partial(_constant, *map(self.names.get, ("model", "numeral", "add", "residue_mod")), ops, kept)
@@ -375,8 +432,10 @@ class _Emitter:
         self.line("if r: continue")
         for i in witnesses:  # a false check computes the witnesses it did not read, in order
             self.demand(i)
-        # a helper's slots are its loop's locals, so the loop assigns them all
-        reads = [f" s{i} = kept[{i}]" for i in sorted(self.seen) if self.const[i]]
+        # a helper's slots are its loop's locals, so the loop assigns them all; a
+        # tested slot's first local starts as None, and a kept element's as its value
+        reads = [f" {self.target(i)} = kept[{i}]" + (" or (None, None, None)" if len(self.scalars(i)) > 1 else "")
+                 for i in sorted(self.seen) if self.const[i]]
         unset = {i for i in (self.seen if self.helpers else self.unset) if not self.const[i]}
         # a failed case returns its number, the sampled variables and the
         # derived ones it computed, and its error
@@ -384,20 +443,22 @@ class _Emitter:
         unset = sorted(unset.union(derived).difference(self.given))
         pairs = [f"{self.name(v)}: {self.value(i)}" for i, v in (*self.given.items(), *derived.items())]
         self.line(f"return i + 1, {{{', '.join(pairs)}}}, None")
-        prologue, draw = (self.template.prologue, self.template.lines) if self.template else ([], ["{0} = sample(rng)"])
-        rotate = [f"   s{i} = corners[(i + {j}) % k]" if j else f"   s{i} = corners[i]"
+        template = self.templates.get("sample")
+        rotate = [f"   {self.target(i)} = corners[(i + {j}) % k]" if j else f"   {self.target(i)} = corners[i]"
                   for j, i in enumerate(self.sampled)]
-        draws = ["   " + d.format(f"s{i}") for i in self.sampled for d in draw]
+        draws = ["   " + d for i in self.sampled
+                 for d in (template.inline([self.target(i)]) if template else [f"{self.target(i)} = sample(rng)"])]
+        locals_ = (n for i in unset for n in (self.scalars(i) if self.helpers else [self.flag(i)]))
         return "\n".join([
             "def run(rng, cases, corners):", *self.helpers, *reads,
             *([" corners = triples(corners)"] if self.triples else []),
-            " k = len(corners)", *(" " + line for line in prologue),
+            " k = len(corners)", *(" " + line for line in (template.prologue if template else ())),
             " for i in range(cases):",
             *(["  if i < k:", *rotate, "  else:", *draws] if self.sampled else []),
-            *(["  " + " = ".join(f"s{i}" for i in unset) + " = None"] if unset else []),
+            *(["  " + " = ".join(locals_) + " = None"] if unset else []),
             "  try:", *self.lines, f"  except {self.name(ValueError)} as e:",
             f"   env = {{{', '.join(pairs[:len(self.given)])}}}",
-            *(f"   if s{i} is not None: env[{self.name(v)}] = {self.value(i)}" for i, v in derived.items()),
+            *(f"   if {self.flag(i)} is not None: env[{self.name(v)}] = {self.value(i)}" for i, v in derived.items()),
             "   return i + 1, env, e", "",
         ])
 
@@ -411,10 +472,10 @@ def _generate(f, model, derived, sampled):
 
 
 # The source names every model value by a global, so it depends on the model
-# only through the operations written as Python operators and the inline
-# draws: each distinct source is compiled once, for every model that writes
-# it.  The bound holds the catalog's 20 case loops at one schema bound for
-# all three models (44 distinct sources), and then some.
+# only through the operations written as Python operators or template lines
+# and the inline draws: each distinct source is compiled once, for every
+# model that writes it.  The bound holds the catalog's 20 case loops at one
+# schema bound for all three models (44 distinct sources), and then some.
 @lru_cache(maxsize=64)
 def _code(source: str):
     return compile(source, "<compile_run>", "exec")
@@ -426,7 +487,7 @@ def compile_run(f, model, sampled, derived=()):
     Case i assigns the ``sampled`` variables, as locals, the corners
     rotated by i while i < len(corners), then one ``model.sample(rng)``
     each, and runs f on them as ``eval_qf`` does.  Where that draw would
-    call a sampler built from a ``nonstandard.SamplerTemplate``, such as
+    call a sampler built from a ``nonstandard.Template``, such as
     ``Model.sample``, the loop runs the template's prologue, which reads the
     bounds, once per call and writes its lines for each draw: the same
     ``rng`` calls in the same order.  An override of ``sample`` is called.
@@ -462,15 +523,20 @@ def compile_run(f, model, sampled, derived=()):
     ``add``, ``sub``, ``divide``, ``compare``, ``residue_mod``,
     ``next_power_of_two``, ``sample`` and ``v2`` (``nonstandard.TRIPLES``;
     the test is ``nonstandard.keeps_kernel``, which also decides whether
-    the CLI evaluates a line on triples), the loop is unboxed: its slots
-    hold each element's (p, q, w), it calls the triple forms that the
-    kernel's own functions call, looked up once here, ``v2`` included, and
-    ``=`` compares the triples, which are canonical.  It draws inline, from
-    the template of the triple sampler that ``NonstandardModel.sample``
-    boxes.  It unboxes the corners when called, so one that is not an
-    ``Element`` raises TypeError before the first case, and returns its
-    values in an env as Elements.  A subclass
-    or proxy that overrides any of the nine gets a loop on its own values.
+    the CLI evaluates a line on triples), the loop is unboxed.  With at most
+    ``SCALAR_SLOTS`` distinct subterms it holds each element as three int
+    locals, its (p, q, w), and writes ``+``, ``<``, ``V2`` and ``mod n``
+    (for an int n >= 1, tested here) as the lines of the templates the
+    kernel builds those triple forms from, read here; ``=`` compares the
+    ints, which are canonical; it packs a triple only for a witness, a
+    kept constant or an env.  A longer loop, such as A4's at schema 12,
+    holds triples and calls the triple forms, looked up once here, as its
+    source would take some four times the memory to compile.  Both draw
+    inline, from the template of the triple sampler that
+    ``NonstandardModel.sample`` boxes.  It unboxes the corners when called,
+    so one that is not an ``Element`` raises TypeError before the first
+    case, and returns its values in an env as Elements.  A subclass or
+    proxy that overrides any of the nine gets a loop on its own values.
 
     Each ``(name, witness, param, reads)`` of ``derived`` binds ``name`` to
     ``witness(model, param, *values)``, the values of ``reads``: terms

@@ -42,14 +42,13 @@ everything else.  The arithmetic of ``add``, ``sub``, ``divide``,
 Element functions unbox their arguments and box a result with
 ``_element``, and an error's message boxes and formats its operands only
 when it is raised; ``natural`` boxes ``_natural`` in the same way.
-``keeps_kernel(model)`` says whether a model keeps every kernel form.  If
-it does, a compiled case loop calls the triple forms, and passes its
-witnesses ``TRIPLE_VIEW``, a model whose members are those forms, so a
-witness there reads and returns triples; and the CLI evaluates a REPL or
-``eval`` line on ``TRIPLE_VIEW``, boxing only the value it prints.  The
-sampler is declared once, as a ``SamplerTemplate``: ``_sample`` is built
-from it, and such a loop writes its draws inline, after the template's
-prologue, which reads the bounds.
+The triple forms of ``add``, ``compare``, ``residue_mod``, ``v2`` and
+``sample`` are built from ``Template``s, source over scalar operands that
+a compiled case loop also writes inline.  ``keeps_kernel(model)`` says
+whether a model keeps every kernel form.  If it does, a compiled case loop
+computes on triples, passing its witnesses ``TRIPLE_VIEW``, a model whose
+members are the triple forms; and the CLI evaluates a REPL or ``eval``
+line on ``TRIPLE_VIEW``, boxing only the value it prints.
 
 Every bad value raises a ValueError: a ParseError for malformed text,
 NegativeResultError or NotDivisibleError (also ArithmeticErrors) where
@@ -72,7 +71,7 @@ import re
 import sys
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import cached_property, lru_cache, total_ordering
 from math import gcd
 from operator import attrgetter
 from types import SimpleNamespace
@@ -266,6 +265,59 @@ _set_p, _set_q, _set_w = (getattr(Element, name).__set__ for name in Element.__s
 _new = object.__new__
 
 
+class Template:
+    """An operation declared once, as Python source over scalar operands.
+
+    ``function``, named ``name``, takes ``operands``, comma-separated: three
+    names, such as ``p1 q1 w1``, are a (p, q, w) triple that it unpacks
+    (the parameter ``x``, ``y`` or ``z`` by position).  It runs
+    ``prologue``, such as a sampler's reads of ``rng`` and the bounds of
+    ``self``, then ``lines``, which leave the result in the locals named by
+    ``results``, and returns ``returns``, by default those locals.  The
+    source reads ``names`` as globals, and no builtins.
+
+    ``inline(results, *operands)``: the lines with the results' and then the
+    operands' names replaced, in order, by a case loop's own
+    (``compiled.compile_run``).  So the lines hold no string literal, stay
+    right when the results are the first operand's names (``s = s + b``),
+    and use no other local that the loop uses: ``r``, ``i``, ``k``, ``e``,
+    ``env``, ``corners``, ``_``, a letter and digits (``s<i>``, ``p<i>``,
+    ``q<i>``, ``w<i>``, the globals), or a sampler prologue's locals.  A
+    loop runs a sampler's prologue once per call and its lines per draw;
+    ``_sample``'s lines only assign their result, which a loop writes as
+    ``p<i>, q<i>, w<i>`` or ``s<i>``.
+    """
+
+    def __init__(self, name: str, operands: str, results: str, lines: str, prologue: str = "",
+                 returns: str | None = None, **names):
+        self.names = names
+        groups = [group.split() for group in operands.split(",")]
+        self.operands = [scalar for group in groups for scalar in group]
+        self.results = results.split()
+        self.prologue, self.lines = (text.strip("\n").split("\n") if text.strip() else [] for text in (prologue, lines))
+        params = [group[0] if len(group) == 1 else "xyz"[k] for k, group in enumerate(groups)]
+        unpack = [f"{', '.join(group)} = {param}" for param, group in zip(params, groups) if len(group) > 1]
+        namespace = {"__builtins__": {}, "__name__": __name__, **names}
+        exec("\n".join([f"def {name}({', '.join(params)}):",
+                        *(" " + line for line in (*self.prologue, *unpack, *self.lines)),
+                        f" return {returns or ', '.join(self.results)}"]), namespace)
+        self.function = namespace[name]
+        self.function.template = self
+
+    @cached_property
+    def _formats(self) -> list[str]:  # the lines with the results' and operands' names as format fields, in order
+        fields = {scalar: f"{{{k}}}" for k, scalar in enumerate([*self.results, *self.operands])}
+        return [re.sub(_NAME, lambda m: fields.get(m[0], m[0]), line.replace("{", "{{").replace("}", "}}"))
+                for line in self.lines]
+
+    def inline(self, results, *operands) -> list[str]:
+        """The lines, on the given names of the results and the operands' scalars (by default their own)."""
+        return [line.format(*results, *(operands or self.operands)) for line in self._formats]
+
+
+_NAME = r"(?<![\w.])[^\W\d]\w*"  # a name that is not an attribute; compiled on first use
+
+
 def _element(p: int, q: int, w: int) -> Element:
     # The trusted constructor: the caller guarantees q >= 1, gcd(p, q) = 1,
     # p >= 0, q dividing w + p*t(q), and w >= 0 if p = 0.
@@ -299,19 +351,19 @@ def add(x: Element, y: Element) -> Element:
     return _element(*_add((x.p, x.q, x.w), (y.p, y.q, y.w)))
 
 
-def _add(x: tuple, y: tuple) -> tuple:
-    p1, q1, w1 = x
-    p2, q2, w2 = y
-    if not p2:
-        return p1, q1, w1 + q1 * w2
-    if not p1:
-        return p2, q2, w2 + q2 * w1
-    if q1 == q2:
-        p, q, w = p1 + p2, q1, w1 + w2
-    else:
-        p, q, w = p1 * q2 + p2 * q1, q1 * q2, w1 * q2 + w2 * q1
-    g = gcd(p, q)
-    return p // g, q // g, w // g
+_add = Template("_add", "p1 q1 w1, p2 q2 w2", "p q w", """
+if not p2:
+ p, q, w = p1, q1, w1 + q1 * w2
+elif not p1:
+ p, q, w = p2, q2, w2 + q2 * w1
+else:
+ if q1 == q2:
+  p, q, w = p1 + p2, q1, w1 + w2
+ else:
+  p, q, w = p1 * q2 + p2 * q1, q1 * q2, w1 * q2 + w2 * q1
+ g = gcd(p, q)
+ if g != 1: p, q, w = p // g, q // g, w // g
+""", gcd=gcd).function
 
 
 def sub(x: Element, y: Element) -> Element:
@@ -362,15 +414,11 @@ def compare_elements(x: Element, y: Element) -> Ordering:
     return _compare((x.p, x.q, x.w), (y.p, y.q, y.w))
 
 
-def _compare(x: tuple, y: tuple) -> Ordering:
-    p1, q1, w1 = x
-    p2, q2, w2 = y
-    a, b = p1 * q2, p2 * q1
-    if a == b:
-        a, b = w1, w2
-        if a == b:
-            return EQUAL
-    return LESS if a < b else GREATER
+# x < y exactly when a < b, which a loop writes after these lines.
+_compare = Template("_compare", "p1 q1 w1, p2 q2 w2", "a b", """
+a, b = p1 * q2, p2 * q1
+if a == b: a, b = w1, w2
+""", returns="LESS if a < b else GREATER if a > b else EQUAL", EQUAL=EQUAL, LESS=LESS, GREATER=GREATER).function
 
 
 def scalar_mul(n: int, x: Element) -> Element:
@@ -406,13 +454,11 @@ def residue_mod(x: Element, n: int) -> int:
     return _residue_mod((x.p, x.q, x.w), n)
 
 
-def _residue_mod(x: tuple, n: int) -> int:
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    p, q, w = x
-    if not p:
-        return w % n
-    return (p * t_residue(q * n // gcd(p, n)) + w) // q % n
+_residue_mod = Template("_residue_mod", "p q w, n", "j", """
+if not p: j = w % n
+else: j = (p * t_residue(q * n // gcd(p, n)) + w) // q % n
+""", prologue='if n < 1: raise ValueError(f"modulus must be positive, got {n}")',
+    ValueError=ValueError, gcd=gcd, t_residue=t_residue).function
 
 
 def v2(x: Element) -> Element:
@@ -429,11 +475,10 @@ def v2(x: Element) -> Element:
     return _element(*_v2((x.p, x.q, x.w)))
 
 
-def _v2(x: tuple) -> tuple:
-    p, q, w = x
-    if w == 0 and p:
-        return p & -p, q, 0
-    return 0, 1, (w & -w) // (q & -q)
+_v2 = Template("_v2", "p1 q1 w1", "p q w", """
+if w1 == 0 and p1: p, q, w = p1 & -p1, q1, 0
+else: p, q, w = 0, 1, (w1 & -w1) // (q1 & -q1)
+""").function
 
 
 def is_standard(x: Element) -> bool:
@@ -555,29 +600,6 @@ def format_element(x: Element) -> str:
     return f"{coef}{'+' if d > 0 else '-'}{abs(d)}"
 
 
-class SamplerTemplate:
-    """A model's draw of one element, declared once as two pieces of source.
-
-    ``prologue`` binds locals to methods of ``rng`` and reads the bounds
-    from the model ``self``; ``lines`` assign the drawn element to ``{0}``.
-    Both read ``names`` as globals, no builtins, and no local of the case
-    loop (``r``, ``i``, ``k``, ``e``, ``env``, ``corners``, a letter and
-    digits).  ``sample(self, rng)``, which carries the template as
-    ``.template``, runs the two.  A case loop that would call ``sample``
-    runs the prologue once per call and writes ``lines`` inline for each
-    draw (``compiled.compile_run``): both read the bounds when they run.
-    """
-
-    def __init__(self, prologue: str, lines: str, **names):
-        self.names = names
-        self.prologue, self.lines = (text.strip("\n").split("\n") for text in (prologue, lines))
-        namespace = {"__builtins__": {}, "__name__": __name__, **names}
-        exec("\n".join(["def sample(self, rng):", *(" " + line for line in self.prologue),
-                        *(" " + line.format("value") for line in self.lines), " return value"]), namespace)
-        self.sample = namespace["sample"]
-        self.sample.template = self
-
-
 class Model:
     """One structure for the signature {0, 1, +, <, congruence mod n, V2}.
 
@@ -596,9 +618,9 @@ class Model:
     The defaults ``add``, ``compare``, ``residue_mod`` and ``sample`` are
     Python's ``+``, ``==`` then ``<``, ``%`` and ``randrange`` on ints; a
     compiled case loop writes them inline (``compiled.compile_run``).
-    ``sample`` is built from a ``SamplerTemplate``, and a loop writes the
-    draw of any sampler so built inline, after the template's prologue; an
-    override of ``sample`` is called once per draw.
+    ``sample`` is built from a ``Template``, and a loop writes the draw of
+    any sampler so built inline, after the template's prologue; an override
+    of ``sample`` is called once per draw.
     """
 
     name: str
@@ -625,10 +647,10 @@ class Model:
         self.offset_bound = offset_bound
 
     # (rng) -> a random element; here the int rng.randrange(offset_bound + 1), as CPython draws it
-    sample = SamplerTemplate(
-        "draw = rng.getrandbits\nbound = self.offset_bound + 1\nbits = bound.bit_length()",
-        "{0} = draw(bits)\nwhile {0} >= bound: {0} = draw(bits)",
-    ).sample
+    sample = Template(
+        "sample", "self, rng", "x", "x = draw(bits)\nwhile x >= bound: x = draw(bits)",
+        prologue="draw = rng.getrandbits\nbound = self.offset_bound + 1\nbits = bound.bit_length()",
+    ).function
 
     def corner_elements(self) -> tuple:  # a method, so that a wrapping proxy can forward it
         return self.corners
@@ -674,14 +696,13 @@ bits, den_bits, offset_bits = bound.bit_length(), den_bound.bit_length(), offset
 # standard, then a galaxy num/den, 15% hypernumbers (binary-rational
 # multiples of c, where w = 0) and the rest with an offset in
 # [-offset_bound, offset_bound].  The hypernumber's den is 2**randrange(11).
-_sample = SamplerTemplate(
-    GALAXY_PROLOGUE,
-    """
+_sample = Template(
+    "_sample", "self, rng", "x", prologue=GALAXY_PROLOGUE, lines="""
 roll = random()
 if roll < 0.25:
  offset = draw(bits)
  while offset >= bound: offset = draw(bits)
- {0} = 0, 1, offset
+ x = 0, 1, offset
 else:
  num = draw(den_bits)
  while num >= den_bound: num = draw(den_bits)
@@ -691,7 +712,7 @@ else:
   while den >= 11: den = draw(4)
   den = 1 << den
   g = gcd(num, den)
-  {0} = num // g, den // g, 0
+  x = num // g, den // g, 0
  else:
   den = draw(den_bits)
   while den >= den_bound: den = draw(den_bits)
@@ -700,10 +721,10 @@ else:
   while offset >= offsets: offset = draw(offset_bits)
   g = gcd(num, den)
   num, den = num // g, den // g
-  {0} = num, den, den * (offset - offset_bound) - num * t_residue(den)
+  x = num, den, den * (offset - offset_bound) - num * t_residue(den)
 """,
     gcd=gcd, t_residue=t_residue,
-).sample
+).function
 
 
 # Model member -> (the kernel's own form, its form on triples): a case loop

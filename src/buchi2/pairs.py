@@ -20,7 +20,7 @@ from .nonstandard import (
     NegativeResultError,
     NotDivisibleError,
     ParseError,
-    SamplerTemplate,
+    Template,
     _Frozen,
     compare as p_compare,
     too_many_digits,
@@ -208,13 +208,12 @@ class PairsModel(Model):
     parse = staticmethod(parse_pair)
 
     # (rng) -> a random pair: the draws of rng.randrange and rng.randint, in the same order
-    sample = SamplerTemplate(
-        GALAXY_PROLOGUE,
-        """
+    sample = Template(
+        "sample", "self, rng", "x", prologue=GALAXY_PROLOGUE, lines="""
 if random() < 0.3:
  offset = draw(bits)
  while offset >= bound: offset = draw(bits)
- {0} = PairElement(Fraction(0), offset)
+ x = PairElement(Fraction(0), offset)
 else:
  num = draw(den_bits)
  while num >= den_bound: num = draw(den_bits)
@@ -222,7 +221,7 @@ else:
  while den >= den_bound: den = draw(den_bits)
  offset = draw(offset_bits)
  while offset >= offsets: offset = draw(offset_bits)
- {0} = PairElement(Fraction(num + 1, den + 1), offset - offset_bound)
+ x = PairElement(Fraction(num + 1, den + 1), offset - offset_bound)
 """,
         PairElement=PairElement, Fraction=Fraction,
-    ).sample
+    ).function

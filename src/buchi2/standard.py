@@ -4,8 +4,8 @@ Elements are plain non-negative ints; every operation is exact.  The
 ``Model`` subclass at the bottom serves them like the non-standard model,
 so the two can be cross-checked case for case.  It keeps ``Model``'s
 ``add``, ``compare``, ``residue_mod`` and ``sample``, which a compiled
-case loop writes inline (``compiled.compile_run``): ``sample`` is a
-``SamplerTemplate``, whose prologue and draw lines the loop writes.
+case loop writes inline (``compiled.compile_run``): ``sample`` is built
+from a ``Template``, whose prologue and draw lines the loop writes.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import pytest
 
 import buchi2
 
-from buchi2 import axioms, compiled
+from buchi2 import axioms, compiled, nonstandard
 from buchi2.axioms import (
     FAIL,
     MAX_SCHEMA,
@@ -348,6 +348,55 @@ SEEDED_FAULT_FAILS = {OffByOneAddModel: ["A2", "A4", "A7"], OffByOneResidueModel
 def test_seeded_kernel_fault_is_caught(model_class):
     reports = run_suite(model_class(), seed=0, cases=300)
     assert [r.axiom_id for r in reports if r.status == FAIL] == SEEDED_FAULT_FAILS[model_class]
+
+
+def test_a_fault_in_the_add_template_fails_where_the_default_suite_computes():
+    # NonstandardModel's loop is unboxed: past compiled.SCALAR_SLOTS slots it
+    # calls the triple forms, and below it writes the kernel's add inline, from
+    # nonstandard._add's template, so that is where a fault must be put to
+    # reach A2 and the smaller A4s of the default suite.  This one is
+    # OffByOneAddModel's: the sum's w gains its q when both denominators are
+    # divisible by 3, tested before the lines, which may overwrite the first
+    # operand.
+    template = nonstandard._add.template
+    mutated = nonstandard.Template(
+        "_add", "p1 q1 w1, p2 q2 w2", "p q w",
+        "\n".join(["three = q1 % 3 == 0 and q2 % 3 == 0", *template.lines, "if three: w = w + q"]),
+        **template.names,
+    )
+
+    def first_failure(spec, model, source_has=None):
+        f = reduce(And, (matrix for _, matrix in spec.obligations))
+        source, names = _generate(f, model, spec.derived, spec.sampled)
+        if source_has is not None:  # unboxed, on the template in place
+            assert names["model"] is nonstandard.TRIPLE_VIEW and source_has in source
+        return compile_run(f, model, spec.sampled, spec.derived)(random.Random(0), 400, model.corners)
+
+    try:
+        for spec in (by_id("A2"), by_id("A4", schema_max=5)):
+            boxed = first_failure(spec, OffByOneAddModel())
+            assert boxed is not None and boxed[2] is None
+            assert first_failure(spec, NonstandardModel(), "g = gcd(") is None
+            nonstandard._add.template = mutated
+            assert first_failure(spec, NonstandardModel(), "if three: ") == boxed
+            nonstandard._add.template = template
+    finally:
+        nonstandard._add.template = template
+        compiled._code.cache_clear()
+
+
+def test_an_unboxed_loop_past_the_slot_bound_holds_tuples():
+    # Up to compiled.SCALAR_SLOTS slots an element slot is three int locals;
+    # past it, a slot is one (p, q, w) tuple and the loop calls the triple
+    # forms, so that compiling a long loop, such as A4 at schema 12, stays
+    # small.  Both answer as the interpreter does.
+    for schema_max, scalar in ((6, True), (12, False)):
+        spec = by_id("A4", schema_max)
+        f = reduce(And, (matrix for _, matrix in spec.obligations))
+        source, names = _generate(f, NONSTD, spec.derived, spec.sampled)
+        assert names["model"] is nonstandard.TRIPLE_VIEW
+        assert ("p0, q0, w0 = corners[i]" in source, "s3 = residue_mod(s0, c0)" in source) == (scalar, not scalar)
+        assert check_axiom(spec, NonstandardModel(), cases=300, seed=1) == reference_check(spec, NONSTD, 300, 1)
 
 
 # A compiled case loop whose first case is always false: every FAIL it

@@ -574,3 +574,90 @@ def test_every_repl_line_gets_a_documented_answer(lines, name):
     assert (code, err, banner) == (0, "", f"model {name}; enter an expression, :q to quit")
     model = cli.make_model(name)
     assert all(line.startswith(("parse error: ", "error: ")) or is_value(line, model) for line in replies)
+
+
+# The stdout line of each one-shot subcommand that answered: its value.
+ORDERINGS = ("LESS", "EQUAL", "GREATER")
+REPORT_LINE = re.compile(r"(A\d+|V\d+)\t(PASS|FAIL|SKIPPED)\t\d+\t-?\d+(\t.*)?")
+VERDICT_LINE = re.compile(r"FINITE_TWO_DIVISIBILITY steps=\d+ chain=.+|DIVISIBLE_BY_THREE quotient=.+")
+fractions_ = st.tuples(st.integers(0, 40), st.integers(0, 12))
+element_texts = st.one_of(
+    any_texts, st.sampled_from(["2c+5", "c/3 - 1", "0", "7", "c", "3/5c-2", "(1/2, 3)", "(0, 4)", "-1", "--", ""]),
+    st.integers(0, 10**30).map(str),
+    st.tuples(fractions_, st.integers(-10**6, 10**6)).map(lambda t: f"{t[0][0]}/{t[0][1]}c{t[1]:+d}"),
+    st.tuples(fractions_, st.integers(-10**6, 10**6)).map(lambda t: f"({t[0][0]}/{t[0][1]}, {t[1]})"),
+)
+int_texts = st.one_of(st.integers(-3, 10**20).map(str), st.sampled_from(["0", "1", "12", "1.5", "x", ""]))
+model_options = st.one_of(st.just([]), model_names.map(lambda name: ["--model", name]))
+one_shot_argvs = st.one_of(
+    st.tuples(st.sampled_from(["add", "cmp"]), element_texts, element_texts).map(list),
+    st.tuples(st.just("v2"), element_texts).map(list),
+    st.tuples(st.sampled_from(["mod", "div"]), element_texts, int_texts).map(list),
+)
+axioms_argvs = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["--cases", "--seed", "--den-bound", "--offset-bound"]),
+              st.one_of(st.integers(-2, 4).map(str), st.sampled_from(["x", "1e3"]))),
+    st.tuples(st.just("--schema-max"), st.sampled_from(["-1", "0", "2", "3", "5", "501", "ten"])),
+    st.tuples(st.just("--axioms"), st.sampled_from(["A1", "A15,V12", ",A1", "A1,", "B9", "a1", "A4,A11,A17"])),
+), max_size=4).map(lambda options: ["axioms", *(part for option in options for part in option)])
+refute_argvs = st.one_of(element_texts, st.sampled_from(["(5/7, 6)", "(1, 0)", "(0,4)", "(1/0,1)", "(2, -3)"])).map(
+    lambda pair: ["refute", pair])
+
+
+def answered_value(argv, line) -> bool:
+    """Whether a stdout line of a one-shot argv is a value of its subcommand."""
+    command = argv[0]
+    if command == "axioms":
+        return REPORT_LINE.fullmatch(line) is not None
+    if command == "refute":
+        return VERDICT_LINE.fullmatch(line) is not None
+    if command == "cmp":
+        return line in ORDERINGS
+    if command == "mod":
+        return line.isdecimal()
+    model = argv[argv.index("--model") + 1] if "--model" in argv else "nonstd"
+    return is_value(line, cli.make_model(model))
+
+
+def assert_documented_answer(argv):
+    code, out, err = outcome(argv)
+    assert code in (0, 1, 2, 3)
+    if err.startswith("usage: "):  # argparse refused the arguments, in the subcommand's parser or the main one
+        assert (code, out) == (2, "") and re.search(rf"^buchi2( {argv[0]})?: error: ", err, re.M)
+    elif err:  # a failed one-shot command answers on stderr, in one line
+        assert out == "" and err.endswith("\n") and "\n" not in err[:-1]
+        assert err.startswith({2: "parse error: ", 3: "error: "}[code])
+    else:  # exit 1 only where an axiom failed
+        assert code == (1 if "\tFAIL\t" in out else 0) and out.endswith("\n")
+        assert all(answered_value(argv, line) for line in out[:-1].split("\n")), out
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(one_shot_argvs, model_options)
+def test_every_model_command_argument_gets_a_documented_answer(argv, options):
+    assert_documented_answer([*argv, *options])
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(axioms_argvs, model_options)
+def test_every_axioms_argument_gets_a_documented_answer(argv, options):
+    if "--cases" not in argv:  # keep each run short
+        argv += ["--cases", "3"]
+    assert_documented_answer([*argv, *options])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(refute_argvs)
+def test_every_refute_argument_gets_a_documented_answer(argv):
+    assert_documented_answer(argv)
+
+
+@pytest.mark.parametrize("argv, code, err", [
+    (["mod", "c", "0"], 3, "error: modulus must be positive, got 0\n"),
+    (["div", "2c", "-2"], 3, "error: divisor must be positive, got -2\n"),
+    (["axioms", "--schema-max", "501"], 3, "error: schema bound must be at most 500, got 501\n"),
+    (["axioms", "--axioms", ",A1"], 2, "parse error: empty axiom id\n"),
+    (["refute", "(1/0,1)"], 2, "parse error: zero denominator in '(1/0,1)'\n"),
+])
+def test_one_shot_errors_answer_in_their_documented_form(argv, code, err):
+    assert outcome(argv) == (code, "", err)

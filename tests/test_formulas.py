@@ -975,6 +975,26 @@ def test_a_sum_a_helper_computes_is_read_again_after_it():
         assert sum(entry[0] == "add" for entry in model.log) <= 1, env
 
 
+def test_helpers_of_an_unboxed_loop_share_its_scalar_slots():
+    # An unboxed loop holds an element slot as the locals p<i>, q<i> and w<i>;
+    # a helper past NESTING levels names all three nonlocal, so a sum, a V2 or
+    # a residue that the helper computes is read again after it, and a sum
+    # computed before the helper is read inside it.
+    x, y = Variable("x"), Variable("y")
+    s = Sum(x, y)
+    g = Or(Lt(V2App(s), x), CongMod(3, s, y))
+    for level in range(NESTING + 2):
+        g = And(Lt(y, Sum(s, x)), g) if level % 2 else Or(Eq(x, y), g)
+    f = Or(Eq(Sum(s, s), y), Or(g, Or(CongMod(5, s, x), Eq(V2App(s), Sum(y, y)))))
+    source = _generate(f, NONSTD, (), ("x", "y"))[0]
+    assert "def h0" in source and "nonlocal p0, q0, w0, p1, q1, w1, p2, q2, w2" in source
+    run = compile_run(f, NONSTD, ("x", "y"))
+    values = NONSTD.corners + tuple(NONSTD.sample(random.Random(k)) for k in range(20))
+    for a in values:
+        for b in values[::3]:
+            assert answer(run, (a, b)) is eval_qf(f, {"x": a, "y": b}, NONSTD), (a, b)
+
+
 def faulty(model, operation, bad):
     """model, except that one operation raises on the numeral bad: numeral on
     bad itself, residue_mod and v2 on the element bad, add on the sum bad."""

@@ -498,6 +498,111 @@ def test_kernel_compare_matches_generic_compare():
             assert compare_elements(x, y) is compare(x, y)
 
 
+# -- an oracle without t(q): c := 2^N ------------------------------------------
+#
+# In the model c is a power of two whose exponent every standard number
+# divides.  Take a standard N instead.  If N is at least the 2-exponent of
+# every modulus Q in play and a multiple of the order of 2 modulo each Q's
+# odd part, then 2^N == t(Q) (mod Q), so h(x) = (p*2^N + w)/q is a natural
+# number.  If also |w*q'| < 2^N for the case's elements, h commutes with +,
+# -, the order, residue_mod, divide and v2, and maps next_power_of_two to a
+# power of two above h(x).  h never computes t(q).  The moduli in play are
+# the operands' q and, for residue_mod and divide, q*n: every result's q
+# divides one of them, and so does residue_mod's L = q*n/gcd(p, n).
+# Denominators have odd parts that divide 2^60 - 1, so with n <= 12 the
+# order of 2 modulo any odd part in play divides 540, 300, 420 or 660, and
+# N stays far below the cap; a case above it is counted, not checked.
+
+FACTORS_2_60 = ((3, 2), (5, 2), (7, 1), (11, 1), (13, 1), (31, 1), (41, 1), (61, 1), (151, 1), (331, 1), (1321, 1))
+ODD_PARTS = [1]
+for prime, power in FACTORS_2_60:
+    ODD_PARTS = [d * prime**k for d in ODD_PARTS for k in range(power + 1)]
+ORACLE_CAP = 1 << 13  # the largest N checked
+
+
+def order_of_two(m: int) -> int:
+    """The least k >= 1 with 2^k == 1 (mod m), for odd m."""
+    k, r = 1, 2 % m
+    while r != 1 % m:
+        k, r = k + 1, 2 * r % m
+    return k
+
+
+def oracle_exponent(moduli, bits: int) -> int:
+    """The least N >= bits that is at least every modulus's 2-exponent and a
+    multiple of the order of 2 modulo every modulus's odd part."""
+    step = 1
+    for modulus in moduli:
+        order = order_of_two(modulus >> nu2(modulus))
+        step = step * order // gcd(step, order)
+    least = max(bits, *map(nu2, moduli))
+    return -(-least // step) * step
+
+
+def height(n_exponent: int, x: tuple) -> int:
+    """h(x) = (p*2^N + w)/q, which must be a natural number."""
+    p, q, w = x
+    value, rest = divmod((p << n_exponent) + w, q)
+    assert rest == 0 and value >= 0, (x, n_exponent)
+    return value
+
+
+def check_triple_forms_on_powers_of_two(x: tuple, y: tuple, n: int) -> bool:
+    """Check every triple form on x, y and n against h; False if N is over the cap."""
+    (p1, q1, w1), (p2, q2, w2) = x, y
+    big = ((abs(w1) + abs(w2) + 1) * q1 * q2).bit_length() + 1
+    exponent = oracle_exponent((q1, q2, q1 * n, q2 * n), big)
+    if exponent > ORACLE_CAP:
+        return False
+    h = lambda z: height(exponent, z)  # noqa: E731
+    hx, hy = h(x), h(y)
+    assert h(nonstandard._add(x, y)) == hx + hy
+    if hx < hy:
+        with pytest.raises(NegativeResultError):
+            nonstandard._sub(x, y)
+    else:
+        assert h(nonstandard._sub(x, y)) == hx - hy
+    assert nonstandard._compare(x, y) is Ordering((hx > hy) - (hx < hy))
+    assert nonstandard._residue_mod(x, n) == hx % n
+    if hx % n:
+        with pytest.raises(NotDivisibleError):
+            nonstandard._divide(x, n)
+    else:
+        assert h(nonstandard._divide(x, n)) == hx // n
+    assert h(nonstandard._v2(x)) == hx & -hx
+    above = h(nonstandard._next_power_of_two(x))
+    assert above > hx and above & (above - 1) == 0
+    if not p1:  # for a standard x, the least power of two above
+        assert above == 1 << hx.bit_length()
+    return True
+
+
+@st.composite
+def oracle_elements(draw):
+    q = draw(st.sampled_from(ODD_PARTS)) << draw(st.integers(0, 12))
+    p = draw(st.integers(0, 4 * q))
+    d = draw(st.one_of(st.just(0), st.integers(-(10**30), 10**30)))
+    return Element(F(p, q), abs(d) if p == 0 else d)
+
+
+def oracle_cases():
+    element = st.one_of(st.sampled_from(NonstandardModel.corners), oracle_elements()).map(Element._values)
+    return st.tuples(element, element, st.integers(1, 12))
+
+
+@given(st.lists(oracle_cases(), min_size=1, max_size=10))
+def test_triple_forms_commute_with_c_as_a_power_of_two(cases):
+    checked = sum(check_triple_forms_on_powers_of_two(*case) for case in cases)
+    assert checked == len(cases), f"{len(cases) - checked} of {len(cases)} cases need N > {ORACLE_CAP}"
+
+
+def test_triple_forms_commute_with_c_as_a_power_of_two_on_the_corners():
+    corners = [Element._values(x) for x in NonstandardModel.corners]
+    cases = [(x, y, n) for x in corners for y in corners for n in range(1, 13)]
+    checked = sum(check_triple_forms_on_powers_of_two(*case) for case in cases)
+    assert checked == len(cases), f"{len(cases) - checked} of {len(cases)} cases need N > {ORACLE_CAP}"
+
+
 # -- v2 -------------------------------------------------------------------------
 
 def test_v2_examples():
