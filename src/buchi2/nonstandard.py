@@ -32,7 +32,10 @@ n times the element (p/gcd(p, n) * (c - t(L)))/L, so its residue is that
 integer's.  It is divisible by n exactly when n divides that integer, and
 then the quotient is (p/gcd(p, n) * c + w/gcd(p, n))/L.  The offset
 d = (w + p*t(q))/q is computed only where it is read: to print, to pickle
-and through ``Element.offset``.
+and through ``Element.offset``.  ``t_residue`` caches t(q) only for q
+below 2^16 (``T_BOUND``), so its cache is bounded in bytes; a larger q,
+such as the L of a residue of a long sum, is computed on each call, and
+the residue and division lines pick the cached or the exact form inline.
 
 Kernel results are valid by construction and are built by the unchecked
 ``_element``; ``Element(galaxy, offset)`` is the checked constructor for
@@ -112,15 +115,13 @@ class Ordering(Enum):
 LESS, EQUAL, GREATER = Ordering
 
 
-# Bounded: residues look up t(q*n/gcd(p, n)), an unbounded set of keys.
-@lru_cache(maxsize=1 << 16)
-def t_residue(q: int) -> int:
-    """Canonical residue of c modulo q, for q >= 1.
+def t_exact(q: int) -> int:
+    """t(q), computed on each call: ``t_residue`` without its cache.
 
-    Writing q = 2^e * m with m odd, this is the unique t in [0, q) with
-    t == 0 (mod 2^e) and t == 1 (mod m), obtained by the Chinese Remainder
-    Theorem.  In particular t(q) = 0 for powers of two and t(q) = 1 for
-    odd q.
+    With q = 2^e * m and m odd, t = 2^e * k with k the inverse of 2^e
+    modulo m.  Below 2^64 k is ((m + 1)/2)^e mod m, which is cheaper than
+    inverting 2^e mod m; above, that power would cost milliseconds on a
+    long m, so k is the inverse.
     """
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
@@ -128,7 +129,36 @@ def t_residue(q: int) -> int:
     m = q >> e
     if m == 1:
         return 0
-    return (1 << e) * pow(pow(2, e, m), -1, m)
+    if not e:
+        return 1
+    if q < 1 << 64:
+        return pow((m + 1) >> 1, e, m) << e
+    return pow(pow(2, e, m), -1, m) << e
+
+
+# Bounded in bytes, by the key: residues look up t(q*n/gcd(p, n)), an
+# unbounded set of keys, but only those below T_BOUND are cached, so the
+# cache holds at most T_BOUND - 1 small ints and never evicts.  Larger keys
+# are computed on each call.  The residue, division and draw lines pick
+# t_cached or t_exact inline, with no call to t_residue.
+T_BOUND = 1 << 16
+t_cached = lru_cache(maxsize=None)(t_exact)
+
+
+def t_residue(q: int) -> int:
+    """Canonical residue of c modulo q, for q >= 1.
+
+    Writing q = 2^e * m with m odd, this is the unique t in [0, q) with
+    t == 0 (mod 2^e) and t == 1 (mod m), obtained by the Chinese Remainder
+    Theorem.  In particular t(q) = 0 for powers of two and t(q) = 1 for
+    odd q.  It is cached for q below ``T_BOUND`` (2^16) and computed on
+    each call above; ``cache_info`` and ``cache_clear`` are the cache's, so
+    they count only the lookups of keys below the bound.
+    """
+    return t_cached(q) if q < T_BOUND else t_exact(q)
+
+
+t_residue.cache_info, t_residue.cache_clear = t_cached.cache_info, t_cached.cache_clear
 
 
 def nu2(m: int) -> int:
@@ -279,7 +309,8 @@ class Template:
     ``inline(results, *operands)``: the lines with the results' and then the
     operands' names replaced, in order, by a case loop's own
     (``compiled.compile_run``).  So the lines hold no string literal, stay
-    right when the results are the first operand's names (``s = s + b``),
+    right when the results are the first operand's names (``s = s + b``;
+    a residue, which is never an operand, may be assigned early),
     and use no other local that the loop uses: ``r``, ``i``, ``k``, ``e``,
     ``env``, ``corners``, ``_``, a letter and digits (``s<i>``, ``p<i>``,
     ``q<i>``, ``w<i>``, the globals), or a sampler prologue's locals.  A
@@ -444,7 +475,7 @@ def _divide(x: tuple, n: int) -> tuple:
     p, q, w = x
     g = gcd(p, n)
     L = q * n // g
-    if ((p * t_residue(L) + w) // q if p else w) % n:
+    if ((p * (t_cached(L) if L < T_BOUND else t_exact(L)) + w) // q if p else w) % n:
         raise NotDivisibleError(f"{format_element(_element(*x))} is not divisible by {n}")
     return p // g, L, w // g
 
@@ -456,9 +487,11 @@ def residue_mod(x: Element, n: int) -> int:
 
 _residue_mod = Template("_residue_mod", "p q w, n", "j", """
 if not p: j = w % n
-else: j = (p * t_residue(q * n // gcd(p, n)) + w) // q % n
+else:
+ j = q * n // gcd(p, n)
+ j = (p * (t_cached(j) if j < T_BOUND else t_exact(j)) + w) // q % n
 """, prologue='if n < 1: raise ValueError(f"modulus must be positive, got {n}")',
-    ValueError=ValueError, gcd=gcd, t_residue=t_residue).function
+    ValueError=ValueError, gcd=gcd, t_cached=t_cached, t_exact=t_exact, T_BOUND=T_BOUND).function
 
 
 def v2(x: Element) -> Element:
@@ -721,9 +754,9 @@ else:
   while offset >= offsets: offset = draw(offset_bits)
   g = gcd(num, den)
   num, den = num // g, den // g
-  x = num, den, den * (offset - offset_bound) - num * t_residue(den)
+  x = num, den, den * (offset - offset_bound) - num * (t_cached(den) if den < T_BOUND else t_exact(den))
 """,
-    gcd=gcd, t_residue=t_residue,
+    gcd=gcd, t_cached=t_cached, t_exact=t_exact, T_BOUND=T_BOUND,
 ).function
 
 

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import random
 import re
 import subprocess
 import sys
@@ -316,6 +317,62 @@ def test_a_reader_that_closes_the_repl_stops_it_quietly(tmp_path, unbuffered):
         proc.stdout.close()
         err = proc.stderr.read()
         assert (proc.wait(), err) == (0, b"")
+
+
+# A REPL session in a fresh interpreter whose stdin records the memory that
+# tracemalloc finds held after gc.collect() each time the REPL asks for a
+# line whose number is an argument; the figures are the last line printed.
+HELD_MEMORY_SESSION = """
+import gc, sys, tracemalloc
+from buchi2 import cli
+
+class Reader:
+    def __init__(self, marks):
+        self.marks, self.asked, self.held = marks, 0, []
+
+    def readline(self):
+        if self.asked in self.marks:
+            gc.collect()
+            self.held.append(tracemalloc.get_traced_memory()[0])
+        self.asked += 1
+        return stdin.readline()
+
+stdin, sys.stdin = sys.stdin, Reader([int(mark) for mark in sys.argv[1:]])
+tracemalloc.start()
+code = cli.main(["repl", "--model", "nonstd"])
+print(code, *sys.stdin.held)
+"""
+
+
+def test_a_long_repl_session_holds_no_more_memory_as_it_goes(tmp_path):
+    # 800 literals 1/Qc, each Q a distinct 13,000-bit number, odd and even by
+    # turns, among numerals and nesting at their limits, formulas and parse
+    # errors (None: a parse error)
+    rng = random.Random(16)
+    deepest, too_deep = NESTED["parentheses"][0](MAX_DEPTH), NESTED["sum"][0](MAX_DEPTH + 1)
+    lines, replies = [], []
+    for k in range(800):
+        q = rng.getrandbits(13_000) | 1 << 12_999
+        q = q | 1 if k % 2 else q & -2
+        lines.append(f"1/{q}c")
+        replies.append(f"1/{q}c")
+        if k % 10 == 0:
+            lines += [f"1/{q}c + ", "9" * 4300, "9" * 4301, f"{'9' * 4300} < {'9' * 4300} + 1", deepest, too_deep]
+            replies += [None, "9" * 4300, None, "true", "true", None]
+    marks = (len(lines) // 4, len(lines))
+    (tmp_path / "lines").write_text("".join(f"{line}\n" for line in lines))
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    with (tmp_path / "lines").open() as stdin:
+        done = subprocess.run([sys.executable, "-c", HELD_MEMORY_SESSION, *map(str, marks)], env=env, stdin=stdin,
+                              capture_output=True, text=True, timeout=300)
+    assert done.stderr == ""
+    out = done.stdout.splitlines()
+    code, quarter, end = map(int, out[-1].split())
+    answers = [line.removeprefix("> ") for line in out[1:-2]]
+    assert code == 0 and len(answers) == len(lines)
+    for answer, want in zip(answers, replies):
+        assert answer == want if want else answer.startswith("parse error: ")
+    assert end - quarter <= 256 * 1024, f"held {quarter} bytes after a quarter of the lines, {end} after all"
 
 
 def first_operand_chain(levels):

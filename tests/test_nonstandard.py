@@ -113,14 +113,44 @@ def test_t_residue_rejects_nonpositive():
 
 
 def test_t_residue_cache_is_bounded():
-    maxsize = t_residue.cache_info().maxsize
-    assert maxsize is not None
+    # The bound is on the key: only q below 2^16 is cached, so the cache
+    # holds at most 65,535 small ints, and a larger q is computed each time.
+    rng = random.Random(16)
+    large = [rng.randrange(1 << 16, 1 << 80) for _ in range(100)]
+    t_residue.cache_clear()
     try:
-        for q in range(1, maxsize + 1000):
+        for q in [*range(1, (1 << 16) + 1000), *large]:
             t_residue(q)
-        assert t_residue.cache_info().currsize <= maxsize
+        info = t_residue.cache_info()
+        assert info.currsize <= 65_535
+        for q in large:
+            assert t_residue(q) == t_residue(q)
+        assert t_residue.cache_info() == info  # no hit, no miss, no entry
     finally:
         t_residue.cache_clear()
+
+
+def test_t_residue_matches_brute_force_at_the_cache_bound():
+    for q in range((1 << 16) - 16, (1 << 16) + 17):
+        assert t_residue(q) == nonstandard.t_exact(q) == t_oracle(q)
+
+
+def assert_defines_t(q, t):
+    e = nu2(q)
+    m = q >> e
+    assert 0 <= t < q and t % (1 << e) == 0 and t % m == 1 % m, q
+
+
+def test_t_residue_meets_its_congruences_on_4300_digit_moduli():
+    rng = random.Random(4300)
+    odd = [rng.randrange(2 * 10**4299, 6 * 10**4299) | 1 for _ in range(4)]
+    bits = odd[0].bit_length()
+    # even q of 4,300 digits, from a 2-part of one bit to an odd part of one
+    # or two bits: keeping q's top two bits keeps it in [q/2, 3q/2]
+    even = [q - 1 for q in odd] + [(q >> e | 1) << e for q in odd for e in (64, bits // 2, bits - 2)]
+    assert all(10**4299 <= q < 10**4300 for q in odd + even)
+    for q in odd + even:
+        assert_defines_t(q, t_residue(q))
 
 
 # -- nu2 ----------------------------------------------------------------------
@@ -594,6 +624,25 @@ def oracle_cases():
 def test_triple_forms_commute_with_c_as_a_power_of_two(cases):
     checked = sum(check_triple_forms_on_powers_of_two(*case) for case in cases)
     assert checked == len(cases), f"{len(cases) - checked} of {len(cases)} cases need N > {ORACLE_CAP}"
+
+
+def test_residues_and_quotients_on_each_side_of_the_cache_bound():
+    # t_residue caches t(L), L = q*n/gcd(p, n), only below 2^16; _residue_mod
+    # and _divide pick the cached or the exact form inline.  For each n take
+    # the denominators whose L falls next to 2^16 on either side, with odd
+    # parts dividing 2^60 - 1 so that the c := 2^N oracle can check them.
+    denominators = sorted(d << k for d in ODD_PARTS for k in range(13))
+    cases = []
+    for n in range(1, 13):
+        for p in (1, n + 1, 2 * n):
+            below = [q for q in denominators if gcd(p, q) == 1 and q * n // gcd(p, n) < 1 << 16]
+            above = [q for q in denominators if gcd(p, q) == 1 and q * n // gcd(p, n) >= 1 << 16]
+            assert len(below) >= 2 and len(above) >= 2
+            cases += [(Element(F(p, q), d), n) for q in (*below[-2:], *above[:2]) for d in (0, 1, -7, 10**30)]
+    for k, (x, n) in enumerate(cases):
+        y = cases[k - 1][0]
+        assert_kernel_matches_reference(x, y, [n])
+        assert check_triple_forms_on_powers_of_two(Element._values(x), Element._values(y), n)
 
 
 def test_triple_forms_commute_with_c_as_a_power_of_two_on_the_corners():

@@ -40,7 +40,9 @@ def test_check_ab_times_each_models_checks_against_a_revision():
     )
     assert (done.returncode, done.stderr) == (0, "")
     number = r"[0-9.]+"
-    labels = ["std requests", "nonstd requests", "repl requests"]
+    # each model's line, then its slowest axiom's line, on the same rounds
+    labels = ["std requests", r"std slowest axiom A\d+ requests", "nonstd requests",
+              r"nonstd slowest axiom A\d+ requests", "repl requests"]
     for label, text in zip(labels, done.stdout.splitlines(), strict=True):
         match = re.fullmatch(
             rf"{label}: HEAD {number} ms, this checkout {number} ms, ratio {number}; "

@@ -24,9 +24,12 @@ which tree goes first alternates from axiom to axiom and from round to
 round, so that a burst of load on a shared host skews both trees alike.
 Per line it prints each tree's median time per round, the median over
 rounds of the ratio this checkout / REV, and how many rounds each tree was
-faster in.  Exits 1 if the two trees' requests return different Reports
-or their REPL sessions print different replies, so that the timings
-compare the same work, and 2 if REV cannot be extracted.
+faster in.  After each model's line comes one more, on the same rounds, for
+that model's slowest axiom alone (the one with the greatest median time of
+REV's requests; A4 at schema 12): the requests that set the benchmark's
+``latency_p99_us``.  Exits 1 if the two trees' requests return different
+Reports or their REPL sessions print different replies, so that the
+timings compare the same work, and 2 if REV cannot be extracted.
 """
 
 from __future__ import annotations
@@ -103,8 +106,8 @@ def repl_jobs(sides: dict, repl_lines, k: int) -> list[dict]:
 
 
 def one_round(jobs: list[dict], k: int) -> tuple[dict, dict]:
-    """Each side's seconds for one call of every job, and the repr of what each call returned."""
-    seconds = {side: 0.0 for side in jobs[0]}
+    """Each side's seconds for one call of each job, in order, and the repr of what each call returned."""
+    seconds = {side: [] for side in jobs[0]}
     results = {side: [] for side in jobs[0]}
     gc.collect()
     gc.disable()
@@ -113,16 +116,16 @@ def one_round(jobs: list[dict], k: int) -> tuple[dict, dict]:
             for side in (list(sides) if (k + j) % 2 == 0 else list(sides)[::-1]):
                 start = time.perf_counter()
                 result = sides[side]()
-                seconds[side] += time.perf_counter() - start
+                seconds[side].append(time.perf_counter() - start)
                 results[side].append(repr(result))
     finally:
         gc.enable()
     return seconds, results
 
 
-def summary(label: str, rev: str, rounds: list[dict]) -> str:
-    """The median / ratio / rounds-won line of one model's timed rounds."""
-    times = {side: [seconds[side] for seconds in rounds] for side in (rev, "this checkout")}
+def summary(label: str, rev: str, rounds: list[dict], jobs=slice(None)) -> str:
+    """The median / ratio / rounds-won line of the given jobs of one model's timed rounds."""
+    times = {side: [sum(seconds[side][jobs]) for seconds in rounds] for side in (rev, "this checkout")}
     old, new = (statistics.median(t) for t in times.values())
     pairs = list(zip(*times.values()))
     ratio = statistics.median(b / a for a, b in pairs)
@@ -151,6 +154,9 @@ def main(argv: list[str]) -> int:
                     return 1
                 rounds.append(seconds)
             print(summary(f"{model_name} requests", rev, rounds))
+            slowest = max(range(len(rounds[0][rev])), key=lambda j: statistics.median(s[rev][j] for s in rounds))
+            label = f"{model_name} slowest axiom {suites[rev][2][slowest].id} requests"
+            print(summary(label, rev, rounds, slice(slowest, slowest + 1)))
         repl_lines = runpy.run_path(str(ROOT / "perfbench" / "mix.py"))["repl_lines"]
         one_round(repl_jobs(sides, repl_lines, ROUNDS), 0)  # untimed: the first session loads the model
         rounds = []
