@@ -96,8 +96,9 @@ def test_t_residue_examples():
 
 
 def test_t_residue_matches_brute_force():
-    for q in range(1, 600):
-        assert t_residue(q) == t_oracle(q)
+    # small q, and q next to 2^16, below which alone t_residue caches
+    for q in [*range(1, 600), *range((1 << 16) - 16, (1 << 16) + 17)]:
+        assert t_residue(q) == nonstandard.t_exact(q) == t_oracle(q)
 
 
 def test_t_residue_coherent_under_divisors():
@@ -128,11 +129,6 @@ def test_t_residue_cache_is_bounded():
         assert t_residue.cache_info() == info  # no hit, no miss, no entry
     finally:
         t_residue.cache_clear()
-
-
-def test_t_residue_matches_brute_force_at_the_cache_bound():
-    for q in range((1 << 16) - 16, (1 << 16) + 17):
-        assert t_residue(q) == nonstandard.t_exact(q) == t_oracle(q)
 
 
 def assert_defines_t(q, t):
