@@ -119,9 +119,7 @@ def t_exact(q: int) -> int:
     """t(q), computed on each call: ``t_residue`` without its cache.
 
     With q = 2^e * m and m odd, t = 2^e * k with k the inverse of 2^e
-    modulo m.  Below 2^64 k is ((m + 1)/2)^e mod m, which is cheaper than
-    inverting 2^e mod m; above, that power would cost milliseconds on a
-    long m, so k is the inverse.
+    modulo m.
     """
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
@@ -129,11 +127,7 @@ def t_exact(q: int) -> int:
     m = q >> e
     if m == 1:
         return 0
-    if not e:
-        return 1
-    if q < 1 << 64:
-        return pow((m + 1) >> 1, e, m) << e
-    return pow(pow(2, e, m), -1, m) << e
+    return (1 << e) * pow(pow(2, e, m), -1, m)
 
 
 # Bounded in bytes, by the key: residues look up t(q*n/gcd(p, n)), an
