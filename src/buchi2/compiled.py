@@ -17,7 +17,7 @@ from .formulas import (
     And, CongMod, Eq, Exists, ForAll, Implies, Lt, Not, Numeral, Or, Sum, UnboundVariableError, V2App, Variable,
     free_variables,
 )
-from .nonstandard import EQUAL, LESS, TRIPLE_VIEW, TRIPLES, Element, Model, _element, keeps_kernel
+from .nonstandard import EQUAL, LESS, TRIPLE_VIEW, TRIPLES, Element, _element, keeps_kernel
 
 # The generated case loop keeps each distinct subterm ("slot") i in a local
 # s<i>, computed where a formula first demands it; a variable neither
@@ -38,13 +38,12 @@ from .nonstandard import EQUAL, LESS, TRIPLE_VIEW, TRIPLES, Element, Model, _ele
 # model callables are values of generated global names, in a namespace
 # that holds no builtins and, once compiled, not the loop itself, so no
 # reference cycle is left.  A loop on the non-standard kernel's own
-# operations (``nonstandard.TRIPLES``) is unboxed, and its global ``model`` is
-# ``nonstandard.TRIPLE_VIEW``.  Up to SCALAR_SLOTS slots an element slot is the
-# int locals p<i>, q<i> and w<i> (a test reads p<i>), and +, <, V2 and mod n
-# are the lines of the kernel's templates (``nonstandard.Template``) on them; a
-# longer loop holds (p, q, w) tuples and calls the triple forms.  A draw that
-# would call a sampler built from a template is that template's lines, after
-# its prologue, run once per call on ``self``.
+# operations (``nonstandard.TRIPLES``) is unboxed: it calls their triple
+# forms, its global ``model`` is ``nonstandard.TRIPLE_VIEW``, and up to
+# SCALAR_SLOTS slots an element slot is the int locals p<i>, q<i> and w<i> (a
+# test reads p<i>), else a (p, q, w) tuple.  An operation whose function is
+# built from a template (``nonstandard.Template``) that fits the slots is
+# written as its lines, and a draw's after its prologue, once per call.
 NESTING = 40
 # Scalar source is some four times as long, and compiling takes about 120
 # bytes a character: A4's loop at schema 12 (158 slots) would peak at 4.5 MB,
@@ -118,11 +117,6 @@ class _Emitter:
             "__builtins__": {}, "model": model, "numeral": model.numeral, "add": model.add,
             "compare": model.compare, "residue_mod": model.residue_mod,
         }
-        # Where the model keeps Model's add, compare, residue_mod or sample,
-        # its calls are written as the Python operations they run, in order.
-        self.plus = self.names["add"] is Model.add
-        self.order = self.names["compare"] is Model.compare
-        self.mod = self.names["residue_mod"] is Model.residue_mod
         self.named: dict[int, str] = {}  # id of a value -> its name
         self.lines: list[str] = []  # the function being written
         self.depth = 3  # indentation of the next line: the loop's try block
@@ -139,20 +133,19 @@ class _Emitter:
             self.assign(i)
         sample = self.names["sample"] = model.sample
         self.triples = keeps_kernel(model, self.names)  # then the loop is unboxed
-        # The operations written inline, from their templates: in an unboxed loop
-        # the kernel's, read here, so that a template swapped in is seen; else a
-        # draw that would call a sampler built from a template.
-        if self.triples:
-            self.names.update(vars(TRIPLE_VIEW), model=TRIPLE_VIEW, element=_element, triples=_triples)
-            self.templates = {op: TRIPLES[op][1].template for op in ("add", "compare", "residue_mod", "v2", "sample")}
-        else:
-            template = getattr(getattr(sample, "__func__", None), "template", None)
-            self.templates = {} if template is None else {"sample": template}
-        for template in self.templates.values():
-            self.names.update(template.names)
-        if "sample" in self.templates:  # its prologue reads the sampler's model
-            self.names["self"] = sample.__self__
-        self.names.update(len=len, range=range)
+        if self.triples:  # and calls the kernel's triple forms, the sampler's as a method of the model
+            self.names.update(vars(TRIPLE_VIEW), model=TRIPLE_VIEW, element=_element, triples=_triples,
+                              sample=TRIPLES["sample"][1].__get__(sample.__self__))
+        # op -> the template of the function the loop would call (``fit``),
+        # read here, so that one swapped in is seen; a boxed loop reads
+        # model.v2 per case, so it has none for v2.  A sampler's prologue
+        # reads its method's object as self.
+        self.templates = {}
+        for op in ("add", "compare", "residue_mod", "v2", "sample"):
+            f = self.names.get(op)
+            self.templates[op] = template = getattr(getattr(f, "__func__", f), "template", None)
+            self.names.update(getattr(template, "names", {}))
+        self.names.update(len=len, range=range, self=getattr(self.names["sample"], "__self__", None))
 
     # -- slots and formula nodes --------------------------------------------
 
@@ -263,16 +256,31 @@ class _Emitter:
         names = self.scalars(i)
         return f"({', '.join(names)})" if len(names) > 1 else names[0]
 
-    def inline(self, op: str, i: int, *operands) -> list[str]:
-        """The lines of op's template that leave slot i's value on the operand slots'."""
-        return self.templates[op].inline(self.scalars(i), *(n for a in operands for n in self.scalars(a)))
+    def fit(self, op: str, *operands) -> list[str] | None:
+        """The names of op's operands, given as a list for each, if the loop writes op inline: the function
+        it would call is built from a template whose operands have those sizes, a method's object first,
+        which must be the global self.  Else None, and the loop calls op."""
+        template, f = self.templates[op], self.names.get(op)
+        if hasattr(f, "__func__"):
+            if f.__self__ is not self.names["self"]:
+                return None
+            operands = (["self"], *operands)
+        if template is None or template.shape != [len(names) for names in operands]:
+            return None
+        return [name for names in operands for name in names]
+
+    def compute(self, op: str, results, *operands, inline=True) -> list[str]:
+        """Lines that assign op's value on the operands (a list of names each) to the results: its template's
+        lines where ``inline`` allows it, else a call."""
+        names = self.fit(op, *operands) if inline else None
+        if names is not None:
+            return self.templates[op].inline(results, *names)
+        args = ", ".join(n[0] if len(n) == 1 else f"({', '.join(n)})" for n in operands)
+        return [f"{', '.join(results)} = {op}({args})"]
 
     def flag(self, i: int) -> str:
         """The local that a test of slot i reads: None until the slot is computed."""
         return self.scalars(i)[0]
-
-    def sum_of(self, a: int, b: int) -> str:  # s<a> + s<b> in a loop on Python values
-        return f"s{a} + s{b}" if self.plus else f"add(s{a}, s{b})"
 
     def line(self, text: str, guard=None) -> None:
         self.lines.append(" " * self.depth + (text if guard is None else f"if {self.flag(guard)} is None: {text}"))
@@ -310,22 +318,16 @@ class _Emitter:
             return self.packed(i)
         if self.const[i]:  # its locals start as its kept value, None until computed
             self.line(f"{self.target(i)} = constant({i})", i)
-        elif kind == "v2" and self.scalar:
-            self.demand(a)
-            self.block(self.inline("v2", i, a), guard)
-        elif kind == "v2" and self.triples:
-            self.line(f"s{i} = v2({self.demand(a)})", guard)
-        elif kind == "v2":  # model.v2 is looked up before the operand is computed
+        elif kind == "v2" and not self.triples:  # model.v2 is looked up before the operand is computed
             self.line(f"f{i} = model.v2", guard)
             self.line(f"s{i} = f{i}({self.demand(a)})", guard)
-        elif kind == "mod":
-            x, n = self.demand(a), self.name(b)
-            templated = type(b) is int and b >= 1  # the modulus test of remainder and _residue_mod, made once here
-            if templated and self.scalar:
-                self.block(self.templates["residue_mod"].inline(self.scalars(i), *self.scalars(a), n), guard)
-            else:
-                templated = templated and self.mod
-                self.line(f"s{i} = {x} % {n}" if templated else f"s{i} = residue_mod({x}, {n})", guard)
+        elif kind == "v2":
+            self.demand(a)
+            self.block(self.compute("v2", self.scalars(i), self.scalars(a)), guard)
+        elif kind == "mod":  # a residue template's prologue, the modulus test, is made here
+            self.demand(a)
+            inline = type(b) is int and b >= 1
+            self.block(self.compute("residue_mod", [f"s{i}"], self.scalars(a), [self.name(b)], inline=inline), guard)
         elif kind == "+":
             # a left-nested sum whose inner links only their outer link reads,
             # such as w + w + ... + w, is a loop over the same additions
@@ -335,14 +337,11 @@ class _Emitter:
             self.demand(a)
             self.demand(b)
             if links == 1:
-                self.block(self.inline("add", i, a, b) if self.scalar else [f"s{i} = {self.sum_of(a, b)}"], guard)
-            elif self.scalar:  # the template's lines once, on s<i> = s<i> + s<b>, which they keep right
+                self.block(self.compute("add", self.scalars(i), self.scalars(a), self.scalars(b)), guard)
+            else:  # s<i> = s<a>, then links times s<i> = s<i> + s<b>, which a template's lines keep right
                 loop = f"for _ in {self.name(range(links))}:"
-                more = self.inline("add", i, i, b)
+                more = self.compute("add", self.scalars(i), self.scalars(i), self.scalars(b))
                 self.block([f"{self.target(i)} = {self.target(a)}", loop, *(" " + t for t in more)], guard)
-            else:
-                loop = f"for _ in {self.name(range(links - 1))}:"
-                self.block([f"s{i} = {self.sum_of(a, b)}", f"{loop} s{i} = {self.sum_of(i, b)}"], guard)
         else:  # "derived"
             _, witness, param = a
             for r in b:
@@ -364,23 +363,17 @@ class _Emitter:
         if kind == "cmp":
             _, a, b, want = node
             x, y = self.demand(a), self.demand(b)
-            if self.scalar and want is EQUAL:  # equal triples are equal elements: (p, q, w) is canonical
-                same = " and ".join(f"{u} == {v}" for u, v in zip(self.scalars(a), self.scalars(b)))
-                self.line(f"r = not ({same})" if negated else f"r = {same}")
-            elif self.triples and want is EQUAL:
-                self.line(f"r = {no}{x} == {y}")
-            elif self.scalar:  # x < y exactly when the template leaves u < v
-                compare = self.templates["compare"]
-                for text in compare.inline(compare.results, *self.scalars(a), *self.scalars(b)):
+            template = self.templates["compare"]
+            tests = getattr(template, "tests", {})
+            if tests.get(want, "") is None:  # canonical values: equal exactly when their locals are
+                test = " and ".join(f"{u} == {v}" for u, v in zip(self.scalars(a), self.scalars(b)))
+            elif want in tests and (names := self.fit("compare", self.scalars(a), self.scalars(b))) is not None:
+                for text in template.inline(template.results, *names):  # on its own results
                     self.line(text)
-                u, v = compare.results
-                self.line(f"r = {no}{u} < {v}")
-            elif not self.order:
-                self.line(f"r = {no}compare({x}, {y}) is {self.name(want)}")
-            elif want is EQUAL:  # compare tests == and, if that is false, <
-                self.line(f"r = {no}({x} == {y} or {x} < {y} and False)")
+                test = template.test(want, *names)
             else:
-                self.line(f"r = {no}(not {x} == {y} and {x} < {y})")
+                test = f"compare({x}, {y}) is {self.name(want)}"
+            self.line(f"r = not ({test})" if negated else f"r = {test}")
         elif kind == "cong":
             _, a, b = node
             self.line(f"r = {no}{self.demand(a)} == {self.demand(b)}")
@@ -443,16 +436,15 @@ class _Emitter:
         unset = sorted(unset.union(derived).difference(self.given))
         pairs = [f"{self.name(v)}: {self.value(i)}" for i, v in (*self.given.items(), *derived.items())]
         self.line(f"return i + 1, {{{', '.join(pairs)}}}, None")
-        template = self.templates.get("sample")
+        prologue = self.templates["sample"].prologue if self.fit("sample", ["rng"]) is not None else []
         rotate = [f"   {self.target(i)} = corners[(i + {j}) % k]" if j else f"   {self.target(i)} = corners[i]"
                   for j, i in enumerate(self.sampled)]
-        draws = ["   " + d for i in self.sampled
-                 for d in (template.inline([self.target(i)]) if template else [f"{self.target(i)} = sample(rng)"])]
+        draws = ["   " + d for i in self.sampled for d in self.compute("sample", [self.target(i)], ["rng"])]
         locals_ = (n for i in unset for n in (self.scalars(i) if self.helpers else [self.flag(i)]))
         return "\n".join([
             "def run(rng, cases, corners):", *self.helpers, *reads,
             *([" corners = triples(corners)"] if self.triples else []),
-            " k = len(corners)", *(" " + line for line in (template.prologue if template else ())),
+            " k = len(corners)", *(" " + line for line in prologue),
             " for i in range(cases):",
             *(["  if i < k:", *rotate, "  else:", *draws] if self.sampled else []),
             *(["  " + " = ".join(locals_) + " = None"] if unset else []),
@@ -486,11 +478,7 @@ def compile_run(f, model, sampled, derived=()):
 
     Case i assigns the ``sampled`` variables, as locals, the corners
     rotated by i while i < len(corners), then one ``model.sample(rng)``
-    each, and runs f on them as ``eval_qf`` does.  Where that draw would
-    call a sampler built from a ``nonstandard.Template``, such as
-    ``Model.sample``, the loop runs the template's prologue, which reads the
-    bounds, once per call and writes its lines for each draw: the same
-    ``rng`` calls in the same order.  An override of ``sample`` is called.
+    each, and runs f on them as ``eval_qf`` does.
 
     ``run`` returns None, or for the first case that is false or raises a
     ValueError, such as the UnboundVariableError of a variable neither
@@ -513,11 +501,20 @@ def compile_run(f, model, sampled, derived=()):
     re-entrant.  The model's ``numeral``, ``add``, ``compare``,
     ``residue_mod`` and ``sample`` are looked up once, here; ``v2``
     whenever a case computes a V2, before its operand, as ``eval_term``
-    does, but in an unboxed loop.  Where the model keeps ``Model``'s
-    ``add``, ``compare`` or ``residue_mod``, the loop writes ``a + b``,
-    ``==`` then ``<``, or ``a % n`` (for an int n >= 1) on the slots that
-    read a variable: the Python operations the call runs, in its order, so
-    values and errors are the call's.
+    does, but in an unboxed loop.
+
+    One rule writes operations inline.  For ``add``, ``compare``,
+    ``residue_mod``, ``v2`` and ``sample`` the loop looks, here, at the
+    function it would call: the kernel's triple form in an unboxed loop,
+    else the model's member (``v2``, read per case there, is called).  Where
+    that function is built from a ``nonstandard.Template`` whose operands
+    fit the loop's slots, the loop writes the template's lines on the slots
+    that read a variable: a residue's for an int n >= 1 only, tested here; a
+    compare's with the test its template declares for ``<`` or ``=``; a
+    sampler's after its prologue, which reads the bounds, once per call.
+    Else it calls the function.  Either way the values, errors and ``rng``
+    calls are the call's, in its order.  ``Model``'s ``add``, ``compare``,
+    ``residue_mod`` and ``sample`` are so built; an override is called.
 
     Where the model keeps all of the non-standard kernel's own ``numeral``,
     ``add``, ``sub``, ``divide``, ``compare``, ``residue_mod``,
@@ -525,17 +522,13 @@ def compile_run(f, model, sampled, derived=()):
     the test is ``nonstandard.keeps_kernel``, which also decides whether
     the CLI evaluates a line on triples), the loop is unboxed.  With at most
     ``SCALAR_SLOTS`` distinct subterms it holds each element as three int
-    locals, its (p, q, w), and writes ``+``, ``<``, ``V2`` and ``mod n``
-    (for an int n >= 1, tested here) as the lines of the templates the
-    kernel builds those triple forms from, read here; ``=`` compares the
-    ints, which are canonical; it packs a triple only for a witness, a
-    kept constant or an env.  A longer loop, such as A4's at schema 12,
-    holds triples and calls the triple forms, looked up once here, as its
-    source would take some four times the memory to compile.  Both draw
-    inline, from the template of the triple sampler that
-    ``NonstandardModel.sample`` boxes.  It unboxes the corners when called,
-    so one that is not an ``Element`` raises TypeError before the first
-    case, and returns its values in an env as Elements.  A subclass or
+    locals, its (p, q, w), which the kernel's templates fit, and packs a
+    triple only for a witness, a kept constant or an env.  A longer loop,
+    such as A4's at schema 12, holds triples, as its source would take some
+    four times the memory to compile; of the kernel's templates only its
+    sampler and its ``=``, which compares canonical values, fit them.  It
+    unboxes the corners when called, so one that is not an ``Element``
+    raises TypeError before the first case, and returns its values in an env as Elements.  A subclass or
     proxy that overrides any of the nine gets a loop on its own values.
 
     Each ``(name, witness, param, reads)`` of ``derived`` binds ``name`` to

@@ -69,7 +69,6 @@ calls, so one thread at a time may run it (``compiled.compile_run``).
 
 from __future__ import annotations
 
-import operator
 import re
 import sys
 from enum import Enum
@@ -301,22 +300,31 @@ class Template:
     source reads ``names`` as globals, and no builtins.
 
     ``inline(results, *operands)``: the lines with the results' and then the
-    operands' names replaced, in order, by a case loop's own
+    operands' names replaced, in order, by a case loop's own, which writes
+    them where its operands have the groups' sizes, ``shape``
     (``compiled.compile_run``).  So the lines hold no string literal, stay
     right when the results are the first operand's names (``s = s + b``;
     a residue, which is never an operand, may be assigned early),
     and use no other local that the loop uses: ``r``, ``i``, ``k``, ``e``,
     ``env``, ``corners``, ``_``, a letter and digits (``s<i>``, ``p<i>``,
     ``q<i>``, ``w<i>``, the globals), or a sampler prologue's locals.  A
-    loop runs a sampler's prologue once per call and its lines per draw;
-    ``_sample``'s lines only assign their result, which a loop writes as
-    ``p<i>, q<i>, w<i>`` or ``s<i>``.
+    loop runs a sampler's prologue once per call and its lines per draw,
+    which assign ``p<i>, q<i>, w<i>`` or ``s<i>``; a residue's prologue is
+    the modulus test, made when the loop is compiled, for an int n >= 1.
+
+    A compare template's ``tests`` map ``LESS`` and ``EQUAL`` to the loop's
+    test, after the lines, that the function returns that Ordering: true
+    exactly when it does, raising exactly when it raises.  An ``EQUAL`` test
+    None declares the values canonical, equal exactly when their scalars
+    are, which a loop tests on its own locals, whatever their shape.
     """
 
     def __init__(self, name: str, operands: str, results: str, lines: str, prologue: str = "",
-                 returns: str | None = None, **names):
+                 returns: str | None = None, tests: dict | None = None, **names):
         self.names = names
+        self.tests = tests or {}
         groups = [group.split() for group in operands.split(",")]
+        self.shape = [len(group) for group in groups]
         self.operands = [scalar for group in groups for scalar in group]
         self.results = results.split()
         self.prologue, self.lines = (text.strip("\n").split("\n") if text.strip() else [] for text in (prologue, lines))
@@ -329,15 +337,21 @@ class Template:
         self.function = namespace[name]
         self.function.template = self
 
-    @cached_property
-    def _formats(self) -> list[str]:  # the lines with the results' and operands' names as format fields, in order
+    def _format(self, text: str) -> str:  # text with the results' and operands' names as format fields, in order
         fields = {scalar: f"{{{k}}}" for k, scalar in enumerate([*self.results, *self.operands])}
-        return [re.sub(_NAME, lambda m: fields.get(m[0], m[0]), line.replace("{", "{{").replace("}", "}}"))
-                for line in self.lines]
+        return re.sub(_NAME, lambda m: fields.get(m[0], m[0]), text.replace("{", "{{").replace("}", "}}"))
+
+    @cached_property
+    def _formats(self) -> list[str]:
+        return [self._format(line) for line in self.lines]
 
     def inline(self, results, *operands) -> list[str]:
         """The lines, on the given names of the results and the operands' scalars (by default their own)."""
         return [line.format(*results, *(operands or self.operands)) for line in self._formats]
+
+    def test(self, want: Ordering, *operands) -> str:
+        """``tests[want]`` on the given names of the operands' scalars, after the lines on the results' own."""
+        return self._format(self.tests[want]).format(*self.results, *operands)
 
 
 _NAME = r"(?<![\w.])[^\W\d]\w*"  # a name that is not an attribute; compiled on first use
@@ -411,27 +425,23 @@ def _sub(x: tuple, y: tuple) -> tuple:
     return p // g, q // g, w // g
 
 
-def compare(x, y) -> Ordering:
-    """The order of x and y as their type's ``<`` gives it.
+# Model's default add: x + y as their type's + gives it.
+plus = Template("plus", "x, y", "s", "s = x + y").function
 
-    ``Model``'s default ``compare``; the non-standard model binds the
-    kernel ``compare_elements`` instead, which gives the same answer on
-    Elements.
-    """
-    if x == y:
-        return EQUAL
-    return LESS if x < y else GREATER
+# Model's default compare: the order of x and y as their type's == and then <
+# give it.  The non-standard model binds the kernel's compare_elements
+# instead, which gives the same answer on Elements.
+compare = Template(
+    "compare", "x, y", "", "", returns="EQUAL if x == y else LESS if x < y else GREATER",
+    tests={LESS: "not x == y and x < y", EQUAL: "x == y or x < y and False"}, EQUAL=EQUAL, LESS=LESS, GREATER=GREATER,
+).function
 
-
-def remainder(x, n: int):
-    """x mod n as its type's ``%`` gives it, for a modulus n >= 1.
-
-    ``Model``'s default ``residue_mod``; the non-standard and pairs models
-    bind their own.
-    """
-    if n < 1:
-        raise ValueError(f"modulus must be positive, got {n}")
-    return x % n
+# Model's default residue_mod: x mod n as its type's % gives it, for a
+# modulus n >= 1.  The non-standard and pairs models bind their own.
+remainder = Template(
+    "remainder", "x, n", "j", "j = x % n", prologue='if n < 1: raise ValueError(f"modulus must be positive, got {n}")',
+    ValueError=ValueError,
+).function
 
 
 def compare_elements(x: Element, y: Element) -> Ordering:
@@ -439,11 +449,12 @@ def compare_elements(x: Element, y: Element) -> Ordering:
     return _compare((x.p, x.q, x.w), (y.p, y.q, y.w))
 
 
-# x < y exactly when a < b, which a loop writes after these lines.
+# (p, q, w) is canonical: x = y exactly when the three ints are equal.
 _compare = Template("_compare", "p1 q1 w1, p2 q2 w2", "a b", """
 a, b = p1 * q2, p2 * q1
 if a == b: a, b = w1, w2
-""", returns="LESS if a < b else GREATER if a > b else EQUAL", EQUAL=EQUAL, LESS=LESS, GREATER=GREATER).function
+""", returns="LESS if a < b else GREATER if a > b else EQUAL", tests={LESS: "a < b", EQUAL: None},
+    EQUAL=EQUAL, LESS=LESS, GREATER=GREATER).function
 
 
 def scalar_mul(n: int, x: Element) -> Element:
@@ -643,18 +654,17 @@ class Model:
     draws no galaxies ignores ``den_bound``.
 
     The defaults ``add``, ``compare``, ``residue_mod`` and ``sample`` are
-    Python's ``+``, ``==`` then ``<``, ``%`` and ``randrange`` on ints; a
-    compiled case loop writes them inline (``compiled.compile_run``).
-    ``sample`` is built from a ``Template``, and a loop writes the draw of
-    any sampler so built inline, after the template's prologue; an override
-    of ``sample`` is called once per draw.
+    Python's ``+``, ``==`` then ``<``, ``%`` and ``randrange`` on ints, built
+    from ``Template``s (``compare``'s tests: ``not x == y and x < y`` for
+    ``<``, ``x == y or x < y and False`` for ``=``), whose lines a compiled
+    case loop writes inline (``compiled.compile_run``); an override is called.
     """
 
     name: str
     has_v2 = True
     corners: tuple  # tried first by every sampled check
     numeral: Callable  # (n) -> the standard element n
-    add = staticmethod(operator.add)  # (x, y) -> x + y
+    add = staticmethod(plus)  # (x, y) -> x + y
     sub: Callable  # (x, y) -> the z with y + z = x; NegativeResultError if x < y
     divide: Callable  # (x, n) -> the y with n-fold y = x, else NotDivisibleError
     compare = staticmethod(compare)  # (x, y) -> Ordering

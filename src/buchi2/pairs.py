@@ -71,12 +71,6 @@ def p_sub(x: PairElement, y: PairElement) -> PairElement:
     return PairElement(x.g - y.g, x.n - y.n)
 
 
-def p_scalar_mul(n: int, x: PairElement) -> PairElement:
-    if n < 0:
-        raise ValueError(f"scalar must be a natural number, got {n}")
-    return PairElement(n * x.g, n * x.n)
-
-
 def p_divide(x: PairElement, n: int) -> PairElement:
     """The unique y with n*y = x; exists iff n divides the integer coordinate."""
     if n < 1:

@@ -46,7 +46,8 @@ from buchi2.formulas import (
     parse_formula,
     parse_term,
 )
-from buchi2.nonstandard import Element, NonstandardModel, ParseError
+from buchi2 import nonstandard
+from buchi2.nonstandard import Element, NonstandardModel, Ordering, ParseError, Template
 from buchi2.pairs import DivisibleByThree, FiniteTwoDivisibility, PairElement, PairsModel
 from buchi2.standard import StandardModel
 from case_loops import answer, one_case
@@ -845,6 +846,56 @@ def test_compiled_operators_fail_where_the_models_calls_do(model):
             for y in values:
                 env = {"x": x, "y": y}
                 assert outcome(lambda: answer(run, (x, y))) == outcome(lambda: eval_qf(f, env, model)), (f, env)
+
+
+def loop_test(template, want, x, y):
+    """What a case loop's test that compare(x, y) is want gives, where the
+    template fits: its lines, then its test, on the operands' scalars (a
+    triple's three ints), run as the loop runs them, for ``if r:``."""
+    operands = [v for value in (x, y) for v in (value if len(template.operands) == 6 else (value,))]
+    half = len(operands) // 2
+    if template.tests[want] is None:  # canonical values: the loop compares the scalars
+        test = " and ".join(f"{u} == {v}" for u, v in zip(template.operands[:half], template.operands[half:]))
+    else:
+        test = template.test(want, *template.operands)
+    scope = dict(zip(template.operands, operands))
+    exec("\n".join([*template.inline(template.results), f"r = {test}"]), {"__builtins__": {}, **template.names}, scope)
+    return bool(scope["r"])
+
+
+def test_each_compare_templates_tests_are_its_function_on_every_value():
+    # a compare template declares the loop's tests for < and =: each is true
+    # exactly when the function returns that Ordering, and raises exactly
+    # when it raises, also on values no model holds
+    rng = random.Random(0)
+    ints = [rng.randrange(8) for _ in range(60)]
+    pairs = [*PAIRS.corners, *(PAIRS.sample(rng) for _ in range(60))]
+    triples = [x._values(x) for x in (*NONSTD.corners, *(NONSTD.sample(rng) for _ in range(60)))]
+    odd = (None, "a", 1.5, -3, True, (1, 2), 2, PairElement(0, 2))
+    for template, values in ((nonstandard.compare.template, (ints, pairs, triples, odd)),
+                             (nonstandard._compare.template, (triples,))):
+        for group in values:
+            for x, y in [(x, y) for x in group[:20] for y in group[:20]] + list(zip(group, group[::-1])):
+                for want in (Ordering.LESS, Ordering.EQUAL):
+                    expected = outcome(lambda: template.function(x, y) is want)
+                    assert outcome(lambda: loop_test(template, want, x, y)) == expected, (template.function, x, y)
+
+
+def test_a_model_add_built_from_another_template_is_written_from_its_lines():
+    # the loop writes the lines of the template that the model's add is built
+    # from, not Model's, and answers as eval_qf does
+    class Flipped(StandardModel):
+        add = staticmethod(Template("add", "x, y", "s", "s = y + x").function)
+
+    model = Flipped()
+    f = parse_formula("x + y = y + 1 + x & x + x + x + y < y + 9 | x + x + x == y mod 3")
+    source, _ = _generate(f, model, (), ("x", "y"))
+    assert "s2 = s1 + s0" in source and "s7 = s0 + s7" in source  # x + y and a link of x + x + x, flipped
+    assert "s2 = s0 + s1" not in source and "add(" not in source
+    rng = random.Random(0)
+    for _ in range(200):
+        env = {"x": rng.randrange(20), "y": rng.randrange(20)}
+        assert one_case(f, model, env) is eval_qf(f, env, model), env
 
 
 def test_compiled_chains_loop_and_sums_recurse_as_eval_qf():

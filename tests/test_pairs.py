@@ -5,6 +5,7 @@ import pickle
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,7 +22,6 @@ from buchi2.pairs import (
     p_compare,
     p_divide,
     p_residue_mod,
-    p_scalar_mul,
     p_sub,
     parse_pair,
     refute_power2_candidate,
@@ -139,7 +139,7 @@ def test_divide_and_residue(x, n):
     r = p_residue_mod(x, n)
     assert 0 <= r < n
     if r == 0:
-        assert p_scalar_mul(n, p_divide(x, n)) == x
+        assert reduce(p_add, [p_divide(x, n)] * n) == x  # the n-fold sum
     else:
         with pytest.raises(NotDivisibleError):
             p_divide(x, n)

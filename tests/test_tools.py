@@ -57,16 +57,31 @@ def test_loop_sources_compares_each_case_loop_with_a_revision():
         [sys.executable, str(ROOT / "tools" / "loop_sources.py"), "HEAD"], capture_output=True, text=True, timeout=300,
     )
     first, *lines = done.stdout.splitlines()
-    match = re.fullmatch(r"(\d+) of 360 case-loop sources differ", first)
+    match = re.fullmatch(r"(\d+) of 360 case-loop sources differ, (\d+) only in layout", first)
     assert match, done.stdout
     differing = int(match[1])  # 0 unless this checkout's emitter differs from HEAD's
     assert (done.returncode, done.stderr) == (1 if differing else 0, "")
+    assert int(match[2]) <= differing
     labels = ("nonstd", "nonstd(den_bound=7, offset_bound=3)", "std", "std(offset_bound=7)", "pairs",
               "pairs(den_bound=7, offset_bound=3)")
     counts, keys = lines[:len(labels)], lines[len(labels):]
-    per_label = [re.fullmatch(rf"{re.escape(label)}: (\d+) of 60 differ", line) for label, line in zip(labels, counts)]
+    per_label = [re.fullmatch(rf"{re.escape(label)}: (\d+) of 60 differ, (\d+) only in layout", line)
+                 for label, line in zip(labels, counts)]
     assert all(per_label), done.stdout
     assert sum(int(m[1]) for m in per_label) == differing
+    assert sum(int(m[2]) for m in per_label) == int(match[2])
     assert len(keys) == min(differing, 20)
     names = "|".join(map(re.escape, labels))
-    assert all(re.fullmatch(rf"  schema (3|12|50), ({names}), [AV]\d+", k) for k in keys)
+    assert all(re.fullmatch(rf"  schema (3|12|50), ({names}), [AV]\d+( \(layout\))?", k) for k in keys)
+
+
+def test_loop_sources_tells_a_change_of_layout_from_one_of_syntax():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from loop_sources import differences
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    old = {"same": "r = a", "parens": "r = (a == b or a < b and False)", "code": "r = a", "gone": "r = a"}
+    new = {"same": "r = a", "parens": "r = a == b or a < b and False", "code": "r = not (a)", "added": "r = a"}
+    assert differences(old, new) == (["same", "parens", "code", "gone", "added"],
+                                     ["parens", "code", "gone", "added"], {"parens"})

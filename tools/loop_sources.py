@@ -12,16 +12,19 @@ of the obligations, over the sampled and derived variables, as
 values their globals hold.  A loop reads the model's bounds when it runs,
 and they are not written into its source, so ``nonstd(den_bound=7,
 offset_bound=3)`` writes what ``nonstd`` writes.  Prints ``N of M
-case-loop sources differ``, where M counts the (schema, model, axiom id)
-keys of either tree, then one ``LABEL: N of M differ`` line per model
-label, and then the first 20 differing keys.  Exits 0 only when N is 0,
-1 when sources differ, and 2 when REV cannot be extracted or a tree fails
-to write a loop.
+case-loop sources differ, L only in layout``, where M counts the (schema,
+model, axiom id) keys of either tree and L the differing sources whose
+syntax trees are equal (``ast.dump``), then one ``LABEL: N of M differ, L
+only in layout`` line per model label, and then the first 20 differing
+keys, each marked `` (layout)`` if it differs only so.  Exits 0 only when
+N is 0, 1 when sources differ, and 2 when REV cannot be extracted or a
+tree fails to write a loop.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
 import sys
 import tempfile
@@ -58,6 +61,15 @@ def sources(package: str) -> dict[tuple, str]:
     return loops
 
 
+def differences(old: dict, new: dict) -> tuple[list, list, set]:
+    """The keys of either side, those whose sources differ, and those of them that differ only in layout."""
+    keys = [*old, *(key for key in new if key not in old)]
+    differing = [key for key in keys if old.get(key) != new.get(key)]
+    layout = {key for key in differing if key in old and key in new
+              and ast.dump(ast.parse(old[key])) == ast.dump(ast.parse(new[key]))}
+    return keys, differing, layout
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description="Compare the catalog's case-loop sources with a git revision's.")
     parser.add_argument("rev", help="the git revision to compare with, e.g. HEAD~1")
@@ -74,14 +86,15 @@ def main(argv: list[str]) -> int:
                 traceback.print_exc()
                 print(f"{side} could not write its case loops", file=sys.stderr)
                 return 2
-    old, new = loops[rev], loops["this checkout"]
-    keys = [*old, *(key for key in new if key not in old)]
-    differing = [key for key in keys if old.get(key) != new.get(key)]
-    print(f"{len(differing)} of {len(keys)} case-loop sources differ")
+    keys, differing, layout = differences(loops[rev], loops["this checkout"])
+    print(f"{len(differing)} of {len(keys)} case-loop sources differ, {len(layout)} only in layout")
     for label in MODELS:
-        print(f"{label}: {sum(key[1] == label for key in differing)} of {sum(key[1] == label for key in keys)} differ")
-    for schema, label, axiom_id in differing[:SHOWN]:
-        print(f"  schema {schema}, {label}, {axiom_id}")
+        mine = [key for key in differing if key[1] == label]
+        print(f"{label}: {len(mine)} of {sum(key[1] == label for key in keys)} differ, "
+              f"{len(layout.intersection(mine))} only in layout")
+    for key in differing[:SHOWN]:
+        schema, label, axiom_id = key
+        print(f"  schema {schema}, {label}, {axiom_id}" + (" (layout)" if key in layout else ""))
     return 1 if differing else 0
 
 
