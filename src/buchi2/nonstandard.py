@@ -425,23 +425,20 @@ def _sub(x: tuple, y: tuple) -> tuple:
     return p // g, q // g, w // g
 
 
-# Model's default add: x + y as their type's + gives it.
 plus = Template("plus", "x, y", "s", "s = x + y").function
+plus.__doc__ = "x + y as their type's ``+`` gives it: ``Model``'s default ``add``."
 
-# Model's default compare: the order of x and y as their type's == and then <
-# give it.  The non-standard model binds the kernel's compare_elements
-# instead, which gives the same answer on Elements.
 compare = Template(
     "compare", "x, y", "", "", returns="EQUAL if x == y else LESS if x < y else GREATER",
     tests={LESS: "not x == y and x < y", EQUAL: "x == y or x < y and False"}, EQUAL=EQUAL, LESS=LESS, GREATER=GREATER,
 ).function
+compare.__doc__ = "The order of x and y as their type's ``==`` and then ``<`` give it: ``Model``'s default ``compare``."
 
-# Model's default residue_mod: x mod n as its type's % gives it, for a
-# modulus n >= 1.  The non-standard and pairs models bind their own.
 remainder = Template(
     "remainder", "x, n", "j", "j = x % n", prologue='if n < 1: raise ValueError(f"modulus must be positive, got {n}")',
     ValueError=ValueError,
 ).function
+remainder.__doc__ = "x mod n as its type's ``%`` gives it, for a modulus n >= 1: ``Model``'s default ``residue_mod``."
 
 
 def compare_elements(x: Element, y: Element) -> Ordering:
